@@ -38,8 +38,10 @@ pub struct SemanticClustering {
     metadata: ClusterMetadata,
     /// Positions of the attention-sink tokens (always retained).
     sinks: Vec<usize>,
-    /// Decode-time keys awaiting incremental clustering: `(position, key)`.
-    buffer: Vec<(usize, Vec<f32>)>,
+    /// Positions of the decode-time keys awaiting incremental clustering.
+    pending_positions: Vec<usize>,
+    /// Those keys, one row per entry of `pending_positions`.
+    pending_keys: Matrix,
     /// Cached squared norms `‖x‖²` of the buffered keys, maintained per
     /// append so the incremental k-means sweep never recomputes them.
     buffer_norms: Vec<f32>,
@@ -61,7 +63,8 @@ impl SemanticClustering {
             centroid_norms: Vec::new(),
             metadata: ClusterMetadata::new(),
             sinks: Vec::new(),
-            buffer: Vec::new(),
+            pending_positions: Vec::new(),
+            pending_keys: Matrix::zeros(0, head_dim),
             buffer_norms: Vec::new(),
             ws: Workspace::new(),
             incremental_runs: 0,
@@ -109,9 +112,15 @@ impl SemanticClustering {
         &self.sinks
     }
 
-    /// Positions of decode tokens not yet covered by a cluster.
-    pub fn pending_indices(&self) -> Vec<usize> {
-        self.buffer.iter().map(|(p, _)| *p).collect()
+    /// Positions of decode tokens not yet covered by a cluster, oldest
+    /// first.
+    pub fn pending_positions(&self) -> &[usize] {
+        &self.pending_positions
+    }
+
+    /// Number of decode tokens not yet covered by a cluster.
+    pub fn pending_len(&self) -> usize {
+        self.pending_positions.len()
     }
 
     /// Number of clusters created so far.
@@ -196,12 +205,15 @@ impl SemanticClustering {
     /// Panics if the key's length differs from `head_dim`.
     pub fn append(&mut self, position: usize, key: &[f32]) {
         assert_eq!(key.len(), self.head_dim, "append key dim mismatch");
-        self.buffer.push((position, key.to_vec()));
+        self.pending_positions.push(position);
+        self.pending_keys
+            .push_row(key)
+            .expect("key length checked above");
         // Maintain the ‖x‖² cache per append: one blocked self-dot now saves
         // recomputing every buffered norm at each sweep iteration later.
         self.buffer_norms.push(norm_sq(key));
         self.num_tokens = self.num_tokens.max(position + 1);
-        if self.buffer.len() >= self.config.decode_cluster_period {
+        if self.pending_positions.len() >= self.config.decode_cluster_period {
             self.flush_pending();
         }
     }
@@ -209,26 +221,24 @@ impl SemanticClustering {
     /// Force incremental clustering of whatever is currently buffered
     /// (normally called automatically every `m` appends).
     pub fn flush_pending(&mut self) {
-        if self.buffer.is_empty() {
+        if self.pending_positions.is_empty() {
             return;
         }
-        let mut keys = Matrix::zeros(0, self.head_dim);
-        keys.reserve_rows(self.buffer.len());
-        for (_, key) in &self.buffer {
-            keys.push_row(key).expect("buffer keys have equal dims");
-        }
-        let k = self.config.decode_new_clusters.min(keys.rows());
+        let k = self
+            .config
+            .decode_new_clusters
+            .min(self.pending_positions.len());
         let kmeans = KMeans::new(
             self.config.distance,
             self.config.max_kmeans_iters,
             derive_seed(self.config.seed, 0xD000 + self.incremental_runs as u64),
         );
-        let result = kmeans.fit_with_norms(&keys, &self.buffer_norms, k, &mut self.ws);
-        let assignments: Vec<(usize, usize)> = result
-            .labels
+        let result = kmeans.fit_with_norms(&self.pending_keys, &self.buffer_norms, k, &mut self.ws);
+        let assignments: Vec<(usize, usize)> = self
+            .pending_positions
             .iter()
-            .enumerate()
-            .map(|(i, &label)| (self.buffer[i].0, label))
+            .copied()
+            .zip(result.labels.iter().copied())
             .collect();
         self.metadata.extend(&assignments, result.num_clusters());
         self.centroids
@@ -237,7 +247,8 @@ impl SemanticClustering {
         self.centroid_norms
             .extend_from_slice(&result.centroid_norms);
         self.incremental_runs += 1;
-        self.buffer.clear();
+        self.pending_positions.clear();
+        self.pending_keys.clear_rows();
         self.buffer_norms.clear();
     }
 }
@@ -314,11 +325,11 @@ mod tests {
         for i in 0..5 {
             sc.append(20 + i, &[0.1 * i as f32; 8]);
         }
-        assert_eq!(sc.pending_indices().len(), 5);
+        assert_eq!(sc.pending_len(), 5);
         assert_eq!(sc.num_clusters(), clusters_after_prefill);
         // Sixth append triggers incremental clustering into 2 new clusters.
         sc.append(25, &[1.0; 8]);
-        assert_eq!(sc.pending_indices().len(), 0);
+        assert_eq!(sc.pending_len(), 0);
         assert_eq!(sc.num_clusters(), clusters_after_prefill + 2);
         assert_eq!(sc.incremental_runs(), 1);
         assert_eq!(sc.num_tokens(), 26);
@@ -330,7 +341,7 @@ mod tests {
         sc.prefill(&random_keys(20, 8, 5));
         sc.append(20, &[1.0; 8]);
         sc.flush_pending();
-        assert_eq!(sc.pending_indices().len(), 0);
+        assert_eq!(sc.pending_len(), 0);
         // A single token forms a single cluster (k clamped to rows).
         assert_eq!(sc.metadata().cluster_tokens(sc.num_clusters() - 1), &[20]);
         // Flushing an empty buffer is a no-op.
@@ -366,7 +377,7 @@ mod tests {
                 "centroid {c} norm cache stale"
             );
         }
-        assert_eq!(sc.pending_norms().len(), sc.pending_indices().len());
+        assert_eq!(sc.pending_norms().len(), sc.pending_len());
     }
 
     #[test]

@@ -80,4 +80,7 @@ pub use distance::DistanceMetric;
 pub use kmeans::{assign_labels, assign_labels_reference, KMeans};
 pub use metadata::ClusterMetadata;
 pub use policy::{ClusterKvFactory, ClusterKvSelector};
-pub use selection::{lookahead_clusters_ws, select_clusters, select_clusters_ws, SelectionResult};
+pub use selection::{
+    fill_selection_ws, lookahead_clusters_ws, select_clusters, select_clusters_ws, SelectionFill,
+    SelectionResult,
+};

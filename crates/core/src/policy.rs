@@ -16,12 +16,12 @@
 use crate::clustering::SemanticClustering;
 use crate::config::ClusterKvConfig;
 use crate::distance::DistanceMetric;
-use crate::selection::{lookahead_clusters_ws, select_clusters_ws};
+use crate::selection::{fill_selection_ws, lookahead_clusters_ws};
 use clusterkv_kvcache::cluster_cache::PageRequest;
 use clusterkv_kvcache::types::Bytes;
 use clusterkv_model::policy::{
-    CompressedPageRequest, HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionPlan,
-    SelectionRequest, SelectorFactory, SharedPrefixState, TokenSelector,
+    HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionPlan, SelectionRequest,
+    SelectorFactory, SharedPrefixState, TokenSelector,
 };
 use clusterkv_tensor::kernels::{norm_sq, Workspace};
 use clusterkv_tensor::rng::derive_seed;
@@ -108,6 +108,24 @@ impl ClusterKvSelector {
         .into_iter()
         .fold(0x436c_7573_7465_724b, derive_seed) // "ClusterK"
     }
+
+    /// One cluster-granularity page per id in `clusters`, each sized to the
+    /// whole cluster. Under a lossy compression config the pages are recalled
+    /// through the compressed tier (DESIGN.md §9) and the engine reads their
+    /// memberships through [`page_members`](TokenSelector::page_members);
+    /// lossless configs keep the recall-exact `Paged` residency and its
+    /// byte-parity guarantee.
+    fn residency_of(&self, clusters: impl Iterator<Item = usize>) -> KvResidency {
+        let metadata = self.clustering.metadata();
+        let pages = clusters
+            .map(|c| PageRequest::new(c, metadata.cluster_size(c)))
+            .collect();
+        if self.clustering.config().compression.is_lossless() {
+            KvResidency::Paged(pages)
+        } else {
+            KvResidency::Compressed(pages)
+        }
+    }
 }
 
 impl TokenSelector for ClusterKvSelector {
@@ -153,35 +171,23 @@ impl TokenSelector for ClusterKvSelector {
             return SelectionPlan::full(request.num_tokens);
         }
 
-        let result = select_clusters_ws(
+        let fill = fill_selection_ws(
             request.query,
             &self.clustering,
             request.budget,
             &mut self.ws,
         );
-        let metadata = self.clustering.metadata();
-        // Under a lossy compression config, paged clusters are recalled
-        // through the compressed tier: the plan carries each page's member
-        // positions so the engine can attend through the merged + quantized
-        // representation (DESIGN.md §9). Lossless configs keep the
-        // recall-exact Paged residency and its byte-parity guarantee.
-        let residency = if self.clustering.config().compression.is_lossless() {
-            KvResidency::Paged(result.page_requests(metadata))
-        } else {
-            KvResidency::Compressed(
-                result
-                    .page_requests(metadata)
-                    .into_iter()
-                    .zip(result.page_members(metadata))
-                    .map(|(request, members)| CompressedPageRequest { request, members })
-                    .collect(),
-            )
-        };
-        let mut plan = SelectionPlan::new(result.token_indices).with_stats(PolicyStats {
-            scored_vectors: result.scored_centroids as u64,
+        // The plan owns two buffers whatever the budget or the cluster
+        // count: the token positions (with one spare slot, because the
+        // engine appends the position being generated) and one page per
+        // selected cluster.
+        let mut indices = Vec::with_capacity(self.ws.tokens.len() + 1);
+        indices.extend_from_slice(&self.ws.tokens);
+        let mut plan = SelectionPlan::new(indices).with_stats(PolicyStats {
+            scored_vectors: fill.scored_centroids as u64,
             ..PolicyStats::default()
         });
-        plan.residency = residency;
+        plan.residency = self.residency_of(self.ws.labels.iter().copied());
         plan
     }
 
@@ -212,20 +218,11 @@ impl TokenSelector for ClusterKvSelector {
     }
 
     fn page_table(&self) -> KvResidency {
-        let metadata = self.clustering.metadata();
-        if self.clustering.config().compression.is_lossless() {
-            KvResidency::Paged(
-                (0..metadata.num_clusters())
-                    .map(|c| PageRequest::new(c, metadata.cluster_size(c)))
-                    .collect(),
-            )
-        } else {
-            KvResidency::Compressed(
-                (0..metadata.num_clusters())
-                    .map(|c| CompressedPageRequest::new(c, metadata.cluster_tokens(c).to_vec()))
-                    .collect(),
-            )
-        }
+        self.residency_of(0..self.clustering.num_clusters())
+    }
+
+    fn page_members(&self, page: usize) -> &[usize] {
+        self.clustering.metadata().cluster_tokens(page)
     }
 
     fn export_prefill_state(&self) -> Option<SharedPrefixState> {
@@ -409,11 +406,11 @@ mod tests {
         let KvResidency::Paged(pages) = &ep.residency else {
             panic!("lossless config must emit paged plans");
         };
-        assert_eq!(cpages.iter().map(|p| p.request).collect::<Vec<_>>(), *pages);
+        assert_eq!(cpages, pages);
         let metadata = lossy.clustering().metadata();
         for p in cpages {
-            assert_eq!(p.members, metadata.cluster_tokens(p.request.page));
-            assert_eq!(p.members.len(), p.request.tokens);
+            assert_eq!(lossy.page_members(p.page), metadata.cluster_tokens(p.page));
+            assert_eq!(lossy.page_members(p.page).len(), p.tokens);
         }
         // The page table mirrors the residency kind.
         let KvResidency::Compressed(table) = lossy.page_table() else {

@@ -13,17 +13,9 @@ use crate::clustering::SemanticClustering;
 use crate::metadata::ClusterMetadata;
 use clusterkv_kvcache::cluster_cache::PageRequest;
 use clusterkv_kvcache::types::Budget;
-use clusterkv_tensor::kernels::{matvec_t_into, par_matvec_rows, Workspace};
+use clusterkv_tensor::kernels::{matvec_t_into, Workspace};
 use clusterkv_tensor::vector::argsort_descending_into;
 use serde::{Deserialize, Serialize};
-
-/// Centroids per chunk when scoring in parallel: one score is a single
-/// `d`-dimensional dot product, so small cluster counts (short contexts)
-/// stay on one thread — scored by one blocked matvec straight into the
-/// caller's workspace, with no allocation. The chunk size is a constant, so
-/// per-row results (and thus the ranking) are identical at every thread
-/// count.
-const SCORE_MIN_CENTROIDS_PER_WORKER: usize = 128;
 
 /// Outcome of one cluster-granularity selection step.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,19 +56,6 @@ impl SelectionResult {
             .map(|&c| PageRequest::new(c, metadata.cluster_size(c)))
             .collect()
     }
-
-    /// The member token positions of each selected cluster, aligned with
-    /// [`page_requests`](SelectionResult::page_requests): `page_members(m)[i]`
-    /// lists the absolute token positions backing `page_requests(m)[i]`.
-    /// Recall-compressed plans (DESIGN.md §9) carry these so the attention
-    /// kernel knows which attended tokens to substitute with their
-    /// compressed representation.
-    pub fn page_members(&self, metadata: &ClusterMetadata) -> Vec<Vec<usize>> {
-        self.selected_clusters
-            .iter()
-            .map(|&c| metadata.cluster_tokens(c).to_vec())
-            .collect()
-    }
 }
 
 /// Select up to `budget` tokens for `query` from the clustering state of one
@@ -99,118 +78,161 @@ pub fn select_clusters(
     select_clusters_ws(query, clustering, budget, &mut Workspace::new())
 }
 
-/// [`select_clusters`] with a caller-owned [`Workspace`]: centroid scores
-/// land in `ws.scores` (one blocked matvec over the centroid matrix) and the
-/// ranking in `ws.idx`, so a warmed workspace makes the scoring + ranking
-/// phase allocation-free. This is the path the `ClusterKV` selector's `plan`
-/// takes every decode step.
+/// [`select_clusters`] with a caller-owned [`Workspace`]: a copy of what
+/// [`fill_selection_ws`] left in it.
 pub fn select_clusters_ws(
     query: &[f32],
     clustering: &SemanticClustering,
     budget: Budget,
     ws: &mut Workspace,
 ) -> SelectionResult {
+    let fill = fill_selection_ws(query, clustering, budget, ws);
+    SelectionResult {
+        selected_clusters: ws.labels.clone(),
+        token_indices: ws.tokens.clone(),
+        scored_centroids: fill.scored_centroids,
+        trimmed_last_cluster: fill.trimmed_last_cluster,
+    }
+}
+
+/// What one [`fill_selection_ws`] call reports besides the buffers it filled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectionFill {
+    /// Number of centroids scored against the query.
+    pub scored_centroids: usize,
+    /// Whether the last selected cluster was trimmed to fit the budget.
+    pub trimmed_last_cluster: bool,
+}
+
+/// Whether bit `position` of the bitmap is still clear.
+#[inline]
+fn unseen(seen: &[u64], position: usize) -> bool {
+    seen[position / 64] & (1u64 << (position % 64)) == 0
+}
+
+/// Set bit `position` of the bitmap; returns whether it was clear before.
+#[inline]
+fn mark(seen: &mut [u64], position: usize) -> bool {
+    let fresh = unseen(seen, position);
+    seen[position / 64] |= 1u64 << (position % 64);
+    fresh
+}
+
+/// The selection of [`select_clusters`], left in the workspace: the token
+/// positions in `ws.tokens` (sinks, most recent pending tokens, then the
+/// members of the best clusters) and the ids of the clusters that contributed
+/// in `ws.labels`, in descending score order. This is the Fig. 8 gather — one
+/// blocked matvec scores the centroids into `ws.scores`, the ranking lands in
+/// `ws.idx`, and each ranked cluster's slice of the label-sorted index table
+/// is copied into `ws.tokens` — and it is what the `ClusterKV` selector's
+/// `plan` runs every decode step.
+///
+/// `ws.seen` holds one bit per token position, set once the position has
+/// been emitted. Pending decode tokens can overlap sink positions (a harness
+/// may append at a position the clustering also tracks as a sink) and a
+/// cluster can contain an always-retained token or a position another
+/// cluster already supplied; such members are neither emitted again nor
+/// charged against the budget, and a cluster left with nothing to add is not
+/// selected.
+///
+/// # Panics
+///
+/// Panics if `query.len()` differs from the centroid dimensionality when
+/// clusters exist.
+// analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
+pub fn fill_selection_ws(
+    query: &[f32],
+    clustering: &SemanticClustering,
+    budget: Budget,
+    ws: &mut Workspace,
+) -> SelectionFill {
     let budget_tokens = budget.tokens();
-    let mut token_indices: Vec<usize> = Vec::with_capacity(budget_tokens);
-    // Guard against duplicate emission: pending decode tokens can overlap
-    // sink positions (a harness may append at a position the clustering also
-    // tracks as a sink), and defensively a cluster could contain an
-    // always-retained token. An ordered set keeps the dedup structure (and
-    // anything that ever iterates it) deterministic; at budget scale the
-    // O(log n) insert is noise next to the matvec.
-    let mut seen = std::collections::BTreeSet::new();
+    let Workspace {
+        scores,
+        idx,
+        labels,
+        tokens,
+        seen,
+        ..
+    } = ws;
+    let centroids = clustering.centroids();
+    // Sized for the largest selection this state can produce, so the first
+    // call at a given budget is the only one that grows the buffers.
+    tokens.clear();
+    tokens.reserve(budget_tokens.min(clustering.num_tokens()));
+    labels.clear();
+    labels.reserve(centroids.rows());
+    seen.clear();
+    seen.resize(clustering.num_tokens().div_ceil(64), 0);
 
     // Always-retained tokens: attention sinks first, then the most recent
-    // pending (unclustered) decode tokens.
-    let sinks = clustering.sink_indices();
-    let pending = clustering.pending_indices();
-    for &s in sinks {
-        if token_indices.len() >= budget_tokens {
+    // pending (unclustered) decode tokens when the budget is tight.
+    let retained = clustering
+        .sink_indices()
+        .iter()
+        .chain(clustering.pending_positions().iter().rev());
+    for &t in retained {
+        if tokens.len() >= budget_tokens {
             break;
         }
-        if seen.insert(s) {
-            token_indices.push(s);
-        }
-    }
-    // Prefer the most recent pending tokens when the budget is tight.
-    for &p in pending.iter().rev() {
-        if token_indices.len() >= budget_tokens {
-            break;
-        }
-        if seen.insert(p) {
-            token_indices.push(p);
+        if mark(seen, t) {
+            tokens.push(t);
         }
     }
 
-    let metadata = clustering.metadata();
-    let centroids = clustering.centroids();
-    if centroids.rows() == 0 || token_indices.len() >= budget_tokens {
-        return SelectionResult {
-            selected_clusters: Vec::new(),
-            token_indices,
+    if centroids.rows() == 0 || tokens.len() >= budget_tokens {
+        return SelectionFill {
             scored_centroids: 0,
             trimmed_last_cluster: false,
         };
     }
 
-    // Score clusters by inner product between the query and centroids — one
+    // Score clusters by inner product between the query and centroids: one
     // blocked matvec over the centroid matrix (the §IV-C batched scoring
-    // kernel), chunk-parallel above SCORE_MIN_CENTROIDS_PER_WORKER. Per-row
-    // arithmetic is canonical (DESIGN.md §6), so scores are byte-identical
-    // at any thread count and chunking.
+    // kernel). NaN scores (a degenerate query or poisoned centroid) rank
+    // strictly last and deterministically, so a NaN can never hijack the
+    // budget.
     assert_eq!(
         centroids.cols(),
         query.len(),
         "query dimension matches centroid dimension"
     );
-    let rows = centroids.rows();
-    if rows <= SCORE_MIN_CENTROIDS_PER_WORKER {
-        matvec_t_into(centroids, query, &mut ws.scores);
-    } else {
-        let scores = par_matvec_rows(centroids, 0..rows, query, SCORE_MIN_CENTROIDS_PER_WORKER);
-        ws.scores.clear();
-        ws.scores.extend_from_slice(&scores);
-    }
-    // NaN scores (a degenerate query or poisoned centroid) rank strictly
-    // last and deterministically, so a NaN can never hijack the budget.
-    argsort_descending_into(&ws.scores, &mut ws.idx);
+    matvec_t_into(centroids, query, scores);
+    argsort_descending_into(scores, idx);
 
-    let mut selected_clusters = Vec::new();
+    let metadata = clustering.metadata();
     let mut trimmed = false;
-    let mut remaining = budget_tokens - token_indices.len();
-    for &cluster in ws.idx.iter() {
-        if remaining == 0 {
+    for &cluster in idx.iter() {
+        let room = budget_tokens - tokens.len();
+        if room == 0 {
             break;
         }
-        let members = metadata.cluster_tokens(cluster);
-        // Members already retained (sinks/pending) must neither be emitted
-        // twice nor charged against the budget again.
-        let fresh: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|m| !seen.contains(m))
-            .collect();
-        if fresh.is_empty() {
+        // Membership is tested against the state before this cluster, then
+        // the emitted members are marked: a position listed twice inside one
+        // cluster is emitted twice, as the set-based fill always did.
+        let start = tokens.len();
+        let mut fresh = 0usize;
+        for &m in metadata.cluster_tokens(cluster) {
+            if unseen(seen, m) {
+                fresh += 1;
+                if fresh <= room {
+                    tokens.push(m);
+                }
+            }
+        }
+        if fresh == 0 {
             continue;
         }
-        selected_clusters.push(cluster);
-        if fresh.len() <= remaining {
-            seen.extend(fresh.iter().copied());
-            token_indices.extend_from_slice(&fresh);
-            remaining -= fresh.len();
-        } else {
-            // Trim tokens from the last selected cluster to adhere to the
-            // budget limit (§IV-C).
-            seen.extend(fresh[..remaining].iter().copied());
-            token_indices.extend_from_slice(&fresh[..remaining]);
-            remaining = 0;
-            trimmed = true;
+        labels.push(cluster);
+        // Past `room`, the last selected cluster is trimmed to adhere to the
+        // budget limit (§IV-C).
+        trimmed = fresh > room;
+        for &m in &tokens[start..] {
+            mark(seen, m);
         }
     }
 
-    SelectionResult {
-        selected_clusters,
-        token_indices,
+    SelectionFill {
         scored_centroids: centroids.rows(),
         trimmed_last_cluster: trimmed,
     }
@@ -242,7 +264,7 @@ pub fn lookahead_clusters_ws(
 ) -> usize {
     ws.labels.clear();
     let target = budget.tokens().saturating_add(lookahead_tokens);
-    let retained = clustering.sink_indices().len() + clustering.pending_indices().len();
+    let retained = clustering.sink_indices().len() + clustering.pending_len();
     let centroids = clustering.centroids();
     if centroids.rows() == 0 || retained >= target {
         return 0;
@@ -258,6 +280,7 @@ pub fn lookahead_clusters_ws(
     // budget either.
     matvec_t_into(centroids, query, &mut ws.scores);
     argsort_descending_into(&ws.scores, &mut ws.idx);
+    ws.labels.reserve(centroids.rows());
     let metadata = clustering.metadata();
     let mut remaining = target - retained;
     for &cluster in ws.idx.iter() {
@@ -279,7 +302,152 @@ mod tests {
     use super::*;
     use crate::config::ClusterKvConfig;
     use crate::distance::DistanceMetric;
+    use clusterkv_tensor::rng::{derive_seed, gaussian_vec, seeded};
     use clusterkv_tensor::Matrix;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The fill as it was before it became a gather over the workspace: an
+    /// ordered set of everything emitted so far, and a filtered copy of each
+    /// cluster's members. Kept as the oracle [`fill_selection_ws`] is
+    /// differentially tested against.
+    fn select_clusters_reference(
+        query: &[f32],
+        clustering: &SemanticClustering,
+        budget: Budget,
+    ) -> SelectionResult {
+        let budget_tokens = budget.tokens();
+        let mut token_indices: Vec<usize> = Vec::new();
+        let mut seen = BTreeSet::new();
+        for &s in clustering.sink_indices() {
+            if token_indices.len() >= budget_tokens {
+                break;
+            }
+            if seen.insert(s) {
+                token_indices.push(s);
+            }
+        }
+        for &p in clustering.pending_positions().iter().rev() {
+            if token_indices.len() >= budget_tokens {
+                break;
+            }
+            if seen.insert(p) {
+                token_indices.push(p);
+            }
+        }
+        let metadata = clustering.metadata();
+        let centroids = clustering.centroids();
+        if centroids.rows() == 0 || token_indices.len() >= budget_tokens {
+            return SelectionResult {
+                selected_clusters: Vec::new(),
+                token_indices,
+                scored_centroids: 0,
+                trimmed_last_cluster: false,
+            };
+        }
+        let mut scores = Vec::new();
+        matvec_t_into(centroids, query, &mut scores);
+        let mut ranking = Vec::new();
+        argsort_descending_into(&scores, &mut ranking);
+        let mut selected_clusters = Vec::new();
+        let mut trimmed = false;
+        let mut remaining = budget_tokens - token_indices.len();
+        for &cluster in &ranking {
+            if remaining == 0 {
+                break;
+            }
+            let fresh: Vec<usize> = metadata
+                .cluster_tokens(cluster)
+                .iter()
+                .copied()
+                .filter(|m| !seen.contains(m))
+                .collect();
+            if fresh.is_empty() {
+                continue;
+            }
+            selected_clusters.push(cluster);
+            if fresh.len() <= remaining {
+                seen.extend(fresh.iter().copied());
+                token_indices.extend_from_slice(&fresh);
+                remaining -= fresh.len();
+            } else {
+                seen.extend(fresh[..remaining].iter().copied());
+                token_indices.extend_from_slice(&fresh[..remaining]);
+                remaining = 0;
+                trimmed = true;
+            }
+        }
+        SelectionResult {
+            selected_clusters,
+            token_indices,
+            scored_centroids: centroids.rows(),
+            trimmed_last_cluster: trimmed,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn fill_matches_the_set_based_reference(
+            prompt in 1usize..90,
+            sinks in 0usize..7,
+            per_cluster in 3usize..14,
+            period in 2usize..9,
+            new_clusters in 1usize..4,
+            appends in 0usize..40,
+            // Out of ten appends, how many reuse a position already seen
+            // (a sink, a cluster member, a pending token) instead of the
+            // next free one.
+            reuse_in_ten in 0usize..6,
+            query_kind in 0usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let dim = 8;
+            let mut rng = seeded(seed);
+            let config = ClusterKvConfig::default()
+                .with_sink_tokens(sinks)
+                .with_tokens_per_cluster(per_cluster)
+                .with_decode_cluster_period(period)
+                .with_decode_new_clusters(new_clusters)
+                .with_seed(seed);
+            let mut sc = SemanticClustering::new(config, dim);
+            let rows = (0..prompt).map(|_| gaussian_vec(&mut rng, dim, 0.0, 1.0)).collect();
+            sc.prefill(&Matrix::from_rows(rows).unwrap());
+            for i in 0..appends {
+                let n = sc.num_tokens();
+                // A draw per append that does not advance the key RNG.
+                let pick = derive_seed(seed, i as u64);
+                let position = if pick % 10 < reuse_in_ten as u64 {
+                    (pick / 10) as usize % n
+                } else {
+                    n
+                };
+                sc.append(position, &gaussian_vec(&mut rng, dim, 0.0, 1.0));
+            }
+            let n = sc.num_tokens();
+            let query = match query_kind {
+                0 => vec![0.0; dim],
+                1 => vec![f32::NAN; dim],
+                2 => {
+                    let mut q = gaussian_vec(&mut rng, dim, 0.0, 1.0);
+                    q[seed as usize % dim] = f32::NAN;
+                    q
+                }
+                _ => gaussian_vec(&mut rng, dim, 0.0, 1.0),
+            };
+            // One workspace across every budget, so stale buffer contents
+            // from a larger selection are part of what is tested.
+            let mut ws = Workspace::new();
+            for budget in (0..=n + 8).rev().chain(0..=n + 8) {
+                let got = select_clusters_ws(&query, &sc, Budget::new(budget), &mut ws);
+                let want = select_clusters_reference(&query, &sc, Budget::new(budget));
+                prop_assert_eq!(&got.token_indices, &want.token_indices);
+                prop_assert_eq!(&got.selected_clusters, &want.selected_clusters);
+                prop_assert_eq!(got.trimmed_last_cluster, want.trimmed_last_cluster);
+                prop_assert_eq!(got.scored_centroids, want.scored_centroids);
+            }
+        }
+    }
 
     /// Build clustering state with three well separated directional groups:
     /// group A along +x (tokens 4..14), group B along +y (14..24), group C
@@ -361,20 +529,6 @@ mod tests {
         assert_eq!(pages.len(), 1);
         assert_eq!(pages[0].page, result.selected_clusters[0]);
         assert_eq!(pages[0].tokens, 10);
-    }
-
-    #[test]
-    fn page_members_align_with_page_requests() {
-        let sc = directional_clustering();
-        let result = select_clusters(&[1.0, 0.0, 0.0, 0.0], &sc, Budget::new(20));
-        let pages = result.page_requests(sc.metadata());
-        let members = result.page_members(sc.metadata());
-        assert_eq!(pages.len(), members.len());
-        for (page, mem) in pages.iter().zip(&members) {
-            assert_eq!(page.tokens, mem.len(), "members back the whole page");
-            assert_eq!(mem, sc.metadata().cluster_tokens(page.page));
-            assert!(mem.windows(2).all(|w| w[0] < w[1]), "ascending positions");
-        }
     }
 
     #[test]
@@ -469,8 +623,9 @@ mod tests {
             [0.3, -0.9, 0.2, 0.0],
         ];
         let mut ws = clusterkv_tensor::kernels::Workspace::new();
-        // Warm the buffers, then the steady state must not grow them.
-        let _ = select_clusters_ws(&queries[0], &sc, Budget::new(14), &mut ws);
+        // Warm the buffers at the largest budget (the token buffer is as
+        // long as the selection), then the steady state must not grow them.
+        let _ = select_clusters_ws(&queries[0], &sc, Budget::new(34), &mut ws);
         let warm = ws.allocated_bytes();
         for q in &queries {
             for budget in [3usize, 7, 14, 34] {

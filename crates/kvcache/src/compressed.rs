@@ -270,24 +270,91 @@ fn quant_roundtrip(x: f32, scale: f32, qmax: f32) -> f32 {
     q * scale / qmax
 }
 
-/// Largest absolute value across a set of rows (the symmetric per-cluster
-/// scale). Deterministic: a pure reduction over the page contents, never a
-/// function of cache or selection state.
-fn max_abs_rows(m: &Matrix, members: &[usize]) -> f32 {
-    let mut s = 0.0f32;
-    for &i in members {
-        for &x in m.row(i) {
-            s = s.max(x.abs());
-        }
-    }
-    s
+/// Largest absolute value of a row, folded into `scale` (the symmetric
+/// per-cluster scale is this over every row of the page). Deterministic: a
+/// pure reduction over the page contents, never a function of cache or
+/// selection state, and — `max` ignoring NaN — independent of row order.
+fn fold_max_abs(scale: f32, row: &[f32]) -> f32 {
+    row.iter().fold(scale, |s, x| s.max(x.abs()))
 }
 
-/// Apply the quantization round trip in place to every row of `m`.
-fn quantize_rows_in_place(m: &mut Matrix, scale: f32, qmax: f32) {
-    for x in m.as_mut_slice() {
-        *x = quant_roundtrip(*x, scale, qmax);
+/// The merge + quantize-round-trip core of the compressed tier: reconstruct
+/// one page — rows `members` of `keys` / `values` — writing member slot
+/// `i`'s reconstructed key and value into row `dest_row(i)` of `k_out` /
+/// `v_out`. A slot without a destination is written nowhere but still
+/// shapes the page: it merges with its neighbour and counts toward the
+/// per-page scales, so the rows that *are* written depend only on
+/// `(config, membership, stored KV)`, never on which slots were asked for.
+///
+/// [`compress_page`] maps every slot to its own row of the page it stores
+/// and seals. Recall-compressed attention maps the slots of the tokens it
+/// attends to their gathered rows, so the page of a transient recall is
+/// never materialized, stored or sealed.
+///
+/// Consecutive members whose keys are within `merge_threshold` cosine
+/// distance are both replaced by their SLERP midpoint (values follow the
+/// key's decision); `on_merged_pair(i)` is called for each such pair
+/// `(i, i + 1)`. What remains is quantized with one symmetric scale per
+/// tensor. Returns the number of merged pairs.
+pub fn reconstruct_page_rows(
+    (keys, values): (&Matrix, &Matrix),
+    members: &[usize],
+    config: CompressionConfig,
+    (k_out, v_out): (&mut Matrix, &mut Matrix),
+    dest_row: impl Fn(usize) -> Option<usize>,
+    mut on_merged_pair: impl FnMut(usize),
+) -> usize {
+    let quantize = config.quant != QuantMode::Off;
+    let (mut scale_k, mut scale_v) = (0.0f32, 0.0f32);
+    let mut put = |slot: usize, k_row: &[f32], v_row: &[f32]| {
+        if quantize {
+            scale_k = fold_max_abs(scale_k, k_row);
+            scale_v = fold_max_abs(scale_v, v_row);
+        }
+        if let Some(row) = dest_row(slot) {
+            k_out.row_mut(row).copy_from_slice(k_row);
+            v_out.row_mut(row).copy_from_slice(v_row);
+        }
+    };
+
+    let merging = config.merge_threshold > 0.0;
+    // One interpolant each for K and V, reused by every merged pair.
+    let rep_dim = if merging { keys.cols() } else { 0 };
+    let mut rep = vec![0.0f32; 2 * rep_dim];
+    let (rep_k, rep_v) = rep.split_at_mut(rep_dim);
+    let mut merged_pairs = 0usize;
+    let mut i = 0;
+    while i < members.len() {
+        let (k_i, v_i) = (keys.row(members[i]), values.row(members[i]));
+        if merging && i + 1 < members.len() {
+            let (k_j, v_j) = (keys.row(members[i + 1]), values.row(members[i + 1]));
+            if 1.0 - cosine_similarity(k_i, k_j) <= config.merge_threshold {
+                slerp_into(k_i, k_j, 0.5, rep_k);
+                slerp_into(v_i, v_j, 0.5, rep_v);
+                put(i, rep_k, rep_v);
+                put(i + 1, rep_k, rep_v);
+                on_merged_pair(i);
+                merged_pairs += 1;
+                i += 2;
+                continue;
+            }
+        }
+        put(i, k_i, v_i);
+        i += 1;
     }
+
+    if quantize {
+        let qmax = config.quant.qmax();
+        for row in (0..members.len()).filter_map(dest_row) {
+            for x in k_out.row_mut(row) {
+                *x = quant_roundtrip(*x, scale_k, qmax);
+            }
+            for x in v_out.row_mut(row) {
+                *x = quant_roundtrip(*x, scale_v, qmax);
+            }
+        }
+    }
+    merged_pairs
 }
 
 /// One compressed page: the reconstructed K/V of a cluster's member tokens
@@ -364,41 +431,20 @@ pub fn compress_page(
     config: CompressionConfig,
 ) -> CompressedPage {
     let head_dim = keys.cols();
-    let mut k = keys.select_rows(members);
-    let mut v = values.select_rows(members);
+    let mut k = Matrix::zeros(members.len(), head_dim);
+    let mut v = Matrix::zeros(members.len(), head_dim);
     let mut retained = vec![true; members.len()];
-    let mut merged_pairs = 0usize;
-
-    if config.merge_threshold > 0.0 {
-        let mut i = 0;
-        while i + 1 < members.len() {
-            let sim = cosine_similarity(k.row(i), k.row(i + 1));
-            if 1.0 - sim <= config.merge_threshold {
-                let mut rep = vec![0.0f32; head_dim];
-                slerp_into(k.row(i), k.row(i + 1), 0.5, &mut rep);
-                k.row_mut(i).copy_from_slice(&rep);
-                k.row_mut(i + 1).copy_from_slice(&rep);
-                slerp_into(v.row(i), v.row(i + 1), 0.5, &mut rep);
-                v.row_mut(i).copy_from_slice(&rep);
-                v.row_mut(i + 1).copy_from_slice(&rep);
-                retained[i] = false;
-                retained[i + 1] = false;
-                merged_pairs += 1;
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    if config.quant != QuantMode::Off {
-        let qmax = config.quant.qmax();
-        let all: Vec<usize> = (0..members.len()).collect();
-        let scale_k = max_abs_rows(&k, &all);
-        let scale_v = max_abs_rows(&v, &all);
-        quantize_rows_in_place(&mut k, scale_k, qmax);
-        quantize_rows_in_place(&mut v, scale_v, qmax);
-    }
+    let merged_pairs = reconstruct_page_rows(
+        (keys, values),
+        members,
+        config,
+        (&mut k, &mut v),
+        Some,
+        |i| {
+            retained[i] = false;
+            retained[i + 1] = false;
+        },
+    );
 
     let stored_vectors = members.len() - merged_pairs;
     let mut compressed = Bytes(
@@ -614,7 +660,7 @@ mod tests {
         let page = compress_page(&k, &v, &members, CompressionConfig::int8());
         let ratio = page.ratio();
         assert!(ratio > 1.9 && ratio <= 2.0, "int8 ratio {ratio}");
-        let scale = max_abs_rows(&k, &members);
+        let scale = k.iter_rows().fold(0.0, fold_max_abs);
         for (slot, &m) in members.iter().enumerate() {
             for (a, b) in page.keys.row(slot).iter().zip(k.row(m)) {
                 assert!((a - b).abs() <= scale / 127.0 + 1e-6, "{a} vs {b}");

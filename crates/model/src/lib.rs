@@ -43,8 +43,8 @@ pub use config::{ModelConfig, ModelPreset};
 pub use engine::InferenceEngine;
 pub use latency::{DecodeStepBreakdown, InferenceBreakdown, LatencyModel};
 pub use policy::{
-    CompressedPageRequest, FullAttentionSelector, KvResidency, ObserveEvent, PageRequest,
-    PolicyStats, SelectionPlan, SelectionRequest, SelectorFactory, TokenSelector,
+    FullAttentionSelector, KvResidency, ObserveEvent, PageRequest, PolicyStats, SelectionPlan,
+    SelectionRequest, SelectorFactory, TokenSelector,
 };
 pub use prefetch::{PrefetchConfig, PrefetchPredictor};
 pub use serve::{

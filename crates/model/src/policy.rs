@@ -156,28 +156,6 @@ impl<'a> SelectionRequest<'a> {
     }
 }
 
-/// One page of a recall-compressed plan: the cache-level [`PageRequest`]
-/// plus the page's member token positions, which the engine needs to
-/// substitute the compressed (merged + dequantized) KV for exactly those
-/// tokens during attention.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedPageRequest {
-    /// The page id and token count, as the cluster cache sees it.
-    pub request: PageRequest,
-    /// Absolute token positions belonging to the page, ascending.
-    pub members: Vec<usize>,
-}
-
-impl CompressedPageRequest {
-    /// Build a compressed page request from a page id and its members.
-    pub fn new(page: usize, members: Vec<usize>) -> Self {
-        Self {
-            request: PageRequest::new(page, members.len()),
-            members,
-        }
-    }
-}
-
 /// How the KV selected by a plan is materialised on the GPU (DESIGN.md §3,
 /// §9).
 ///
@@ -205,21 +183,20 @@ pub enum KvResidency {
     /// misses are recalled from CPU memory. Recall is exact.
     Paged(Vec<PageRequest>),
     /// The selected KV is paged *and* recalled through the compressed tier:
-    /// member tokens of each page are attended via their SLERP-merged,
-    /// quantize-round-tripped representation (DESIGN.md §9). Tokens outside
-    /// every page (sinks, pending tokens, the token being generated) stay
-    /// exact.
-    Compressed(Vec<CompressedPageRequest>),
+    /// member tokens of each page — [`TokenSelector::page_members`] names
+    /// them — are attended via their SLERP-merged, quantize-round-tripped
+    /// representation (DESIGN.md §9). Tokens outside every page (sinks,
+    /// pending tokens, the token being generated) stay exact.
+    Compressed(Vec<PageRequest>),
 }
 
 impl KvResidency {
     /// The cache-level page requests of a paged or compressed plan; `None`
     /// for resident plans.
-    pub fn page_requests(&self) -> Option<Vec<PageRequest>> {
+    pub fn page_requests(&self) -> Option<&[PageRequest]> {
         match self {
             KvResidency::Resident => None,
-            KvResidency::Paged(pages) => Some(pages.clone()),
-            KvResidency::Compressed(pages) => Some(pages.iter().map(|p| p.request).collect()),
+            KvResidency::Paged(pages) | KvResidency::Compressed(pages) => Some(pages),
         }
     }
 }
@@ -278,10 +255,10 @@ impl SelectionPlan {
     }
 
     /// Mark the selected KV as paged *and* recalled through the compressed
-    /// tier (DESIGN.md §9): each page carries its member token positions so
-    /// the attention kernel can substitute the compressed representation for
-    /// exactly those tokens.
-    pub fn with_compressed_pages(mut self, pages: Vec<CompressedPageRequest>) -> Self {
+    /// tier (DESIGN.md §9): the attention kernel substitutes the compressed
+    /// representation for exactly the tokens the selector's
+    /// [`page_members`](TokenSelector::page_members) lists for each page.
+    pub fn with_compressed_pages(mut self, pages: Vec<PageRequest>) -> Self {
         self.residency = KvResidency::Compressed(pages);
         self
     }
@@ -330,6 +307,16 @@ pub trait TokenSelector: Send {
     /// return [`KvResidency::Resident`] (the default).
     fn page_table(&self) -> KvResidency {
         KvResidency::Resident
+    }
+
+    /// Absolute token positions belonging to `page`, ascending — read by
+    /// whoever attends a [`KvResidency::Compressed`] plan, straight after the
+    /// [`plan`](TokenSelector::plan) call that named the page and before the
+    /// next [`observe`](TokenSelector::observe). A slice into state the
+    /// selector already keeps, so a plan never copies memberships. Selectors
+    /// that emit no compressed plans keep the default (no members).
+    fn page_members(&self, _page: usize) -> &[usize] {
+        &[]
     }
 
     /// Snapshot this selector's post-`PrefillDone` state for caching in the
@@ -524,24 +511,14 @@ mod tests {
 
     #[test]
     fn compressed_residency_exposes_inner_page_requests() {
-        let pages = vec![
-            CompressedPageRequest::new(3, vec![0, 1, 5]),
-            CompressedPageRequest::new(7, vec![9]),
-        ];
-        let plan = SelectionPlan::new(vec![0, 1, 5, 9]).with_compressed_pages(pages);
-        let KvResidency::Compressed(ref reqs) = plan.residency else {
-            panic!("expected compressed residency");
-        };
-        assert_eq!(reqs[0].request, PageRequest::new(3, 3));
-        assert_eq!(reqs[0].members, vec![0, 1, 5]);
-        assert_eq!(
-            plan.residency.page_requests(),
-            Some(vec![PageRequest::new(3, 3), PageRequest::new(7, 1)])
-        );
+        let pages = vec![PageRequest::new(3, 3), PageRequest::new(7, 1)];
+        let plan = SelectionPlan::new(vec![0, 1, 5, 9]).with_compressed_pages(pages.clone());
+        assert!(matches!(plan.residency, KvResidency::Compressed(_)));
+        assert_eq!(plan.residency.page_requests(), Some(pages.as_slice()));
         assert_eq!(KvResidency::Resident.page_requests(), None);
         assert_eq!(
             KvResidency::Paged(vec![PageRequest::new(1, 2)]).page_requests(),
-            Some(vec![PageRequest::new(1, 2)])
+            Some([PageRequest::new(1, 2)].as_slice())
         );
     }
 

@@ -32,8 +32,8 @@ use crate::attention::full_attention_weights;
 use crate::config::ModelConfig;
 use crate::latency::{LatencyModel, StepCost};
 use crate::policy::{
-    CompressedPageRequest, FullAttentionSelector, HeadContext, KvResidency, ObserveEvent,
-    PolicyStats, SelectionRequest, SelectorFactory, TokenSelector,
+    FullAttentionSelector, HeadContext, KvResidency, ObserveEvent, PageRequest, PolicyStats,
+    SelectionRequest, SelectorFactory, TokenSelector,
 };
 use crate::prefetch::{PrefetchConfig, PrefetchPredictor};
 use crate::rope::Rope;
@@ -41,7 +41,7 @@ use crate::trace::{AttentionTrace, TraceStep};
 use crate::weights::ModelWeights;
 use clusterkv_faults::{backoff_seconds, FaultInjector, FaultPlan, FaultSite, IntegrityStats};
 use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
-use clusterkv_kvcache::compressed::{compress_page, CompressionConfig};
+use clusterkv_kvcache::compressed::{reconstruct_page_rows, CompressionConfig};
 use clusterkv_kvcache::device::{DeviceModel, Seconds};
 use clusterkv_kvcache::prefix::{PrefixStore, PrefixStoreConfig, PrefixStoreStats};
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
@@ -1202,42 +1202,57 @@ impl ServeEngine {
         clusterkv_tensor::kernels::par_matvec_rows(w, 0..rows, v, PROJ_MIN_ROWS_PER_WORKER)
     }
 
-    /// Attend `query` over the gathered selected tokens, substituting the
-    /// compressed (SLERP-merged, quantize-round-tripped) representation for
-    /// every selected token belonging to one of the plan's pages
-    /// (DESIGN.md §9). Tokens outside the pages — sinks, pending decode
-    /// tokens, the position being generated — keep their exact KV.
+    /// Attend the query in `ws.q` over the gathered selected tokens,
+    /// substituting the compressed (SLERP-merged, quantize-round-tripped)
+    /// representation for every selected token belonging to one of the
+    /// plan's pages (DESIGN.md §9). Tokens outside the pages — sinks, pending
+    /// decode tokens, the position being generated — keep their exact KV.
     ///
     /// Per-page reconstruction runs over the page's *full* membership from
     /// the backing store, never the selection or cache state, so the result
     /// depends only on `(compression, membership, stored KV)` and phase-1
-    /// head parallelism stays order-free.
+    /// head parallelism stays order-free. The rows are gathered into the
+    /// head's workspace and the reconstruction writes over them in place:
+    /// the recalled page is attended, not stored, so it is neither built nor
+    /// sealed.
     fn attend_compressed(
         store: &KvStore,
         selected: &[usize],
-        pages: &[CompressedPageRequest],
+        pages: &[PageRequest],
+        selector: &dyn TokenSelector,
         compression: CompressionConfig,
-        query: &[f32],
-        weights: &mut Vec<f32>,
+        ws: &mut Workspace,
         out: &mut [f32],
     ) {
-        let mut k_sel = store.keys().select_rows(selected);
-        let mut v_sel = store.values().select_rows(selected);
-        let row_of: BTreeMap<usize, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(row, &pos)| (pos, row))
-            .collect();
-        for page in pages {
-            let cp = compress_page(store.keys(), store.values(), &page.members, compression);
-            for (i, &pos) in page.members.iter().enumerate() {
-                if let Some(&row) = row_of.get(&pos) {
-                    k_sel.row_mut(row).copy_from_slice(cp.keys.row(i));
-                    v_sel.row_mut(row).copy_from_slice(cp.values.row(i));
-                }
-            }
+        let Workspace {
+            q,
+            weights,
+            idx: row_of,
+            k_rows,
+            v_rows,
+            ..
+        } = ws;
+        store.keys().select_rows_into(selected, k_rows);
+        store.values().select_rows_into(selected, v_rows);
+        // Position → gathered row. A position selected twice keeps its last
+        // row, as inserting the pairs into a map would.
+        row_of.clear();
+        row_of.resize(store.len(), usize::MAX);
+        for (row, &pos) in selected.iter().enumerate() {
+            row_of[pos] = row;
         }
-        attend_into(&k_sel, &v_sel, None, query, weights, out);
+        for page in pages {
+            let members = selector.page_members(page.page);
+            reconstruct_page_rows(
+                (store.keys(), store.values()),
+                members,
+                compression,
+                (&mut *k_rows, &mut *v_rows),
+                |slot| Some(row_of[members[slot]]).filter(|&row| row != usize::MAX),
+                |_| {},
+            );
+        }
+        attend_into(k_rows, v_rows, None, q, weights, out);
     }
 
     /// Run one token of one session through the transformer. `use_selection`
@@ -1329,7 +1344,7 @@ impl ServeEngine {
                     rope.apply(&mut ws.q, position);
                     let store = &kv_layer[Self::kv_head_of(config, head)];
                     let n = store.len();
-                    let (selected, stats, pages, compressed_pages, hint) = if use_selection {
+                    let (selected, stats, pages, compressed, hint) = if use_selection {
                         let plan = selector.plan(SelectionRequest::new(&ws.q, n, budget));
                         // The lookahead nomination runs right after the plan,
                         // against the same query: a pure read re-ranking
@@ -1353,45 +1368,43 @@ impl ServeEngine {
                         if !sel.contains(&position) {
                             sel.push(position);
                         }
-                        let (pages, cpages) = match plan.residency {
-                            KvResidency::Paged(pages) => (Some(pages), None),
-                            KvResidency::Compressed(cpages) => {
-                                let inner = cpages.iter().map(|p| p.request).collect();
-                                (Some(inner), Some(cpages))
-                            }
-                            KvResidency::Resident => (None, None),
+                        let (pages, compressed) = match plan.residency {
+                            KvResidency::Paged(pages) => (Some(pages), false),
+                            KvResidency::Compressed(pages) => (Some(pages), true),
+                            KvResidency::Resident => (None, false),
                         };
-                        (sel, Some(plan.stats), pages, cpages, hint)
+                        (sel, Some(plan.stats), pages, compressed, hint)
                     } else {
                         // Prefill: full causal attention through the
                         // dedicated no-index-vec path (no `(0..n)` vector).
-                        (Vec::new(), None, None, None, Vec::new())
+                        (Vec::new(), None, None, false, Vec::new())
                     };
-                    if let Some(cpages) = &compressed_pages {
+                    match &pages {
                         // Recall-compressed attention (DESIGN.md §9): attend
                         // through the merged + quantize-round-tripped KV of
                         // the plan's pages, exact KV elsewhere. Depends only
                         // on (config, page membership, stored values), so it
                         // is order-free across heads and thread counts.
-                        Self::attend_compressed(
+                        Some(pages) if compressed => Self::attend_compressed(
                             store,
                             &selected,
-                            cpages,
+                            pages,
+                            selector.as_ref(),
                             compression,
-                            &ws.q,
-                            &mut ws.weights,
+                            ws,
                             slot,
-                        );
-                    } else {
-                        let indices = stats.as_ref().map(|_| selected.as_slice());
-                        attend_into(
-                            store.keys(),
-                            store.values(),
-                            indices,
-                            &ws.q,
-                            &mut ws.weights,
-                            slot,
-                        );
+                        ),
+                        _ => {
+                            let indices = stats.as_ref().map(|_| selected.as_slice());
+                            attend_into(
+                                store.keys(),
+                                store.values(),
+                                indices,
+                                &ws.q,
+                                &mut ws.weights,
+                                slot,
+                            );
+                        }
                     }
                     // The query is consumed after the parallel phase only by
                     // traced heads; everyone else skips the copy.
@@ -1404,7 +1417,7 @@ impl ServeEngine {
                         selected,
                         stats,
                         pages,
-                        compressed: compressed_pages.is_some(),
+                        compressed,
                         hint,
                         query,
                     }
@@ -1506,7 +1519,7 @@ impl ServeEngine {
                     // way: admission is always exact, demotion to the
                     // compressed tier happens under eviction pressure.
                     if let Some(pages) = sess.selectors[layer][head].page_table().page_requests() {
-                        sess.cache.warm(LayerId(layer), HeadId(head), &pages);
+                        sess.cache.warm(LayerId(layer), HeadId(head), pages);
                     }
                 }
             }
@@ -2962,19 +2975,22 @@ mod tests {
     /// set and plain paged plans otherwise — the minimal policy that drives
     /// the engine's compressed recall path without the ClusterKV stack.
     struct BlockPagedSelector {
-        n: usize,
+        /// `0..n` for a context of `n` tokens; blocks are slices of it.
+        positions: Vec<usize>,
         compressed: bool,
     }
 
     impl BlockPagedSelector {
-        fn blocks(&self) -> Vec<CompressedPageRequest> {
-            (0..self.n)
-                .step_by(TEST_BLOCK)
-                .map(|start| {
-                    let members: Vec<usize> = (start..(start + TEST_BLOCK).min(self.n)).collect();
-                    CompressedPageRequest::new(start / TEST_BLOCK, members)
-                })
-                .collect()
+        fn residency(&self, pages: Vec<PageRequest>) -> KvResidency {
+            if self.compressed {
+                KvResidency::Compressed(pages)
+            } else {
+                KvResidency::Paged(pages)
+            }
+        }
+
+        fn block(&self, page: usize) -> PageRequest {
+            PageRequest::new(page, self.page_members(page).len())
         }
     }
 
@@ -2984,38 +3000,34 @@ mod tests {
         }
 
         fn observe(&mut self, event: ObserveEvent<'_>) {
-            match event {
-                ObserveEvent::Prefill { keys } => self.n = keys.rows(),
-                ObserveEvent::PrefillChunk { start, keys } => self.n = start + keys.rows(),
-                ObserveEvent::PrefillDone { total_tokens } => self.n = total_tokens,
-                ObserveEvent::Append { position, .. } => self.n = position + 1,
-            }
+            let n = match event {
+                ObserveEvent::Prefill { keys } => keys.rows(),
+                ObserveEvent::PrefillChunk { start, keys } => start + keys.rows(),
+                ObserveEvent::PrefillDone { total_tokens } => total_tokens,
+                ObserveEvent::Append { position, .. } => position + 1,
+            };
+            self.positions = (0..n).collect();
         }
 
         fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
             let b = request.budget.tokens().min(request.num_tokens);
             let indices: Vec<usize> = (request.num_tokens - b..request.num_tokens).collect();
-            let first = indices[0];
-            let pages: Vec<CompressedPageRequest> = self
-                .blocks()
-                .into_iter()
-                .filter(|p| *p.members.last().unwrap() >= first)
+            let pages = (indices[0] / TEST_BLOCK..self.positions.len().div_ceil(TEST_BLOCK))
+                .map(|page| self.block(page))
                 .collect();
-            let plan = SelectionPlan::new(indices);
-            if self.compressed {
-                plan.with_compressed_pages(pages)
-            } else {
-                plan.with_pages(pages.into_iter().map(|p| p.request).collect())
-            }
+            let mut plan = SelectionPlan::new(indices);
+            plan.residency = self.residency(pages);
+            plan
         }
 
         fn page_table(&self) -> KvResidency {
-            let pages = self.blocks();
-            if self.compressed {
-                KvResidency::Compressed(pages)
-            } else {
-                KvResidency::Paged(pages.into_iter().map(|p| p.request).collect())
-            }
+            let blocks = self.positions.len().div_ceil(TEST_BLOCK);
+            self.residency((0..blocks).map(|page| self.block(page)).collect())
+        }
+
+        fn page_members(&self, page: usize) -> &[usize] {
+            let end = ((page + 1) * TEST_BLOCK).min(self.positions.len());
+            &self.positions[page * TEST_BLOCK..end]
         }
     }
 
@@ -3030,7 +3042,7 @@ mod tests {
 
         fn create(&self, _ctx: HeadContext) -> Box<dyn TokenSelector> {
             Box::new(BlockPagedSelector {
-                n: 0,
+                positions: Vec::new(),
                 compressed: self.compressed,
             })
         }
@@ -3105,6 +3117,148 @@ mod tests {
         assert!(!report.compression_ratio().is_nan());
         assert!(report.generated_tokens == 10);
         assert!(report.modeled_decode_time > Seconds(0.0));
+    }
+
+    /// Pages with a fixed membership each, for driving `attend_compressed`
+    /// directly.
+    struct FixedPages(Vec<Vec<usize>>);
+
+    impl TokenSelector for FixedPages {
+        fn name(&self) -> &str {
+            "FixedPages"
+        }
+        fn observe(&mut self, _event: ObserveEvent<'_>) {}
+        fn plan(&mut self, _request: SelectionRequest<'_>) -> SelectionPlan {
+            unreachable!("only page_members is read")
+        }
+        fn page_members(&self, page: usize) -> &[usize] {
+            &self.0[page]
+        }
+    }
+
+    /// Compressed-recall attention as it was first written: build every
+    /// selected page with `compress_page` (sealed, then dropped), look rows
+    /// up through an ordered map, attend over fresh gathered copies.
+    fn attend_compressed_reference(
+        store: &KvStore,
+        selected: &[usize],
+        pages: &[Vec<usize>],
+        compression: CompressionConfig,
+        query: &[f32],
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut k_sel = store.keys().select_rows(selected);
+        let mut v_sel = store.values().select_rows(selected);
+        let row_of: BTreeMap<usize, usize> = selected
+            .iter()
+            .enumerate()
+            .map(|(row, &pos)| (pos, row))
+            .collect();
+        for members in pages {
+            let cp = clusterkv_kvcache::compressed::compress_page(
+                store.keys(),
+                store.values(),
+                members,
+                compression,
+            );
+            for (i, &pos) in members.iter().enumerate() {
+                if let Some(&row) = row_of.get(&pos) {
+                    k_sel.row_mut(row).copy_from_slice(cp.keys.row(i));
+                    v_sel.row_mut(row).copy_from_slice(cp.values.row(i));
+                }
+            }
+        }
+        let mut weights = Vec::new();
+        let mut out = vec![0.0; store.head_dim()];
+        attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);
+        (weights, out)
+    }
+
+    #[test]
+    fn compressed_recall_attention_is_bit_identical_to_composing_compressed_pages() {
+        use clusterkv_tensor::rng::{gaussian_vec, seeded};
+        let (n, dim) = (64, 16);
+        let mut rng = seeded(0xC0);
+        let mut store = KvStore::new(dim);
+        for t in 0..n {
+            let mut key = gaussian_vec(&mut rng, dim, 0.0, 1.0);
+            // Near-parallel neighbours, so the merging rung has pairs to
+            // merge: (5, 6) inside a fully selected page, (13, 14) across
+            // the trim boundary of the last one.
+            if t == 6 || t == 14 {
+                key = store.key(t - 1).iter().map(|x| 1.02 * x + 1e-3).collect();
+            }
+            store.append(&key, &gaussian_vec(&mut rng, dim, 0.0, 2.0));
+        }
+        let pages = vec![
+            vec![4, 9, 10, 17, 30],
+            vec![5, 6, 7, 8, 40, 41],
+            vec![11, 12, 13, 14, 15, 16],
+        ];
+        // Sinks and pending tokens outside every page, two whole pages, the
+        // last page trimmed to three of its six members, a position selected
+        // twice, and the position being generated.
+        let mut selected = vec![0, 1, 60, 61];
+        selected.extend(&pages[0]);
+        selected.extend(&pages[1]);
+        selected.extend(&pages[2][..3]);
+        selected.extend([9, n - 1]);
+        let requests: Vec<PageRequest> = pages
+            .iter()
+            .enumerate()
+            .map(|(page, members)| PageRequest::new(page, members.len()))
+            .collect();
+        let selector = FixedPages(pages.clone());
+        let merging = CompressionConfig::int4().with_merge_threshold(0.2);
+        let merged_pairs = |members: &[usize]| {
+            let page = clusterkv_kvcache::compressed::compress_page(
+                store.keys(),
+                store.values(),
+                members,
+                merging,
+            );
+            page.merged_pairs
+        };
+        assert_eq!(merged_pairs(&pages[1]), 1, "(5, 6) merges");
+        assert_eq!(merged_pairs(&pages[2]), 1, "(13, 14) merges");
+
+        let mut ws = Workspace::new();
+        for compression in [
+            CompressionConfig::lossless(),
+            CompressionConfig::int8(),
+            CompressionConfig::int4(),
+            merging,
+        ] {
+            // The workspace carries over between rungs: stale gathered rows
+            // and a stale position map must not leak into the next call.
+            for query_seed in 0..3 {
+                ws.q = gaussian_vec(&mut seeded(query_seed), dim, 0.0, 1.0);
+                let mut out = vec![0.0f32; dim];
+                ServeEngine::attend_compressed(
+                    &store,
+                    &selected,
+                    &requests,
+                    &selector,
+                    compression,
+                    &mut ws,
+                    &mut out,
+                );
+                let (weights, expected) =
+                    attend_compressed_reference(&store, &selected, &pages, compression, &ws.q);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&expected), "{compression}: output");
+                assert_eq!(bits(&ws.weights), bits(&weights), "{compression}: weights");
+            }
+        }
+        // And the lossy rungs do change what is attended.
+        let (_, exact) = attend_compressed_reference(
+            &store,
+            &selected,
+            &pages,
+            CompressionConfig::lossless(),
+            &ws.q,
+        );
+        let (_, lossy) = attend_compressed_reference(&store, &selected, &pages, merging, &ws.q);
+        assert_ne!(exact, lossy);
     }
 
     fn prefetch_engine(capacity: Bytes, prefetch: PrefetchConfig) -> ServeEngine {

@@ -68,8 +68,19 @@ pub struct Workspace {
     pub centroid_norms: Vec<f32>,
     /// Index scratch (rankings, orderings).
     pub idx: Vec<usize>,
-    /// Label scratch for assignment sweeps.
+    /// Label scratch for assignment sweeps; cluster ids picked by the
+    /// selection and lookahead passes.
     pub labels: Vec<usize>,
+    /// Token positions picked by the selection fill.
+    pub tokens: Vec<usize>,
+    /// Dense membership bitmap over token positions (one bit each): which
+    /// positions the selection fill has already emitted.
+    pub seen: Vec<u64>,
+    /// Gathered key rows of the selected tokens, for attention that must
+    /// rewrite some of them (compressed recall) before the fused kernel runs.
+    pub k_rows: Matrix,
+    /// Gathered value rows, aligned with `k_rows`.
+    pub v_rows: Matrix,
 }
 
 impl Workspace {
@@ -88,8 +99,12 @@ impl Workspace {
                 + self.out.capacity()
                 + self.q.capacity()
                 + self.row_norms.capacity()
-                + self.centroid_norms.capacity())
-            + std::mem::size_of::<usize>() * (self.idx.capacity() + self.labels.capacity())
+                + self.centroid_norms.capacity()
+                + self.k_rows.capacity()
+                + self.v_rows.capacity())
+            + std::mem::size_of::<usize>()
+                * (self.idx.capacity() + self.labels.capacity() + self.tokens.capacity())
+            + std::mem::size_of::<u64>() * self.seen.capacity()
     }
 }
 

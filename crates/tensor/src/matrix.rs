@@ -350,15 +350,37 @@ impl Matrix {
     ///
     /// Panics if any index is out of bounds.
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut out = Matrix::default();
+        self.select_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`select_rows`](Self::select_rows) into a caller-owned matrix, which
+    /// is overwritten and keeps its buffer: no allocation once its capacity
+    /// covers `indices.len()` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        out.data.clear();
+        out.data.reserve(indices.len() * self.cols);
         for &src in indices {
-            data.extend_from_slice(self.row(src));
+            out.data.extend_from_slice(self.row(src));
         }
-        Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
+        out.rows = indices.len();
+        out.cols = self.cols;
+    }
+
+    /// Drop every row, keeping the width and the buffer.
+    pub fn clear_rows(&mut self) {
+        self.data.clear();
+        self.rows = 0;
+    }
+
+    /// Number of `f32` elements the buffer can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Sub-matrix consisting of rows `start..end`.
@@ -496,6 +518,23 @@ mod tests {
         let s = m.select_rows(&[3, 1]);
         assert_eq!(s.row(0), &[3.0]);
         assert_eq!(s.row(1), &[1.0]);
+    }
+
+    #[test]
+    fn select_rows_into_overwrites_and_reuses_the_buffer() {
+        let m = Matrix::from_rows(vec![vec![0.0, 0.5], vec![1.0, 1.5], vec![2.0, 2.5]]).unwrap();
+        let mut out = Matrix::default();
+        m.select_rows_into(&[2, 0, 1], &mut out);
+        assert_eq!(out, m.select_rows(&[2, 0, 1]));
+        let warm = out.capacity();
+        m.select_rows_into(&[1], &mut out);
+        assert_eq!(out, m.select_rows(&[1]));
+        assert_eq!(out.capacity(), warm, "a smaller gather keeps the buffer");
+        out.clear_rows();
+        assert_eq!(out.shape(), (0, 2));
+        assert_eq!(out.capacity(), warm);
+        out.push_row(&[7.0, 8.0]).unwrap();
+        assert_eq!(out.row(0), &[7.0, 8.0]);
     }
 
     #[test]

@@ -183,7 +183,7 @@ pub fn run_episode_cached(
     let warm = |selector: &dyn TokenSelector, cache: &mut ClusterCache| {
         if cache.enabled() && !cache.is_offloaded(HARNESS_HEAD.0, HARNESS_HEAD.1) {
             if let Some(pages) = selector.page_table().page_requests() {
-                cache.warm(HARNESS_HEAD.0, HARNESS_HEAD.1, &pages);
+                cache.warm(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
             }
         }
     };
@@ -204,7 +204,7 @@ pub fn run_episode_cached(
         let plan = selector.plan(SelectionRequest::new(query, n, budget));
         stats.merge(&plan.stats);
         if let Some(pages) = plan.residency.page_requests() {
-            for request in &pages {
+            for request in pages {
                 match lru_stack.iter().rposition(|&p| p == request.page) {
                     Some(pos) => {
                         reuse.record(Some(lru_stack.len() - 1 - pos));
@@ -214,7 +214,7 @@ pub fn run_episode_cached(
                 }
                 lru_stack.push(request.page);
             }
-            let outcome = cache.access(HARNESS_HEAD.0, HARNESS_HEAD.1, &pages);
+            let outcome = cache.access(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
             stats.charge_recall(&outcome);
         }
         let selected = plan.indices;

@@ -12,7 +12,8 @@
 //! `exp_quality` draws the frontier.
 //!
 //! Grouping follows the plan's residency: a recall-compressed plan
-//! ([`KvResidency::Compressed`]) carries its cluster memberships, so
+//! ([`KvResidency::Compressed`]) names pages whose cluster memberships the
+//! selector exposes ([`TokenSelector::page_members`]), so
 //! ClusterKV pages are compressed along semantic cluster boundaries (where
 //! SLERP merging finds similar neighbours); recall-exact and resident plans
 //! (Quest's positional pages, H2O's resident working set) fall back to
@@ -244,7 +245,10 @@ pub fn run_episode_quality(
         let plan = selector.plan(SelectionRequest::new(query, n, budget));
         stats.merge(&plan.stats);
         let groups: Vec<Vec<usize>> = match &plan.residency {
-            KvResidency::Compressed(pages) => pages.iter().map(|p| p.members.clone()).collect(),
+            KvResidency::Compressed(pages) => pages
+                .iter()
+                .map(|p| selector.page_members(p.page).to_vec())
+                .collect(),
             _ => positional_blocks(&plan.indices, lane.block_tokens),
         };
         let selected = plan.indices;

@@ -1,14 +1,17 @@
 //! Counting-allocator proof of the kernel layer's zero-allocation contract
 //! (DESIGN.md §6): once a [`Workspace`] is warm, the attention + selection
-//! hot-loop kernels — scoring, ranking, gather-attend, norm maintenance —
-//! perform **zero** heap allocations per decode step.
+//! hot-loop kernels — scoring, ranking, the cluster fill, the lookahead
+//! nomination, gather-attend, norm maintenance — perform **zero** heap
+//! allocations per decode step, and a `ClusterKvSelector::plan` allocates
+//! exactly the two buffers its `SelectionPlan` hands to the engine (token
+//! positions, pages), whatever the budget, the cluster count or the
+//! compression config.
 //!
 //! The whole proof lives in a single `#[test]` so no concurrent test in this
 //! binary can allocate while the counters are being read (the allocator is
-//! process-global). Residual per-step allocations of the *serving* loop (a
-//! `SelectionPlan`'s index vector, per-session outputs) are outside the
-//! kernel layer and covered instead by the workspace-reuse steady-state
-//! tests in `serve.rs`, `selection.rs` and `policy.rs`.
+//! process-global). Per-session outputs of the *serving* loop (logits, the
+//! hidden state) are outside the kernel layer and covered instead by the
+//! workspace-reuse steady-state tests in `serve.rs`.
 
 // The one sanctioned `unsafe` user in the workspace (`unsafe_code` is denied
 // via [workspace.lints]): implementing GlobalAlloc is inherently unsafe.
@@ -16,6 +19,7 @@
 // block below carries the SAFETY note the unsafe-gate lint requires.
 #![allow(unsafe_code)]
 
+use clusterkv_tensor::kernels::Workspace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -59,7 +63,6 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
     use clusterkv_model::attention::{attend_selected_ws, full_attention_weights_ws};
     use clusterkv_tensor::kernels::{
         attention_weights_into, gather_matvec_t_into, matvec_t_into, norm_sq, row_norms_sq_into,
-        Workspace,
     };
     use clusterkv_tensor::rng::{gaussian_vec, seeded};
     use clusterkv_tensor::vector::argsort_descending_into;
@@ -111,5 +114,87 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
         0,
         "warm hot-loop kernels must not allocate (got {} allocations over 100 steps)",
         after - before
+    );
+
+    selection_allocates_only_the_plan();
+}
+
+/// The ClusterKV selection path over one 3200-token context clustered two
+/// ways (20 and 200 clusters), at two budgets, lossless and int4: the fill
+/// kernel and the lookahead nomination allocate nothing once warm, and every
+/// plan allocates the same two buffers. Called from the single test above.
+fn selection_allocates_only_the_plan() {
+    use clusterkv::{fill_selection_ws, lookahead_clusters_ws, ClusterKvConfig, ClusterKvSelector};
+    use clusterkv_kvcache::types::Budget;
+    use clusterkv_kvcache::CompressionConfig;
+    use clusterkv_model::policy::{ObserveEvent, SelectionRequest, TokenSelector};
+    use clusterkv_tensor::rng::{gaussian_vec, seeded};
+    use clusterkv_tensor::Matrix;
+
+    let rng = &mut seeded(0x2B);
+    let (n, dim, pending) = (3200, 16, 5);
+    let keys = Matrix::from_flat(n, dim, gaussian_vec(rng, n * dim, 0.0, 1.0)).unwrap();
+    let decode_keys: Vec<Vec<f32>> = (0..pending)
+        .map(|_| gaussian_vec(rng, dim, 0.0, 1.0))
+        .collect();
+    let queries: Vec<Vec<f32>> = (0..8).map(|_| gaussian_vec(rng, dim, 0.0, 1.0)).collect();
+
+    let mut plan_allocations = Vec::new();
+    for tokens_per_cluster in [160, 16] {
+        for compression in [CompressionConfig::lossless(), CompressionConfig::int4()] {
+            let config = ClusterKvConfig {
+                max_kmeans_iters: 2,
+                ..ClusterKvConfig::default()
+                    .with_tokens_per_cluster(tokens_per_cluster)
+                    .with_compression(compression)
+            };
+            let mut selector = ClusterKvSelector::new(config, dim);
+            selector.observe(ObserveEvent::Prefill { keys: &keys });
+            for (i, key) in decode_keys.iter().enumerate() {
+                selector.observe(ObserveEvent::Append {
+                    position: n + i,
+                    key,
+                });
+            }
+            let clusters = selector.clustering().num_clusters();
+            assert!(clusters.abs_diff(n / tokens_per_cluster) <= 1, "{clusters}");
+
+            for budget in [2048, 256].map(Budget::new) {
+                // Kernels on a workspace of the caller's, warmed by one call
+                // each at this budget.
+                let mut ws = Workspace::new();
+                let sc = selector.clustering();
+                fill_selection_ws(&queries[0], sc, budget, &mut ws);
+                lookahead_clusters_ws(&queries[0], sc, budget, 256, &mut ws);
+                let before = allocations();
+                let mut picked = 0;
+                for q in &queries {
+                    picked += fill_selection_ws(q, sc, budget, &mut ws).scored_centroids;
+                    picked += ws.tokens.len() + ws.labels.len();
+                    picked += lookahead_clusters_ws(q, sc, budget, 256, &mut ws);
+                }
+                let kernel_allocations = allocations() - before;
+                assert!(picked > queries.len() * budget.tokens());
+                assert_eq!(
+                    kernel_allocations, 0,
+                    "warm fill + lookahead must not allocate \
+                     ({clusters} clusters, {budget:?}, {compression})"
+                );
+
+                // The selector's own workspace is warm after one plan.
+                let request = |q| SelectionRequest::new(q, n + pending, budget);
+                selector.plan(request(&queries[0]));
+                let before = allocations();
+                for q in &queries {
+                    assert_eq!(selector.plan(request(q)).len(), budget.tokens());
+                }
+                plan_allocations.push(allocations() - before);
+            }
+        }
+    }
+    assert_eq!(
+        plan_allocations,
+        [2 * queries.len(); 8],
+        "a warm plan allocates its index vector and its page list, nothing else"
     );
 }
