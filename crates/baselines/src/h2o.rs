@@ -312,11 +312,7 @@ mod tests {
     fn factory_and_plan_stats() {
         let f = H2oFactory::default();
         assert_eq!(f.name(), "H2O");
-        let mut sel = f.create(HeadContext {
-            layer: 0,
-            head: 0,
-            head_dim: 4,
-        });
+        let mut sel = f.create(HeadContext::mha(0, 0, 4));
         prefill(sel.as_mut(), &uniform_keys(8, 4));
         let plan = sel.plan(SelectionRequest::new(&[0.1; 4], 8, Budget::new(4)));
         assert!(plan.stats.scored_vectors >= 8);

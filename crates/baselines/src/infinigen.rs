@@ -374,11 +374,7 @@ mod tests {
         let f = InfiniGenFactory::default();
         assert!((f.partial_ratio - DEFAULT_PARTIAL_RATIO).abs() < 1e-12);
         assert_eq!(f.name(), "InfiniGen");
-        let sel = f.create(HeadContext {
-            layer: 0,
-            head: 0,
-            head_dim: 8,
-        });
+        let sel = f.create(HeadContext::mha(0, 0, 8));
         assert_eq!(sel.name(), "InfiniGen");
     }
 }

@@ -100,11 +100,7 @@ mod tests {
 
     #[test]
     fn every_baseline_produces_a_working_selector() {
-        let ctx = HeadContext {
-            layer: 2,
-            head: 1,
-            head_dim: 16,
-        };
+        let ctx = HeadContext::mha(2, 1, 16);
         let mut rng = seeded(1);
         let keys = Matrix::from_rows(
             (0..64)

@@ -361,11 +361,7 @@ mod tests {
     fn factory_respects_page_size() {
         let f = QuestFactory::new(8);
         assert_eq!(f.name(), "Quest");
-        let sel = f.create(HeadContext {
-            layer: 0,
-            head: 0,
-            head_dim: 4,
-        });
+        let sel = f.create(HeadContext::mha(0, 0, 4));
         assert_eq!(sel.name(), "Quest");
         assert_eq!(QuestFactory::default().page_size, DEFAULT_PAGE_SIZE);
     }

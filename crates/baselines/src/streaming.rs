@@ -189,11 +189,7 @@ mod tests {
     fn factory_creates_named_selector() {
         let f = StreamingFactory::default();
         assert_eq!(f.sink_tokens, DEFAULT_SINK_TOKENS);
-        let sel = f.create(HeadContext {
-            layer: 0,
-            head: 0,
-            head_dim: 4,
-        });
+        let sel = f.create(HeadContext::mha(0, 0, 4));
         assert_eq!(sel.name(), "StreamingLLM");
         assert_eq!(StreamingFactory::new(2).sink_tokens, 2);
     }

@@ -74,11 +74,7 @@ fn bench_quest_selection(c: &mut Criterion) {
     let len = 8192;
     let keys = random_keys(len, 64, 17);
     let factory = QuestFactory::default();
-    let mut selector = factory.create(HeadContext {
-        layer: 0,
-        head: 0,
-        head_dim: 64,
-    });
+    let mut selector = factory.create(HeadContext::mha(0, 0, 64));
     selector.observe(ObserveEvent::Prefill { keys: &keys });
     let query = gaussian_vec(&mut seeded(19), 64, 0.0, 1.0);
     group.bench_function("page_scoring_8k", |b| {

@@ -37,11 +37,7 @@ const DECODE_STEPS: usize = 64;
 /// tokens, selection work).
 fn run_with_capacity(config: ClusterKvConfig, episode: &Episode, capacity: Bytes) -> EpisodeResult {
     let factory = ClusterKvFactory::new(config);
-    let mut selector = factory.create(HeadContext {
-        layer: 2,
-        head: 0,
-        head_dim: episode.config.head_dim,
-    });
+    let mut selector = factory.create(HeadContext::mha(2, 0, episode.config.head_dim));
     let mut cache = ClusterCache::new(ClusterCacheConfig::new(capacity, episode.config.head_dim));
     run_episode_cached(episode, selector.as_mut(), Budget::new(BUDGET), &mut cache)
 }
@@ -250,11 +246,7 @@ fn main() {
     for m in [80usize, 160, 320, 640] {
         let config = ClusterKvConfig::default().with_decode_cluster_period(m);
         let factory = ClusterKvFactory::new(config);
-        let mut selector = factory.create(HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim,
-        });
+        let mut selector = factory.create(HeadContext::mha(2, 0, head_dim));
         let mut cache = ClusterCache::new(ClusterCacheConfig::new(
             r_equivalent_capacity(1, &config, head_dim),
             head_dim,

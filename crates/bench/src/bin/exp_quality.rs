@@ -109,11 +109,7 @@ fn factory(method: &str, compression: CompressionConfig) -> Box<dyn SelectorFact
 }
 
 fn ctx(episode: &Episode) -> HeadContext {
-    HeadContext {
-        layer: 2,
-        head: 0,
-        head_dim: episode.config.head_dim,
-    }
+    HeadContext::mha(2, 0, episode.config.head_dim)
 }
 
 fn run_lane(method: &str, episode: &Episode, compression: CompressionConfig) -> QualityResult {

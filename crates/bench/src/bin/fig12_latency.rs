@@ -31,11 +31,7 @@ const MEASURE_STEPS: usize = 64;
 fn measured_recall(episode: &Episode, budget: usize) -> (f64, f64) {
     let config = ClusterKvConfig::default();
     let factory = ClusterKvFactory::new(config);
-    let mut selector = factory.create(HeadContext {
-        layer: 2,
-        head: 0,
-        head_dim: episode.config.head_dim,
-    });
+    let mut selector = factory.create(HeadContext::mha(2, 0, episode.config.head_dim));
     let mut cache = ClusterCache::new(ClusterCacheConfig::for_recency_window(
         1,
         budget + config.tokens_per_cluster,

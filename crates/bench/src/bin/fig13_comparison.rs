@@ -31,11 +31,7 @@ fn recalled_per_step(
     budget: usize,
     capacity: Bytes,
 ) -> f64 {
-    let mut selector = factory.create(HeadContext {
-        layer: 2,
-        head: 0,
-        head_dim: episode.config.head_dim,
-    });
+    let mut selector = factory.create(HeadContext::mha(2, 0, episode.config.head_dim));
     let mut cache = ClusterCache::new(ClusterCacheConfig::new(capacity, episode.config.head_dim));
     let result = run_episode_cached(episode, selector.as_mut(), Budget::new(budget), &mut cache);
     result.stats.transfer.tokens_moved as f64 / episode.decode_steps() as f64

@@ -72,11 +72,7 @@ impl std::fmt::Display for Method {
 /// Evaluate one method on one episode at one budget.
 pub fn evaluate(method: Method, episode: &Episode, budget: usize) -> EpisodeResult {
     let factory = method.factory();
-    let mut selector = factory.create(HeadContext {
-        layer: 2,
-        head: 0,
-        head_dim: episode.config.head_dim,
-    });
+    let mut selector = factory.create(HeadContext::mha(2, 0, episode.config.head_dim));
     run_episode(episode, selector.as_mut(), Budget::new(budget))
 }
 
@@ -88,11 +84,7 @@ pub fn evaluate_sweep(method: Method, episode: &Episode, budgets: &[usize]) -> V
     run_budget_sweep(
         episode,
         factory.as_ref(),
-        HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim: episode.config.head_dim,
-        },
+        HeadContext::mha(2, 0, episode.config.head_dim),
         budgets,
     )
 }
@@ -105,11 +97,7 @@ pub fn evaluate_clusterkv_variant(
     budget: usize,
 ) -> EpisodeResult {
     let factory = ClusterKvFactory::new(config);
-    let mut selector = factory.create(HeadContext {
-        layer: 2,
-        head: 0,
-        head_dim: episode.config.head_dim,
-    });
+    let mut selector = factory.create(HeadContext::mha(2, 0, episode.config.head_dim));
     run_episode(episode, selector.as_mut(), Budget::new(budget))
 }
 

@@ -53,6 +53,35 @@ pub struct SemanticClustering {
     num_tokens: usize,
 }
 
+/// The outcome of clustering a prompt: exactly the fields another
+/// [`SemanticClustering`] of the same configuration needs to stand where the
+/// exporting one stood right after [`prefill`](SemanticClustering::prefill)
+/// — what the cross-session prefix store caches per KV head. Sinks follow
+/// from the configuration and the token count; the pending buffer and the
+/// k-means scratch are empty at that point and are not carried.
+#[derive(Debug, Clone)]
+pub struct PrefillClusters {
+    centroids: Matrix,
+    centroid_norms: Vec<f32>,
+    metadata: ClusterMetadata,
+    num_tokens: usize,
+}
+
+impl PrefillClusters {
+    /// Prompt length the clustering covers.
+    pub fn num_tokens(&self) -> usize {
+        self.num_tokens
+    }
+
+    /// Heap bytes held: centroid rows and their norms (`f32`) plus the
+    /// cluster metadata tables (`usize`).
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<f32>()
+            * (self.centroids.rows() * self.centroids.cols() + self.centroid_norms.len())
+            + self.metadata.heap_bytes()
+    }
+}
+
 impl SemanticClustering {
     /// Create empty clustering state for a head of dimension `head_dim`.
     pub fn new(config: ClusterKvConfig, head_dim: usize) -> Self {
@@ -194,6 +223,42 @@ impl SemanticClustering {
             .expect("centroid dims match");
         self.centroid_norms
             .extend_from_slice(&result.centroid_norms);
+    }
+
+    /// Snapshot the prompt clustering for sharing; `None` unless the state is
+    /// exactly what [`prefill`](Self::prefill) left (a prompt observed, no
+    /// decode key appended since).
+    pub fn export_prefill(&self) -> Option<PrefillClusters> {
+        let fresh =
+            self.num_tokens > 0 && self.pending_positions.is_empty() && self.incremental_runs == 0;
+        fresh.then(|| PrefillClusters {
+            centroids: self.centroids.clone(),
+            centroid_norms: self.centroid_norms.clone(),
+            metadata: self.metadata.clone(),
+            num_tokens: self.num_tokens,
+        })
+    }
+
+    /// Take over a prompt clustering exported by a [`SemanticClustering`] of
+    /// the same configuration over the same keys, in place of running
+    /// [`prefill`](Self::prefill).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimension mismatch or if this state already observed
+    /// tokens.
+    pub fn adopt_prefill(&mut self, state: &PrefillClusters) {
+        assert_eq!(
+            state.centroids.cols(),
+            self.head_dim,
+            "adopted dim mismatch"
+        );
+        assert_eq!(self.num_tokens, 0, "prefill may only happen once");
+        self.num_tokens = state.num_tokens;
+        self.sinks = (0..self.config.sink_tokens.min(state.num_tokens)).collect();
+        self.centroids = state.centroids.clone();
+        self.centroid_norms = state.centroid_norms.clone();
+        self.metadata = state.metadata.clone();
     }
 
     /// Observe a decode-time key at absolute position `position`. Buffers the

@@ -30,17 +30,15 @@
 
 use crate::distance::DistanceMetric;
 use clusterkv_tensor::kernels::{matvec_t_into, row_norms_sq_into, Workspace};
-use clusterkv_tensor::rng::{sample_distinct_indices, seeded};
-use clusterkv_tensor::vector::{argmax, mean_of};
+use clusterkv_tensor::rng::{sample_index, seeded};
+use clusterkv_tensor::vector::{argmax, axpy, scale};
 use clusterkv_tensor::Matrix;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Rows per chunk of the parallel assignment sweep: one row's assignment is
-/// `O(C·d)`, cheap enough that splitting a small prompt's keys across
-/// threads costs more than it saves. The chunk size is a constant (not a
-/// function of the thread count), so chunk boundaries — and therefore every
-/// per-row result — are identical at every `RAYON_NUM_THREADS`.
+/// Fewest rows worth a worker of its own in the assignment sweep: one row's
+/// assignment is `O(C·d)`, cheap enough that splitting a small prompt's keys
+/// across threads costs more than it saves.
 const ASSIGN_MIN_ROWS_PER_WORKER: usize = 64;
 
 /// Result of running k-means on a set of key vectors.
@@ -126,11 +124,10 @@ fn label_of_row(metric: DistanceMetric, scores: &[f32], row_norm_sq: f32, cnorms
 }
 
 /// Blocked Gram-trick assignment sweep: the label of every row of `keys`
-/// under `metric`, given cached squared row norms. Row chunks fan out across
-/// the thread pool; per-row arithmetic is canonical (one blocked matvec per
-/// row), so the labeling is identical at every thread count. `ws` provides
-/// the score scratch of the sequential path; parallel chunks carry their own
-/// per-worker scratch.
+/// under `metric`, given cached squared row norms. Per-row arithmetic is
+/// canonical (one blocked matvec per row), so the labeling is identical
+/// however the rows are split across workers. `ws` provides the score
+/// scratch of the sequential path; parallel workers carry their own.
 ///
 /// # Panics
 ///
@@ -143,42 +140,60 @@ pub fn assign_labels(
     centroids: &Matrix,
     ws: &mut Workspace,
 ) -> Vec<usize> {
+    let mut labels = vec![0; keys.rows()];
+    assign_labels_into(metric, keys, row_norms, centroids, ws, &mut labels);
+    labels
+}
+
+/// [`assign_labels`] into a caller-owned buffer of `keys.rows()` labels —
+/// what the k-means loop sweeps with, so an iteration allocates nothing on
+/// one worker. Rows fan out only when the caller is not already inside a
+/// parallel region (the serving engine clusters inside its per-KV-head
+/// fan-out) and more than one worker is available; each worker then labels
+/// one contiguous share of the rows with its own score scratch.
+fn assign_labels_into(
+    metric: DistanceMetric,
+    keys: &Matrix,
+    row_norms: &[f32],
+    centroids: &Matrix,
+    ws: &mut Workspace,
+    labels: &mut [usize],
+) {
     assert_eq!(row_norms.len(), keys.rows(), "row norm cache out of date");
     assert_eq!(keys.cols(), centroids.cols(), "key/centroid dim mismatch");
     let n = keys.rows();
-    let k = centroids.rows();
-    if n == 0 || k == 0 {
-        return vec![0; n];
+    assert_eq!(labels.len(), n, "label buffer must cover every row");
+    if n == 0 || centroids.rows() == 0 {
+        labels.fill(0);
+        return;
     }
     row_norms_sq_into(centroids, &mut ws.centroid_norms);
     predigest_centroid_norms(metric, &mut ws.centroid_norms);
-    if n <= ASSIGN_MIN_ROWS_PER_WORKER {
-        // Sequential fast path on the caller's workspace: no allocation
-        // beyond the returned labels.
-        let mut labels = Vec::with_capacity(n);
-        for (i, &rn) in row_norms.iter().enumerate() {
-            matvec_t_into(centroids, keys.row(i), &mut ws.scores);
-            labels.push(label_of_row(metric, &ws.scores, rn, &ws.centroid_norms));
-        }
-        return labels;
-    }
+    let workers = if n <= ASSIGN_MIN_ROWS_PER_WORKER || rayon::current_thread_index().is_some() {
+        1
+    } else {
+        rayon::current_num_threads().min(n.div_ceil(ASSIGN_MIN_ROWS_PER_WORKER))
+    };
     let cnorms = &ws.centroid_norms;
-    let starts: Vec<usize> = (0..n).step_by(ASSIGN_MIN_ROWS_PER_WORKER).collect();
-    let chunks: Vec<Vec<usize>> = starts
+    let label_rows = |start: usize, labels: &mut [usize], scores: &mut Vec<f32>| {
+        for (offset, label) in labels.iter_mut().enumerate() {
+            let i = start + offset;
+            matvec_t_into(centroids, keys.row(i), scores);
+            *label = label_of_row(metric, scores, row_norms[i], cnorms);
+        }
+    };
+    if workers <= 1 {
+        label_rows(0, labels, &mut ws.scores);
+        return;
+    }
+    let share = n.div_ceil(workers);
+    labels
+        .chunks_mut(share)
+        .enumerate()
+        .collect::<Vec<_>>()
         .into_par_iter()
         .with_min_len(1)
-        .map(|start| {
-            let end = (start + ASSIGN_MIN_ROWS_PER_WORKER).min(n);
-            let mut scores = Vec::with_capacity(k);
-            (start..end)
-                .map(|i| {
-                    matvec_t_into(centroids, keys.row(i), &mut scores);
-                    label_of_row(metric, &scores, row_norms[i], cnorms)
-                })
-                .collect()
-        })
-        .collect();
-    chunks.concat()
+        .for_each(|(w, chunk)| label_rows(w * share, chunk, &mut Vec::new()));
 }
 
 /// The pre-kernel-layer assignment sweep: one `metric.distance` call per
@@ -269,25 +284,27 @@ impl KMeans {
         // pick, then repeatedly the key farthest (under the metric) from all
         // centroids chosen so far. Distances come from the Gram parts — one
         // blocked matvec against the newest pick plus the cached row norms.
+        // The picks live in `ws.idx` and the running minimum distances in
+        // `ws.weights`, so a warm fit allocates only what it returns.
         let mut rng = seeded(self.seed);
-        let first = sample_distinct_indices(&mut rng, n, 1)[0];
-        let mut init = vec![first];
+        let first = sample_index(&mut rng, n);
+        ws.idx.clear();
+        ws.idx.push(first);
         matvec_t_into(keys, keys.row(first), &mut ws.scores);
-        let mut min_dist: Vec<f32> = (0..n)
-            .map(|i| {
-                self.metric
-                    .distance_from_parts(ws.scores[i], row_norms[i], row_norms[first])
-            })
-            .collect();
-        while init.len() < k {
+        ws.weights.clear();
+        ws.weights.extend((0..n).map(|i| {
+            self.metric
+                .distance_from_parts(ws.scores[i], row_norms[i], row_norms[first])
+        }));
+        while ws.idx.len() < k {
             // `argmax` skips NaN distances (a NaN key would otherwise poison
             // farthest-first traversal) and breaks ties toward the lower
             // index, keeping initialisation deterministic. All-NaN
             // degenerate input falls back to index 0.
-            let next = argmax(&min_dist).unwrap_or(0);
-            init.push(next);
+            let next = argmax(&ws.weights).unwrap_or(0);
+            ws.idx.push(next);
             matvec_t_into(keys, keys.row(next), &mut ws.scores);
-            for (i, md) in min_dist.iter_mut().enumerate() {
+            for (i, md) in ws.weights.iter_mut().enumerate() {
                 let d =
                     self.metric
                         .distance_from_parts(ws.scores[i], row_norms[i], row_norms[next]);
@@ -296,8 +313,11 @@ impl KMeans {
                 }
             }
         }
-        let mut centroids = keys.select_rows(&init);
+        let mut centroids = keys.select_rows(&ws.idx);
         let mut labels = vec![usize::MAX; n];
+        let mut swept = std::mem::take(&mut ws.labels);
+        swept.clear();
+        swept.resize(n, 0);
         let mut iterations = 0;
         let mut converged = false;
 
@@ -305,30 +325,37 @@ impl KMeans {
             iterations += 1;
 
             // Assignment step: the blocked Gram-trick sweep (parallel across
-            // row chunks, mirroring the batched Torch kernels of §IV-B).
-            let new_labels = assign_labels(self.metric, keys, row_norms, &centroids, ws);
+            // row shares, mirroring the batched Torch kernels of §IV-B).
+            assign_labels_into(self.metric, keys, row_norms, &centroids, ws, &mut swept);
 
-            let changed = new_labels != labels;
-            labels = new_labels;
+            let changed = swept != labels;
+            std::mem::swap(&mut labels, &mut swept);
             if !changed {
                 converged = true;
                 break;
             }
 
-            // Update step: mean of the members of each cluster. Empty
+            // Update step: mean of the members of each cluster — one pass
+            // over the rows in order accumulates every cluster's sum (the
+            // same per-cluster add order as summing its members one cluster
+            // at a time), then one `1/count` scale per cluster. Empty
             // clusters keep their previous centroid.
-            let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
+            ws.sums.clear();
+            ws.sums.resize(k * dim, 0.0);
+            ws.counts.clear();
+            ws.counts.resize(k, 0);
             for (i, &l) in labels.iter().enumerate() {
-                members[l].push(i);
+                axpy(&mut ws.sums[l * dim..(l + 1) * dim], 1.0, keys.row(i));
+                ws.counts[l] += 1;
             }
-            for (c, member_idx) in members.iter().enumerate() {
-                if member_idx.is_empty() {
-                    continue;
+            for (c, (sum, &count)) in ws.sums.chunks_mut(dim).zip(&ws.counts).enumerate() {
+                if count > 0 {
+                    scale(sum, 1.0 / count as f32);
+                    centroids.row_mut(c).copy_from_slice(sum);
                 }
-                let mean = mean_of(member_idx.iter().map(|&i| keys.row(i)), dim);
-                centroids.row_mut(c).copy_from_slice(&mean);
             }
         }
+        ws.labels = swept;
 
         let mut centroid_norms = Vec::with_capacity(k);
         row_norms_sq_into(&centroids, &mut centroid_norms);

@@ -73,13 +73,13 @@ pub mod metadata;
 pub mod policy;
 pub mod selection;
 
-pub use clustering::SemanticClustering;
+pub use clustering::{PrefillClusters, SemanticClustering};
 pub use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig, PageRequest};
 pub use config::ClusterKvConfig;
 pub use distance::DistanceMetric;
 pub use kmeans::{assign_labels, assign_labels_reference, KMeans};
 pub use metadata::ClusterMetadata;
-pub use policy::{ClusterKvFactory, ClusterKvSelector};
+pub use policy::{ClusterIndex, ClusterKvFactory, ClusterKvSelector};
 pub use selection::{
     fill_selection_ws, lookahead_clusters_ws, select_clusters, select_clusters_ws, SelectionFill,
     SelectionResult,

@@ -87,6 +87,13 @@ impl ClusterMetadata {
         &self.sorted_indices[self.prefix[c]..self.prefix[c + 1]]
     }
 
+    /// Heap bytes the three tables hold (`usize` entries: one size and one
+    /// prefix slot per cluster, one index per clustered token).
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<usize>()
+            * (self.sizes.len() + self.prefix.len() + self.sorted_indices.len())
+    }
+
     /// Append `added_clusters` new clusters populated from `(token, label)`
     /// pairs, where labels are relative to the new clusters (0-based).
     ///

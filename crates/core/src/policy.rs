@@ -1,36 +1,38 @@
 //! The ClusterKV selection policy, pluggable into the serving engine.
 //!
-//! [`ClusterKvSelector`] wires the pieces of the algorithm together exactly
-//! as the system of Fig. 5 does for one head: semantic clustering at prefill,
-//! incremental clustering during decoding and centroid-based selection at
-//! every step. Every [`plan`] call returns the selected token indices, the
-//! selection work of exactly that call (centroids scored) and the selection's
-//! cluster-granularity page decomposition; the *residency* outcome (which
-//! clusters hit the GPU cache vs. required a PCIe recall) is resolved by
-//! whoever owns the session's tiered
-//! [`ClusterCache`](clusterkv_kvcache::cluster_cache::ClusterCache) — the
-//! serving engine or the episode harness (DESIGN.md §3).
-//!
-//! [`plan`]: clusterkv_model::policy::TokenSelector::plan
+//! Keys exist per KV head, so that is the unit of clustering state:
+//! [`ClusterIndex`] is the semantic index of one KV head — semantic
+//! clustering at prefill, incremental clustering during decoding (Fig. 5) —
+//! observed once per key event and read by every query head of the GQA
+//! group, each ranking the centroids against its own query with its own
+//! scratch. [`ClusterKvSelector`] is the group of one: an index plus one
+//! scratch workspace, what single-head harnesses drive. Every plan returns
+//! the selected token indices, the selection work of exactly that call
+//! (centroids scored) and the selection's cluster-granularity page
+//! decomposition; the *residency* outcome (which clusters hit the GPU cache
+//! vs. required a PCIe recall) is resolved by whoever owns the session's
+//! tiered [`ClusterCache`](clusterkv_kvcache::cluster_cache::ClusterCache) —
+//! the serving engine or the episode harness (DESIGN.md §3).
 
-use crate::clustering::SemanticClustering;
+use crate::clustering::{PrefillClusters, SemanticClustering};
 use crate::config::ClusterKvConfig;
 use crate::distance::DistanceMetric;
 use crate::selection::{fill_selection_ws, lookahead_clusters_ws};
 use clusterkv_kvcache::cluster_cache::PageRequest;
 use clusterkv_kvcache::types::Bytes;
 use clusterkv_model::policy::{
-    HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionPlan, SelectionRequest,
-    SelectorFactory, SharedPrefixState, TokenSelector,
+    GroupIndex, HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionPlan,
+    SelectionRequest, SelectorFactory, SelectorGroup, SharedPrefixState, TokenSelector,
 };
 use clusterkv_tensor::kernels::{norm_sq, Workspace};
 use clusterkv_tensor::rng::derive_seed;
 use clusterkv_tensor::Matrix;
 use std::sync::Arc;
 
-/// ClusterKV selection state for a single attention head.
+/// The semantic index of one KV head: its clustering state plus the prompt
+/// keys still awaiting the prefill clustering pass.
 #[derive(Debug, Clone)]
-pub struct ClusterKvSelector {
+pub struct ClusterIndex {
     clustering: SemanticClustering,
     /// Prompt keys accumulated across `PrefillChunk` events, clustered as a
     /// whole on `PrefillDone`. Semantic clustering is a global pass over the
@@ -44,19 +46,15 @@ pub struct ClusterKvSelector {
     /// Squared norms `‖x‖²` of `chunk_buffer`'s rows, maintained per chunk
     /// so the reconcile-time clustering pass starts from cached norms.
     chunk_norms: Vec<f32>,
-    /// Scratch reused by every `plan` call (centroid scores, rankings):
-    /// after the first decode step the selection phase allocates nothing.
-    ws: Workspace,
 }
 
-impl ClusterKvSelector {
-    /// Create a selector for a head of dimension `head_dim`.
+impl ClusterIndex {
+    /// Create the index of a KV head of dimension `head_dim`.
     pub fn new(config: ClusterKvConfig, head_dim: usize) -> Self {
         Self {
             clustering: SemanticClustering::new(config, head_dim),
             chunk_buffer: Matrix::zeros(0, head_dim),
             chunk_norms: Vec::new(),
-            ws: Workspace::new(),
         }
     }
 
@@ -71,17 +69,11 @@ impl ClusterKvSelector {
         &self.chunk_norms
     }
 
-    /// Heap bytes currently held by this selector's scratch workspace
-    /// (stable across steady-state decode steps; see DESIGN.md §6).
-    pub fn workspace_bytes(&self) -> usize {
-        self.ws.allocated_bytes()
-    }
-
-    /// Fingerprint of everything that determines this selector's
-    /// post-prefill clustering state besides the prompt keys themselves:
-    /// every [`ClusterKvConfig`] field (the per-head seed included — the
-    /// factory derives it from `(layer, head)`, so cross-head adoption is
-    /// structurally impossible) and the head dimension. Two selectors with
+    /// Fingerprint of everything that determines this index's post-prefill
+    /// clustering state besides the prompt keys themselves: every
+    /// [`ClusterKvConfig`] field (the seed included — the factory derives it
+    /// from `(layer, kv_head)`, so adoption across KV heads or layers is
+    /// structurally impossible) and the head dimension. Two indexes with
     /// equal fingerprints fed byte-identical prompt keys reconcile to
     /// byte-identical clustering state, which is exactly the precondition
     /// for sharing that state through the prefix store (DESIGN.md §8).
@@ -112,7 +104,7 @@ impl ClusterKvSelector {
     /// One cluster-granularity page per id in `clusters`, each sized to the
     /// whole cluster. Under a lossy compression config the pages are recalled
     /// through the compressed tier (DESIGN.md §9) and the engine reads their
-    /// memberships through [`page_members`](TokenSelector::page_members);
+    /// memberships through [`page_members`](GroupIndex::page_members);
     /// lossless configs keep the recall-exact `Paged` residency and its
     /// byte-parity guarantee.
     fn residency_of(&self, clusters: impl Iterator<Item = usize>) -> KvResidency {
@@ -128,11 +120,7 @@ impl ClusterKvSelector {
     }
 }
 
-impl TokenSelector for ClusterKvSelector {
-    fn name(&self) -> &str {
-        "ClusterKV"
-    }
-
+impl GroupIndex for ClusterIndex {
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
             ObserveEvent::Prefill { keys } => self.clustering.prefill(keys),
@@ -165,36 +153,32 @@ impl TokenSelector for ClusterKvSelector {
         }
     }
 
-    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+    fn plan(&self, request: SelectionRequest<'_>, scratch: &mut Workspace) -> SelectionPlan {
         // When the whole context fits in the budget, compression is a no-op.
         if request.budget.covers(request.num_tokens) {
             return SelectionPlan::full(request.num_tokens);
         }
 
-        let fill = fill_selection_ws(
-            request.query,
-            &self.clustering,
-            request.budget,
-            &mut self.ws,
-        );
+        let fill = fill_selection_ws(request.query, &self.clustering, request.budget, scratch);
         // The plan owns two buffers whatever the budget or the cluster
         // count: the token positions (with one spare slot, because the
         // engine appends the position being generated) and one page per
         // selected cluster.
-        let mut indices = Vec::with_capacity(self.ws.tokens.len() + 1);
-        indices.extend_from_slice(&self.ws.tokens);
+        let mut indices = Vec::with_capacity(scratch.tokens.len() + 1);
+        indices.extend_from_slice(&scratch.tokens);
         let mut plan = SelectionPlan::new(indices).with_stats(PolicyStats {
             scored_vectors: fill.scored_centroids as u64,
             ..PolicyStats::default()
         });
-        plan.residency = self.residency_of(self.ws.labels.iter().copied());
+        plan.residency = self.residency_of(scratch.labels.iter().copied());
         plan
     }
 
     fn prefetch_hint(
-        &mut self,
+        &self,
         request: SelectionRequest<'_>,
         lookahead_tokens: usize,
+        scratch: &mut Workspace,
     ) -> Vec<PageRequest> {
         // Contexts the budget covers never page, so there is nothing worth
         // staging.
@@ -208,10 +192,10 @@ impl TokenSelector for ClusterKvSelector {
             &self.clustering,
             request.budget,
             lookahead_tokens,
-            &mut self.ws,
+            scratch,
         );
         let metadata = self.clustering.metadata();
-        self.ws.labels[..nominated]
+        scratch.labels[..nominated]
             .iter()
             .map(|&c| PageRequest::new(c, metadata.cluster_size(c)))
             .collect()
@@ -226,23 +210,16 @@ impl TokenSelector for ClusterKvSelector {
     }
 
     fn export_prefill_state(&self) -> Option<SharedPrefixState> {
-        // Only a reconciled selector has anything worth sharing: mid-prefill
+        // Only a reconciled index has anything worth sharing: mid-prefill
         // the clustering is empty and the keys sit in the chunk buffer.
-        if self.clustering.num_tokens() == 0 || self.chunk_buffer.rows() > 0 {
+        if self.chunk_buffer.rows() > 0 {
             return None;
         }
-        let centroids = self.clustering.centroids();
-        // Estimate of what the clone retains: centroid rows, their norm
-        // cache, pending-token norms, and one assignment slot per token.
-        let bytes = Bytes::of_f32(
-            centroids.rows() * centroids.cols()
-                + self.clustering.centroid_norms().len()
-                + self.clustering.pending_norms().len(),
-        ) + Bytes(4 * self.clustering.num_tokens() as u64);
+        let clusters = self.clustering.export_prefill()?;
         Some(SharedPrefixState {
             fingerprint: self.prefill_fingerprint(),
-            bytes,
-            state: Arc::new(self.clustering.clone()),
+            bytes: Bytes(clusters.heap_bytes() as u64),
+            state: Arc::new(clusters),
         })
     }
 
@@ -250,27 +227,95 @@ impl TokenSelector for ClusterKvSelector {
         if state.fingerprint != self.prefill_fingerprint() {
             return false;
         }
-        let Some(clustering) = state.state.downcast_ref::<SemanticClustering>() else {
+        let Some(clusters) = state.state.downcast_ref::<PrefillClusters>() else {
             return false;
         };
-        if clustering.num_tokens() != total_tokens {
+        if clusters.num_tokens() != total_tokens {
             return false;
         }
         // The fingerprint pins config + seed + head_dim and the prefix-store
-        // terminal node pins the exact token sequence, so this clone is
+        // terminal node pins the exact token sequence, so these clusters are
         // byte-identical to what reconciling our own chunk buffer would
         // produce — the k-means sweep is skipped outright. The buffered
         // chunks are dropped unreconciled.
-        self.clustering = clustering.clone();
+        self.clustering.adopt_prefill(clusters);
         self.chunk_buffer = Matrix::zeros(0, self.clustering.head_dim());
         self.chunk_norms.clear();
         true
     }
 }
 
-/// Factory creating one [`ClusterKvSelector`] per head, with per-head seeds
+/// ClusterKV for a single attention head on its own: a [`ClusterIndex`] and
+/// the one scratch workspace that plans against it.
+#[derive(Debug, Clone)]
+pub struct ClusterKvSelector {
+    index: ClusterIndex,
+    /// Scratch reused by every `plan` call (centroid scores, rankings):
+    /// after the first decode step the selection phase allocates nothing.
+    ws: Workspace,
+}
+
+impl ClusterKvSelector {
+    /// Create a selector for a head of dimension `head_dim`.
+    pub fn new(config: ClusterKvConfig, head_dim: usize) -> Self {
+        Self {
+            index: ClusterIndex::new(config, head_dim),
+            ws: Workspace::new(),
+        }
+    }
+
+    /// The head's semantic index.
+    pub fn index(&self) -> &ClusterIndex {
+        &self.index
+    }
+
+    /// The clustering state (centroids, metadata, sinks, pending tokens).
+    pub fn clustering(&self) -> &SemanticClustering {
+        self.index.clustering()
+    }
+
+    /// Heap bytes currently held by this selector's scratch workspace
+    /// (stable across steady-state decode steps; see DESIGN.md §6).
+    pub fn workspace_bytes(&self) -> usize {
+        self.ws.allocated_bytes()
+    }
+}
+
+impl TokenSelector for ClusterKvSelector {
+    fn name(&self) -> &str {
+        "ClusterKV"
+    }
+
+    fn observe(&mut self, event: ObserveEvent<'_>) {
+        self.index.observe(event);
+    }
+
+    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+        self.index.plan(request, &mut self.ws)
+    }
+
+    fn prefetch_hint(
+        &mut self,
+        request: SelectionRequest<'_>,
+        lookahead_tokens: usize,
+    ) -> Vec<PageRequest> {
+        self.index
+            .prefetch_hint(request, lookahead_tokens, &mut self.ws)
+    }
+
+    fn page_table(&self) -> KvResidency {
+        self.index.page_table()
+    }
+
+    fn page_members(&self, page: usize) -> &[usize] {
+        self.index.page_members(page)
+    }
+}
+
+/// Factory creating one [`ClusterIndex`] per `(layer, kv_head)`, with seeds
 /// derived from the configured seed so clustering initialisation differs
-/// across heads but stays reproducible.
+/// across KV heads but stays reproducible. A GQA group gets the one index
+/// of its KV head; a lone head gets it wrapped in a [`ClusterKvSelector`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterKvFactory {
     config: ClusterKvConfig,
@@ -282,9 +327,18 @@ impl ClusterKvFactory {
         Self { config }
     }
 
-    /// The configuration used for every created selector.
+    /// The configuration used for every created index.
     pub fn config(&self) -> &ClusterKvConfig {
         &self.config
+    }
+
+    /// The configuration of the index over `ctx`'s KV head.
+    fn config_for(&self, ctx: HeadContext) -> ClusterKvConfig {
+        let seed = derive_seed(
+            self.config.seed,
+            (ctx.layer as u64) << 16 | ctx.kv_head as u64,
+        );
+        self.config.with_seed(seed)
     }
 }
 
@@ -300,10 +354,12 @@ impl SelectorFactory for ClusterKvFactory {
     }
 
     fn create(&self, ctx: HeadContext) -> Box<dyn TokenSelector> {
-        let per_head_seed =
-            derive_seed(self.config.seed, (ctx.layer as u64) << 16 | ctx.head as u64);
-        let config = self.config.with_seed(per_head_seed);
-        Box::new(ClusterKvSelector::new(config, ctx.head_dim))
+        Box::new(ClusterKvSelector::new(self.config_for(ctx), ctx.head_dim))
+    }
+
+    fn create_group(&self, ctx: HeadContext) -> SelectorGroup {
+        let index = ClusterIndex::new(self.config_for(ctx), ctx.head_dim);
+        SelectorGroup::shared(Box::new(index), ctx.group_size)
     }
 }
 
@@ -424,14 +480,14 @@ mod tests {
     fn compression_config_feeds_the_prefill_fingerprint() {
         use clusterkv_kvcache::CompressionConfig;
         let keys = prefill_keys(60, 8, 9);
-        let mut donor = ClusterKvSelector::new(test_config(), 8);
+        let mut donor = ClusterIndex::new(test_config(), 8);
         chunk_feed(&mut donor, &keys);
         donor.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
         let state = donor.export_prefill_state().unwrap();
-        // A lossy selector must not adopt lossless-fingerprinted state: the
+        // A lossy index must not adopt lossless-fingerprinted state: the
         // two produce different residency plans downstream.
         let lossy_cfg = test_config().with_compression(CompressionConfig::int8());
-        let mut lossy = ClusterKvSelector::new(lossy_cfg, 8);
+        let mut lossy = ClusterIndex::new(lossy_cfg, 8);
         chunk_feed(&mut lossy, &keys);
         assert!(!lossy.adopt_prefill_state(&state, 60));
     }
@@ -529,15 +585,15 @@ mod tests {
             });
             start += len;
             // Mid-prefill the chunk-norm cache tracks the buffer exactly.
-            assert_eq!(sel.chunk_norms().len(), start);
-            for (i, &n) in sel.chunk_norms().iter().enumerate() {
+            assert_eq!(sel.index().chunk_norms().len(), start);
+            for (i, &n) in sel.index().chunk_norms().iter().enumerate() {
                 assert_eq!(n, clusterkv_tensor::kernels::norm_sq(full.row(i)));
             }
         }
         sel.observe(ObserveEvent::PrefillDone { total_tokens: 30 });
         // Reconciliation drains the cache into the clustering pass and the
         // resulting centroid-norm cache matches recomputation.
-        assert!(sel.chunk_norms().is_empty());
+        assert!(sel.index().chunk_norms().is_empty());
         let sc = sel.clustering();
         for (c, row) in sc.centroids().iter_rows().enumerate() {
             assert_eq!(
@@ -574,23 +630,84 @@ mod tests {
     }
 
     #[test]
-    fn factory_creates_per_head_seeds() {
+    fn factory_seeds_follow_the_kv_head() {
         let factory = ClusterKvFactory::new(test_config());
         assert_eq!(factory.name(), "ClusterKV");
         assert_eq!(factory.config().sink_tokens, 4);
-        let a = factory.create(HeadContext {
-            layer: 0,
-            head: 0,
+        let group_ctx = |layer, kv_head| HeadContext {
+            layer,
+            head: kv_head * 4,
             head_dim: 8,
-        });
-        let b = factory.create(HeadContext {
-            layer: 0,
-            head: 1,
+            kv_head,
+            group_size: 4,
+        };
+        // Every query head of a group shares its KV head's seed — for a
+        // group of one that is the seed `(layer, head)` always had.
+        let base = factory.config_for(group_ctx(1, 0)).seed;
+        for head in 0..4 {
+            let ctx = HeadContext {
+                head,
+                ..group_ctx(1, 0)
+            };
+            assert_eq!(factory.config_for(ctx).seed, base);
+        }
+        assert_eq!(factory.config_for(HeadContext::mha(1, 0, 8)).seed, base);
+        assert_eq!(
+            factory.config_for(HeadContext::mha(2, 3, 8)).seed,
+            derive_seed(test_config().seed, 2 << 16 | 3)
+        );
+        // Other KV heads and other layers cluster from other seeds.
+        assert_ne!(factory.config_for(group_ctx(1, 1)).seed, base);
+        assert_ne!(factory.config_for(group_ctx(2, 0)).seed, base);
+        assert_eq!(factory.create(group_ctx(0, 0)).name(), "ClusterKV");
+    }
+
+    #[test]
+    fn a_group_plans_every_head_against_one_index() {
+        let factory = ClusterKvFactory::new(test_config());
+        let mut group = factory.create_group(HeadContext {
+            layer: 1,
+            head: 4,
             head_dim: 8,
+            kv_head: 1,
+            group_size: 4,
         });
-        // Different heads are independent objects with their own state.
-        assert_eq!(a.name(), "ClusterKV");
-        assert_eq!(b.name(), "ClusterKV");
+        assert_eq!(group.group_size(), 4);
+        let keys = prefill_keys(80, 8, 2);
+        group.observe(ObserveEvent::Prefill { keys: &keys });
+        // A lone selector with the KV head's seed is the reference: one
+        // clustering, whichever head of the group asks.
+        let mut lone = factory.create(HeadContext::mha(1, 1, 8));
+        lone.observe(ObserveEvent::Prefill { keys: &keys });
+        let SelectorGroup::Shared { scratch, .. } = &group else {
+            panic!("ClusterKV groups share one index");
+        };
+        assert_eq!(scratch.len(), 4, "one planner scratch per query head");
+        let mut rng = seeded(3);
+        let queries: Vec<Vec<f32>> = (0..4)
+            .map(|_| gaussian_vec(&mut rng, 8, 0.0, 1.0))
+            .collect();
+        let mut plans = Vec::new();
+        for (mut head, q) in group.heads().zip(&queries) {
+            let request = SelectionRequest::new(q, 80, Budget::new(24));
+            let plan = head.plan(request);
+            assert_eq!(plan, lone.plan(request), "same index, same plan");
+            for page in plan.residency.page_requests().unwrap() {
+                assert_eq!(head.page_members(page.page), lone.page_members(page.page));
+            }
+            assert_eq!(
+                head.prefetch_hint(request, 16),
+                lone.prefetch_hint(request, 16)
+            );
+            plans.push(plan.indices);
+        }
+        assert!(
+            plans.iter().any(|p| p != &plans[0]),
+            "heads rank the shared centroids by their own queries"
+        );
+        for head in 0..4 {
+            assert_eq!(group.page_table(head), lone.page_table());
+        }
     }
 
     #[test]
@@ -648,8 +765,8 @@ mod tests {
         engine.release(b).unwrap();
     }
 
-    fn chunk_feed(sel: &mut ClusterKvSelector, keys: &Matrix) {
-        sel.observe(ObserveEvent::PrefillChunk { start: 0, keys });
+    fn chunk_feed(index: &mut ClusterIndex, keys: &Matrix) {
+        index.observe(ObserveEvent::PrefillChunk { start: 0, keys });
     }
 
     #[test]
@@ -701,7 +818,7 @@ mod tests {
     #[test]
     fn exported_prefill_state_adopts_byte_identically() {
         let keys = prefill_keys(60, 8, 9);
-        let mut donor = ClusterKvSelector::new(test_config(), 8);
+        let mut donor = ClusterIndex::new(test_config(), 8);
         assert!(
             donor.export_prefill_state().is_none(),
             "nothing to export before reconcile"
@@ -713,10 +830,17 @@ mod tests {
         );
         donor.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
         let state = donor.export_prefill_state().expect("reconciled state");
-        assert!(state.bytes > Bytes(0));
+        // The charge is what the snapshot holds: centroid rows and norms as
+        // f32, three usize metadata tables — and no k-means scratch.
+        let sc = donor.clustering();
+        let (c, clustered) = (sc.num_clusters(), sc.metadata().num_tokens());
+        assert_eq!(
+            state.bytes,
+            Bytes((4 * (c * 8 + c) + 8 * (c + c + 1 + clustered)) as u64)
+        );
 
         // The adopter buffered the same chunks but skips its own reconcile.
-        let mut adopter = ClusterKvSelector::new(test_config(), 8);
+        let mut adopter = ClusterIndex::new(test_config(), 8);
         chunk_feed(&mut adopter, &keys);
         assert!(adopter.adopt_prefill_state(&state, 60));
         assert_eq!(adopter.chunk_norms().len(), 0, "buffers dropped");
@@ -726,36 +850,79 @@ mod tests {
             "adopted centroids are the donor's, bitwise"
         );
         assert_eq!(
+            adopter.clustering().centroid_norms(),
+            donor.clustering().centroid_norms()
+        );
+        assert_eq!(
+            adopter.clustering().sink_indices(),
+            donor.clustering().sink_indices()
+        );
+        assert_eq!(
             adopter.clustering().num_tokens(),
             donor.clustering().num_tokens()
         );
-        // Identical plans follow from identical state.
-        let q = gaussian_vec(&mut seeded(13), 8, 0.0, 1.0);
-        let pa = adopter.plan(SelectionRequest::new(&q, 60, Budget::new(24)));
-        let pd = donor.plan(SelectionRequest::new(&q, 60, Budget::new(24)));
-        assert_eq!(pa.indices, pd.indices);
+        // Identical plans follow from identical state, and both keep
+        // clustering decode keys identically afterwards.
+        let mut ws = Workspace::new();
+        let mut rng = seeded(13);
+        for step in 0..10 {
+            let key = gaussian_vec(&mut rng, 8, 0.0, 1.0);
+            for index in [&mut adopter, &mut donor] {
+                index.observe(ObserveEvent::Append {
+                    position: 60 + step,
+                    key: &key,
+                });
+            }
+            let q = gaussian_vec(&mut rng, 8, 0.0, 1.0);
+            let request = SelectionRequest::new(&q, 61 + step, Budget::new(24));
+            assert_eq!(adopter.plan(request, &mut ws), donor.plan(request, &mut ws));
+        }
+        assert_eq!(adopter.clustering().incremental_runs(), 1);
+        assert!(
+            donor.export_prefill_state().is_none(),
+            "a decoded index no longer holds the prompt's state"
+        );
     }
 
     #[test]
     fn adoption_rejects_mismatched_state() {
+        let factory = ClusterKvFactory::new(test_config());
+        let index_at = |layer, kv_head| {
+            ClusterIndex::new(
+                factory.config_for(HeadContext {
+                    layer,
+                    head: kv_head * 4,
+                    head_dim: 8,
+                    kv_head,
+                    group_size: 4,
+                }),
+                8,
+            )
+        };
         let keys = prefill_keys(60, 8, 9);
-        let mut donor = ClusterKvSelector::new(test_config(), 8);
+        let mut donor = index_at(1, 0);
         chunk_feed(&mut donor, &keys);
         donor.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
         let state = donor.export_prefill_state().unwrap();
 
         // Wrong token count: the state is for a different prompt length.
-        let mut adopter = ClusterKvSelector::new(test_config(), 8);
-        assert!(!adopter.adopt_prefill_state(&state, 59));
+        assert!(!index_at(1, 0).adopt_prefill_state(&state, 59));
 
-        // Wrong seed (the factory's per-head derivation lands here): the
-        // fingerprint differs, so cross-head adoption is refused.
-        let mut other_head = ClusterKvSelector::new(test_config().with_seed(12345), 8);
-        chunk_feed(&mut other_head, &keys);
-        assert!(!other_head.adopt_prefill_state(&state, 60));
-        // Refusal leaves the buffered chunks intact for the normal path.
-        assert_eq!(other_head.chunk_norms().len(), 60);
-        other_head.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
-        assert_eq!(other_head.clustering().num_tokens(), 60);
+        // Another KV head of the layer, or the same KV head of another
+        // layer: the factory's seed derivation lands in the fingerprint, so
+        // each refuses the other's state.
+        for (layer, kv_head) in [(1, 1), (2, 0)] {
+            let mut other = index_at(layer, kv_head);
+            chunk_feed(&mut other, &keys);
+            assert!(!other.adopt_prefill_state(&state, 60));
+            // Refusal leaves the buffered chunks intact for the normal path.
+            assert_eq!(other.chunk_norms().len(), 60);
+            other.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
+            assert_eq!(other.clustering().num_tokens(), 60);
+        }
+        // The same (layer, kv_head) in another session adopts.
+        let mut twin = index_at(1, 0);
+        chunk_feed(&mut twin, &keys);
+        assert!(twin.adopt_prefill_state(&state, 60));
     }
 }

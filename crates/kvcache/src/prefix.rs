@@ -18,10 +18,13 @@
 //!
 //! A radix (compressed trie) over token ids. Each node covers a span of
 //! consecutive prompt positions `[start, start + len)` and owns one
-//! [`SharedKvPage`] per `(layer, kv_head)` holding exactly those rows. The
-//! node where a full prompt ends may additionally cache per-`(layer, head)`
-//! opaque selector state ([`SharedPrefixState`]) exported after that prompt's
-//! `PrefillDone`.
+//! [`SharedKvPage`] per `(layer, kv_head)` holding exactly those rows, sealed
+//! in fixed-size row blocks so a session adopting the page chunk by chunk
+//! verifies each block as it copies it (DESIGN.md §8). The node where a full
+//! prompt ends may additionally cache per-`(layer, kv_head)` opaque selector
+//! state ([`SharedPrefixState`]) exported after that prompt's `PrefillDone`
+//! — keys exist per KV head, so that is what the state is keyed and charged
+//! by, however many query heads read it.
 //!
 //! # Lifecycle
 //!
@@ -57,6 +60,15 @@ use crate::types::Bytes;
 /// Root node id. The root covers the empty span and is never evicted.
 const ROOT: usize = 0;
 
+/// Rows covered by one seal of a [`SharedKvPage`]. A session adopts a long
+/// shared prefix one prefill chunk at a time and must verify what it copies
+/// immediately before copying it; sealing per block keeps that at about one
+/// hash per shared byte (a chunk re-hashes at most the one block it shares
+/// with its predecessor) instead of one hash of the whole page per chunk.
+/// Small next to a prefill chunk, so that a chunk boundary inside a block
+/// costs little; large next to the 8-byte seal it adds.
+pub const SEAL_BLOCK_ROWS: usize = 128;
+
 /// Immutable keys/values/norm-cache rows for one `(layer, kv_head)` slice of
 /// a node's span. Row `i` holds prompt position `start + i` of the owning
 /// node.
@@ -68,55 +80,81 @@ pub struct SharedKvPage {
     pub values: Matrix,
     /// Cached squared key norms, aligned with rows.
     pub key_norms: Vec<f32>,
-    /// FNV-1a 64 checksum over the row bits, sealed at donation time and
-    /// verified before a session adopts the page (DESIGN.md §11).
-    pub checksum: u64,
+    /// One FNV-1a 64 seal per [`SEAL_BLOCK_ROWS`]-row block of the payload
+    /// (the last block may be shorter), set at donation time and verified
+    /// before a session adopts the block's rows (DESIGN.md §11).
+    pub seals: Vec<u64>,
 }
 
 impl SharedKvPage {
-    /// Build a page and seal its checksum over the payload.
+    /// Build a page and seal every block of its payload.
     pub fn sealed(keys: Matrix, values: Matrix, key_norms: Vec<f32>) -> Self {
         let mut page = Self {
             keys,
             values,
             key_norms,
-            checksum: 0,
+            seals: Vec::new(),
         };
-        page.checksum = page.compute_checksum();
+        page.seals = (0..page.keys.rows().div_ceil(SEAL_BLOCK_ROWS))
+            .map(|block| page.compute_seal(block))
+            .collect();
         page
     }
 
-    /// FNV-1a 64 over key rows, value rows and the norm cache (through the
-    /// f32 bit patterns, so the checksum commits to the exact stored bits).
-    pub fn compute_checksum(&self) -> u64 {
+    /// The seal blocks overlapping the non-empty local row range `[lo, hi)`.
+    pub fn blocks_of(rows: (usize, usize)) -> std::ops::Range<usize> {
+        rows.0 / SEAL_BLOCK_ROWS..rows.1.div_ceil(SEAL_BLOCK_ROWS)
+    }
+
+    /// FNV-1a 64 over the key rows, value rows and norm cache of `block`
+    /// (through the f32 bit patterns, so the seal commits to the exact
+    /// stored bits), its position in the page and the row shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page has no such block.
+    pub fn compute_seal(&self, block: usize) -> u64 {
+        let lo = block * SEAL_BLOCK_ROWS;
+        let hi = (lo + SEAL_BLOCK_ROWS).min(self.keys.rows());
+        assert!(lo < hi, "seal block {block} out of range");
+        let cols = self.keys.cols();
         let mut h = Fnv64::new();
-        h.write_u64(self.keys.rows() as u64);
-        h.write_u64(self.keys.cols() as u64);
-        h.write_f32s(self.keys.as_slice());
-        h.write_f32s(self.values.as_slice());
-        h.write_f32s(&self.key_norms);
+        h.write_u64(block as u64);
+        h.write_u64((hi - lo) as u64);
+        h.write_u64(cols as u64);
+        h.write_f32s(&self.keys.as_slice()[lo * cols..hi * cols]);
+        h.write_f32s(&self.values.as_slice()[lo * cols..hi * cols]);
+        h.write_f32s(&self.key_norms[lo..hi]);
         h.finish()
     }
 
-    /// Whether the sealed checksum still matches the payload.
+    /// Whether the seal of `block` still matches its payload; `None` when
+    /// the page has no such block.
+    pub fn verify_block(&self, block: usize) -> Option<bool> {
+        self.seals
+            .get(block)
+            .map(|&seal| seal == self.compute_seal(block))
+    }
+
+    /// Whether every seal still matches the payload.
     pub fn verify(&self) -> bool {
-        self.checksum == self.compute_checksum()
+        (0..self.seals.len()).all(|block| self.verify_block(block) == Some(true))
     }
 }
 
-/// Opaque per-head selector state cached at the node where a prompt ends
+/// Opaque per-KV-head selector state cached at the node where a prompt ends
 /// (for ClusterKV: the post-`PrefillDone` clustering — centroids, centroid
 /// norms, cluster metadata). The `fingerprint` must commit to everything the
 /// state depends on besides the token prefix (policy configuration including
-/// the per-head seed, head dimension), so a selector only adopts state it
+/// the per-KV-head seed, head dimension), so an index only adopts state it
 /// would have computed itself.
 #[derive(Clone)]
 pub struct SharedPrefixState {
     /// Configuration fingerprint guarding adoption.
     pub fingerprint: u64,
-    /// Approximate size, charged against the store's byte cap.
+    /// Heap bytes `state` holds, charged against the store's byte cap.
     pub bytes: Bytes,
-    /// The state itself; downcast by the owning selector type.
+    /// The state itself; downcast by the owning policy.
     pub state: Arc<dyn Any + Send + Sync>,
 }
 
@@ -191,7 +229,7 @@ struct Node {
     /// LRU stamp (monotone touch counter).
     stamp: u64,
     /// Selector state cached at a prompt-terminal node, keyed by
-    /// `(absolute layer, query head)`.
+    /// `(absolute layer, kv head)`.
     states: BTreeMap<(usize, usize), SharedPrefixState>,
 }
 
@@ -301,44 +339,62 @@ impl PrefixStore {
         &self.node(node).pages[idx]
     }
 
-    /// Flip the sealed checksum of the page of `node` for one
-    /// `(layer, kv_head)` — deterministic fault injection for the integrity
-    /// suite. Only the checksum is damaged; the shared rows stay ground
-    /// truth, so detection and repair move bytes and time, never what
-    /// attends. Returns whether the node is live and holds that page.
-    pub fn corrupt_page(&mut self, node: usize, layer: usize, kv_head: usize) -> bool {
+    fn page_mut(&mut self, node: usize, layer: usize, kv_head: usize) -> Option<&mut SharedKvPage> {
         let idx = self.page_index(layer, kv_head);
-        match self.nodes.get_mut(node).and_then(Option::as_mut) {
-            Some(n) => match n.pages.get_mut(idx) {
-                Some(page) => {
-                    page.checksum ^= clusterkv_faults::CORRUPTION_MASK;
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        }
+        self.nodes.get_mut(node)?.as_mut()?.pages.get_mut(idx)
     }
 
-    /// Verify one page's checksum. `None` when the node is not live or the
-    /// page index is out of range.
-    pub fn verify_page(&self, node: usize, layer: usize, kv_head: usize) -> Option<bool> {
+    /// Flip the seal of one block of the page of `node` for one
+    /// `(layer, kv_head)` — deterministic fault injection for the integrity
+    /// suite. Only the seal is damaged; the shared rows stay ground truth,
+    /// so detection and repair move bytes and time, never what attends.
+    /// Returns whether the node is live and its page holds that block.
+    pub fn corrupt_block(
+        &mut self,
+        node: usize,
+        layer: usize,
+        kv_head: usize,
+        block: usize,
+    ) -> bool {
+        self.page_mut(node, layer, kv_head)
+            .and_then(|page| page.seals.get_mut(block))
+            .map(|seal| *seal ^= clusterkv_faults::CORRUPTION_MASK)
+            .is_some()
+    }
+
+    /// Verify one block's seal. `None` when the node is not live or the page
+    /// holds no such block.
+    pub fn verify_block(
+        &self,
+        node: usize,
+        layer: usize,
+        kv_head: usize,
+        block: usize,
+    ) -> Option<bool> {
         let idx = self.page_index(layer, kv_head);
         let n = self.nodes.get(node)?.as_ref()?;
-        n.pages.get(idx).map(SharedKvPage::verify)
+        n.pages.get(idx)?.verify_block(block)
     }
 
     // analyzer: recovery-path
-    /// Re-seal a page whose checksum failed verification by recomputing it
+    /// Re-seal a block whose seal failed verification by recomputing it
     /// from the pristine shared rows — modeling recompute-and-re-donate of
-    /// the shared span. Returns the page's byte footprint (the re-donation
-    /// traffic), or `None` when the node or page does not exist.
-    pub fn repair_page(&mut self, node: usize, layer: usize, kv_head: usize) -> Option<Bytes> {
-        let idx = self.page_index(layer, kv_head);
-        let n = self.nodes.get_mut(node)?.as_mut()?;
-        let page = n.pages.get_mut(idx)?;
-        page.checksum = page.compute_checksum();
-        Some(Bytes::of_f16(2 * page.keys.rows() * page.keys.cols()))
+    /// the block. Returns the block's byte footprint (the re-donation
+    /// traffic), or `None` when the node, page or block does not exist.
+    pub fn repair_block(
+        &mut self,
+        node: usize,
+        layer: usize,
+        kv_head: usize,
+        block: usize,
+    ) -> Option<Bytes> {
+        let page = self.page_mut(node, layer, kv_head)?;
+        if block >= page.seals.len() {
+            return None;
+        }
+        page.seals[block] = page.compute_seal(block);
+        let rows = (page.keys.rows() - block * SEAL_BLOCK_ROWS).min(SEAL_BLOCK_ROWS);
+        Some(Bytes::of_f16(2 * rows * page.keys.cols()))
     }
 
     fn touch(&mut self, id: usize) {
@@ -674,28 +730,29 @@ impl PrefixStore {
         !self.node(node).states.is_empty()
     }
 
-    /// Cached selector state for one `(absolute layer, query head)` at a
+    /// Cached selector state for one `(absolute layer, kv head)` at a
     /// prompt-terminal node.
     pub fn selector_state(
         &self,
         node: usize,
         layer: usize,
-        head: usize,
+        kv_head: usize,
     ) -> Option<&SharedPrefixState> {
-        self.node(node).states.get(&(layer, head))
+        self.node(node).states.get(&(layer, kv_head))
     }
 
     /// Cache selector state at a prompt-terminal node, charging its bytes
-    /// against the cap (replacing any previous state for the same head).
+    /// against the cap (replacing any previous state for the same KV head).
     pub fn cache_selector_state(
         &mut self,
         node: usize,
         layer: usize,
-        head: usize,
+        kv_head: usize,
         state: SharedPrefixState,
     ) {
+        debug_assert!(layer < self.config.layers && kv_head < self.config.kv_heads);
         let bytes = state.bytes;
-        if let Some(old) = self.node_mut(node).states.insert((layer, head), state) {
+        if let Some(old) = self.node_mut(node).states.insert((layer, kv_head), state) {
             self.bytes = Bytes(self.bytes.get() - old.bytes.get());
         }
         self.bytes += bytes;
@@ -985,18 +1042,22 @@ mod tests {
         let mut store = PrefixStore::new(test_config(u64::MAX));
         let prompt = [1, 2, 3, 4];
         let node = store.insert(&prompt, &kv_for(&prompt));
-        assert_eq!(store.verify_page(node, 0, 0), Some(true));
-        assert!(store.corrupt_page(node, 0, 0));
-        assert_eq!(store.verify_page(node, 0, 0), Some(false));
+        assert_eq!(store.verify_block(node, 0, 0, 0), Some(true));
+        assert!(store.corrupt_block(node, 0, 0, 0));
+        assert_eq!(store.verify_block(node, 0, 0, 0), Some(false));
         // Repair recomputes from the pristine shared rows and charges the
         // re-donation: 2 tensors · 4 rows · DIM.
-        let moved = store.repair_page(node, 0, 0);
+        let moved = store.repair_block(node, 0, 0, 0);
         assert_eq!(moved, Some(Bytes::of_f16(2 * 4 * DIM)));
-        assert_eq!(store.verify_page(node, 0, 0), Some(true));
-        // Dead/unknown nodes report absence, not failure.
-        assert!(!store.corrupt_page(9999, 0, 0));
-        assert_eq!(store.verify_page(9999, 0, 0), None);
-        assert_eq!(store.repair_page(9999, 0, 0), None);
+        assert_eq!(store.verify_block(node, 0, 0, 0), Some(true));
+        // Dead/unknown nodes and blocks past the page report absence, not
+        // failure.
+        assert!(!store.corrupt_block(9999, 0, 0, 0));
+        assert_eq!(store.verify_block(9999, 0, 0, 0), None);
+        assert_eq!(store.repair_block(9999, 0, 0, 0), None);
+        assert!(!store.corrupt_block(node, 0, 0, 1));
+        assert_eq!(store.verify_block(node, 0, 0, 1), None);
+        assert_eq!(store.repair_block(node, 0, 0, 1), None);
         store.unpin_prompt(&prompt);
     }
 
@@ -1011,11 +1072,94 @@ mod tests {
         // terminals (and the shared prefix half) must carry a fresh seal.
         for node in [na, nb] {
             for layer in 0..2 {
-                assert_eq!(store.verify_page(node, layer, 0), Some(true));
+                assert!(store.page(node, layer, 0).verify());
             }
         }
         store.unpin_prompt(&a);
         store.unpin_prompt(&b);
+    }
+
+    /// A prompt long enough for its page to span several seal blocks, the
+    /// last one partial.
+    fn long_prompt() -> Vec<usize> {
+        (0..2 * SEAL_BLOCK_ROWS + 88).map(|i| i % 7).collect()
+    }
+
+    #[test]
+    fn a_damaged_block_fails_only_its_own_rows() {
+        let prompt = long_prompt();
+        let mut store = PrefixStore::new(test_config(u64::MAX));
+        let node = store.insert(&prompt, &kv_for(&prompt));
+        let page = store.page(node, 1, 0);
+        assert_eq!(page.seals.len(), 3);
+        // Row ranges map onto the blocks they overlap — what a session
+        // adopting `[lo, hi)` verifies.
+        let b = SEAL_BLOCK_ROWS;
+        assert_eq!(SharedKvPage::blocks_of((0, b - 1)), 0..1);
+        assert_eq!(SharedKvPage::blocks_of((b, 2 * b)), 1..2);
+        assert_eq!(SharedKvPage::blocks_of((b - 1, b + 1)), 0..2);
+        assert_eq!(SharedKvPage::blocks_of((2 * b, 2 * b + 88)), 2..3);
+        for damaged in 0..3 {
+            assert!(store.corrupt_block(node, 1, 0, damaged));
+            for block in 0..3 {
+                assert_eq!(
+                    store.verify_block(node, 1, 0, block),
+                    Some(block != damaged),
+                    "block {block} with block {damaged} damaged"
+                );
+            }
+            // The other layer's page of the same node is untouched.
+            assert!(store.page(node, 0, 0).verify());
+            // Repair reseals that block alone and charges its rows alone.
+            let rows = if damaged == 2 { 88 } else { b };
+            assert_eq!(
+                store.repair_block(node, 1, 0, damaged),
+                Some(Bytes::of_f16(2 * rows * DIM))
+            );
+            assert!(store.page(node, 1, 0).verify());
+        }
+        // A seal commits to the block's position: equal payloads at
+        // different offsets do not share a tag.
+        let twin = SharedKvPage::sealed(
+            Matrix::zeros(2 * b, DIM),
+            Matrix::zeros(2 * b, DIM),
+            vec![0.0; 2 * b],
+        );
+        assert_ne!(twin.seals[0], twin.seals[1]);
+        store.unpin_prompt(&prompt);
+    }
+
+    #[test]
+    fn a_split_inside_a_block_keeps_both_halves_verifiable() {
+        let prompt = long_prompt();
+        let mut store = PrefixStore::new(test_config(u64::MAX));
+        store.insert(&prompt, &kv_for(&prompt));
+        // Diverge in the middle of the second block.
+        let cut = SEAL_BLOCK_ROWS + 100;
+        let mut other = prompt[..cut].to_vec();
+        other.extend([9, 9, 9]);
+        store.insert(&other, &kv_for(&other));
+        assert_eq!(store.stats().splits, 1);
+        let (matched, segments) = store.match_from(0, &prompt);
+        assert_eq!(matched, prompt.len());
+        assert_eq!(segments.len(), 2, "prefix half, then suffix half");
+        let blocks: Vec<usize> = segments
+            .iter()
+            .map(|seg| {
+                let page = store.page(seg.node, 0, 0);
+                assert_eq!(page.keys.rows(), seg.rows.1);
+                assert!(page.verify(), "resealed from its own row 0");
+                page.seals.len()
+            })
+            .collect();
+        // One block and 100 rows → 2 blocks; the remaining 116 → 1.
+        assert_eq!(blocks, [2, 1]);
+        // Damage in one half is invisible to the other.
+        assert!(store.corrupt_block(segments[1].node, 0, 0, 0));
+        assert!(store.page(segments[0].node, 0, 0).verify());
+        assert!(!store.page(segments[1].node, 0, 0).verify());
+        store.unpin_prompt(&prompt);
+        store.unpin_prompt(&other);
     }
 
     fn arb_prompt() -> impl Strategy<Value = Vec<usize>> {
@@ -1080,10 +1224,23 @@ mod tests {
             let mut pins: Vec<(Vec<usize>, usize)> = Vec::new();
             for (prompt, &op) in prompts.into_iter().zip(opcodes.iter()) {
                 match op {
-                    // Create: insert (pins its own path — the engine's
-                    // finish_prefill).
+                    // Create: insert (pins its own path) and cache one
+                    // selector state per (layer, kv head) at the terminal —
+                    // the engine's finish_prefill.
                     0 => {
-                        store.insert(&prompt, &kv_for(&prompt));
+                        let terminal = store.insert(&prompt, &kv_for(&prompt));
+                        for layer in 0..2 {
+                            store.cache_selector_state(
+                                terminal,
+                                layer,
+                                0,
+                                SharedPrefixState {
+                                    fingerprint: layer as u64,
+                                    bytes: Bytes(40 + prompt.len() as u64),
+                                    state: Arc::new(()),
+                                },
+                            );
+                        }
                         let len = prompt.len();
                         pins.push((prompt, len));
                     }

@@ -43,8 +43,8 @@ pub use config::{ModelConfig, ModelPreset};
 pub use engine::InferenceEngine;
 pub use latency::{DecodeStepBreakdown, InferenceBreakdown, LatencyModel};
 pub use policy::{
-    FullAttentionSelector, KvResidency, ObserveEvent, PageRequest, PolicyStats, SelectionPlan,
-    SelectionRequest, SelectorFactory, TokenSelector,
+    FullAttentionSelector, GroupIndex, KvResidency, ObserveEvent, PageRequest, PolicyStats,
+    SelectionPlan, SelectionRequest, SelectorFactory, SelectorGroup, TokenSelector,
 };
 pub use prefetch::{PrefetchConfig, PrefetchPredictor};
 pub use serve::{

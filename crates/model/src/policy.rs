@@ -6,6 +6,15 @@
 //! keys as they are produced and, at every decoding step, plans which token
 //! indices participate in the approximated attention.
 //!
+//! Keys exist per **KV head**, and under grouped-query attention the `G`
+//! query heads of a group attend the same keys. A policy whose state is a
+//! function of the keys alone builds it once per KV head as a
+//! [`GroupIndex`]: observed once, read by every head of the group, each
+//! planning with its own query and scratch. The serving engine holds one
+//! [`SelectorGroup`] per `(layer, kv_head)`, which is either that shared
+//! index or — the default every baseline keeps — one independent
+//! [`TokenSelector`] per query head.
+//!
 //! The interface is request/plan shaped so it composes with batched serving
 //! ([`crate::serve::ServeEngine`]): the engine hands the selector a
 //! [`SelectionRequest`] and receives a [`SelectionPlan`] that carries both
@@ -15,6 +24,7 @@
 
 use clusterkv_kvcache::stats::{CacheStats, TransferStats};
 use clusterkv_kvcache::types::Budget;
+use clusterkv_tensor::kernels::Workspace;
 use clusterkv_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -26,10 +36,28 @@ pub use clusterkv_kvcache::prefix::SharedPrefixState;
 pub struct HeadContext {
     /// Layer index.
     pub layer: usize,
-    /// Head index within the layer.
+    /// Query-head index within the layer.
     pub head: usize,
     /// Head dimensionality.
     pub head_dim: usize,
+    /// KV head whose keys this query head attends (`head / group_size`).
+    pub kv_head: usize,
+    /// Query heads per KV head (`G`; 1 for multi-head attention).
+    pub group_size: usize,
+}
+
+impl HeadContext {
+    /// A head of a multi-head-attention layout: it is its own KV head, in a
+    /// group of one. What single-head harnesses and benches attach to.
+    pub fn mha(layer: usize, head: usize, head_dim: usize) -> Self {
+        Self {
+            layer,
+            head,
+            head_dim,
+            kv_head: head,
+            group_size: 1,
+        }
+    }
 }
 
 /// Per-call cost accounting reported inside a [`SelectionPlan`], consumed by
@@ -319,23 +347,6 @@ pub trait TokenSelector: Send {
         &[]
     }
 
-    /// Snapshot this selector's post-`PrefillDone` state for caching in the
-    /// cross-session [`PrefixStore`] (e.g. ClusterKV's centroids and norm
-    /// caches). Called by the engine immediately after `PrefillDone`, before
-    /// any decode append. Return `None` (the default) if the policy has no
-    /// shareable prefill state.
-    ///
-    /// The returned fingerprint must commit to every configuration input the
-    /// state depends on besides the observed token prefix, so
-    /// [`adopt_prefill_state`] only accepts state this selector would have
-    /// computed itself.
-    ///
-    /// [`PrefixStore`]: clusterkv_kvcache::PrefixStore
-    /// [`adopt_prefill_state`]: TokenSelector::adopt_prefill_state
-    fn export_prefill_state(&self) -> Option<SharedPrefixState> {
-        None
-    }
-
     /// Nominate pages likely to be demanded at the *next* decode step, for
     /// speculative staging (DESIGN.md §10). The serving engine calls this
     /// after [`plan`](TokenSelector::plan) within the same step, passing the
@@ -357,30 +368,231 @@ pub trait TokenSelector: Send {
     ) -> Vec<PageRequest> {
         Vec::new()
     }
+}
+
+/// What a policy derives from the keys of one KV head, shared by the query
+/// heads of its GQA group: observed **once** per key event, read immutably
+/// by every head of the group during the parallel attention phase. Planning
+/// takes the per-head mutable state as a caller-owned scratch
+/// [`Workspace`], so the heads need no lock and no copy of the index.
+pub trait GroupIndex: Send + Sync {
+    /// Observe a key-production event of the KV head (same event stream and
+    /// same chunked/monolithic equivalence as [`TokenSelector::observe`]).
+    fn observe(&mut self, event: ObserveEvent<'_>);
+
+    /// Plan one query head's token set for one decoding step.
+    fn plan(&self, request: SelectionRequest<'_>, scratch: &mut Workspace) -> SelectionPlan;
+
+    /// [`TokenSelector::prefetch_hint`] against the shared index. Must leave
+    /// nothing behind in `scratch` that a later plan depends on.
+    fn prefetch_hint(
+        &self,
+        _request: SelectionRequest<'_>,
+        _lookahead_tokens: usize,
+        _scratch: &mut Workspace,
+    ) -> Vec<PageRequest> {
+        Vec::new()
+    }
+
+    /// The full page decomposition of the index (see
+    /// [`TokenSelector::page_table`]); the same for every head of the group.
+    fn page_table(&self) -> KvResidency {
+        KvResidency::Resident
+    }
+
+    /// Absolute token positions belonging to `page` (see
+    /// [`TokenSelector::page_members`]).
+    fn page_members(&self, _page: usize) -> &[usize] {
+        &[]
+    }
+
+    /// Snapshot the post-`PrefillDone` state for caching in the
+    /// cross-session [`PrefixStore`], keyed by this index's
+    /// `(layer, kv_head)`. Called by the engine immediately after
+    /// `PrefillDone`, before any decode append. Return `None` (the default)
+    /// if the policy has no shareable prefill state.
+    ///
+    /// The returned fingerprint must commit to every configuration input the
+    /// state depends on besides the observed token prefix, so
+    /// [`adopt_prefill_state`] only accepts state this index would have
+    /// computed itself.
+    ///
+    /// [`PrefixStore`]: clusterkv_kvcache::PrefixStore
+    /// [`adopt_prefill_state`]: GroupIndex::adopt_prefill_state
+    fn export_prefill_state(&self) -> Option<SharedPrefixState> {
+        None
+    }
 
     /// Adopt a cached prefill snapshot instead of running the global
     /// `PrefillDone` pass, discarding any buffered chunk keys. Returns `true`
     /// if the state was adopted (the engine then skips `PrefillDone` for this
-    /// head); `false` (the default) to decline — e.g. on a fingerprint
+    /// KV head); `false` (the default) to decline — e.g. on a fingerprint
     /// mismatch — in which case `PrefillDone` runs normally.
     ///
     /// Because the cached state was exported after an identical token prefix
     /// under an identical configuration and the prefill pass is
-    /// deterministic, adoption must leave the selector byte-identical to
-    /// having run `PrefillDone` itself (the prefix parity suite in
+    /// deterministic, adoption must leave the index byte-identical to having
+    /// run `PrefillDone` itself (the prefix parity suite in
     /// `tests/serving.rs` enforces this).
     fn adopt_prefill_state(&mut self, _state: &SharedPrefixState, _total_tokens: usize) -> bool {
         false
     }
 }
 
-/// Factory creating one selector per `(layer, head)`.
+/// The selection state of one GQA group: the `G` query heads of a layer that
+/// attend one KV head.
+pub enum SelectorGroup {
+    /// One independent selector per query head, each observing the KV
+    /// head's keys itself (every baseline; any policy whose state depends on
+    /// the queries it was asked about).
+    PerHead(Vec<Box<dyn TokenSelector>>),
+    /// One index over the KV head's keys and one scratch workspace per query
+    /// head planning against it.
+    Shared {
+        /// The state every head of the group reads.
+        index: Box<dyn GroupIndex>,
+        /// Per-head planning scratch, in query-head order.
+        scratch: Vec<Workspace>,
+    },
+}
+
+impl SelectorGroup {
+    /// A group of `group_size` query heads planning against one shared
+    /// index.
+    pub fn shared(index: Box<dyn GroupIndex>, group_size: usize) -> Self {
+        SelectorGroup::Shared {
+            index,
+            scratch: (0..group_size).map(|_| Workspace::new()).collect(),
+        }
+    }
+
+    /// Number of query heads in the group.
+    pub fn group_size(&self) -> usize {
+        match self {
+            SelectorGroup::PerHead(heads) => heads.len(),
+            SelectorGroup::Shared { scratch, .. } => scratch.len(),
+        }
+    }
+
+    /// Deliver a key event of the group's KV head: once to a shared index,
+    /// to every selector of a per-head group.
+    pub fn observe(&mut self, event: ObserveEvent<'_>) {
+        match self {
+            SelectorGroup::PerHead(heads) => heads.iter_mut().for_each(|s| s.observe(event)),
+            SelectorGroup::Shared { index, .. } => index.observe(event),
+        }
+    }
+
+    /// The group's heads in query-head order, each ready to plan on its own
+    /// thread: a shared index is borrowed immutably by all of them.
+    pub fn heads(&mut self) -> impl Iterator<Item = HeadSelector<'_>> {
+        let (own, shared) = match self {
+            SelectorGroup::PerHead(heads) => (Some(heads.iter_mut()), None),
+            SelectorGroup::Shared { index, scratch } => {
+                (None, Some((&**index, scratch.iter_mut())))
+            }
+        };
+        let own = own
+            .into_iter()
+            .flatten()
+            .map(|selector| HeadSelector::Own(selector.as_mut()));
+        let shared = shared.into_iter().flat_map(|(index, scratch)| {
+            scratch.map(move |scratch| HeadSelector::Shared(index, scratch))
+        });
+        own.chain(shared)
+    }
+
+    /// Page decomposition seen by the group's `head`-th query head.
+    pub fn page_table(&self, head: usize) -> KvResidency {
+        match self {
+            SelectorGroup::PerHead(heads) => heads[head].page_table(),
+            SelectorGroup::Shared { index, .. } => index.page_table(),
+        }
+    }
+
+    /// [`GroupIndex::export_prefill_state`] of a shared index; per-head
+    /// groups share nothing across sessions.
+    pub fn export_prefill_state(&self) -> Option<SharedPrefixState> {
+        match self {
+            SelectorGroup::PerHead(_) => None,
+            SelectorGroup::Shared { index, .. } => index.export_prefill_state(),
+        }
+    }
+
+    /// [`GroupIndex::adopt_prefill_state`] of a shared index; per-head
+    /// groups decline.
+    pub fn adopt_prefill_state(&mut self, state: &SharedPrefixState, total_tokens: usize) -> bool {
+        match self {
+            SelectorGroup::PerHead(_) => false,
+            SelectorGroup::Shared { index, .. } => index.adopt_prefill_state(state, total_tokens),
+        }
+    }
+}
+
+/// One query head's handle on its group's selection state for the duration
+/// of a decode step's parallel phase.
+pub enum HeadSelector<'a> {
+    /// The head's own selector.
+    Own(&'a mut dyn TokenSelector),
+    /// The group's shared index plus this head's planning scratch.
+    Shared(&'a dyn GroupIndex, &'a mut Workspace),
+}
+
+impl HeadSelector<'_> {
+    /// Plan the head's token set for one decoding step.
+    pub fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+        match self {
+            HeadSelector::Own(selector) => selector.plan(request),
+            HeadSelector::Shared(index, scratch) => index.plan(request, scratch),
+        }
+    }
+
+    /// Nominate next-step pages (see [`TokenSelector::prefetch_hint`]).
+    pub fn prefetch_hint(
+        &mut self,
+        request: SelectionRequest<'_>,
+        lookahead_tokens: usize,
+    ) -> Vec<PageRequest> {
+        match self {
+            HeadSelector::Own(selector) => selector.prefetch_hint(request, lookahead_tokens),
+            HeadSelector::Shared(index, scratch) => {
+                index.prefetch_hint(request, lookahead_tokens, scratch)
+            }
+        }
+    }
+
+    /// Members of a page the head's last plan named.
+    pub fn page_members(&self, page: usize) -> &[usize] {
+        match self {
+            HeadSelector::Own(selector) => selector.page_members(page),
+            HeadSelector::Shared(index, _) => index.page_members(page),
+        }
+    }
+}
+
+/// Factory creating the selection state of every head of a model.
 pub trait SelectorFactory: Send + Sync {
     /// Method name, used in experiment output.
     fn name(&self) -> &str;
 
-    /// Create the selector for a given head.
+    /// Create a self-contained selector for one head (what single-head
+    /// harnesses drive, and what [`create_group`](Self::create_group) builds
+    /// per query head by default).
     fn create(&self, ctx: HeadContext) -> Box<dyn TokenSelector>;
+
+    /// Create the selection state of one GQA group. `ctx` describes the
+    /// group's first query head (`ctx.head == ctx.kv_head * ctx.group_size`);
+    /// the group covers heads `ctx.head .. ctx.head + ctx.group_size`. The
+    /// default builds one independent selector per query head; policies
+    /// whose state is a function of the keys alone override it to hand the
+    /// group one [`GroupIndex`].
+    fn create_group(&self, ctx: HeadContext) -> SelectorGroup {
+        SelectorGroup::PerHead(
+            (ctx.head..ctx.head + ctx.group_size)
+                .map(|head| self.create(HeadContext { head, ..ctx }))
+                .collect(),
+        )
+    }
 }
 
 /// The trivial policy: attend to every previous token (no compression).
@@ -552,11 +764,7 @@ mod tests {
 
     #[test]
     fn oracle_respects_budget_and_appends() {
-        let ctx = HeadContext {
-            layer: 0,
-            head: 0,
-            head_dim: 4,
-        };
+        let ctx = HeadContext::mha(0, 0, 4);
         let mut s = OracleTopKFactory.create(ctx);
         s.observe(ObserveEvent::Prefill {
             keys: &keys_matrix(20, 4),

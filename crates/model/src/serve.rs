@@ -3,8 +3,8 @@
 //!
 //! [`ServeEngine`] owns the model (config, weights, RoPE tables) exactly once
 //! and manages any number of concurrent [`SessionId`]-addressed sequences.
-//! Each session carries its own KV stores, per-head selectors, position
-//! counter and trace state, so sessions are fully isolated: interleaving
+//! Each session carries its own KV stores, per-KV-head selector groups,
+//! position counter and trace state, so sessions are fully isolated: interleaving
 //! their decode steps through [`decode_batch`](ServeEngine::decode_batch)
 //! produces byte-identical token streams to running each sequence alone.
 //!
@@ -32,8 +32,8 @@ use crate::attention::full_attention_weights;
 use crate::config::ModelConfig;
 use crate::latency::{LatencyModel, StepCost};
 use crate::policy::{
-    FullAttentionSelector, HeadContext, KvResidency, ObserveEvent, PageRequest, PolicyStats,
-    SelectionRequest, SelectorFactory, TokenSelector,
+    FullAttentionSelector, HeadContext, HeadSelector, KvResidency, ObserveEvent, PageRequest,
+    PolicyStats, SelectionRequest, SelectorFactory, SelectorGroup,
 };
 use crate::prefetch::{PrefetchConfig, PrefetchPredictor};
 use crate::rope::Rope;
@@ -43,7 +43,7 @@ use clusterkv_faults::{backoff_seconds, FaultInjector, FaultPlan, FaultSite, Int
 use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
 use clusterkv_kvcache::compressed::{reconstruct_page_rows, CompressionConfig};
 use clusterkv_kvcache::device::{DeviceModel, Seconds};
-use clusterkv_kvcache::prefix::{PrefixStore, PrefixStoreConfig, PrefixStoreStats};
+use clusterkv_kvcache::prefix::{PrefixStore, PrefixStoreConfig, PrefixStoreStats, SharedKvPage};
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
 use clusterkv_kvcache::types::{Budget, Bytes, HeadId, LayerId};
 use clusterkv_kvcache::KvStore;
@@ -368,9 +368,11 @@ struct StepAccounting {
 struct SessionState {
     /// KV stores indexed by `[layer][kv_head]`.
     kv: Vec<Vec<KvStore>>,
-    /// Selectors indexed by `[layer][query_head]`; dense layers hold
-    /// [`FullAttentionSelector`]s.
-    selectors: Vec<Vec<Box<dyn TokenSelector>>>,
+    /// Selection state indexed by `[layer][kv_head]`: one group per KV head,
+    /// covering the query heads that attend it (query head `h` is member
+    /// `h % G` of group `h / G`). Key events are delivered once per group;
+    /// dense layers hold [`FullAttentionSelector`]s.
+    selectors: Vec<Vec<SelectorGroup>>,
     /// Heads to trace: map from `(layer, head)` to the trace being built.
     traces: BTreeMap<(usize, usize), AttentionTrace>,
     /// Context length so far; doubles as the RoPE position of the next token.
@@ -519,10 +521,11 @@ impl ServeEngineBuilder {
     /// at every step. Residency affects accounting and modeled latency
     /// only — token streams are identical whatever the capacity.
     ///
-    /// Residency is tracked per *query* head (selectors select
-    /// independently, so their pages are distinct even within a GQA group):
-    /// under GQA the same physical KV may be resident once per query head
-    /// sharing it. Size capacities with
+    /// Residency is tracked per *query* head (heads rank with their own
+    /// queries, so they select different pages): under GQA the same
+    /// physical KV may be resident once per query head selecting it, even
+    /// where the group's heads share one index over that KV (DESIGN.md §3
+    /// records the over-count). Size capacities with
     /// [`ModelConfig::selected_kv_bytes_per_step`], which counts query
     /// heads, rather than from `kv_bytes_per_token`.
     pub fn kv_cache_capacity(mut self, capacity: Bytes) -> Self {
@@ -759,18 +762,25 @@ impl ServeEngine {
     fn make_selectors(
         config: &ModelConfig,
         factory: &dyn SelectorFactory,
-    ) -> Vec<Vec<Box<dyn TokenSelector>>> {
+    ) -> Vec<Vec<SelectorGroup>> {
+        let group_size = config.num_heads / config.num_kv_heads;
         (0..config.num_layers)
             .map(|layer| {
-                (0..config.num_heads)
-                    .map(|head| {
+                (0..config.num_kv_heads)
+                    .map(|kv_head| {
                         if layer < config.dense_layers {
-                            Box::new(FullAttentionSelector) as Box<dyn TokenSelector>
+                            SelectorGroup::PerHead(
+                                (0..group_size)
+                                    .map(|_| Box::new(FullAttentionSelector) as _)
+                                    .collect(),
+                            )
                         } else {
-                            factory.create(HeadContext {
+                            factory.create_group(HeadContext {
                                 layer,
-                                head,
+                                head: kv_head * group_size,
                                 head_dim: config.head_dim,
+                                kv_head,
+                                group_size,
                             })
                         }
                     })
@@ -781,7 +791,7 @@ impl ServeEngine {
 
     fn insert_session(
         &mut self,
-        selectors: Vec<Vec<Box<dyn TokenSelector>>>,
+        selectors: Vec<Vec<SelectorGroup>>,
     ) -> Result<SessionId, EngineError> {
         if self.sessions.len() >= self.max_sessions {
             return Err(EngineError::SessionLimitReached {
@@ -1215,11 +1225,11 @@ impl ServeEngine {
     /// head's workspace and the reconstruction writes over them in place:
     /// the recalled page is attended, not stored, so it is neither built nor
     /// sealed.
-    fn attend_compressed(
+    fn attend_compressed<'m>(
         store: &KvStore,
         selected: &[usize],
         pages: &[PageRequest],
-        selector: &dyn TokenSelector,
+        members_of: impl Fn(usize) -> &'m [usize],
         compression: CompressionConfig,
         ws: &mut Workspace,
         out: &mut [f32],
@@ -1242,7 +1252,7 @@ impl ServeEngine {
             row_of[pos] = row;
         }
         for page in pages {
-            let members = selector.page_members(page.page);
+            let members = members_of(page.page);
             reconstruct_page_rows(
                 (store.keys(), store.values()),
                 members,
@@ -1304,7 +1314,9 @@ impl ServeEngine {
 
             // Attention, phase 1 (parallel across query heads): project the
             // query, plan the token set, attend. Each head owns its selector
-            // plus a persistent kernel workspace and writes its output
+            // — or, in a group sharing one index over its KV head's keys,
+            // its planning scratch beside an immutable borrow of that index
+            // — plus a persistent kernel workspace and writes its output
             // straight into its disjoint slice of the layer's concat buffer
             // — pure, order-free compute with no allocation once the
             // workspace is warm. Heads fan out only once the context is long
@@ -1323,14 +1335,10 @@ impl ServeEngine {
             sess.concat.resize(num_heads * head_dim, 0.0);
             /// One head's unit of the parallel attention phase: its index,
             /// selector, persistent workspace and concat-buffer slice.
-            type HeadWork<'a> = (
-                usize,
-                &'a mut Box<dyn TokenSelector>,
-                &'a mut Workspace,
-                &'a mut [f32],
-            );
+            type HeadWork<'a> = (usize, HeadSelector<'a>, &'a mut Workspace, &'a mut [f32]);
             let work: Vec<HeadWork<'_>> = sess.selectors[layer]
                 .iter_mut()
+                .flat_map(SelectorGroup::heads)
                 .zip(sess.workspaces.iter_mut())
                 .zip(sess.concat.chunks_mut(head_dim))
                 .enumerate()
@@ -1339,7 +1347,7 @@ impl ServeEngine {
             let head_outcomes: Vec<HeadOutcome> = work
                 .into_par_iter()
                 .with_min_len(head_min_len)
-                .map(|(head, selector, ws, slot)| {
+                .map(|(head, mut selector, ws, slot)| {
                     Self::project_head_into(&lw.wq, &h, head, head_dim, &mut ws.q);
                     rope.apply(&mut ws.q, position);
                     let store = &kv_layer[Self::kv_head_of(config, head)];
@@ -1389,7 +1397,7 @@ impl ServeEngine {
                             store,
                             &selected,
                             pages,
-                            selector.as_ref(),
+                            |page| selector.page_members(page),
                             compression,
                             ws,
                             slot,
@@ -1508,6 +1516,7 @@ impl ServeEngine {
     /// full KV size.
     fn settle_session_memory(config: &ModelConfig, sess: &mut SessionState) {
         if sess.cache.enabled() {
+            let group = config.num_heads / config.num_kv_heads;
             for layer in config.dense_layers..config.num_layers {
                 for head in 0..config.num_heads {
                     // Once a head's KV is offloaded the decision is permanent
@@ -1518,7 +1527,8 @@ impl ServeEngine {
                     // Both paged and recall-compressed tables warm the same
                     // way: admission is always exact, demotion to the
                     // compressed tier happens under eviction pressure.
-                    if let Some(pages) = sess.selectors[layer][head].page_table().page_requests() {
+                    let table = sess.selectors[layer][head / group].page_table(head % group);
+                    if let Some(pages) = table.page_requests() {
                         sess.cache.warm(LayerId(layer), HeadId(head), pages);
                     }
                 }
@@ -1536,33 +1546,34 @@ impl ServeEngine {
             .expect("host DRAM exhausted by simulated KV");
     }
 
-    /// Fan an observe event out across every selective `(layer, head)`
-    /// selector of a session. The closure receives the selector's layer
-    /// offset (0 = first selective layer) and the head index, and must be
-    /// order-free: selectors are independent, so the fan-out runs
+    /// Fan a key event out across the selector group of every selective
+    /// `(layer, kv_head)` of a session — once per KV head, however many
+    /// query heads read it. The closure receives the group's layer offset
+    /// (0 = first selective layer) and KV-head index, and must be
+    /// order-free: groups are independent, so the fan-out runs
     /// data-parallel (DESIGN.md §4).
-    fn observe_selective<F>(config: &ModelConfig, sess: &mut SessionState, observe: F)
+    fn observe_selective<F>(dense_layers: usize, selectors: &mut [Vec<SelectorGroup>], observe: F)
     where
-        F: Fn(usize, usize, &mut Box<dyn TokenSelector>) + Sync,
+        F: Fn(usize, usize, &mut SelectorGroup) + Sync,
     {
-        sess.selectors[config.dense_layers..]
+        selectors[dense_layers..]
             .iter_mut()
             .enumerate()
-            .flat_map(|(li, heads)| {
-                heads
+            .flat_map(|(li, groups)| {
+                groups
                     .iter_mut()
                     .enumerate()
-                    .map(move |(head, sel)| (li, head, sel))
+                    .map(move |(kv_head, group)| (li, kv_head, group))
             })
             .collect::<Vec<_>>()
             .into_par_iter()
             .with_min_len(1)
-            .for_each(|(li, head, sel)| observe(li, head, sel));
+            .for_each(|(li, kv_head, group)| observe(li, kv_head, group));
     }
 
     /// Forward one contiguous chunk of a session's prompt with full causal
-    /// attention, letting every selective head's selector observe the
-    /// chunk's keys ([`ObserveEvent::PrefillChunk`]). Returns the final
+    /// attention, letting every selective KV head's selector group observe
+    /// the chunk's keys ([`ObserveEvent::PrefillChunk`]). Returns the final
     /// hidden state of the chunk's last token.
     ///
     /// Chunks are resumable: a prompt may arrive over any number of calls
@@ -1658,32 +1669,38 @@ impl ServeEngine {
                     for (layer, layer_kv) in sess.kv.iter_mut().enumerate() {
                         for (kv_head, kv) in layer_kv.iter_mut().enumerate() {
                             for seg in &segments {
-                                // Integrity gate (DESIGN.md §11): the page's
-                                // seal is checked before its rows are
-                                // adopted; a damaged seal is repaired from
-                                // the pristine rows (recompute + re-donate)
-                                // so adoption never propagates corruption.
-                                let key = (seg.node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                                    ^ ((layer as u64) << 32)
-                                    ^ ((kv_head as u64) << 16)
-                                    ^ id.raw();
-                                if injector.should_corrupt(FaultSite::PrefixAdoption, key)
-                                    && store.corrupt_page(seg.node, layer, kv_head)
-                                {
-                                    sess.integrity.record_injected();
-                                }
-                                match store.verify_page(seg.node, layer, kv_head) {
-                                    Some(true) => sess.integrity.record_verified(),
-                                    Some(false) => {
-                                        sess.integrity.record_verified();
-                                        sess.integrity.record_detected();
-                                        if let Some(bytes) =
-                                            store.repair_page(seg.node, layer, kv_head)
-                                        {
-                                            sess.integrity.record_repaired(bytes.get());
-                                        }
+                                // Integrity gate (DESIGN.md §11): the seal
+                                // of every block the adopted rows touch is
+                                // checked before they are copied — those
+                                // blocks only, so a prompt adopted chunk by
+                                // chunk hashes each shared byte about once,
+                                // not once per chunk; a damaged seal is repaired from the pristine
+                                // rows (recompute + re-donate) so adoption
+                                // never propagates corruption.
+                                for block in SharedKvPage::blocks_of(seg.rows) {
+                                    let key = (seg.node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                                        ^ ((block as u64) << 48)
+                                        ^ ((layer as u64) << 32)
+                                        ^ ((kv_head as u64) << 16)
+                                        ^ id.raw();
+                                    if injector.should_corrupt(FaultSite::PrefixAdoption, key)
+                                        && store.corrupt_block(seg.node, layer, kv_head, block)
+                                    {
+                                        sess.integrity.record_injected();
                                     }
-                                    None => {}
+                                    match store.verify_block(seg.node, layer, kv_head, block) {
+                                        Some(true) => sess.integrity.record_verified(),
+                                        Some(false) => {
+                                            sess.integrity.record_verified();
+                                            sess.integrity.record_detected();
+                                            if let Some(bytes) =
+                                                store.repair_block(seg.node, layer, kv_head, block)
+                                            {
+                                                sess.integrity.record_repaired(bytes.get());
+                                            }
+                                        }
+                                        None => {}
+                                    }
                                 }
                                 let page = store.page(seg.node, layer, kv_head);
                                 kv.append_shared(
@@ -1723,12 +1740,10 @@ impl ServeEngine {
                 false,
             )?;
         }
-        // Notify selectors of the chunk's keys (per query head, sharing one
-        // copy of the associated KV head's chunk rows across its query-head
-        // group). Selectors are independent, making the observes order-free;
-        // policies whose prefill pass is global (ClusterKV's clustering,
-        // InfiniGen's SVD) buffer here and reconcile on `PrefillDone`.
-        let group = config.num_heads / config.num_kv_heads;
+        // Notify the selector groups of the chunk's keys, once per KV head.
+        // Groups are independent, making the observes order-free; policies
+        // whose prefill pass is global (ClusterKV's clustering, InfiniGen's
+        // SVD) buffer here and reconcile on `PrefillDone`.
         let end = sess.num_tokens;
         let keys_per_layer: Vec<Vec<Matrix>> = (config.dense_layers..config.num_layers)
             .map(|layer| {
@@ -1737,30 +1752,34 @@ impl ServeEngine {
                     .collect()
             })
             .collect();
-        Self::observe_selective(config, sess, |li, head, sel| {
-            sel.observe(ObserveEvent::PrefillChunk {
-                start,
-                keys: &keys_per_layer[li][head / group],
-            });
-        });
+        Self::observe_selective(
+            config.dense_layers,
+            &mut sess.selectors,
+            |li, kv_head, group| {
+                group.observe(ObserveEvent::PrefillChunk {
+                    start,
+                    keys: &keys_per_layer[li][kv_head],
+                });
+            },
+        );
         sess.phase = SessionPhase::Prefilling;
         sess.next_input = Some(*chunk.last().expect("chunk checked non-empty"));
         Ok(last)
     }
 
-    /// Seal a chunked prefill: selectors reconcile their prompt state
+    /// Seal a chunked prefill: selector groups reconcile their prompt state
     /// ([`ObserveEvent::PrefillDone`] — this is where ClusterKV's semantic
-    /// clustering runs, Fig. 5 step 1, the heaviest per-head work of a
-    /// session's lifetime), the prefill KV settles into the tiered memory
+    /// clustering runs, Fig. 5 step 1, once per KV head: the heaviest
+    /// selection work of a session's lifetime), the prefill KV settles into the tiered memory
     /// hierarchy, and the session becomes decodable (its next decode input
     /// is the last prompt token).
     ///
     /// With a [`PrefixStore`], sealing also donates the session's prompt KV
     /// into the tree (refcounted, pinned until release) and reconciles
-    /// selector state: the first session to seal a prompt exports its
-    /// post-clustering state to the terminal node, and later sessions adopt
-    /// it — skipping the k-means entirely — when the fingerprint and token
-    /// count line up.
+    /// selector state per `(layer, kv_head)`: the first session to seal a
+    /// prompt exports its post-clustering state to the terminal node, and
+    /// later sessions adopt it — skipping the k-means entirely — when the
+    /// fingerprint and token count line up.
     ///
     /// # Errors
     ///
@@ -1811,26 +1830,26 @@ impl ServeEngine {
                 .map(|store| (store, node))
         });
         let dense = config.dense_layers;
-        Self::observe_selective(config, sess, |li, head, sel| {
+        Self::observe_selective(dense, &mut sess.selectors, |li, kv_head, group| {
             if let Some((store, node)) = adopt_from {
-                if let Some(state) = store.selector_state(node, li + dense, head) {
-                    if sel.adopt_prefill_state(state, total_tokens) {
+                if let Some(state) = store.selector_state(node, li + dense, kv_head) {
+                    if group.adopt_prefill_state(state, total_tokens) {
                         return;
                     }
                 }
             }
-            sel.observe(ObserveEvent::PrefillDone { total_tokens });
+            group.observe(ObserveEvent::PrefillDone { total_tokens });
         });
         if let Some(node) = terminal {
             let store = prefix.as_mut().expect("terminal implies a store");
             if !store.has_selector_states(node) {
                 // First session to seal this exact prompt: export each
-                // selective head's post-reconcile state so later sessions
+                // selective KV head's post-reconcile state so later sessions
                 // skip the clustering work.
-                for (li, heads) in sess.selectors[dense..].iter().enumerate() {
-                    for (head, sel) in heads.iter().enumerate() {
-                        if let Some(state) = sel.export_prefill_state() {
-                            store.cache_selector_state(node, li + dense, head, state);
+                for (li, groups) in sess.selectors[dense..].iter().enumerate() {
+                    for (kv_head, group) in groups.iter().enumerate() {
+                        if let Some(state) = group.export_prefill_state() {
+                            store.cache_selector_state(node, li + dense, kv_head, state);
                         }
                     }
                 }
@@ -1929,36 +1948,19 @@ impl ServeEngine {
         sess.step = StepAccounting::default();
         let hidden = Self::forward_token(config, weights, rope, policy, sess, token, true)?;
 
-        // Notify selectors of the new keys appended at `position` — parallel
-        // across the independent (layer, head) selectors, one key snapshot
-        // per KV head. Incremental clustering (ClusterKV's periodic k-means
-        // over the decode buffer) runs inside these observes.
-        let group = config.num_heads / config.num_kv_heads;
-        let key_per_layer: Vec<Vec<Vec<f32>>> = (config.dense_layers..config.num_layers)
-            .map(|layer| {
-                (0..config.num_kv_heads)
-                    .map(|kv_head| sess.kv[layer][kv_head].key(position).to_vec())
-                    .collect()
-            })
-            .collect();
-        sess.selectors[config.dense_layers..]
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(li, heads)| {
-                heads
-                    .iter_mut()
-                    .enumerate()
-                    .map(move |(head, sel)| (li, head, sel))
-            })
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .with_min_len(1)
-            .for_each(|(li, head, sel)| {
-                sel.observe(ObserveEvent::Append {
-                    position,
-                    key: &key_per_layer[li][head / group],
-                });
+        // Notify the selector groups of the key each KV head appended at
+        // `position` — parallel across the independent (layer, kv_head)
+        // groups, read straight from the session's stores. Incremental
+        // clustering (ClusterKV's periodic k-means over the decode buffer)
+        // runs inside these observes, once per KV head.
+        let dense = config.dense_layers;
+        let kv = &sess.kv;
+        Self::observe_selective(dense, &mut sess.selectors, |li, kv_head, group| {
+            group.observe(ObserveEvent::Append {
+                position,
+                key: kv[li + dense][kv_head].key(position),
             });
+        });
         // New KV (and any freshly created clusters) was produced on-device;
         // settle what stays resident, then stage this step's nominations for
         // the next step. Staging runs after settlement so freshly admitted
@@ -2233,7 +2235,7 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FullAttentionFactory, OracleTopKFactory, SelectionPlan};
+    use crate::policy::{FullAttentionFactory, OracleTopKFactory, SelectionPlan, TokenSelector};
 
     fn tiny_serve(budget: usize) -> ServeEngine {
         ServeEngine::builder(ModelConfig::tiny())
@@ -2656,6 +2658,174 @@ mod tests {
                 inner: crate::policy::OracleTopKSelector::new(ctx.head_dim),
             })
         }
+    }
+
+    /// A GQA shape: 4 query heads over 2 KV heads, one dense layer under
+    /// two selective ones.
+    fn gqa_config() -> ModelConfig {
+        ModelConfig {
+            num_layers: 3,
+            num_heads: 4,
+            num_kv_heads: 2,
+            dense_layers: 1,
+            ..ModelConfig::tiny()
+        }
+    }
+
+    /// What the shared test index below saw, across every instance a
+    /// factory created.
+    #[derive(Default)]
+    struct ObserveCounts {
+        chunks: std::sync::atomic::AtomicUsize,
+        done: std::sync::atomic::AtomicUsize,
+        appends: std::sync::atomic::AtomicUsize,
+        adopted: std::sync::atomic::AtomicUsize,
+    }
+
+    /// Bytes the shared test index charges for its exported state.
+    const SHARED_STATE_BYTES: u64 = 96;
+
+    /// Test-only group index: the oracle's exact top-k over the KV head's
+    /// keys — a function of the keys alone, so one instance serves a whole
+    /// group exactly as per-head [`OracleTopKSelector`]s would.
+    ///
+    /// [`OracleTopKSelector`]: crate::policy::OracleTopKSelector
+    struct SharedTopK {
+        keys: Matrix,
+        sealed: bool,
+        counts: std::sync::Arc<ObserveCounts>,
+    }
+
+    impl crate::policy::GroupIndex for SharedTopK {
+        fn observe(&mut self, event: ObserveEvent<'_>) {
+            use std::sync::atomic::Ordering::Relaxed;
+            match event {
+                ObserveEvent::Prefill { .. } => unreachable!("the engine feeds chunks"),
+                ObserveEvent::PrefillChunk { start, keys } => {
+                    assert_eq!(start, self.keys.rows(), "chunks arrive once, in order");
+                    self.keys.extend_rows(keys).unwrap();
+                    self.counts.chunks.fetch_add(1, Relaxed);
+                }
+                ObserveEvent::PrefillDone { total_tokens } => {
+                    assert_eq!(total_tokens, self.keys.rows());
+                    self.sealed = true;
+                    self.counts.done.fetch_add(1, Relaxed);
+                }
+                ObserveEvent::Append { position, key } => {
+                    assert_eq!(position, self.keys.rows(), "one append per position");
+                    self.keys.push_row(key).unwrap();
+                    self.counts.appends.fetch_add(1, Relaxed);
+                }
+            }
+        }
+
+        fn plan(&self, request: SelectionRequest<'_>, _scratch: &mut Workspace) -> SelectionPlan {
+            let n = request.num_tokens.min(self.keys.rows());
+            if request.budget.covers(n) {
+                return SelectionPlan::full(n);
+            }
+            let scores: Vec<f32> = (0..n)
+                .map(|i| clusterkv_tensor::vector::dot(self.keys.row(i), request.query))
+                .collect();
+            let indices = clusterkv_tensor::vector::top_k_indices(&scores, request.budget.tokens());
+            SelectionPlan::new(indices).with_stats(PolicyStats {
+                scored_vectors: n as u64,
+                ..PolicyStats::default()
+            })
+        }
+
+        fn export_prefill_state(&self) -> Option<crate::policy::SharedPrefixState> {
+            self.sealed.then(|| crate::policy::SharedPrefixState {
+                fingerprint: 7,
+                bytes: Bytes(SHARED_STATE_BYTES),
+                state: std::sync::Arc::new(self.keys.rows()),
+            })
+        }
+
+        fn adopt_prefill_state(
+            &mut self,
+            state: &crate::policy::SharedPrefixState,
+            total_tokens: usize,
+        ) -> bool {
+            assert_eq!(state.state.downcast_ref::<usize>(), Some(&total_tokens));
+            self.sealed = true;
+            self.counts
+                .adopted
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            true
+        }
+    }
+
+    struct SharedTopKFactory(std::sync::Arc<ObserveCounts>);
+
+    impl SelectorFactory for SharedTopKFactory {
+        fn name(&self) -> &str {
+            "SharedTopK"
+        }
+        fn create(&self, _ctx: HeadContext) -> Box<dyn TokenSelector> {
+            unreachable!("the engine asks for groups")
+        }
+        fn create_group(&self, ctx: HeadContext) -> SelectorGroup {
+            assert_eq!(ctx.head, ctx.kv_head * ctx.group_size);
+            let index = SharedTopK {
+                keys: Matrix::zeros(0, ctx.head_dim),
+                sealed: false,
+                counts: self.0.clone(),
+            };
+            SelectorGroup::shared(Box::new(index), ctx.group_size)
+        }
+    }
+
+    #[test]
+    fn a_shared_index_sees_each_key_event_once_per_kv_head() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let cfg = gqa_config();
+        let prompt: Vec<usize> = (0..40).map(|i| (i * 5 + 1) % 128).collect();
+        let run = |factory: &dyn SelectorFactory| {
+            let mut eng = ServeEngine::builder(cfg)
+                .synthetic_weights(7)
+                .budget(Budget::new(8))
+                .prefix_store(Bytes(1 << 20))
+                .build()
+                .unwrap();
+            let mut streams = Vec::new();
+            for _ in 0..2 {
+                let s = eng.create_session_with(factory).unwrap();
+                for chunk in prompt.chunks(16) {
+                    eng.prefill_chunk(s, chunk).unwrap();
+                }
+                eng.finish_prefill(s).unwrap();
+                let stream: Vec<usize> = (0..6)
+                    .map(|_| eng.decode_batch(&[s]).unwrap()[0].next_token)
+                    .collect();
+                streams.push((stream, eng.session_stats(s).unwrap()));
+            }
+            (streams, eng)
+        };
+        // Reference: one independent oracle per query head (the default
+        // `create_group`), 4 per layer.
+        let (per_head, _) = run(&OracleTopKFactory);
+        let counts = std::sync::Arc::new(ObserveCounts::default());
+        let (shared, eng) = run(&SharedTopKFactory(counts.clone()));
+        assert_eq!(shared, per_head, "same keys, same plans, same streams");
+
+        // 2 selective layers × 2 KV heads = 4 indexes per session, each
+        // observing once what its 2 query heads attend.
+        let groups = 4;
+        assert_eq!(counts.chunks.load(Relaxed), 2 * 3 * groups);
+        assert_eq!(counts.appends.load(Relaxed), 2 * 6 * groups);
+        // The first session reconciles and exports; the second adopts.
+        assert_eq!(counts.done.load(Relaxed), groups);
+        assert_eq!(counts.adopted.load(Relaxed), groups);
+        // One cached state per KV head at the prompt's terminal node, and
+        // the store's running byte count still matches a recount.
+        let store = eng.prefix.as_ref().unwrap();
+        assert_eq!(store.shared_bytes(), store.recomputed_bytes());
+        let pages = Bytes(prompt.len() as u64 * cfg.kv_bytes_per_token());
+        assert_eq!(
+            store.shared_bytes(),
+            pages + Bytes(groups as u64 * SHARED_STATE_BYTES)
+        );
     }
 
     #[test]
@@ -3119,23 +3289,6 @@ mod tests {
         assert!(report.modeled_decode_time > Seconds(0.0));
     }
 
-    /// Pages with a fixed membership each, for driving `attend_compressed`
-    /// directly.
-    struct FixedPages(Vec<Vec<usize>>);
-
-    impl TokenSelector for FixedPages {
-        fn name(&self) -> &str {
-            "FixedPages"
-        }
-        fn observe(&mut self, _event: ObserveEvent<'_>) {}
-        fn plan(&mut self, _request: SelectionRequest<'_>) -> SelectionPlan {
-            unreachable!("only page_members is read")
-        }
-        fn page_members(&self, page: usize) -> &[usize] {
-            &self.0[page]
-        }
-    }
-
     /// Compressed-recall attention as it was first written: build every
     /// selected page with `compress_page` (sealed, then dropped), look rows
     /// up through an ordered map, attend over fresh gathered copies.
@@ -3207,7 +3360,6 @@ mod tests {
             .enumerate()
             .map(|(page, members)| PageRequest::new(page, members.len()))
             .collect();
-        let selector = FixedPages(pages.clone());
         let merging = CompressionConfig::int4().with_merge_threshold(0.2);
         let merged_pairs = |members: &[usize]| {
             let page = clusterkv_kvcache::compressed::compress_page(
@@ -3237,7 +3389,7 @@ mod tests {
                     &store,
                     &selected,
                     &requests,
-                    &selector,
+                    |page| &pages[page],
                     compression,
                     &mut ws,
                     &mut out,
@@ -3620,6 +3772,61 @@ mod tests {
         );
         eng.release(adopter).unwrap();
         eng.release(donor).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_seal_block_is_caught_by_the_chunk_that_adopts_it() {
+        use clusterkv_kvcache::prefix::SEAL_BLOCK_ROWS;
+        let cfg = ModelConfig {
+            max_context: 4 * SEAL_BLOCK_ROWS,
+            ..ModelConfig::tiny()
+        };
+        // Two full seal blocks and a partial third, adopted one block-sized
+        // chunk at a time.
+        let prompt: Vec<usize> = (0..2 * SEAL_BLOCK_ROWS + 76)
+            .map(|i| (i * 5 + 3) % 128)
+            .collect();
+        let mut eng = ServeEngine::builder(cfg)
+            .synthetic_weights(7)
+            .budget(Budget::new(8))
+            .policy(Box::new(OracleTopKFactory))
+            .prefix_store(Bytes(1 << 24))
+            .build()
+            .unwrap();
+        let donor = eng.create_session().unwrap();
+        eng.prefill(donor, &prompt).unwrap();
+        let reference = eng.decode_batch(&[donor]).unwrap()[0].next_token;
+        let store = eng.prefix.as_mut().unwrap();
+        let (_, segments) = store.match_from(0, &prompt);
+        assert_eq!(segments.len(), 1);
+        let node = segments[0].node;
+        assert!(store.corrupt_block(node, 1, 0, 1));
+
+        let adopter = eng.create_session().unwrap();
+        let pages = (cfg.num_layers * cfg.num_kv_heads) as u64;
+        let mut verified = 0;
+        for (chunk, piece) in prompt.chunks(SEAL_BLOCK_ROWS).enumerate() {
+            eng.prefill_chunk(adopter, piece).unwrap();
+            let integrity = eng.integrity_stats(adopter).unwrap();
+            // Each chunk hashes the one block its rows sit in, per page.
+            verified += pages;
+            assert_eq!(integrity.verifications, verified, "chunk {chunk}");
+            let caught = u64::from(chunk >= 1);
+            assert_eq!(integrity.corruptions_detected, caught, "chunk {chunk}");
+            assert_eq!(integrity.corruptions_repaired, caught, "chunk {chunk}");
+        }
+        eng.finish_prefill(adopter).unwrap();
+        assert_eq!(
+            eng.session_prefix_tokens(adopter).unwrap().1,
+            prompt.len() - 3,
+            "every chunk fast-paths all but its recomputed last token"
+        );
+        // The repair resealed that block only, and nothing reached the rows.
+        assert!(eng.prefix.as_ref().unwrap().page(node, 1, 0).verify());
+        assert_eq!(
+            eng.decode_batch(&[adopter]).unwrap()[0].next_token,
+            reference
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!
 //! Only the API surface the workspace consumes is provided: the two
 //! `IntoParallel*` traits of the prelude, `map`/`collect`/`for_each`/`sum`,
-//! `with_min_len` and [`current_num_threads`]. Swapping in the real rayon
-//! remains a manifest-only change.
+//! `with_min_len`, [`current_num_threads`] and [`current_thread_index`].
+//! Swapping in the real rayon remains a manifest-only change.
 
 use std::cell::Cell;
 
@@ -80,6 +80,15 @@ pub fn current_num_threads() -> usize {
         },
         Err(_) => default_threads(),
     }
+}
+
+/// `Some` when the calling thread is executing inside a parallel region
+/// (mirroring rayon's "index of this worker in its pool"), `None` otherwise.
+/// A region entered from such a thread runs inline, so code that can avoid
+/// building a region — and the allocations that come with one — asks here
+/// first. Reads a thread-local flag: no environment lookup, no allocation.
+pub fn current_thread_index() -> Option<usize> {
+    IN_PARALLEL_REGION.with(|f| f.get()).then_some(0)
 }
 
 /// Number of workers a region over `n` items with the given `min_len` uses.

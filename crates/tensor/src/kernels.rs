@@ -81,6 +81,10 @@ pub struct Workspace {
     pub k_rows: Matrix,
     /// Gathered value rows, aligned with `k_rows`.
     pub v_rows: Matrix,
+    /// Per-cluster running sums of a k-means update step (`C × d`, flat).
+    pub sums: Vec<f32>,
+    /// Per-cluster member counts of a k-means update step.
+    pub counts: Vec<usize>,
 }
 
 impl Workspace {
@@ -101,9 +105,13 @@ impl Workspace {
                 + self.row_norms.capacity()
                 + self.centroid_norms.capacity()
                 + self.k_rows.capacity()
-                + self.v_rows.capacity())
+                + self.v_rows.capacity()
+                + self.sums.capacity())
             + std::mem::size_of::<usize>()
-                * (self.idx.capacity() + self.labels.capacity() + self.tokens.capacity())
+                * (self.idx.capacity()
+                    + self.labels.capacity()
+                    + self.tokens.capacity()
+                    + self.counts.capacity())
             + std::mem::size_of::<u64>() * self.seen.capacity()
     }
 }

@@ -83,10 +83,32 @@ pub fn sample_distinct_indices(rng: &mut StdRng, n: usize, count: usize) -> Vec<
     idx
 }
 
+/// Sample one index from `0..n`: the draw `sample_distinct_indices(rng, n,
+/// 1)[0]` makes, without materialising the index vector.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn sample_index(rng: &mut StdRng, n: usize) -> usize {
+    rng.gen_range(0..n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn sample_index_is_the_first_distinct_draw() {
+        for seed in 0..20 {
+            for n in [1usize, 2, 7, 100] {
+                assert_eq!(
+                    sample_index(&mut seeded(seed), n),
+                    sample_distinct_indices(&mut seeded(seed), n, 1)[0]
+                );
+            }
+        }
+    }
 
     #[test]
     fn seeded_rng_is_deterministic() {

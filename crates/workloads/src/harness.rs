@@ -529,11 +529,7 @@ mod tests {
                 .with_sink_tokens(8)
                 .with_tokens_per_cluster(16),
         );
-        let ctx = clusterkv_model::policy::HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim: 32,
-        };
+        let ctx = clusterkv_model::policy::HeadContext::mha(2, 0, 32);
         let mut plain = factory.create(ctx);
         let uncached = run_episode(&e, plain.as_mut(), Budget::new(32));
         let mut cached_sel = factory.create(ctx);
@@ -578,11 +574,7 @@ mod tests {
                 .with_sink_tokens(8)
                 .with_tokens_per_cluster(16),
         );
-        let ctx = HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim: 32,
-        };
+        let ctx = HeadContext::mha(2, 0, 32);
         let budgets = [16usize, 32, 64];
         let swept = run_budget_sweep(&e, &factory, ctx, &budgets);
         assert_eq!(swept.len(), budgets.len());
@@ -752,11 +744,7 @@ mod tests {
                 .with_seed(7),
         );
         let factory = ClusterKvFactory::new(ClusterKvConfig::default());
-        let mut selector = factory.create(HeadContext {
-            layer: 0,
-            head: 0,
-            head_dim: e.config.head_dim,
-        });
+        let mut selector = factory.create(HeadContext::mha(0, 0, e.config.head_dim));
         let r = run_episode(&e, selector.as_mut(), Budget::new(32));
         assert!(r.reuse.total() > 0, "paged policy must record accesses");
         assert!(r.reuse.cold > 0, "every page is cold once");

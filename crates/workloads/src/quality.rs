@@ -350,11 +350,7 @@ mod tests {
     }
 
     fn ctx() -> HeadContext {
-        HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim: 32,
-        }
+        HeadContext::mha(2, 0, 32)
     }
 
     fn clusterkv_factory(compression: CompressionConfig) -> ClusterKvFactory {

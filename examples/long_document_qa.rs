@@ -37,11 +37,7 @@ fn main() {
         Box::new(ClusterKvFactory::default()),
     ];
     for factory in &factories {
-        let mut selector = factory.create(HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim: profile.episode.head_dim,
-        });
+        let mut selector = factory.create(HeadContext::mha(2, 0, profile.episode.head_dim));
         let result = run_episode(&episode, selector.as_mut(), budget);
         println!(
             "{:<12} {:>8.3} {:>12.3} {:>10.2}",

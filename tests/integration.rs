@@ -154,11 +154,7 @@ fn cluster_cache_hit_rate_grows_with_recency_window() {
     let hit_rate = |r: usize| {
         let config = ClusterKvConfig::default();
         let factory = ClusterKvFactory::new(config);
-        let mut sel = factory.create(HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim: episode.config.head_dim,
-        });
+        let mut sel = factory.create(HeadContext::mha(2, 0, episode.config.head_dim));
         // One step's cluster-granularity recall can overshoot the budget by
         // up to one trimmed cluster, so the R-step-equivalent capacity is
         // sized for budget + tokens_per_cluster tokens per step.
@@ -186,11 +182,7 @@ fn cache_hit_rate_is_monotone_in_capacity_and_saturates_at_full_kv() {
     let full_kv = bytes_per_token * (512 + episode.decode_steps()) as u64;
     let run_at = |capacity: u64| {
         let factory = ClusterKvFactory::new(ClusterKvConfig::default());
-        let mut sel = factory.create(HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim,
-        });
+        let mut sel = factory.create(HeadContext::mha(2, 0, head_dim));
         let mut cache = ClusterCache::new(ClusterCacheConfig::new(
             clusterkv_kvcache::types::Bytes(capacity),
             head_dim,
@@ -341,11 +333,7 @@ fn non_recallable_baselines_lose_recall_under_importance_drift() {
         Box::new(H2oFactory::default()) as Box<dyn SelectorFactory>,
         Box::new(StreamingFactory::default()),
     ] {
-        let mut sel = factory.create(HeadContext {
-            layer: 2,
-            head: 0,
-            head_dim: episode.config.head_dim,
-        });
+        let mut sel = factory.create(HeadContext::mha(2, 0, episode.config.head_dim));
         let r = run_episode(&episode, sel.as_mut(), Budget::new(budget));
         assert!(
             ckv > r.mean_recall(),

@@ -2,10 +2,11 @@
 //! (DESIGN.md §6): once a [`Workspace`] is warm, the attention + selection
 //! hot-loop kernels — scoring, ranking, the cluster fill, the lookahead
 //! nomination, gather-attend, norm maintenance — perform **zero** heap
-//! allocations per decode step, and a `ClusterKvSelector::plan` allocates
-//! exactly the two buffers its `SelectionPlan` hands to the engine (token
-//! positions, pages), whatever the budget, the cluster count or the
-//! compression config.
+//! allocations per decode step, a ClusterKV plan — a lone selector's or any
+//! query head's against its group's shared index — allocates exactly the
+//! two buffers its `SelectionPlan` hands to the engine (token positions,
+//! pages), whatever the budget, the cluster count or the compression
+//! config, and a k-means fit allocates only the `Clustering` it returns.
 //!
 //! The whole proof lives in a single `#[test]` so no concurrent test in this
 //! binary can allocate while the counters are being read (the allocator is
@@ -117,6 +118,7 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
     );
 
     selection_allocates_only_the_plan();
+    kmeans_fit_allocates_only_its_result();
 }
 
 /// The ClusterKV selection path over one 3200-token context clustered two
@@ -124,10 +126,15 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
 /// kernel and the lookahead nomination allocate nothing once warm, and every
 /// plan allocates the same two buffers. Called from the single test above.
 fn selection_allocates_only_the_plan() {
-    use clusterkv::{fill_selection_ws, lookahead_clusters_ws, ClusterKvConfig, ClusterKvSelector};
+    use clusterkv::{
+        fill_selection_ws, lookahead_clusters_ws, ClusterKvConfig, ClusterKvFactory,
+        ClusterKvSelector,
+    };
     use clusterkv_kvcache::types::Budget;
     use clusterkv_kvcache::CompressionConfig;
-    use clusterkv_model::policy::{ObserveEvent, SelectionRequest, TokenSelector};
+    use clusterkv_model::policy::{
+        HeadContext, ObserveEvent, SelectionRequest, SelectorFactory, TokenSelector,
+    };
     use clusterkv_tensor::rng::{gaussian_vec, seeded};
     use clusterkv_tensor::Matrix;
 
@@ -196,5 +203,67 @@ fn selection_allocates_only_the_plan() {
         plan_allocations,
         [2 * queries.len(); 8],
         "a warm plan allocates its index vector and its page list, nothing else"
+    );
+
+    // The same per query head when four of them plan against the one index
+    // of their KV head: each warms its own scratch, none copies the index.
+    let factory = ClusterKvFactory::new(ClusterKvConfig {
+        max_kmeans_iters: 2,
+        ..ClusterKvConfig::default()
+    });
+    let mut group = factory.create_group(HeadContext {
+        layer: 1,
+        head: 0,
+        head_dim: dim,
+        kv_head: 0,
+        group_size: 4,
+    });
+    group.observe(ObserveEvent::Prefill { keys: &keys });
+    let request = |q| SelectionRequest::new(q, n, Budget::new(256));
+    for mut head in group.heads() {
+        head.plan(request(&queries[0]));
+    }
+    let before = allocations();
+    for (mut head, q) in group.heads().zip(&queries) {
+        assert_eq!(head.plan(request(q)).len(), 256);
+    }
+    assert_eq!(allocations() - before, 2 * 4, "two buffers per query head");
+}
+
+/// A warm `KMeans::fit_with_norms` over a prompt-sized key matrix — run the
+/// way the serving engine runs it, inside a parallel region (its per-KV-head
+/// fan-out), where the assignment sweep stays on the calling worker —
+/// allocates the centroids, their norms and the labels it returns, and
+/// nothing per iteration. Called from the single test above.
+fn kmeans_fit_allocates_only_its_result() {
+    use clusterkv::{DistanceMetric, KMeans};
+    use clusterkv_tensor::kernels::row_norms_sq_into;
+    use clusterkv_tensor::rng::{gaussian_vec, seeded};
+    use clusterkv_tensor::Matrix;
+    use rayon::prelude::*;
+
+    let (n, dim, k) = (2000, 16, 25);
+    let keys = Matrix::from_flat(n, dim, gaussian_vec(&mut seeded(0x2C), n * dim, 0.0, 1.0))
+        .expect("shape matches");
+    let mut norms = Vec::new();
+    row_norms_sq_into(&keys, &mut norms);
+    let kmeans = KMeans::new(DistanceMetric::Cosine, 6, 7);
+    let mut ws = Workspace::new();
+    let fits: Vec<(usize, usize)> = vec![&mut ws]
+        .into_par_iter()
+        .map(|ws| {
+            let warm = kmeans.fit_with_norms(&keys, &norms, k, ws);
+            let before = allocations();
+            let again = kmeans.fit_with_norms(&keys, &norms, k, ws);
+            let during = allocations() - before;
+            assert_eq!(again.labels, warm.labels);
+            (again.iterations, during)
+        })
+        .collect();
+    let (iterations, during) = fits[0];
+    assert_eq!(iterations, 6, "every sweep and update step ran");
+    assert_eq!(
+        during, 3,
+        "a warm fit allocates its centroids, their norms and its labels"
     );
 }
