@@ -105,19 +105,9 @@ impl TokenSelector for H2oSelector {
 
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
-            ObserveEvent::Prefill { keys } => {
-                assert_eq!(keys.cols(), self.head_dim, "key dim mismatch");
-                for i in 0..keys.rows() {
-                    self.retained.push(Retained {
-                        position: i,
-                        key: keys.row(i).to_vec(),
-                        accumulated: 0.0,
-                    });
-                }
-            }
-            // Retention is per token with zero initial score, so chunked
-            // prefill appends incrementally (positions offset by the chunk
-            // start) and needs no reconcile.
+            // Retention is per token with zero initial score, so prompt
+            // chunks append incrementally (positions offset by the chunk
+            // start) and need no reconcile.
             ObserveEvent::PrefillChunk { start, keys } => {
                 assert_eq!(keys.cols(), self.head_dim, "key dim mismatch");
                 for i in 0..keys.rows() {
@@ -210,9 +200,7 @@ mod tests {
     use clusterkv_kvcache::types::Budget;
     use clusterkv_tensor::Matrix;
 
-    fn prefill(h: &mut dyn TokenSelector, keys: &Matrix) {
-        h.observe(ObserveEvent::Prefill { keys });
-    }
+    use clusterkv_model::policy::observe_prompt as prefill;
 
     fn select(h: &mut dyn TokenSelector, query: &[f32], n: usize, budget: usize) -> Vec<usize> {
         h.plan(SelectionRequest::new(query, n, Budget::new(budget)))

@@ -94,8 +94,7 @@ impl InfiniGenSelector {
 
     /// The global prefill pass: derive the partial projection from an SVD of
     /// the full prompt keys, then project and record every prompt key.
-    /// Called directly for a monolithic `Prefill` and on `PrefillDone` for
-    /// buffered chunks.
+    /// Runs on `PrefillDone`, over the buffered chunks.
     fn prefill_full(&mut self, keys: &Matrix) {
         assert_eq!(keys.cols(), self.head_dim, "key dim mismatch");
         // Build the partial projection from the dominant right-singular
@@ -125,7 +124,6 @@ impl TokenSelector for InfiniGenSelector {
 
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
-            ObserveEvent::Prefill { keys } => self.prefill_full(keys),
             ObserveEvent::PrefillChunk { start, keys } => {
                 assert_eq!(keys.cols(), self.head_dim, "key dim mismatch");
                 debug_assert_eq!(start, self.chunk_buffer.rows(), "chunks must be contiguous");
@@ -225,9 +223,7 @@ mod tests {
     use clusterkv_kvcache::types::Budget;
     use clusterkv_tensor::rng::{gaussian_vec, seeded};
 
-    fn prefill(s: &mut InfiniGenSelector, keys: &Matrix) {
-        s.observe(ObserveEvent::Prefill { keys });
-    }
+    use clusterkv_model::policy::observe_prompt as prefill;
 
     fn select(s: &mut InfiniGenSelector, query: &[f32], n: usize, budget: usize) -> Vec<usize> {
         s.plan(SelectionRequest::new(query, n, Budget::new(budget)))

@@ -94,7 +94,7 @@ impl std::fmt::Display for BaselineKind {
 mod tests {
     use super::*;
     use clusterkv_kvcache::types::Budget;
-    use clusterkv_model::policy::{HeadContext, ObserveEvent, SelectionRequest};
+    use clusterkv_model::policy::{observe_prompt, HeadContext, ObserveEvent, SelectionRequest};
     use clusterkv_tensor::rng::{gaussian_vec, seeded};
     use clusterkv_tensor::Matrix;
 
@@ -112,7 +112,7 @@ mod tests {
         for kind in BaselineKind::all() {
             let factory = kind.factory();
             let mut sel = factory.create(ctx);
-            sel.observe(ObserveEvent::Prefill { keys: &keys });
+            observe_prompt(sel.as_mut(), &keys);
             let key = gaussian_vec(&mut rng, 16, 0.0, 1.0);
             sel.observe(ObserveEvent::Append {
                 position: 64,

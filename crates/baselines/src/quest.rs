@@ -117,10 +117,9 @@ impl TokenSelector for QuestSelector {
 
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
-            // Page metadata builds token by token, so chunked prefill is
-            // naturally incremental: each chunk extends the page min/max
-            // exactly as a monolithic prefill would.
-            ObserveEvent::Prefill { keys } | ObserveEvent::PrefillChunk { keys, .. } => {
+            // Page metadata builds token by token, so prefill is naturally
+            // incremental: each chunk extends the page min/max in place.
+            ObserveEvent::PrefillChunk { keys, .. } => {
                 assert_eq!(keys.cols(), self.head_dim, "key dim mismatch");
                 for i in 0..keys.rows() {
                     self.add_key(self.num_tokens, keys.row(i));
@@ -221,9 +220,7 @@ mod tests {
     use clusterkv_kvcache::types::Budget;
     use clusterkv_tensor::Matrix;
 
-    fn prefill(q: &mut QuestSelector, keys: &Matrix) {
-        q.observe(ObserveEvent::Prefill { keys });
-    }
+    use clusterkv_model::policy::observe_prompt as prefill;
 
     fn append(q: &mut QuestSelector, position: usize, key: &[f32]) {
         q.observe(ObserveEvent::Append { position, key });

@@ -46,7 +46,6 @@ impl TokenSelector for StreamingSelector {
 
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
-            ObserveEvent::Prefill { keys } => self.num_tokens = keys.rows(),
             ObserveEvent::PrefillChunk { start, keys } => {
                 self.num_tokens = self.num_tokens.max(start + keys.rows());
             }
@@ -117,9 +116,7 @@ mod tests {
     use clusterkv_kvcache::types::Budget;
     use clusterkv_tensor::Matrix;
 
-    fn prefill(s: &mut StreamingSelector, keys: &Matrix) {
-        s.observe(ObserveEvent::Prefill { keys });
-    }
+    use clusterkv_model::policy::observe_prompt as prefill;
 
     fn select(s: &mut StreamingSelector, n: usize, budget: usize) -> Vec<usize> {
         s.plan(SelectionRequest::new(&[0.0; 8], n, Budget::new(budget)))

@@ -20,7 +20,7 @@ use clusterkv::{
 };
 use clusterkv_baselines::QuestFactory;
 use clusterkv_kvcache::types::Budget;
-use clusterkv_model::policy::{HeadContext, ObserveEvent, SelectionRequest, SelectorFactory};
+use clusterkv_model::policy::{observe_prompt, HeadContext, SelectionRequest, SelectorFactory};
 use clusterkv_tensor::rng::{gaussian_vec, seeded};
 use clusterkv_tensor::Matrix;
 
@@ -75,7 +75,7 @@ fn bench_quest_selection(c: &mut Criterion) {
     let keys = random_keys(len, 64, 17);
     let factory = QuestFactory::default();
     let mut selector = factory.create(HeadContext::mha(0, 0, 64));
-    selector.observe(ObserveEvent::Prefill { keys: &keys });
+    observe_prompt(selector.as_mut(), &keys);
     let query = gaussian_vec(&mut seeded(19), 64, 0.0, 1.0);
     group.bench_function("page_scoring_8k", |b| {
         b.iter(|| black_box(selector.plan(SelectionRequest::new(&query, len, Budget::new(1024)))))

@@ -20,10 +20,10 @@
 //! (`--json` prints the machine-readable summary, histogram included).
 
 use clusterkv::{ClusterCache, ClusterCacheConfig, ClusterKvConfig, ClusterKvFactory};
+use clusterkv_bench::clusterkv_cost;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::DeviceModel;
 use clusterkv_metrics::{fmt, Table};
-use clusterkv_model::latency::StepCost;
 use clusterkv_model::policy::{HeadContext, SelectorFactory};
 use clusterkv_model::{LatencyModel, ModelPreset};
 use clusterkv_workloads::{run_episode_cached, Episode, EpisodeConfig, EpisodeResult};
@@ -65,15 +65,7 @@ fn main() {
     // decode model (real recall traffic, not an assumed uniform rate).
     let cost_of = |result: &EpisodeResult| {
         let transferred_per_step = result.stats.transfer.tokens_moved as f64 / DECODE_STEPS as f64;
-        move |ctx: usize| StepCost {
-            scored_vectors_per_head: (ctx as f64 / 80.0).max(1.0),
-            attended_tokens: BUDGET as f64,
-            transferred_tokens_per_head: transferred_per_step,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
-        }
+        clusterkv_cost(model.config(), BUDGET, transferred_per_step)
     };
 
     if !json {

@@ -29,7 +29,8 @@
 
 use std::collections::BTreeMap;
 
-use clusterkv::{ClusterKvConfig, ClusterKvFactory};
+use clusterkv::ClusterKvFactory;
+use clusterkv_bench::{serving_clusterkv_config, serving_model_config, smoke, with_threads};
 use clusterkv_faults::FaultPlan;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_metrics::{fmt, Table};
@@ -40,25 +41,14 @@ use clusterkv_workloads::{generate_traffic, TrafficConfig};
 const BUDGET: usize = 48;
 const SEED: u64 = 0xE16;
 
-fn smoke() -> bool {
-    std::env::var("EXP_FAULTS_SMOKE").is_ok()
-}
+const SMOKE_VAR: &str = "EXP_FAULTS_SMOKE";
 
 fn model_config() -> ModelConfig {
-    ModelConfig {
-        num_layers: 3,
-        num_heads: 4,
-        num_kv_heads: 2,
-        head_dim: 16,
-        ffn_dim: 64,
-        vocab_size: 256,
-        max_context: 512,
-        dense_layers: 1,
-    }
+    serving_model_config(512)
 }
 
 fn num_requests() -> usize {
-    if smoke() {
+    if smoke(SMOKE_VAR) {
         10
     } else {
         24
@@ -70,13 +60,7 @@ fn num_requests() -> usize {
 /// happen) plus a prefix store (the crash checkpoint: prompts donated at
 /// finish-prefill are re-adopted on retry instead of recomputed).
 fn engine(plan: FaultPlan) -> ServeEngine {
-    let factory = ClusterKvFactory::new(
-        ClusterKvConfig::default()
-            .with_sink_tokens(4)
-            .with_tokens_per_cluster(16)
-            .with_decode_cluster_period(8)
-            .with_decode_new_clusters(2),
-    );
+    let factory = ClusterKvFactory::new(serving_clusterkv_config());
     ServeEngine::builder(model_config())
         .synthetic_weights(SEED)
         .budget(Budget::new(BUDGET))
@@ -115,7 +99,7 @@ fn serve(plan: FaultPlan, policy: RecoveryPolicy) -> ServingReport {
     let traffic = generate_traffic(
         &TrafficConfig::new(num_requests(), 200.0, cfg.vocab_size)
             .with_prompt_len(24, 96)
-            .with_output_len(4, if smoke() { 8 } else { 12 })
+            .with_output_len(4, if smoke(SMOKE_VAR) { 8 } else { 12 })
             .with_priority_levels(3)
             .with_seed(SEED),
     );
@@ -131,19 +115,6 @@ fn serve(plan: FaultPlan, policy: RecoveryPolicy) -> ServingReport {
     let mut sched = Scheduler::new(engine(plan), sched_cfg).expect("valid scheduler config");
     sched.submit_all(traffic).expect("trace is servable");
     sched.run().expect("trace completes")
-}
-
-/// Run `body` with `RAYON_NUM_THREADS` pinned to `threads`, restoring the
-/// previous value afterwards.
-fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let out = body();
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
 }
 
 /// Completed token streams keyed by request id.
@@ -169,7 +140,11 @@ fn main() {
             cfg.num_layers,
             cfg.num_heads,
             num_requests(),
-            if smoke() { " (smoke scale)" } else { "" },
+            if smoke(SMOKE_VAR) {
+                " (smoke scale)"
+            } else {
+                ""
+            },
         );
     }
 
@@ -332,7 +307,7 @@ fn main() {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"bench\": \"exp_faults\",\n");
-        out.push_str(&format!("  \"smoke\": {},\n", smoke()));
+        out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
         out.push_str(&format!(
             "  \"threads\": {},\n",
             rayon::current_num_threads()

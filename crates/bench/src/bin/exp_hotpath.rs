@@ -29,6 +29,7 @@ use clusterkv::{
     assign_labels, assign_labels_reference, select_clusters, select_clusters_ws, ClusterKvConfig,
     DistanceMetric, SemanticClustering,
 };
+use clusterkv_bench::smoke;
 use clusterkv_kvcache::types::Budget;
 use clusterkv_kvcache::KvStore;
 use clusterkv_metrics::{fmt, Table};
@@ -42,9 +43,7 @@ const N: usize = 8192;
 const DIM: usize = 64;
 const SPEEDUP_FLOOR: f64 = 2.0;
 
-fn smoke() -> bool {
-    std::env::var("EXP_HOTPATH_SMOKE").is_ok_and(|v| v == "1")
-}
+const SMOKE_VAR: &str = "EXP_HOTPATH_SMOKE";
 
 /// Best-of-`trials` wall-clock of `reps` calls to `f`, in seconds per call.
 /// Best-of (not mean) rejects scheduler noise on shared CI hosts.
@@ -175,7 +174,10 @@ fn bench_decode_step(trials: usize, steps: usize) -> (Section, f64) {
 fn emit_json(sections: &[Section], tokens_per_sec: f64, scale: (usize, usize, usize)) {
     let (trials, reps, steps) = scale;
     let mut out = String::from("{\"bench\":\"exp_hotpath\"");
-    out.push_str(&format!(",\"n\":{N},\"dim\":{DIM},\"smoke\":{}", smoke()));
+    out.push_str(&format!(
+        ",\"n\":{N},\"dim\":{DIM},\"smoke\":{}",
+        smoke(SMOKE_VAR)
+    ));
     out.push_str(&format!(",\"threads\":{}", rayon::current_num_threads()));
     out.push_str(&format!(
         ",\"scale\":{{\"trials\":{trials},\"reps\":{reps},\"decode_steps\":{steps}}}"
@@ -201,7 +203,11 @@ fn emit_json(sections: &[Section], tokens_per_sec: f64, scale: (usize, usize, us
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let (trials, reps, steps) = if smoke() { (2, 3, 8) } else { (5, 10, 24) };
+    let (trials, reps, steps) = if smoke(SMOKE_VAR) {
+        (2, 3, 8)
+    } else {
+        (5, 10, 24)
+    };
 
     let scoring = bench_centroid_scoring(trials, reps);
     let assignment = bench_kmeans_assignment(trials, reps.clamp(3, 5));

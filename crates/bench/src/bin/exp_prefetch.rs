@@ -26,7 +26,8 @@
 //! (set `EXP_PREFETCH_SMOKE=1` for the CI-sized sweep, `--json` for the
 //! machine-readable summary).
 
-use clusterkv::{ClusterKvConfig, ClusterKvFactory};
+use clusterkv::ClusterKvFactory;
+use clusterkv_bench::{serving_clusterkv_config, serving_model_config, smoke, with_threads};
 use clusterkv_kvcache::stats::PrefetchStats;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::DeviceModel;
@@ -35,24 +36,12 @@ use clusterkv_model::{ModelConfig, PrefetchConfig, ServeEngine, SessionReport};
 
 const SEED: u64 = 0xE15;
 const BUDGET: usize = 48;
-const TOKENS_PER_CLUSTER: usize = 16;
 const SESSIONS: usize = 3;
 
-fn smoke() -> bool {
-    std::env::var("EXP_PREFETCH_SMOKE").is_ok()
-}
+const SMOKE_VAR: &str = "EXP_PREFETCH_SMOKE";
 
 fn model_config() -> ModelConfig {
-    ModelConfig {
-        num_layers: 3,
-        num_heads: 4,
-        num_kv_heads: 2,
-        head_dim: 16,
-        ffn_dim: 64,
-        vocab_size: 256,
-        max_context: 1024,
-        dense_layers: 1,
-    }
+    serving_model_config(1024)
 }
 
 /// Device model for this experiment: the bench-scale weights are ~100 KB,
@@ -69,7 +58,7 @@ fn bench_device() -> DeviceModel {
 }
 
 fn context_len() -> usize {
-    if smoke() {
+    if smoke(SMOKE_VAR) {
         96
     } else {
         192
@@ -77,7 +66,7 @@ fn context_len() -> usize {
 }
 
 fn decode_steps() -> usize {
-    if smoke() {
+    if smoke(SMOKE_VAR) {
         6
     } else {
         16
@@ -85,13 +74,7 @@ fn decode_steps() -> usize {
 }
 
 fn engine(capacity: Bytes, prefetch: PrefetchConfig) -> ServeEngine {
-    let factory = ClusterKvFactory::new(
-        ClusterKvConfig::default()
-            .with_sink_tokens(4)
-            .with_tokens_per_cluster(TOKENS_PER_CLUSTER)
-            .with_decode_cluster_period(8)
-            .with_decode_new_clusters(2),
-    );
+    let factory = ClusterKvFactory::new(serving_clusterkv_config());
     ServeEngine::builder(model_config())
         .synthetic_weights(SEED)
         .budget(Budget::new(BUDGET))
@@ -101,19 +84,6 @@ fn engine(capacity: Bytes, prefetch: PrefetchConfig) -> ServeEngine {
         .prefetch(prefetch)
         .build()
         .expect("valid serving config")
-}
-
-/// Run `body` with `RAYON_NUM_THREADS` pinned to `threads`, restoring the
-/// previous value afterwards.
-fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let out = body();
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
 }
 
 /// Everything one serving run produces that the gates compare. Clock times
@@ -211,7 +181,8 @@ fn main() {
     // trimmed cluster of slack): 1/4 and 1/2 thrash hard (the speedup
     // gates), 1 ≈ the paper's recency window R = 1, 8 holds the working
     // set.
-    let unit = cfg.selected_kv_bytes_per_step(BUDGET + TOKENS_PER_CLUSTER);
+    let unit =
+        cfg.selected_kv_bytes_per_step(BUDGET + serving_clusterkv_config().tokens_per_cluster);
     let capacities: [(&str, Bytes); 4] = [
         ("1/4", Bytes(unit / 4)),
         ("1/2", Bytes(unit / 2)),
@@ -230,7 +201,11 @@ fn main() {
             context_len(),
             decode_steps(),
             BUDGET,
-            if smoke() { " (smoke scale)" } else { "" },
+            if smoke(SMOKE_VAR) {
+                " (smoke scale)"
+            } else {
+                ""
+            },
         );
     }
 
@@ -383,7 +358,7 @@ fn main() {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"bench\": \"exp_prefetch\",\n");
-        out.push_str(&format!("  \"smoke\": {},\n", smoke()));
+        out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
         out.push_str(&format!(
             "  \"threads\": {},\n",
             rayon::current_num_threads()

@@ -29,7 +29,8 @@
 //! (set `EXP_PREFIX_SMOKE=1` for the CI-sized trace, `--json` for the
 //! machine-readable summary).
 
-use clusterkv::{ClusterKvConfig, ClusterKvFactory};
+use clusterkv::ClusterKvFactory;
+use clusterkv_bench::{serving_clusterkv_config, serving_model_config, smoke, with_threads};
 use clusterkv_kvcache::prefix::PrefixStoreStats;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_metrics::{fmt, LatencySummary, Table};
@@ -46,21 +47,10 @@ const PREFILL_FLOOR: f64 = 2.0;
 /// this fraction of the cold run on the 90 %-shared workload.
 const COMPUTE_CEILING: f64 = 0.5;
 
-fn smoke() -> bool {
-    std::env::var("EXP_PREFIX_SMOKE").is_ok()
-}
+const SMOKE_VAR: &str = "EXP_PREFIX_SMOKE";
 
 fn model_config() -> ModelConfig {
-    ModelConfig {
-        num_layers: 3,
-        num_heads: 4,
-        num_kv_heads: 2,
-        head_dim: 16,
-        ffn_dim: 64,
-        vocab_size: 256,
-        max_context: 1024,
-        dense_layers: 1,
-    }
+    serving_model_config(1024)
 }
 
 /// Workload scale: `requests` users over `templates` shared prompt
@@ -77,7 +67,7 @@ struct Scale {
 }
 
 fn scale() -> Scale {
-    if smoke() {
+    if smoke(SMOKE_VAR) {
         Scale {
             requests: 12,
             prompt_len: 80,
@@ -99,13 +89,7 @@ fn scale() -> Scale {
 }
 
 fn engine(store: bool) -> ServeEngine {
-    let factory = ClusterKvFactory::new(
-        ClusterKvConfig::default()
-            .with_sink_tokens(4)
-            .with_tokens_per_cluster(16)
-            .with_decode_cluster_period(8)
-            .with_decode_new_clusters(2),
-    );
+    let factory = ClusterKvFactory::new(serving_clusterkv_config());
     let mut builder = ServeEngine::builder(model_config())
         .synthetic_weights(SEED)
         .budget(Budget::new(BUDGET))
@@ -115,20 +99,6 @@ fn engine(store: bool) -> ServeEngine {
         builder = builder.prefix_store(Bytes(8 << 20));
     }
     builder.build().expect("valid serving config")
-}
-
-/// Run `body` with `RAYON_NUM_THREADS` pinned to `threads`, restoring the
-/// previous value afterwards (the rayon shim re-reads the variable at every
-/// parallel region, so this takes effect immediately).
-fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let out = body();
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
 }
 
 /// Deterministic parity prompts: three users over one shared template plus
@@ -258,7 +228,7 @@ fn emit_json(s: Scale, j: &JsonSummary) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"exp_prefix\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
+    out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
     out.push_str(&format!(
         "  \"threads\": {},\n",
         rayon::current_num_threads()
@@ -322,7 +292,11 @@ fn main() {
             s.prompt_len,
             s.templates,
             s.shared_len,
-            if smoke() { " (smoke scale)" } else { "" },
+            if smoke(SMOKE_VAR) {
+                " (smoke scale)"
+            } else {
+                ""
+            },
         );
     }
 

@@ -25,6 +25,7 @@
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory};
 use clusterkv_baselines::BaselineKind;
+use clusterkv_bench::smoke;
 use clusterkv_kvcache::compressed::CompressionConfig;
 use clusterkv_kvcache::types::Budget;
 use clusterkv_metrics::{fmt, Table};
@@ -50,12 +51,10 @@ const MERGE: f32 = 0.3;
 /// quantization error of the surviving vectors by a hair.
 const MERGE_PPL_SLACK: f64 = 0.05;
 
-fn smoke() -> bool {
-    std::env::var("EXP_QUALITY_SMOKE").is_ok()
-}
+const SMOKE_VAR: &str = "EXP_QUALITY_SMOKE";
 
 fn episode() -> Episode {
-    let (context_len, decode_steps, num_topics) = if smoke() {
+    let (context_len, decode_steps, num_topics) = if smoke(SMOKE_VAR) {
         (384, 12, 8)
     } else {
         (2048, 48, 24)
@@ -70,7 +69,7 @@ fn episode() -> Episode {
 }
 
 fn budget() -> usize {
-    if smoke() {
+    if smoke(SMOKE_VAR) {
         96
     } else {
         512
@@ -134,7 +133,7 @@ fn emit_json(frontiers: &[MethodFrontier], parity_methods: usize) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"exp_quality\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
+    out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
     out.push_str(&format!("  \"budget\": {},\n", budget()));
     out.push_str(&format!(
         "  \"lossless_parity_methods\": {parity_methods},\n"
@@ -185,7 +184,11 @@ fn main() {
             episode.config.context_len,
             episode.config.decode_steps,
             budget(),
-            if smoke() { " (smoke scale)" } else { "" }
+            if smoke(SMOKE_VAR) {
+                " (smoke scale)"
+            } else {
+                ""
+            }
         );
     }
 

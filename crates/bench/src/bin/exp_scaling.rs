@@ -17,7 +17,8 @@
 //!
 //! Run with: `cargo run --release -p clusterkv-bench --bin exp_scaling`
 
-use clusterkv::{ClusterKvConfig, ClusterKvFactory};
+use clusterkv::ClusterKvFactory;
+use clusterkv_bench::serving_clusterkv_config;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_metrics::{fmt, Table};
 use clusterkv_model::{ModelConfig, ServeEngine, SessionId};
@@ -44,13 +45,7 @@ fn model_config() -> ModelConfig {
 }
 
 fn clusterkv_factory() -> ClusterKvFactory {
-    ClusterKvFactory::new(
-        ClusterKvConfig::default()
-            .with_sink_tokens(4)
-            .with_tokens_per_cluster(16)
-            .with_decode_cluster_period(8)
-            .with_decode_new_clusters(2),
-    )
+    ClusterKvFactory::new(serving_clusterkv_config())
 }
 
 fn prompts() -> Vec<Vec<usize>> {

@@ -21,7 +21,8 @@
 //! Run with: `cargo run --release -p clusterkv-bench --bin exp_serving`
 //! (set `EXP_SERVING_SMOKE=1` for the CI-sized trace).
 
-use clusterkv::{ClusterKvConfig, ClusterKvFactory};
+use clusterkv::ClusterKvFactory;
+use clusterkv_bench::{serving_clusterkv_config, serving_model_config};
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_metrics::{fmt, LatencySummary, Table};
 use clusterkv_model::{ModelConfig, ServeEngine};
@@ -32,26 +33,11 @@ const BUDGET: usize = 48;
 const SEED: u64 = 0xE13;
 
 fn model_config() -> ModelConfig {
-    ModelConfig {
-        num_layers: 3,
-        num_heads: 4,
-        num_kv_heads: 2,
-        head_dim: 16,
-        ffn_dim: 64,
-        vocab_size: 256,
-        max_context: 512,
-        dense_layers: 1,
-    }
+    serving_model_config(512)
 }
 
 fn engine(kv_cache: Bytes) -> ServeEngine {
-    let factory = ClusterKvFactory::new(
-        ClusterKvConfig::default()
-            .with_sink_tokens(4)
-            .with_tokens_per_cluster(16)
-            .with_decode_cluster_period(8)
-            .with_decode_new_clusters(2),
-    );
+    let factory = ClusterKvFactory::new(serving_clusterkv_config());
     ServeEngine::builder(model_config())
         .synthetic_weights(SEED)
         .budget(Budget::new(BUDGET))

@@ -12,6 +12,7 @@
 //! Run with: `cargo run --release -p clusterkv-bench --bin fig12_latency`
 
 use clusterkv::{ClusterCache, ClusterCacheConfig, ClusterKvConfig, ClusterKvFactory};
+use clusterkv_bench::clusterkv_cost;
 use clusterkv_kvcache::types::Budget;
 use clusterkv_kvcache::DeviceModel;
 use clusterkv_metrics::{fmt, Table};
@@ -42,20 +43,6 @@ fn measured_recall(episode: &Episode, budget: usize) -> (f64, f64) {
         result.stats.cache.hit_rate(),
         result.stats.transfer.tokens_moved as f64 / MEASURE_STEPS as f64,
     )
-}
-
-fn clusterkv_cost(budget: usize, transferred_per_step: f64) -> impl Fn(usize) -> StepCost {
-    move |context_len: usize| StepCost {
-        // Centroids scored per head: C0 = L/80 plus C+ clusters added during
-        // decoding (4 every 320 steps — negligible next to C0).
-        scored_vectors_per_head: (context_len as f64 / 80.0).max(1.0),
-        attended_tokens: budget as f64,
-        transferred_tokens_per_head: transferred_per_step,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
-    }
 }
 
 fn main() {
@@ -100,7 +87,8 @@ fn main() {
             let mut budget_totals = Vec::new();
             let mut at_1024 = None;
             for (&b, &(_, per_step)) in BUDGETS.iter().zip(&recall) {
-                let r = model.run(p, d, Some((p / 80, 10)), clusterkv_cost(b, per_step));
+                let cost = clusterkv_cost(model.config(), b, per_step);
+                let r = model.run(p, d, Some((p / 80, 10)), cost);
                 budget_totals.push(r.total.get());
                 if b == 1024 {
                     at_1024 = Some(r);

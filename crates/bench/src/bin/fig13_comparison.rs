@@ -15,12 +15,13 @@
 
 use clusterkv::{ClusterCache, ClusterCacheConfig, ClusterKvConfig, ClusterKvFactory};
 use clusterkv_baselines::InfiniGenFactory;
+use clusterkv_bench::clusterkv_cost;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::DeviceModel;
 use clusterkv_metrics::{fmt, Table};
-use clusterkv_model::latency::StepCost;
+use clusterkv_model::latency::{StepCost, Transfers};
 use clusterkv_model::policy::{HeadContext, SelectorFactory};
-use clusterkv_model::{LatencyModel, ModelPreset};
+use clusterkv_model::{LatencyModel, ModelConfig, ModelPreset};
 use clusterkv_workloads::{run_episode_cached, Episode, EpisodeConfig};
 
 /// Measured recalled tokens per step for a selector against a cache of the
@@ -37,29 +38,18 @@ fn recalled_per_step(
     result.stats.transfer.tokens_moved as f64 / episode.decode_steps() as f64
 }
 
-fn clusterkv_cost(budget: usize, transferred_per_step: f64) -> impl Fn(usize) -> StepCost {
-    move |context_len: usize| StepCost {
-        scored_vectors_per_head: (context_len as f64 / 80.0).max(1.0),
-        attended_tokens: budget as f64,
-        transferred_tokens_per_head: transferred_per_step,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
-    }
-}
-
 /// InfiniGen scores every previous token with partial (quarter-width) keys;
 /// its per-token recalls are measured against the same GPU cache capacity.
-fn infinigen_cost(budget: usize, transferred_per_step: f64) -> impl Fn(usize) -> StepCost {
+fn infinigen_cost(
+    config: &ModelConfig,
+    budget: usize,
+    transferred_per_step: f64,
+) -> impl Fn(usize) -> StepCost {
+    let transfers = Transfers::demand_per_kv_head(config, transferred_per_step);
     move |context_len: usize| StepCost {
         scored_vectors_per_head: context_len as f64 * 0.25,
         attended_tokens: budget as f64,
-        transferred_tokens_per_head: transferred_per_step,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        transfers,
     }
 }
 
@@ -69,11 +59,7 @@ fn quest_cost(budget: usize) -> impl Fn(usize) -> StepCost {
     move |context_len: usize| StepCost {
         scored_vectors_per_head: context_len as f64 / 16.0,
         attended_tokens: budget as f64,
-        transferred_tokens_per_head: 0.0,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        ..StepCost::default()
     }
 }
 
@@ -126,14 +112,15 @@ fn main() {
         let infinigen_full = opt.run(p, d, None, |ctx| StepCost {
             scored_vectors_per_head: ctx as f64 * 0.25,
             attended_tokens: ctx as f64,
-            transferred_tokens_per_head: ctx as f64,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            transfers: Transfers::demand_per_kv_head(opt.config(), ctx as f64),
         });
-        let infinigen = opt.run(p, d, None, infinigen_cost(256, ig_recall));
-        let clusterkv = opt.run(p, d, Some((p / 80, 10)), clusterkv_cost(256, ckv_recall));
+        let infinigen = opt.run(p, d, None, infinigen_cost(opt.config(), 256, ig_recall));
+        let clusterkv = opt.run(
+            p,
+            d,
+            Some((p / 80, 10)),
+            clusterkv_cost(opt.config(), 256, ckv_recall),
+        );
         table.row(vec![
             d.to_string(),
             fmt(infinigen_full.total.get(), 2),
@@ -173,7 +160,7 @@ fn main() {
                 p,
                 d,
                 Some((p / 80, 10)),
-                clusterkv_cost(1024, ckv_recall_1k),
+                clusterkv_cost(llama.config(), 1024, ckv_recall_1k),
             );
             let deviation = (clusterkv.total.get() - quest.total.get()) / quest.total.get();
             table.row(vec![

@@ -2,14 +2,18 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (each binary's module docs name its experiment). This library provides
-//! the method enumeration and the per-episode evaluation loop they share.
+//! what they share: the method enumeration, the per-episode evaluation
+//! loop, the bench-scale serving shapes and the ClusterKV step cost of the
+//! latency figures.
 
 #![warn(missing_docs)]
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory, DistanceMetric};
 use clusterkv_baselines::{InfiniGenFactory, QuestFactory};
 use clusterkv_kvcache::types::Budget;
+use clusterkv_model::latency::{StepCost, Transfers};
 use clusterkv_model::policy::{FullAttentionFactory, HeadContext, SelectorFactory};
+use clusterkv_model::ModelConfig;
 use clusterkv_workloads::{run_budget_sweep, run_episode, Episode, EpisodeResult};
 use serde::{Deserialize, Serialize};
 
@@ -112,6 +116,69 @@ pub fn clusterkv_config_for_ablation(
     ClusterKvConfig::default()
         .with_distance(metric)
         .with_tokens_per_cluster(tokens_per_cluster)
+}
+
+/// Whether the CI-sized variant of an experiment was asked for through its
+/// environment variable (`EXP_<NAME>_SMOKE`).
+pub fn smoke(var: &str) -> bool {
+    std::env::var(var).is_ok()
+}
+
+/// Run `body` with `RAYON_NUM_THREADS` pinned to `threads`, restoring the
+/// previous value afterwards (the rayon shim re-reads the variable at every
+/// parallel region, so this takes effect immediately).
+pub fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
+    let saved = std::env::var("RAYON_NUM_THREADS").ok();
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    let out = body();
+    match saved {
+        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    out
+}
+
+/// The model the serving experiments run: 3 layers (the first dense), 4
+/// query heads over 2 KV heads of dimension 16.
+pub fn serving_model_config(max_context: usize) -> ModelConfig {
+    ModelConfig {
+        num_layers: 3,
+        num_heads: 4,
+        num_kv_heads: 2,
+        head_dim: 16,
+        ffn_dim: 64,
+        vocab_size: 256,
+        max_context,
+        dense_layers: 1,
+    }
+}
+
+/// ClusterKV scaled to the serving experiments' few-hundred-token contexts:
+/// 4 sinks, 16 tokens per cluster, 2 new clusters every 8 decode steps.
+pub fn serving_clusterkv_config() -> ClusterKvConfig {
+    ClusterKvConfig::default()
+        .with_sink_tokens(4)
+        .with_tokens_per_cluster(16)
+        .with_decode_cluster_period(8)
+        .with_decode_new_clusters(2)
+}
+
+/// ClusterKV's per-step cost on `config` at `budget` tokens when every
+/// selective-layer KV head recalls `recalled_tokens` per step, as a function
+/// of the context length: C0 = L/80 centroids scored per head (the C+
+/// clusters added while decoding — 4 every 320 steps — are negligible next
+/// to C0).
+pub fn clusterkv_cost(
+    config: &ModelConfig,
+    budget: usize,
+    recalled_tokens: f64,
+) -> impl Fn(usize) -> StepCost {
+    let transfers = Transfers::demand_per_kv_head(config, recalled_tokens);
+    move |context_len: usize| StepCost {
+        scored_vectors_per_head: (context_len as f64 / 80.0).max(1.0),
+        attended_tokens: budget as f64,
+        transfers,
+    }
 }
 
 #[cfg(test)]

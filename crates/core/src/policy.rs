@@ -123,7 +123,6 @@ impl ClusterIndex {
 impl GroupIndex for ClusterIndex {
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
-            ObserveEvent::Prefill { keys } => self.clustering.prefill(keys),
             ObserveEvent::PrefillChunk { start, keys } => {
                 debug_assert_eq!(start, self.chunk_buffer.rows(), "chunks must be contiguous");
                 self.chunk_buffer
@@ -388,9 +387,7 @@ mod tests {
         .unwrap()
     }
 
-    fn observe_prefill(sel: &mut ClusterKvSelector, keys: &Matrix) {
-        sel.observe(ObserveEvent::Prefill { keys });
-    }
+    use clusterkv_model::policy::observe_prompt as observe_prefill;
 
     #[test]
     fn small_context_bypasses_selection() {
@@ -601,9 +598,9 @@ mod tests {
                 clusterkv_tensor::kernels::norm_sq(row)
             );
         }
-        // And the whole state equals a monolithic prefill.
+        // And the whole state equals a one-chunk prefill.
         let mut mono = ClusterKvSelector::new(test_config(), 8);
-        mono.observe(ObserveEvent::Prefill { keys: &full });
+        observe_prefill(&mut mono, &full);
         assert_eq!(mono.clustering().centroids(), sc.centroids());
         assert_eq!(mono.clustering().centroid_norms(), sc.centroid_norms());
     }
@@ -674,11 +671,15 @@ mod tests {
         });
         assert_eq!(group.group_size(), 4);
         let keys = prefill_keys(80, 8, 2);
-        group.observe(ObserveEvent::Prefill { keys: &keys });
+        group.observe(ObserveEvent::PrefillChunk {
+            start: 0,
+            keys: &keys,
+        });
+        group.observe(ObserveEvent::PrefillDone { total_tokens: 80 });
         // A lone selector with the KV head's seed is the reference: one
         // clustering, whichever head of the group asks.
         let mut lone = factory.create(HeadContext::mha(1, 1, 8));
-        lone.observe(ObserveEvent::Prefill { keys: &keys });
+        observe_prefill(lone.as_mut(), &keys);
         let SelectorGroup::Shared { scratch, .. } = &group else {
             panic!("ClusterKV groups share one index");
         };
@@ -718,19 +719,18 @@ mod tests {
 
     #[test]
     fn end_to_end_with_inference_engine() {
-        use clusterkv_model::{InferenceEngine, ModelConfig};
+        use clusterkv_model::{ModelConfig, ServeEngine};
         let factory = ClusterKvFactory::new(test_config());
-        let mut engine = InferenceEngine::with_synthetic_weights(
-            ModelConfig::tiny(),
-            11,
-            &factory,
-            Budget::new(16),
-        )
-        .unwrap();
+        let mut engine = ServeEngine::builder(ModelConfig::tiny())
+            .synthetic_weights(11)
+            .budget(Budget::new(16))
+            .build()
+            .unwrap();
+        let session = engine.create_session_with(&factory).unwrap();
         let prompt: Vec<usize> = (0..40).map(|i| (i * 3) % 128).collect();
-        let generated = engine.generate(&prompt, 5).unwrap();
+        let generated = engine.generate(session, &prompt, 5).unwrap();
         assert_eq!(generated.len(), 5);
-        let stats = engine.policy_stats();
+        let stats = engine.session_stats(session).unwrap();
         assert!(
             stats.scored_vectors > 0,
             "selection ran on selective layers"

@@ -5,7 +5,7 @@
 //! 1. The *latency model* ([`crate::latency`]) needs the real shapes of the
 //!    models used in the paper (GLM4-9B, Llama-3.1-8B, OPT-6.7B) to estimate
 //!    memory traffic and FLOPs.
-//! 2. The *executable simulator* ([`crate::engine`]) runs with scaled-down
+//! 2. The *executable simulator* ([`crate::serve`]) runs with scaled-down
 //!    shapes ([`ModelConfig::tiny`], [`ModelPreset::scaled_down`]) so the
 //!    accuracy-style experiments finish quickly on a CPU.
 

@@ -17,12 +17,66 @@
 //! ClusterKV and every baseline.
 
 use crate::config::ModelConfig;
+use clusterkv_kvcache::cluster_cache::{ClusterCacheConfig, StepOutcome};
 use clusterkv_kvcache::device::{DeviceModel, Seconds};
 use clusterkv_kvcache::types::Bytes;
 use serde::{Deserialize, Serialize};
 
+/// The bytes one decode step moves over PCIe, as the session's
+/// [`ClusterCache`](clusterkv_kvcache::cluster_cache::ClusterCache) counted
+/// them — the only data-movement ledger of the
+/// stack (DESIGN.md §12). Every term is a step-level total in
+/// exact bytes, so pricing never reconstructs a byte count from tokens.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct Transfers {
+    /// Bytes recalled for cluster-cache misses this step, whatever width
+    /// they travelled at (exact f16 or the quantized tier's).
+    pub demand: Bytes,
+    /// Bytes the prefetcher staged this step. Staged transfers run
+    /// asynchronously and overlap compute: the step is priced
+    /// `max(compute, staged) + demand`.
+    pub staged: Bytes,
+    /// The part of `demand` an earlier staged transfer already moved; it
+    /// leaves the demand term.
+    pub promoted: Bytes,
+    /// Bytes re-sent by faulted transfers and checksum repairs, priced as
+    /// further demand traffic.
+    pub retried: Bytes,
+    /// Exponential-backoff wait of this step's retries, added to the demand
+    /// term as is.
+    pub backoff: Seconds,
+}
+
+impl Transfers {
+    /// Fold one head's cache access into the step: its recalled bytes are
+    /// demand, the staged share of them was moved ahead of time.
+    pub fn recall(&mut self, access: &StepOutcome) {
+        self.demand += access.bytes_recalled;
+        self.promoted += access.staged_bytes;
+    }
+
+    /// The bytes the step blocks on: `demand − promoted`.
+    pub fn demand_bytes(&self) -> Bytes {
+        Bytes(self.demand.get().saturating_sub(self.promoted.get()))
+    }
+
+    /// Every selective-layer KV head recalling `tokens` exact tokens in one
+    /// step — how the figure reproductions turn a measured or assumed
+    /// per-head recall rate into the ledger's unit. The per-token width is
+    /// the cluster cache's own.
+    pub fn demand_per_kv_head(config: &ModelConfig, tokens: f64) -> Self {
+        let selective = (config.num_layers - config.dense_layers) as f64;
+        let width = ClusterCacheConfig::new(Bytes(0), config.head_dim).bytes_per_token;
+        let bytes = selective * config.num_kv_heads as f64 * tokens * width.get() as f64;
+        Self {
+            demand: Bytes(bytes as u64),
+            ..Self::default()
+        }
+    }
+}
+
 /// Per-decoding-step cost descriptor of a selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepCost {
     /// Number of `head_dim`-dimensional vectors scored against the query per
     /// selective-layer head (centroids for ClusterKV, pages for Quest,
@@ -31,101 +85,38 @@ pub struct StepCost {
     /// Tokens whose K/V are read for attention per selective-layer head
     /// (the budget `B`, or the full context for dense layers / Full KV).
     pub attended_tokens: f64,
-    /// Tokens fetched from CPU memory over PCIe per selective-layer head per
-    /// step (cache misses for ClusterKV; zero for policies whose KV stays in
-    /// GPU memory). Priced at the exact f16 byte cost per token.
-    pub transferred_tokens_per_head: f64,
-    /// Bytes fetched over PCIe for recall-compressed pages this step,
-    /// totalled across every selective-layer head (DESIGN.md §9). Tracked
-    /// in bytes, not tokens: the cluster cache reports the exact quantized
-    /// byte count of each compressed recall, so no per-head per-token
-    /// reconstruction is needed — or possible, since pages at different
-    /// quantization widths move different bytes per token.
-    pub transferred_compressed_bytes: f64,
-    /// Bytes moved by speculative *staged* transfers this step, totalled
-    /// across every selective-layer head (DESIGN.md §10). Staged transfers
-    /// run asynchronously and overlap compute, so the decode step is priced
-    /// `max(compute, staged) + demand` rather than a pure sum. `0.0` (the
-    /// default when prefetch is off) reduces the clock bit-for-bit to the
-    /// pure-sum form.
-    pub staged_transfer_bytes: f64,
-    /// Bytes re-transmitted by faulted demand transfers this step, totalled
-    /// across every selective-layer head (DESIGN.md §11). Each retry moves
-    /// the same bytes again and is priced as demand transfer — retries
-    /// change *when* and *for how long*, never what attends. `0.0` (the
-    /// default when fault injection is off) keeps the clock bit-identical
-    /// to the fault-free form (`transfer_time(0) = 0` exactly).
-    pub retried_transfer_bytes: f64,
-    /// Exponential-backoff wait charged by retried transfers this step, in
-    /// seconds on the modeled clock (DESIGN.md §11). `0.0` when fault
-    /// injection is off.
-    pub retry_backoff_seconds: f64,
+    /// PCIe traffic of the step (all zero for policies whose KV stays in
+    /// GPU memory).
+    pub transfers: Transfers,
 }
 
 impl StepCost {
     /// Cost of full-KV attention with the cache resident in GPU memory.
     pub fn full_kv(context_len: usize) -> Self {
         Self {
-            scored_vectors_per_head: 0.0,
             attended_tokens: context_len as f64,
-            transferred_tokens_per_head: 0.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..Self::default()
         }
     }
 
-    /// Map the totals one decode step actually accumulated across every
-    /// selective-layer head (vectors scored, tokens attended, tokens
-    /// recalled on cluster-cache misses) onto the per-head descriptor the
-    /// pricing formulas expect. This is how the serving engine charges PCIe
-    /// recall for real misses instead of a uniform assumed rate.
-    ///
-    /// Residency (and therefore `transferred`) is tracked at query-head
-    /// granularity, so the per-KV-head division reconstructs the same total
-    /// bytes the cache recorded.
-    pub fn from_step_totals(
-        config: &ModelConfig,
-        scored: u64,
-        attended: u64,
-        transferred: u64,
-        compressed_bytes: u64,
-        staged_bytes: u64,
-    ) -> Self {
-        let selective = (config.num_layers - config.dense_layers) as f64;
-        if selective == 0.0 {
-            return Self {
-                scored_vectors_per_head: 0.0,
-                attended_tokens: 0.0,
-                transferred_tokens_per_head: 0.0,
-                transferred_compressed_bytes: 0.0,
-                staged_transfer_bytes: 0.0,
-                retried_transfer_bytes: 0.0,
-                retry_backoff_seconds: 0.0,
-            };
-        }
+    /// The cost of a step the engine actually ran: vectors scored and tokens
+    /// attended, totalled across every selective-layer head, become the
+    /// per-head values the GPU terms expect; the transfers are already
+    /// step-level.
+    pub fn of_step(config: &ModelConfig, scored: u64, attended: u64, transfers: Transfers) -> Self {
+        let heads = ((config.num_layers - config.dense_layers) * config.num_heads) as f64;
+        let per_head = |total: u64| {
+            if heads == 0.0 {
+                0.0
+            } else {
+                total as f64 / heads
+            }
+        };
         Self {
-            scored_vectors_per_head: scored as f64 / (selective * config.num_heads as f64),
-            attended_tokens: attended as f64 / (selective * config.num_heads as f64),
-            transferred_tokens_per_head: transferred as f64
-                / (selective * config.num_kv_heads as f64),
-            // Already step-level totals in exact bytes — no per-head
-            // reconstruction round-trip.
-            transferred_compressed_bytes: compressed_bytes as f64,
-            staged_transfer_bytes: staged_bytes as f64,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            scored_vectors_per_head: per_head(scored),
+            attended_tokens: per_head(attended),
+            transfers,
         }
-    }
-
-    /// Charge retried-transfer traffic and its backoff wait to this step
-    /// (DESIGN.md §11). Builder-style so existing call sites stay untouched
-    /// when fault injection is off.
-    pub fn with_retries(mut self, retried_bytes: u64, backoff_seconds: f64) -> Self {
-        self.retried_transfer_bytes = retried_bytes as f64;
-        self.retry_backoff_seconds = backoff_seconds;
-        self
     }
 }
 
@@ -289,7 +280,7 @@ impl LatencyModel {
     }
 
     /// [`decode_step`](Self::decode_step) split into its overlap-clock
-    /// terms. With `staged_transfer_bytes == 0` the staged term is exactly
+    /// terms. With nothing staged the staged term is exactly
     /// zero and `total` is bit-identical to the pure-sum clock
     /// `gpu + demand` (`max(gpu, 0) = gpu` under IEEE-754 for the
     /// non-negative roofline times).
@@ -336,30 +327,19 @@ impl LatencyModel {
 
         let gpu_time = weight_time + kv_time + selection_time;
 
-        // PCIe transfer of recalled KV (per selective layer, per KV head),
-        // plus compressed-page recalls at their exact quantized byte count.
-        // These are *demand* transfers: the step blocks on them.
-        let transfer_bytes = selective
-            * cfg.num_kv_heads as f64
-            * cost.transferred_tokens_per_head
-            * (2 * 2 * cfg.head_dim) as f64
-            + cost.transferred_compressed_bytes;
-        // Retried transfers re-move their bytes on demand and then wait out
-        // the exponential backoff; both land on the critical path. With no
-        // faults both terms are exactly zero (`transfer_time(0) = 0`,
-        // `Seconds(0.0)`), so adding them preserves bit-identity.
-        let demand = self.device.transfer_time(Bytes(transfer_bytes as u64))
-            + self
-                .device
-                .transfer_time(Bytes(cost.retried_transfer_bytes as u64))
-            + Seconds(cost.retry_backoff_seconds);
+        // Demand transfers block the step: the recalled bytes nothing staged
+        // ahead of time, the bytes retries re-send, and the retries' backoff
+        // wait. With no faults the last two terms are exactly zero
+        // (`transfer_time(0) = 0`), so adding them preserves bit-identity.
+        let transfers = &cost.transfers;
+        let demand = self.device.transfer_time(transfers.demand_bytes())
+            + self.device.transfer_time(transfers.retried)
+            + transfers.backoff;
 
         // Staged transfers run asynchronously on the copy engine and
         // overlap this step's compute: only the excess beyond the compute
-        // time is exposed (DESIGN.md §10).
-        let staged = self
-            .device
-            .transfer_time(Bytes(cost.staged_transfer_bytes as u64));
+        // time is exposed.
+        let staged = self.device.transfer_time(transfers.staged);
 
         DecodeStepBreakdown {
             gpu: gpu_time,
@@ -407,27 +387,43 @@ impl LatencyModel {
 mod tests {
     use super::*;
     use crate::config::ModelPreset;
+    use clusterkv_kvcache::cluster_cache::{ClusterCache, PageRequest};
+    use clusterkv_kvcache::types::{HeadId, LayerId};
+    use proptest::prelude::*;
 
     fn llama_model() -> LatencyModel {
         LatencyModel::new(ModelPreset::Llama31_8b.config(), DeviceModel::ada6000())
+    }
+
+    /// A budget-1024 ClusterKV-like step recalling `tokens` tokens per KV
+    /// head.
+    fn budgeted(m: &LatencyModel, tokens: f64) -> StepCost {
+        StepCost {
+            scored_vectors_per_head: 400.0,
+            attended_tokens: 1024.0,
+            transfers: Transfers::demand_per_kv_head(m.config(), tokens),
+        }
+    }
+
+    /// A model of `layers` selective layers with one query head per KV head.
+    fn selective_config(layers: usize, kv_heads: usize, head_dim: usize) -> ModelConfig {
+        ModelConfig {
+            num_layers: layers,
+            num_heads: kv_heads,
+            num_kv_heads: kv_heads,
+            head_dim,
+            ffn_dim: 4 * head_dim,
+            vocab_size: 64,
+            max_context: 4096,
+            dense_layers: 0,
+        }
     }
 
     #[test]
     fn decode_step_is_cheaper_with_smaller_budget() {
         let m = llama_model();
         let full = m.decode_step(32_000, &StepCost::full_kv(32_000));
-        let b1024 = m.decode_step(
-            32_000,
-            &StepCost {
-                scored_vectors_per_head: 400.0,
-                attended_tokens: 1024.0,
-                transferred_tokens_per_head: 300.0,
-                transferred_compressed_bytes: 0.0,
-                staged_transfer_bytes: 0.0,
-                retried_transfer_bytes: 0.0,
-                retry_backoff_seconds: 0.0,
-            },
-        );
+        let b1024 = m.decode_step(32_000, &budgeted(&m, 300.0));
         assert!(
             b1024 < full,
             "budgeted step {b1024} should beat full {full}"
@@ -448,15 +444,7 @@ mod tests {
     #[test]
     fn budgeted_decode_is_nearly_flat_in_context() {
         let m = llama_model();
-        let cost = StepCost {
-            scored_vectors_per_head: 400.0,
-            attended_tokens: 1024.0,
-            transferred_tokens_per_head: 300.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
-        };
+        let cost = budgeted(&m, 300.0);
         let t8k = m.decode_step(8_000, &cost);
         let t32k = m.decode_step(32_000, &cost);
         // Only the dense layers scale with context, so growth is modest.
@@ -491,12 +479,7 @@ mod tests {
         let full = m.run(p, d, None, StepCost::full_kv);
         let clusterkv = m.run(p, d, Some((p / 80, 10)), |ctx| StepCost {
             scored_vectors_per_head: (ctx / 80) as f64,
-            attended_tokens: 1024.0,
-            transferred_tokens_per_head: 0.37 * 1024.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..budgeted(&m, 0.37 * 1024.0)
         });
         let speedup = full.total.get() / clusterkv.total.get();
         assert!(speedup > 1.3 && speedup < 4.0, "speedup {speedup}");
@@ -514,23 +497,87 @@ mod tests {
 
     #[test]
     fn step_cost_from_totals_reconstructs_per_head_values() {
-        // tiny(): 2 layers, 2 heads, 2 kv heads, 0 dense layers => 4
-        // selective query heads and 4 selective kv heads.
+        // tiny(): 2 layers, 2 heads, 0 dense layers => 4 selective query
+        // heads.
         let cfg = crate::config::ModelConfig::tiny();
-        let cost = StepCost::from_step_totals(&cfg, 400, 96, 48, 640, 320);
+        let transfers = Transfers {
+            demand: Bytes(640),
+            staged: Bytes(320),
+            ..Transfers::default()
+        };
+        let cost = StepCost::of_step(&cfg, 400, 96, transfers);
         assert!((cost.scored_vectors_per_head - 100.0).abs() < 1e-12);
         assert!((cost.attended_tokens - 24.0).abs() < 1e-12);
-        assert!((cost.transferred_tokens_per_head - 12.0).abs() < 1e-12);
-        assert_eq!(cost.transferred_compressed_bytes, 640.0);
-        assert_eq!(cost.staged_transfer_bytes, 320.0);
+        assert_eq!(cost.transfers, transfers, "bytes are step-level already");
         // All layers dense: nothing selective to price.
         let mut dense = cfg;
         dense.dense_layers = dense.num_layers;
-        let zero = StepCost::from_step_totals(&dense, 0, 0, 0, 0, 0);
-        assert_eq!(zero.attended_tokens, 0.0);
-        assert_eq!(zero.transferred_tokens_per_head, 0.0);
-        assert_eq!(zero.transferred_compressed_bytes, 0.0);
-        assert_eq!(zero.staged_transfer_bytes, 0.0);
+        assert_eq!(
+            StepCost::of_step(&dense, 0, 0, Transfers::default()),
+            StepCost::default()
+        );
+    }
+
+    #[test]
+    fn demand_is_priced_in_the_bytes_the_cache_counted() {
+        // 245 recalled tokens over 30 selective layers of one 16-dim KV
+        // head are 245 · 64 = 15680 B. A per-KV-head token rate cannot carry
+        // that: 245 / 30 · 30 · 64 lands a hair under and truncates to
+        // 15679 B.
+        let cfg = selective_config(30, 1, 16);
+        let mut cache = ClusterCache::new(ClusterCacheConfig::new(Bytes(0), 16));
+        let mut step = Transfers::default();
+        for layer in 0..30 {
+            let tokens = if layer < 5 { 9 } else { 8 }; // 245 in all
+            let access = cache.access(LayerId(layer), HeadId(0), &[PageRequest::new(0, tokens)]);
+            step.recall(&access);
+        }
+        assert_eq!(cache.transfers().bytes_to_device, Bytes(15680));
+        assert_eq!(step.demand_bytes(), Bytes(15680));
+        assert_eq!(
+            Transfers::demand_per_kv_head(&cfg, 245.0 / 30.0).demand,
+            Bytes(15679)
+        );
+        let m = LatencyModel::new(cfg, DeviceModel::ada6000());
+        let cost = StepCost::of_step(&cfg, 0, 245, step);
+        assert_eq!(
+            m.decode_step_breakdown(245, &cost).demand,
+            m.device().transfer_time(Bytes(15680))
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn priced_demand_is_exactly_what_the_cache_recalled_minus_promotions(
+            layers in 1usize..7,
+            kv_heads in 1usize..5,
+            dim_units in 1usize..17,
+            seed_tokens in proptest::collection::vec(0usize..400, 1..29),
+            staged_every in 1usize..5,
+        ) {
+            let cfg = selective_config(layers, kv_heads, 4 * dim_units);
+            let mut cache = ClusterCache::new(
+                ClusterCacheConfig::new(Bytes(0), cfg.head_dim).with_staging(Bytes(u64::MAX)),
+            );
+            let mut step = Transfers::default();
+            let (mut recalled, mut promoted) = (0u64, 0u64);
+            for i in 0..layers * kv_heads {
+                let (layer, head) = (LayerId(i / kv_heads), HeadId(i % kv_heads));
+                let pages = [PageRequest::new(0, seed_tokens[i % seed_tokens.len()])];
+                if i % staged_every == 0 {
+                    cache.stage(layer, head, &pages, Bytes(u64::MAX));
+                }
+                let access = cache.access(layer, head, &pages);
+                recalled += access.bytes_recalled.get();
+                promoted += access.staged_bytes.get();
+                step.recall(&access);
+            }
+            prop_assert_eq!(cache.transfers().bytes_to_device, Bytes(recalled));
+            prop_assert_eq!(step.demand_bytes(), Bytes(recalled - promoted));
+            let m = LatencyModel::new(cfg, DeviceModel::ada6000());
+            let bd = m.decode_step_breakdown(64, &StepCost::of_step(&cfg, 0, 0, step));
+            prop_assert_eq!(bd.demand, m.device().transfer_time(Bytes(recalled - promoted)));
+        }
     }
 
     #[test]
@@ -538,15 +585,7 @@ mod tests {
         // Gate (c) of exp_prefetch: with no staged bytes the new clock must
         // be *bit-identical* to the pre-overlap pure sum `gpu + demand`.
         let m = llama_model();
-        let cost = StepCost {
-            scored_vectors_per_head: 400.0,
-            attended_tokens: 1024.0,
-            transferred_tokens_per_head: 300.0,
-            transferred_compressed_bytes: 128.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
-        };
+        let cost = budgeted(&m, 300.0);
         let bd = m.decode_step_breakdown(32_000, &cost);
         assert_eq!(bd.staged, Seconds::zero());
         assert_eq!(
@@ -561,34 +600,25 @@ mod tests {
     #[test]
     fn staged_transfers_hide_behind_compute() {
         let m = llama_model();
-        let base = StepCost {
-            scored_vectors_per_head: 400.0,
-            attended_tokens: 1024.0,
-            transferred_tokens_per_head: 300.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+        let base = budgeted(&m, 300.0);
+        let staging = |bytes: u64| StepCost {
+            transfers: Transfers {
+                staged: Bytes(bytes),
+                ..base.transfers
+            },
+            ..base
         };
         // A small staged transfer finishes well inside the compute window:
         // the step costs exactly what it did without staging, and the whole
         // staged time is hidden.
-        let small = StepCost {
-            staged_transfer_bytes: 4096.0,
-            ..base
-        };
         let bd0 = m.decode_step_breakdown(32_000, &base);
-        let bd = m.decode_step_breakdown(32_000, &small);
+        let bd = m.decode_step_breakdown(32_000, &staging(4096));
         assert!(bd.staged.get() > 0.0 && bd.staged < bd.gpu);
         assert_eq!(bd.total, bd0.total, "hidden transfer is free");
         assert_eq!(bd.hidden(), bd.staged);
         // A staged transfer far larger than compute becomes the bottleneck:
         // the step stretches to max(gpu, staged) + demand, never the sum.
-        let huge = StepCost {
-            staged_transfer_bytes: 1e12,
-            ..base
-        };
-        let big = m.decode_step_breakdown(32_000, &huge);
+        let big = m.decode_step_breakdown(32_000, &staging(1_000_000_000_000));
         assert!(big.staged > big.gpu);
         assert_eq!(big.total, big.staged + big.demand);
         assert!(big.total < big.gpu + big.staged + big.demand);
@@ -601,37 +631,20 @@ mod tests {
         // int8 (half the bytes): the compressed step must be strictly
         // faster, and both strictly slower than no recall at all.
         let m = llama_model();
-        let cfg = m.config();
-        let selective = (cfg.num_layers - cfg.dense_layers) as f64;
-        let exact_bytes = selective * cfg.num_kv_heads as f64 * 300.0 * (4 * cfg.head_dim) as f64;
-        let base = StepCost {
-            scored_vectors_per_head: 400.0,
-            attended_tokens: 1024.0,
-            transferred_tokens_per_head: 0.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
-        };
-        let exact = StepCost {
-            transferred_tokens_per_head: 300.0,
-            ..base
-        };
+        let exact = budgeted(&m, 300.0);
+        let none = budgeted(&m, 0.0);
         let compressed = StepCost {
-            transferred_compressed_bytes: exact_bytes / 2.0,
-            ..base
+            transfers: Transfers {
+                demand: Bytes(exact.transfers.demand.get() / 2),
+                ..Transfers::default()
+            },
+            ..exact
         };
-        let t_none = m.decode_step(32_000, &base);
+        let t_none = m.decode_step(32_000, &none);
         let t_exact = m.decode_step(32_000, &exact);
         let t_compressed = m.decode_step(32_000, &compressed);
         assert!(t_compressed < t_exact, "{t_compressed} vs {t_exact}");
         assert!(t_none < t_compressed);
-        // Same byte count through either field prices identically.
-        let equivalent = StepCost {
-            transferred_compressed_bytes: exact_bytes,
-            ..base
-        };
-        assert_eq!(m.decode_step(32_000, &equivalent), t_exact);
     }
 
     #[test]

@@ -17,12 +17,11 @@
 //!   cache.
 //! * [`serve`] — the serving engine: weights loaded once, N independent
 //!   sessions, batched decode ([`ServeEngine`]).
-//! * [`engine`] — [`InferenceEngine`], the single-session adapter over the
-//!   serving engine.
-//! * [`trace`] — recording of per-step attention weights (token-importance
-//!   traces behind Fig. 3a / Fig. 11).
+//! * `residency` (crate-private) — per-session residency: the tiered
+//!   cluster cache, the per-step byte ledger it fills and the modeled clock
+//!   that ledger feeds.
 //! * [`latency`] — the analytical latency/throughput model behind Fig. 12 and
-//!   Fig. 13.
+//!   Fig. 13, pricing a step's [`latency::Transfers`] in exact bytes.
 //! * [`prefetch`] — speculative cluster prefetch configuration: predictor
 //!   choice, staging capacity and the overlap clock switch (DESIGN.md §10).
 
@@ -30,17 +29,15 @@
 
 pub mod attention;
 pub mod config;
-pub mod engine;
 pub mod latency;
 pub mod policy;
 pub mod prefetch;
+mod residency;
 pub mod rope;
 pub mod serve;
-pub mod trace;
 pub mod weights;
 
 pub use config::{ModelConfig, ModelPreset};
-pub use engine::InferenceEngine;
 pub use latency::{DecodeStepBreakdown, InferenceBreakdown, LatencyModel};
 pub use policy::{
     FullAttentionSelector, GroupIndex, KvResidency, ObserveEvent, PageRequest, PolicyStats,

@@ -69,9 +69,11 @@ pub struct PolicyStats {
     /// selection (centroids for ClusterKV, page representations for Quest,
     /// all partial keys for InfiniGen, all keys for exact top-k).
     pub scored_vectors: u64,
-    /// Host-to-device traffic caused by recalling KV.
+    /// Host-to-device traffic caused by recalling KV: the session cluster
+    /// cache's own counter, copied in by the cache's owner when it reports.
     pub transfer: TransferStats,
-    /// Hit/miss counts of any on-GPU cache the policy maintains.
+    /// Token hit/miss counts of the session's cluster cache, filled the same
+    /// way.
     pub cache: CacheStats,
 }
 
@@ -82,20 +84,6 @@ impl PolicyStats {
         self.transfer.merge(&other.transfer);
         self.cache.merge(&other.cache);
     }
-
-    /// Charge the residency outcome of one head-step cluster-cache access:
-    /// token hits/misses into the cache counters, plus one transfer
-    /// operation for the recalled bytes when anything missed. Used by every
-    /// owner of a session cache (the serving engine, the episode harness) so
-    /// the charging rules cannot diverge.
-    pub fn charge_recall(&mut self, outcome: &clusterkv_kvcache::cluster_cache::StepOutcome) {
-        self.cache.record_hits(outcome.hit_tokens);
-        self.cache.record_misses(outcome.missed_tokens);
-        if outcome.missed_tokens > 0 {
-            self.transfer
-                .record(outcome.missed_tokens, outcome.bytes_recalled);
-        }
-    }
 }
 
 /// A key-production event observed by a selector.
@@ -104,36 +92,22 @@ impl PolicyStats {
 /// event stream: the engine (or harness) feeds every selector the same
 /// sequence of events it would see attached to a real attention head.
 ///
-/// Prompt keys arrive in one of two equivalent shapes:
-///
-/// * **Monolithic** — a single [`Prefill`](ObserveEvent::Prefill) event with
-///   every prompt key (what the single-head harness emits).
-/// * **Chunked** — a contiguous run of
-///   [`PrefillChunk`](ObserveEvent::PrefillChunk) events starting at
-///   position 0 followed by exactly one
-///   [`PrefillDone`](ObserveEvent::PrefillDone) (what the serving engine
-///   emits, so a scheduler can interleave the chunks of one session's
-///   prompt with other sessions' decode steps).
+/// Prompt keys arrive as a contiguous run of
+/// [`PrefillChunk`](ObserveEvent::PrefillChunk) events starting at position
+/// 0, followed by exactly one [`PrefillDone`](ObserveEvent::PrefillDone) —
+/// so a scheduler can interleave the chunks of one session's prompt with
+/// other sessions' decode steps. A single-head harness that holds the whole
+/// prompt emits one chunk and the seal through [`observe_prompt`].
 ///
 /// Implementations **must** leave the selector in a byte-identical state
-/// whichever shape delivered the same keys: naturally incremental policies
+/// however the same keys were chunked: naturally incremental policies
 /// (Quest's page metadata, exact top-k, H2O, StreamingLLM) process each
 /// chunk as it arrives, while policies whose prefill pass is global
 /// (ClusterKV's semantic clustering, InfiniGen's key-subspace SVD) buffer
-/// the chunks and reconcile on `PrefillDone` by running the same pass a
-/// monolithic `Prefill` would have run. The chunked-prefill parity suite in
-/// `tests/serving.rs` enforces this for every shipped policy.
+/// the chunks and run it on `PrefillDone`. The chunked-prefill parity suite
+/// in `tests/serving.rs` enforces this for every shipped policy.
 #[derive(Debug, Clone, Copy)]
 pub enum ObserveEvent<'a> {
-    /// The post-RoPE keys of the whole prompt, observed once after prefill
-    /// (rows are token positions). This is where semantic clustering runs in
-    /// ClusterKV (Fig. 5, step 1). Equivalent to one
-    /// [`PrefillChunk`](ObserveEvent::PrefillChunk) at `start == 0` followed
-    /// by [`PrefillDone`](ObserveEvent::PrefillDone).
-    Prefill {
-        /// Prompt keys, one row per token position.
-        keys: &'a Matrix,
-    },
     /// One contiguous chunk of prompt keys, observed as soon as the chunk's
     /// tokens have been forwarded. Chunks of one prompt arrive in order and
     /// without gaps (`start` equals the number of prompt keys observed so
@@ -306,10 +280,10 @@ impl SelectionPlan {
 ///
 /// The engine drives a selector through two entry points:
 ///
-/// 1. [`observe`](TokenSelector::observe) — the prompt keys (either one
-///    [`ObserveEvent::Prefill`], or [`ObserveEvent::PrefillChunk`]s followed
-///    by [`ObserveEvent::PrefillDone`] when prefill is chunked; both shapes
-///    must leave byte-identical state), then once per generated token with
+/// 1. [`observe`](TokenSelector::observe) — the prompt keys
+///    ([`ObserveEvent::PrefillChunk`]s followed by one
+///    [`ObserveEvent::PrefillDone`]; every chunking must leave
+///    byte-identical state), then once per generated token with
 ///    [`ObserveEvent::Append`].
 /// 2. [`plan`](TokenSelector::plan) — once per decoding step, returning the
 ///    indices `I_T` of the tokens to attend to together with the per-call
@@ -370,6 +344,16 @@ pub trait TokenSelector: Send {
     }
 }
 
+/// Hand a selector a whole prompt's keys at once: one
+/// [`PrefillChunk`](ObserveEvent::PrefillChunk) at position 0, then
+/// [`PrefillDone`](ObserveEvent::PrefillDone).
+pub fn observe_prompt(selector: &mut (impl TokenSelector + ?Sized), keys: &Matrix) {
+    selector.observe(ObserveEvent::PrefillChunk { start: 0, keys });
+    selector.observe(ObserveEvent::PrefillDone {
+        total_tokens: keys.rows(),
+    });
+}
+
 /// What a policy derives from the keys of one KV head, shared by the query
 /// heads of its GQA group: observed **once** per key event, read immutably
 /// by every head of the group during the parallel attention phase. Planning
@@ -377,7 +361,7 @@ pub trait TokenSelector: Send {
 /// [`Workspace`], so the heads need no lock and no copy of the index.
 pub trait GroupIndex: Send + Sync {
     /// Observe a key-production event of the KV head (same event stream and
-    /// same chunked/monolithic equivalence as [`TokenSelector::observe`]).
+    /// same chunking invariance as [`TokenSelector::observe`]).
     fn observe(&mut self, event: ObserveEvent<'_>);
 
     /// Plan one query head's token set for one decoding step.
@@ -654,9 +638,9 @@ impl TokenSelector for OracleTopKSelector {
 
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
-            // Exact top-k is naturally incremental: monolithic and chunked
-            // prefill both just append rows, so no reconcile step is needed.
-            ObserveEvent::Prefill { keys } | ObserveEvent::PrefillChunk { keys, .. } => {
+            // Exact top-k is naturally incremental: every chunk just appends
+            // rows, so no reconcile step is needed.
+            ObserveEvent::PrefillChunk { keys, .. } => {
                 for row in keys.iter_rows() {
                     self.keys
                         .push_row(row)
@@ -754,7 +738,7 @@ mod tests {
             vec![-1.0, 0.0],
         ])
         .unwrap();
-        s.observe(ObserveEvent::Prefill { keys: &keys });
+        observe_prompt(&mut s, &keys);
         let q = [1.0, 0.0];
         let plan = s.plan(SelectionRequest::new(&q, 4, Budget::new(2)));
         assert_eq!(plan.len(), 2);
@@ -766,9 +750,7 @@ mod tests {
     fn oracle_respects_budget_and_appends() {
         let ctx = HeadContext::mha(0, 0, 4);
         let mut s = OracleTopKFactory.create(ctx);
-        s.observe(ObserveEvent::Prefill {
-            keys: &keys_matrix(20, 4),
-        });
+        observe_prompt(s.as_mut(), &keys_matrix(20, 4));
         s.observe(ObserveEvent::Append {
             position: 20,
             key: &[9.0, 9.0, 9.0, 9.0],
@@ -789,9 +771,7 @@ mod tests {
     #[test]
     fn oracle_with_budget_covering_context_returns_all() {
         let mut s = OracleTopKSelector::new(4);
-        s.observe(ObserveEvent::Prefill {
-            keys: &keys_matrix(8, 4),
-        });
+        observe_prompt(&mut s, &keys_matrix(8, 4));
         let plan = s.plan(SelectionRequest::new(
             &[1.0, 0.0, 0.0, 0.0],
             8,
@@ -808,7 +788,7 @@ mod tests {
     fn oracle_chunked_prefill_matches_monolithic() {
         let full = keys_matrix(21, 4);
         let mut mono = OracleTopKSelector::new(4);
-        mono.observe(ObserveEvent::Prefill { keys: &full });
+        observe_prompt(&mut mono, &full);
         let mut chunked = OracleTopKSelector::new(4);
         let mut start = 0;
         for len in [1usize, 7, 13] {
@@ -847,9 +827,7 @@ mod tests {
         // Two consecutive plans report independent per-call stats; the
         // caller, not the selector, owns aggregation.
         let mut s = OracleTopKSelector::new(4);
-        s.observe(ObserveEvent::Prefill {
-            keys: &keys_matrix(10, 4),
-        });
+        observe_prompt(&mut s, &keys_matrix(10, 4));
         let first = s.plan(SelectionRequest::new(
             &[1.0, 0.0, 0.0, 0.0],
             10,

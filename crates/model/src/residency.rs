@@ -1,0 +1,286 @@
+//! Per-session KV residency: the tiered cluster cache, the data-movement
+//! ledger of the decode step in flight, and the modeled clock it feeds
+//! (DESIGN.md §12).
+//!
+//! The session's [`ClusterCache`] is the only counter of hits, misses and
+//! bytes. Each decode step folds what the cache reports into one
+//! [`Transfers`] — demand recalls, staged prefetch, promotions, faulted
+//! retries — which the [`LatencyModel`] prices in exact bytes; session
+//! totals are read back from the cache's own counters when the engine
+//! reports. Residency changes what a step costs, never what it attends.
+
+use crate::config::ModelConfig;
+use crate::latency::{LatencyModel, StepCost, Transfers};
+use crate::policy::{PageRequest, PolicyStats, SelectorGroup};
+use crate::prefetch::PrefetchConfig;
+use clusterkv_faults::{backoff_seconds, FaultInjector, FaultSite, IntegrityStats};
+use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
+use clusterkv_kvcache::compressed::CompressionConfig;
+use clusterkv_kvcache::device::Seconds;
+use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
+use clusterkv_kvcache::types::{Bytes, HeadId, LayerId};
+
+/// One session's GPU-resident selected-KV pages over its CPU backing store,
+/// plus everything the engine derives from their movement.
+pub(crate) struct Residency {
+    /// Capacity 0 models pure offload: every selected page is recalled at
+    /// every step.
+    cache: ClusterCache,
+    /// Vectors scored by the selective-layer heads of the step in flight.
+    scored: u64,
+    /// Tokens attended by the selective-layer heads of the step in flight.
+    attended: u64,
+    /// PCIe traffic of the step in flight; after
+    /// [`finish_step`](Self::finish_step), as it was priced.
+    step: Transfers,
+    /// Pages nominated for the end-of-step staging pass, in the
+    /// `(layer, head)` order phase 2 pushed them — so every staging-LRU
+    /// stamp is deterministic at any thread count. Only written when the
+    /// cache has a staging buffer.
+    nominations: Vec<(usize, usize, Vec<PageRequest>)>,
+    /// Modeled decode latency summed over every step.
+    modeled_decode: Seconds,
+    /// Modeled PCIe time hidden behind compute (`min(gpu, staged)` per
+    /// step); zero without the overlap clock.
+    hidden_transfer: Seconds,
+    /// Total modeled PCIe time (staged + demand) summed over every step.
+    transfer_time: Seconds,
+    /// Integrity accounting of the session's fault seams outside the cache,
+    /// which keeps its own scrub counters: the transfer retries charged
+    /// here, and the prefix-adoption verifies prefill records.
+    pub(crate) seams: IntegrityStats,
+}
+
+impl Residency {
+    /// Residency state of a fresh session.
+    pub(crate) fn new(
+        capacity: Bytes,
+        head_dim: usize,
+        compression: CompressionConfig,
+        prefetch: PrefetchConfig,
+    ) -> Self {
+        let staging = if prefetch.enabled() {
+            prefetch.staging_capacity
+        } else {
+            Bytes(0)
+        };
+        Self {
+            cache: ClusterCache::new(
+                ClusterCacheConfig::new(capacity, head_dim)
+                    .with_compression(compression)
+                    .with_staging(staging),
+            ),
+            scored: 0,
+            attended: 0,
+            step: Transfers::default(),
+            nominations: Vec::new(),
+            modeled_decode: Seconds::zero(),
+            hidden_transfer: Seconds::zero(),
+            transfer_time: Seconds::zero(),
+            seams: IntegrityStats::default(),
+        }
+    }
+
+    /// How compressed plans are reconstructed for attention.
+    pub(crate) fn compression(&self) -> CompressionConfig {
+        self.cache.compression()
+    }
+
+    /// Open the ledger of a new decode step.
+    pub(crate) fn begin_step(&mut self) {
+        self.scored = 0;
+        self.attended = 0;
+        self.step = Transfers::default();
+    }
+
+    /// Count one selective-layer head's selection work into the step.
+    pub(crate) fn selected(&mut self, scored: u64, attended: u64) {
+        self.scored += scored;
+        self.attended += attended;
+    }
+
+    /// Resolve one head's plan against the cache — only misses cross PCIe —
+    /// and nominate next-step pages for the staging pass: the pages this
+    /// step selected (semantic locality) plus the predictor's `hint`. Call
+    /// in `(layer, head)` order: LRU stamps are order-sensitive.
+    pub(crate) fn recall(
+        &mut self,
+        layer: usize,
+        head: usize,
+        pages: Option<Vec<PageRequest>>,
+        hint: Vec<PageRequest>,
+    ) {
+        if let Some(pages) = &pages {
+            let access = self.cache.access(LayerId(layer), HeadId(head), pages);
+            self.step.recall(&access);
+        }
+        if self.cache.staging_capacity().get() > 0 {
+            if let Some(pages) = pages {
+                self.nominations.push((layer, head, pages));
+            }
+            if !hint.is_empty() {
+                self.nominations.push((layer, head, hint));
+            }
+        }
+    }
+
+    /// Admit pages whose KV was just produced on the GPU (prefill
+    /// clustering, incremental decode clustering) while capacity allows,
+    /// and grow the CPU backing store to the session's `private_tokens` —
+    /// shared-prefix positions live in the prefix store and are charged
+    /// there once.
+    pub(crate) fn settle(
+        &mut self,
+        config: &ModelConfig,
+        selectors: &[Vec<SelectorGroup>],
+        private_tokens: usize,
+    ) {
+        if self.cache.enabled() {
+            let group = config.num_heads / config.num_kv_heads;
+            for (layer, groups) in selectors.iter().enumerate().skip(config.dense_layers) {
+                for head in 0..config.num_heads {
+                    // Once a head's KV is offloaded the decision is permanent
+                    // — skip building its page table again every step.
+                    if self.cache.is_offloaded(LayerId(layer), HeadId(head)) {
+                        continue;
+                    }
+                    // Both paged and recall-compressed tables warm the same
+                    // way: admission is always exact, demotion to the
+                    // compressed tier happens under eviction pressure.
+                    let table = groups[head / group].page_table(head % group);
+                    if let Some(pages) = table.page_requests() {
+                        self.cache.warm(LayerId(layer), HeadId(head), pages);
+                    }
+                }
+            }
+        }
+        self.cache
+            .set_backing(Bytes(private_tokens as u64 * config.kv_bytes_per_token()))
+            .expect("host DRAM exhausted by simulated KV");
+    }
+
+    /// Close a decode step that left `context_len` tokens behind: stage
+    /// this step's nominations for the next one, apply the fault plan to
+    /// the step's demand traffic, price the step and advance the modeled
+    /// clock. Run after [`settle`](Self::settle), so freshly admitted pages
+    /// are already resident and staging skips them.
+    pub(crate) fn finish_step(
+        &mut self,
+        latency: &LatencyModel,
+        prefetch: PrefetchConfig,
+        faults: FaultInjector,
+        step_key: u64,
+        context_len: usize,
+    ) {
+        if prefetch.enabled() {
+            let mut budget_left = prefetch.step_bytes;
+            for (layer, head, pages) in self.nominations.drain(..) {
+                if budget_left.get() == 0 {
+                    continue; // keep draining so no stale nominations survive
+                }
+                let moved = self
+                    .cache
+                    .stage(LayerId(layer), HeadId(head), &pages, budget_left);
+                self.step.staged += moved;
+                budget_left = Bytes(budget_left.get() - moved.get());
+            }
+        }
+        // Faults only add modeled time (retried bytes, backoff) and checksum
+        // churn; the KV payloads a step attends are untouched.
+        if faults.enabled() {
+            // A failed transfer re-sends this step's demand recall
+            // (attempts - 1) more times, each after an exponential-backoff
+            // wait.
+            let demand = self.step.demand.get();
+            if demand > 0 {
+                let attempts = faults.transfer_attempts(FaultSite::DemandRecall, step_key);
+                if attempts > 1 {
+                    let retries = u64::from(attempts - 1);
+                    let backoff = backoff_seconds(faults.plan().backoff_base, attempts);
+                    self.step.retried += Bytes(retries * demand);
+                    self.step.backoff += Seconds(backoff);
+                    self.seams
+                        .record_retries(retries, retries * demand, backoff);
+                }
+            }
+            // Checksum corruption of a resident page, scrubbed in the same
+            // step: detection re-seals the tag from the pristine backing
+            // rows and the re-fetch is retried demand traffic.
+            if faults.should_corrupt(FaultSite::DemandRecall, step_key)
+                && self.cache.corrupt_resident_page(step_key)
+            {
+                self.step.retried += self.cache.scrub();
+            }
+        }
+        // Without the overlap clock every byte is priced on the demand
+        // path, which reproduces the pure-sum clock bit for bit.
+        if !prefetch.overlap {
+            self.step.staged = Bytes(0);
+            self.step.promoted = Bytes(0);
+        }
+        let cost = StepCost::of_step(latency.config(), self.scored, self.attended, self.step);
+        let breakdown = latency.decode_step_breakdown(context_len, &cost);
+        self.modeled_decode += breakdown.total;
+        self.hidden_transfer += breakdown.hidden();
+        self.transfer_time += breakdown.staged + breakdown.demand;
+    }
+
+    /// `stats` with its residency half filled from the cache's own hit/miss
+    /// and transfer counters.
+    pub(crate) fn counted(&self, mut stats: PolicyStats) -> PolicyStats {
+        stats.cache = self.cache.stats();
+        stats.transfer = self.cache.transfers();
+        stats
+    }
+
+    /// Compressed-tier accounting of the cache.
+    pub(crate) fn compression_stats(&self) -> CompressionStats {
+        self.cache.compression_stats()
+    }
+
+    /// Staging-buffer accounting of the cache.
+    pub(crate) fn prefetch_stats(&self) -> PrefetchStats {
+        self.cache.prefetch_stats()
+    }
+
+    /// The session's whole integrity record: its seams merged with the
+    /// cache's scrub counters.
+    pub(crate) fn integrity(&self) -> IntegrityStats {
+        let mut integrity = self.seams;
+        integrity.merge(&self.cache.integrity());
+        integrity
+    }
+
+    /// Modeled decode latency so far.
+    pub(crate) fn modeled_decode(&self) -> Seconds {
+        self.modeled_decode
+    }
+
+    /// Modeled PCIe time so far as `(hidden behind compute, total)`.
+    pub(crate) fn transfer_times(&self) -> (Seconds, Seconds) {
+        (self.hidden_transfer, self.transfer_time)
+    }
+
+    /// Release every staged page, returning the bytes freed.
+    pub(crate) fn shed_staging(&mut self) -> Bytes {
+        self.cache.drop_staging()
+    }
+
+    /// Demote every exact resident page to the compressed tier, returning
+    /// how many moved.
+    pub(crate) fn demote_all(&mut self) -> usize {
+        self.cache.demote_all()
+    }
+
+    /// The cache, for tests that compare reports against its counters.
+    #[cfg(test)]
+    pub(crate) fn cache(&self) -> &ClusterCache {
+        &self.cache
+    }
+
+    /// The last step's transfers as priced.
+    #[cfg(test)]
+    pub(crate) fn last_step(&self) -> Transfers {
+        self.step
+    }
+}

@@ -4,7 +4,7 @@
 //! [`ServeEngine`] owns the model (config, weights, RoPE tables) exactly once
 //! and manages any number of concurrent [`SessionId`]-addressed sequences.
 //! Each session carries its own KV stores, per-KV-head selector groups,
-//! position counter and trace state, so sessions are fully isolated: interleaving
+//! position counter and residency state, so sessions are fully isolated: interleaving
 //! their decode steps through [`decode_batch`](ServeEngine::decode_batch)
 //! produces byte-identical token streams to running each sequence alone.
 //!
@@ -18,34 +18,29 @@
 //! isolated, so this is embarrassingly parallel), and within one session the
 //! per-head work — query projection, selection planning, attention — plus
 //! the large row-wise projections run data-parallel. Everything
-//! order-sensitive (cluster-cache LRU accesses, stats accumulation, traces)
+//! order-sensitive (cluster-cache LRU accesses, stats accumulation)
 //! happens sequentially in head order after the parallel phase, so token
 //! streams and every per-session statistic are byte-identical at any thread
 //! count (`RAYON_NUM_THREADS`).
 //!
 //! [`decode_batch`]: ServeEngine::decode_batch
-//!
-//! [`InferenceEngine`](crate::engine::InferenceEngine) is a thin
-//! single-session adapter over this type.
 
-use crate::attention::full_attention_weights;
 use crate::config::ModelConfig;
-use crate::latency::{LatencyModel, StepCost};
+use crate::latency::LatencyModel;
 use crate::policy::{
     FullAttentionSelector, HeadContext, HeadSelector, KvResidency, ObserveEvent, PageRequest,
     PolicyStats, SelectionRequest, SelectorFactory, SelectorGroup,
 };
 use crate::prefetch::{PrefetchConfig, PrefetchPredictor};
+use crate::residency::Residency;
 use crate::rope::Rope;
-use crate::trace::{AttentionTrace, TraceStep};
 use crate::weights::ModelWeights;
-use clusterkv_faults::{backoff_seconds, FaultInjector, FaultPlan, FaultSite, IntegrityStats};
-use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
+use clusterkv_faults::{FaultInjector, FaultPlan, FaultSite, IntegrityStats};
 use clusterkv_kvcache::compressed::{reconstruct_page_rows, CompressionConfig};
 use clusterkv_kvcache::device::{DeviceModel, Seconds};
 use clusterkv_kvcache::prefix::{PrefixStore, PrefixStoreConfig, PrefixStoreStats, SharedKvPage};
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
-use clusterkv_kvcache::types::{Budget, Bytes, HeadId, LayerId};
+use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::KvStore;
 use clusterkv_tensor::kernels::{attend_into, matvec_rows_into, Workspace};
 use clusterkv_tensor::ops::{rms_norm, silu};
@@ -182,9 +177,9 @@ pub struct SessionReport {
     pub context_len: usize,
     /// Number of decode steps the session ran.
     pub generated_tokens: usize,
-    /// Policy statistics accumulated over every selection plan of the
-    /// session, including the residency outcomes (cluster-cache hits and
-    /// PCIe recalls) charged by the engine.
+    /// Selection work accumulated over every plan of the session, plus the
+    /// residency outcomes (token hits and misses, PCIe recalls) as the
+    /// session's cluster cache counted them.
     pub stats: PolicyStats,
     /// Modeled decode-side latency of the session under the engine's
     /// roofline device model, with PCIe transfer charged only for
@@ -275,31 +270,23 @@ impl SessionReport {
 /// Per-head result of the parallel phase of one token's attention: pure
 /// compute (query projection, selection planning, attention) runs
 /// data-parallel across heads; everything order-sensitive — cluster-cache
-/// accesses (LRU stamps), stats accumulation, traces — is applied from these
+/// accesses (LRU stamps), stats accumulation — is applied from these
 /// outcomes sequentially in head order, which is what keeps N-thread and
 /// 1-thread runs byte-identical.
 struct HeadOutcome {
-    /// Token indices attended during decoding (the plan plus the forced
-    /// current position). Empty during prefill, where attention runs the
-    /// dedicated no-index-vec full path.
-    selected: Vec<usize>,
-    /// Per-call stats reported by the selector (`None` during prefill).
-    stats: Option<PolicyStats>,
-    /// Page decomposition of the plan (`None` during prefill or when the
-    /// selected KV is trivially resident).
-    pages: Option<Vec<crate::policy::PageRequest>>,
-    /// Whether the pages were recalled through the compressed tier: phase 2
-    /// then charges the compressed byte count instead of exact token
-    /// transfers.
-    compressed: bool,
+    /// Tokens the head attended (the plan plus the forced current
+    /// position).
+    attended: usize,
+    /// Per-call stats reported by the selector.
+    stats: PolicyStats,
+    /// Page decomposition of the plan (`None` when the selected KV is
+    /// trivially resident).
+    pages: Option<Vec<PageRequest>>,
     /// Clusters the lookahead predictor nominates for the next step
     /// (DESIGN.md §10). Always empty unless the engine runs the
     /// [`Lookahead`](PrefetchPredictor::Lookahead) predictor, so
     /// prefetch-off engines allocate nothing here.
-    hint: Vec<crate::policy::PageRequest>,
-    /// Post-RoPE query, cloned out of the head's workspace only for traced
-    /// heads (empty otherwise — tracing is the one consumer).
-    query: Vec<f32>,
+    hint: Vec<PageRequest>,
 }
 
 /// Lifecycle of one session, from creation to decodability.
@@ -319,49 +306,13 @@ enum SessionPhase {
     Ready,
 }
 
-/// Per-step policy knobs shared by every session of an engine: the
-/// selection budget, the speculative-prefetch configuration, and the
-/// deterministic fault injector. Bundled so the sessionless decode entry
-/// points stay at a readable arity.
+/// Per-step policy knobs shared by every session of an engine, bundled so
+/// the sessionless decode entry points stay at a readable arity.
 #[derive(Debug, Clone, Copy)]
 struct StepPolicy {
     budget: Budget,
     prefetch: PrefetchConfig,
     faults: FaultInjector,
-}
-
-/// Totals one decode step accumulates across every selective-layer head,
-/// mapped onto a [`StepCost`] after the step to price its latency.
-#[derive(Debug, Clone, Copy, Default)]
-struct StepAccounting {
-    /// Vectors scored during selection.
-    scored: u64,
-    /// Tokens recalled exactly (f16) from CPU memory on cluster-cache
-    /// misses.
-    transferred: u64,
-    /// Tokens attended by selective-layer heads.
-    attended: u64,
-    /// Bytes recalled for compressed pages on cluster-cache misses. Tracked
-    /// in bytes, not tokens: quantized pages move fewer bytes per token, and
-    /// the cache reports the exact compressed count (DESIGN.md §9).
-    transferred_compressed_bytes: u64,
-    /// Bytes the prefetcher staged this step (overlapped with this step's
-    /// compute by the overlap clock — DESIGN.md §10).
-    staged_bytes: u64,
-    /// Exact-plan miss tokens served out of the staging buffer this step:
-    /// their PCIe transfer was already charged (overlapped) when they were
-    /// staged, so the overlap clock subtracts them from the demand term.
-    promoted_tokens: u64,
-    /// Compressed-plan miss bytes served out of the staging buffer this
-    /// step (the compressed-tier analogue of `promoted_tokens`).
-    promoted_compressed_bytes: u64,
-    /// Bytes re-transferred this step for modeled transfer failures and
-    /// checksum repairs. Priced as extra demand PCIe time; never changes
-    /// what the step attends (DESIGN.md §11).
-    retried_bytes: u64,
-    /// Modeled exponential-backoff wait accumulated by this step's retries,
-    /// added verbatim to the demand term of the overlap clock.
-    backoff_seconds: f64,
 }
 
 /// Per-session state: everything that differs between concurrent sequences.
@@ -373,8 +324,6 @@ struct SessionState {
     /// `h % G` of group `h / G`). Key events are delivered once per group;
     /// dense layers hold [`FullAttentionSelector`]s.
     selectors: Vec<Vec<SelectorGroup>>,
-    /// Heads to trace: map from `(layer, head)` to the trace being built.
-    traces: BTreeMap<(usize, usize), AttentionTrace>,
     /// Context length so far; doubles as the RoPE position of the next token.
     num_tokens: usize,
     /// Number of decode steps run.
@@ -385,13 +334,12 @@ struct SessionState {
     /// then the previously generated token — overridable for external
     /// sampling via [`ServeEngine::set_next_input`]).
     next_input: Option<usize>,
-    /// Policy statistics accumulated from every selection plan, with
-    /// residency outcomes filled in from `cache`.
+    /// Selection work accumulated from every plan; the residency half is
+    /// filled from `residency` when the session reports.
     stats: PolicyStats,
-    /// The session's tiered KV hierarchy: GPU-resident selected-KV pages
-    /// over the CPU backing store. Capacity 0 models pure offload (every
-    /// selected page is recalled every step).
-    cache: ClusterCache,
+    /// The session's tiered KV hierarchy, the data-movement ledger of the
+    /// step in flight and the modeled clock it feeds.
+    residency: Residency,
     /// One kernel workspace per query head (heads run data-parallel, each
     /// worker owns its scratch). Buffers grow to the steady-state working
     /// set during the first decode steps and are reused afterwards, so the
@@ -404,20 +352,6 @@ struct SessionState {
     k_scratch: Vec<f32>,
     /// See `k_scratch`.
     v_scratch: Vec<f32>,
-    /// Totals of the decode step currently in flight.
-    step: StepAccounting,
-    /// Modeled decode latency accumulated over every step.
-    modeled_decode: Seconds,
-    /// Modeled PCIe time hidden behind compute (`min(gpu, staged)` summed
-    /// over steps — DESIGN.md §10). Stays zero without the overlap clock.
-    hidden_transfer: Seconds,
-    /// Total modeled PCIe time (staged + demand) summed over decode steps.
-    transfer_time: Seconds,
-    /// Pages nominated for the next step's staging pass, collected in
-    /// deterministic (layer, head) order during phase 2 and drained by the
-    /// end-of-step staging pass. Only ever written when prefetch is
-    /// enabled, so prefetch-off engines never allocate here.
-    nominations: Vec<(usize, usize, Vec<crate::policy::PageRequest>)>,
     /// The prompt tokens fed so far, buffered only while the engine has a
     /// [`PrefixStore`] (lookup during chunks, donation at
     /// `finish_prefill`, unpinning at release).
@@ -437,17 +371,11 @@ struct SessionState {
     /// (admission pin before prefill, the full prompt after donation);
     /// unpinned at release.
     pinned_prompt: Vec<usize>,
-    /// Integrity accounting local to this session's fault seams (prefix
-    /// adoption verifies, transfer retries). Merged with the cluster
-    /// cache's own [`IntegrityStats`] at release.
-    integrity: IntegrityStats,
 }
 
-/// Builder for [`ServeEngine`], replacing the positional
-/// `InferenceEngine::new(config, weights, factory, budget)` constructor.
+/// Builder for [`ServeEngine`].
 pub struct ServeEngineBuilder {
     config: ModelConfig,
-    weights: Option<ModelWeights>,
     synthetic_seed: u64,
     budget: Budget,
     policy: Option<Box<dyn SelectorFactory>>,
@@ -468,7 +396,6 @@ impl ServeEngineBuilder {
     pub fn new(config: ModelConfig) -> Self {
         Self {
             config,
-            weights: None,
             synthetic_seed: 0,
             budget: Budget::new(usize::MAX),
             policy: None,
@@ -482,15 +409,8 @@ impl ServeEngineBuilder {
         }
     }
 
-    /// Use explicit model weights.
-    pub fn weights(mut self, weights: ModelWeights) -> Self {
-        self.weights = Some(weights);
-        self
-    }
-
     /// Generate deterministic synthetic weights from `seed`.
     pub fn synthetic_weights(mut self, seed: u64) -> Self {
-        self.weights = None;
         self.synthetic_seed = seed;
         self
     }
@@ -605,9 +525,7 @@ impl ServeEngineBuilder {
     pub fn build(self) -> Result<ServeEngine, EngineError> {
         self.config.validate().map_err(EngineError::InvalidConfig)?;
         self.faults.validate().map_err(EngineError::InvalidConfig)?;
-        let weights = self
-            .weights
-            .unwrap_or_else(|| ModelWeights::synthetic(&self.config, self.synthetic_seed));
+        let weights = ModelWeights::synthetic(&self.config, self.synthetic_seed);
         let rope = Rope::new(self.config.head_dim, 10_000.0);
         let latency = LatencyModel::new(self.config, self.device);
         Ok(ServeEngine {
@@ -707,13 +625,6 @@ impl ServeEngine {
         self.sessions.len()
     }
 
-    /// Resident session ids, in creation order (ids are allocated
-    /// monotonically and the session table is ordered, so the key order is
-    /// the creation order).
-    pub fn session_ids(&self) -> Vec<SessionId> {
-        self.sessions.keys().copied().map(SessionId).collect()
-    }
-
     fn session(&self, id: SessionId) -> Result<&SessionState, EngineError> {
         self.sessions
             .get(&id.0)
@@ -733,15 +644,8 @@ impl ServeEngine {
     /// [`EngineError::MissingPolicy`] when the engine was built without a
     /// default policy; [`EngineError::SessionLimitReached`] at capacity.
     pub fn create_session(&mut self) -> Result<SessionId, EngineError> {
-        if self.policy.is_none() {
-            return Err(EngineError::MissingPolicy);
-        }
-        // Build the selectors through a reborrow so the factory box can be
-        // consulted while `self` is otherwise borrowed.
-        let selectors = {
-            let factory = self.policy.as_deref().expect("checked above");
-            Self::make_selectors(&self.config, factory)
-        };
+        let factory = self.policy.as_deref().ok_or(EngineError::MissingPolicy)?;
+        let selectors = Self::make_selectors(&self.config, factory);
         self.insert_session(selectors)
     }
 
@@ -812,32 +716,22 @@ impl ServeEngine {
             SessionState {
                 kv,
                 selectors,
-                traces: BTreeMap::new(),
                 num_tokens: 0,
                 generated_tokens: 0,
                 phase: SessionPhase::Fresh,
                 next_input: None,
                 stats: PolicyStats::default(),
-                cache: ClusterCache::new(
-                    ClusterCacheConfig::new(self.kv_cache_capacity, self.config.head_dim)
-                        .with_compression(self.compression)
-                        .with_staging(if self.prefetch.enabled() {
-                            self.prefetch.staging_capacity
-                        } else {
-                            Bytes(0)
-                        }),
+                residency: Residency::new(
+                    self.kv_cache_capacity,
+                    self.config.head_dim,
+                    self.compression,
+                    self.prefetch,
                 ),
-                step: StepAccounting::default(),
-                modeled_decode: Seconds::zero(),
-                hidden_transfer: Seconds::zero(),
-                transfer_time: Seconds::zero(),
-                nominations: Vec::new(),
                 prompt_tokens: Vec::new(),
                 prefix_active: self.prefix.is_some(),
                 matched_prefix_tokens: 0,
                 fastpath_prefix_tokens: 0,
                 pinned_prompt: Vec::new(),
-                integrity: IntegrityStats::default(),
                 workspaces: (0..self.config.num_heads)
                     .map(|_| Workspace::new())
                     .collect(),
@@ -864,28 +758,22 @@ impl ServeEngine {
                 store.unpin_prompt(&sess.pinned_prompt);
             }
         }
-        let shared_kv_bytes =
-            Bytes(sess.matched_prefix_tokens as u64 * self.config.kv_bytes_per_token());
-        let private_kv_bytes = Bytes(
-            (sess.num_tokens - sess.matched_prefix_tokens) as u64
-                * self.config.kv_bytes_per_token(),
-        );
-        let mut integrity = sess.integrity;
-        integrity.merge(&sess.cache.integrity());
+        let kv_bytes = |tokens: usize| Bytes(tokens as u64 * self.config.kv_bytes_per_token());
+        let (hidden_transfer_time, transfer_time) = sess.residency.transfer_times();
         Ok(SessionReport {
             id,
             context_len: sess.num_tokens,
             generated_tokens: sess.generated_tokens,
-            stats: sess.stats,
-            modeled_decode_time: sess.modeled_decode,
+            stats: sess.residency.counted(sess.stats),
+            modeled_decode_time: sess.residency.modeled_decode(),
             shared_prefix_tokens: sess.matched_prefix_tokens,
-            shared_kv_bytes,
-            private_kv_bytes,
-            compression: sess.cache.compression_stats(),
-            prefetch: sess.cache.prefetch_stats(),
-            hidden_transfer_time: sess.hidden_transfer,
-            transfer_time: sess.transfer_time,
-            integrity,
+            shared_kv_bytes: kv_bytes(sess.matched_prefix_tokens),
+            private_kv_bytes: kv_bytes(sess.num_tokens - sess.matched_prefix_tokens),
+            compression: sess.residency.compression_stats(),
+            prefetch: sess.residency.prefetch_stats(),
+            hidden_transfer_time,
+            transfer_time,
+            integrity: sess.residency.integrity(),
         })
     }
 
@@ -898,12 +786,6 @@ impl ServeEngine {
         Ok(self.session(id)?.num_tokens)
     }
 
-    /// The fault plan the engine was built with
-    /// ([`FaultPlan::disabled`] by default).
-    pub fn fault_plan(&self) -> FaultPlan {
-        *self.injector.plan()
-    }
-
     /// Degradation hook (ladder level 1, DESIGN.md §11): release every
     /// staged page of the session's prefetch buffer, returning the bytes
     /// freed (charged as wasted prefetch). A no-op for sessions without a
@@ -914,7 +796,7 @@ impl ServeEngine {
     ///
     /// [`EngineError::UnknownSession`] if the id is not resident.
     pub fn shed_staging(&mut self, id: SessionId) -> Result<Bytes, EngineError> {
-        Ok(self.session_mut(id)?.cache.drop_staging())
+        Ok(self.session_mut(id)?.residency.shed_staging())
     }
 
     /// Degradation hook (ladder level 2, DESIGN.md §11): demote the
@@ -926,22 +808,7 @@ impl ServeEngine {
     ///
     /// [`EngineError::UnknownSession`] if the id is not resident.
     pub fn demote_session(&mut self, id: SessionId) -> Result<usize, EngineError> {
-        Ok(self.session_mut(id)?.cache.demote_all())
-    }
-
-    /// Live integrity accounting of a session: the session-level fault
-    /// seams (prefix-adoption verifies, transfer retries) merged with its
-    /// cluster cache's scrub counters. All zero with faults disabled and an
-    /// intact store.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn integrity_stats(&self, id: SessionId) -> Result<IntegrityStats, EngineError> {
-        let sess = self.session(id)?;
-        let mut integrity = sess.integrity;
-        integrity.merge(&sess.cache.integrity());
-        Ok(integrity)
+        Ok(self.session_mut(id)?.residency.demote_all())
     }
 
     /// Whether the engine was built with a cross-session [`PrefixStore`].
@@ -1011,24 +878,15 @@ impl ServeEngine {
         Ok((sess.matched_prefix_tokens, sess.fastpath_prefix_tokens))
     }
 
-    /// Policy statistics accumulated over every selection plan of a session,
-    /// including the residency outcomes charged by the engine.
+    /// Selection work accumulated over every plan of a session so far, plus
+    /// the residency outcomes as its cluster cache counted them.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownSession`] if the id is not resident.
     pub fn session_stats(&self, id: SessionId) -> Result<PolicyStats, EngineError> {
-        Ok(self.session(id)?.stats)
-    }
-
-    /// A session's tiered KV hierarchy (GPU resident set + CPU backing
-    /// store), for inspection.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn session_cache(&self, id: SessionId) -> Result<&ClusterCache, EngineError> {
-        Ok(&self.session(id)?.cache)
+        let sess = self.session(id)?;
+        Ok(sess.residency.counted(sess.stats))
     }
 
     /// Modeled decode latency accumulated by a session so far (roofline
@@ -1038,7 +896,7 @@ impl ServeEngine {
     ///
     /// [`EngineError::UnknownSession`] if the id is not resident.
     pub fn modeled_decode_time(&self, id: SessionId) -> Result<Seconds, EngineError> {
-        Ok(self.session(id)?.modeled_decode)
+        Ok(self.session(id)?.residency.modeled_decode())
     }
 
     /// GPU capacity of each session's cluster cache (0 = pure offload).
@@ -1058,46 +916,6 @@ impl ServeEngine {
         self.prefetch.step_bytes = bytes;
     }
 
-    /// Prefetch accounting of a session's staging buffer so far (staged /
-    /// used / wasted bytes — all zero with prefetch disabled).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn session_prefetch_stats(&self, id: SessionId) -> Result<PrefetchStats, EngineError> {
-        Ok(self.session(id)?.cache.prefetch_stats())
-    }
-
-    /// Modeled PCIe time of a session so far as `(hidden, total)`: the part
-    /// the overlap clock hid behind compute, and the whole staged + demand
-    /// transfer time (DESIGN.md §10).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn session_transfer_times(&self, id: SessionId) -> Result<(Seconds, Seconds), EngineError> {
-        let sess = self.session(id)?;
-        Ok((sess.hidden_transfer, sess.transfer_time))
-    }
-
-    /// Heap bytes currently held by a session's per-head kernel workspaces
-    /// (plus the layer concat and projection scratch). The buffers grow to
-    /// the steady-state working set during the first decode steps and then
-    /// stay fixed — the workspace-reuse test pins this, which is how the
-    /// engine documents that its per-head attention phase performs no heap
-    /// allocation in steady state (DESIGN.md §6).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn session_workspace_bytes(&self, id: SessionId) -> Result<usize, EngineError> {
-        let sess = self.session(id)?;
-        let per_head: usize = sess.workspaces.iter().map(|w| w.allocated_bytes()).sum();
-        Ok(per_head
-            + std::mem::size_of::<f32>()
-                * (sess.concat.capacity() + sess.k_scratch.capacity() + sess.v_scratch.capacity()))
-    }
-
     /// Cap on concurrently resident sessions.
     pub fn max_sessions(&self) -> usize {
         self.max_sessions
@@ -1115,41 +933,6 @@ impl ServeEngine {
     /// uses this to advance its modeled clock.
     pub fn latency_model(&self) -> &LatencyModel {
         &self.latency
-    }
-
-    /// Whether a session has finished prefill and is decodable.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn is_ready(&self, id: SessionId) -> Result<bool, EngineError> {
-        Ok(self.session(id)?.phase == SessionPhase::Ready)
-    }
-
-    /// Enable tracing of a specific `(layer, head)` pair of a session. Must
-    /// be called before decoding; tracing records exact attention weights,
-    /// which is expensive but only for the traced heads.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn enable_trace(
-        &mut self,
-        id: SessionId,
-        layer: usize,
-        head: usize,
-    ) -> Result<(), EngineError> {
-        self.session_mut(id)?
-            .traces
-            .insert((layer, head), AttentionTrace::new(layer, head));
-        Ok(())
-    }
-
-    /// Access a recorded trace of a session.
-    pub fn trace(&self, id: SessionId, layer: usize, head: usize) -> Option<&AttentionTrace> {
-        self.sessions
-            .get(&id.0)
-            .and_then(|s| s.traces.get(&(layer, head)))
     }
 
     /// Access the KV store of a `(layer, kv_head)` pair of a session (for
@@ -1265,21 +1048,17 @@ impl ServeEngine {
         attend_into(k_rows, v_rows, None, q, weights, out);
     }
 
-    /// Run one token of one session through the transformer. `use_selection`
-    /// is false during prefill (full causal attention) and true during
-    /// decoding.
+    /// Run one token of one session through the transformer: a decode step
+    /// under `selection`, or — with `None` — a prefill token under full
+    /// causal attention.
     fn forward_token(
         config: &ModelConfig,
         weights: &ModelWeights,
         rope: &Rope,
-        policy: StepPolicy,
+        selection: Option<StepPolicy>,
         sess: &mut SessionState,
         token: usize,
-        use_selection: bool,
     ) -> Result<Vec<f32>, EngineError> {
-        let StepPolicy {
-            budget, prefetch, ..
-        } = policy;
         let position = sess.num_tokens;
         if position >= config.max_context {
             return Err(EngineError::ContextOverflow {
@@ -1329,8 +1108,7 @@ impl ServeEngine {
                 num_heads
             };
             let kv_layer = &sess.kv[layer];
-            let traces = &sess.traces;
-            let compression = sess.cache.compression();
+            let compression = sess.residency.compression();
             sess.concat.clear();
             sess.concat.resize(num_heads * head_dim, 0.0);
             /// One head's unit of the parallel attention phase: its index,
@@ -1344,56 +1122,57 @@ impl ServeEngine {
                 .enumerate()
                 .map(|(head, ((selector, ws), slot))| (head, selector, ws, slot))
                 .collect();
-            let head_outcomes: Vec<HeadOutcome> = work
+            let head_outcomes: Vec<Option<HeadOutcome>> = work
                 .into_par_iter()
                 .with_min_len(head_min_len)
                 .map(|(head, mut selector, ws, slot)| {
                     Self::project_head_into(&lw.wq, &h, head, head_dim, &mut ws.q);
                     rope.apply(&mut ws.q, position);
                     let store = &kv_layer[Self::kv_head_of(config, head)];
-                    let n = store.len();
-                    let (selected, stats, pages, compressed, hint) = if use_selection {
-                        let plan = selector.plan(SelectionRequest::new(&ws.q, n, budget));
-                        // The lookahead nomination runs right after the plan,
-                        // against the same query: a pure read re-ranking
-                        // cluster centroids under a widened budget. Only the
-                        // Lookahead predictor pays for it.
-                        let hint = if prefetch.enabled()
-                            && prefetch.predictor == PrefetchPredictor::Lookahead
-                        {
-                            selector.prefetch_hint(
-                                SelectionRequest::new(&ws.q, n, budget),
-                                prefetch.lookahead_tokens,
-                            )
-                        } else {
-                            Vec::new()
-                        };
-                        let mut sel = plan.indices;
-                        // The token being generated always attends to
-                        // itself: its KV was just produced on the GPU and is
-                        // not subject to selection (policies may not even
-                        // have observed it yet).
-                        if !sel.contains(&position) {
-                            sel.push(position);
-                        }
-                        let (pages, compressed) = match plan.residency {
-                            KvResidency::Paged(pages) => (Some(pages), false),
-                            KvResidency::Compressed(pages) => (Some(pages), true),
-                            KvResidency::Resident => (None, false),
-                        };
-                        (sel, Some(plan.stats), pages, compressed, hint)
-                    } else {
+                    let Some(StepPolicy {
+                        budget, prefetch, ..
+                    }) = selection
+                    else {
                         // Prefill: full causal attention through the
                         // dedicated no-index-vec path (no `(0..n)` vector).
-                        (Vec::new(), None, None, false, Vec::new())
+                        attend_into(
+                            store.keys(),
+                            store.values(),
+                            None,
+                            &ws.q,
+                            &mut ws.weights,
+                            slot,
+                        );
+                        return None;
                     };
-                    match &pages {
+                    let request = SelectionRequest::new(&ws.q, store.len(), budget);
+                    let plan = selector.plan(request);
+                    // The lookahead nomination runs right after the plan,
+                    // against the same query: a pure read re-ranking cluster
+                    // centroids under a widened budget. Only the Lookahead
+                    // predictor pays for it.
+                    let hint = if prefetch.enabled()
+                        && prefetch.predictor == PrefetchPredictor::Lookahead
+                    {
+                        selector.prefetch_hint(request, prefetch.lookahead_tokens)
+                    } else {
+                        Vec::new()
+                    };
+                    let mut selected = plan.indices;
+                    // The token being generated always attends to itself:
+                    // its KV was just produced on the GPU and is not subject
+                    // to selection (policies may not even have observed it
+                    // yet).
+                    if !selected.contains(&position) {
+                        selected.push(position);
+                    }
+                    if let KvResidency::Compressed(pages) = &plan.residency {
                         // Recall-compressed attention (DESIGN.md §9): attend
                         // through the merged + quantize-round-tripped KV of
                         // the plan's pages, exact KV elsewhere. Depends only
                         // on (config, page membership, stored values), so it
                         // is order-free across heads and thread counts.
-                        Some(pages) if compressed => Self::attend_compressed(
+                        Self::attend_compressed(
                             store,
                             &selected,
                             pages,
@@ -1401,89 +1180,44 @@ impl ServeEngine {
                             compression,
                             ws,
                             slot,
-                        ),
-                        _ => {
-                            let indices = stats.as_ref().map(|_| selected.as_slice());
-                            attend_into(
-                                store.keys(),
-                                store.values(),
-                                indices,
-                                &ws.q,
-                                &mut ws.weights,
-                                slot,
-                            );
-                        }
-                    }
-                    // The query is consumed after the parallel phase only by
-                    // traced heads; everyone else skips the copy.
-                    let query = if traces.contains_key(&(layer, head)) {
-                        ws.q.clone()
+                        );
                     } else {
-                        Vec::new()
-                    };
-                    HeadOutcome {
-                        selected,
-                        stats,
-                        pages,
-                        compressed,
-                        hint,
-                        query,
+                        attend_into(
+                            store.keys(),
+                            store.values(),
+                            Some(&selected),
+                            &ws.q,
+                            &mut ws.weights,
+                            slot,
+                        );
                     }
+                    let pages = match plan.residency {
+                        KvResidency::Paged(pages) | KvResidency::Compressed(pages) => Some(pages),
+                        KvResidency::Resident => None,
+                    };
+                    Some(HeadOutcome {
+                        attended: selected.len(),
+                        stats: plan.stats,
+                        pages,
+                        hint,
+                    })
                 })
                 .collect();
 
             // Attention, phase 2 (sequential, in head order): cluster-cache
-            // accesses (whose LRU stamps are order-sensitive), stats
-            // accumulation and traces consume the outcomes exactly as the
-            // sequential engine did (outputs already sit in the concat
-            // buffer, written by the parallel phase).
-            for (head, mut outcome) in head_outcomes.into_iter().enumerate() {
-                if let Some(mut stats) = outcome.stats.take() {
-                    // Residency: resolve the plan's page requests against the
-                    // session's cluster cache; only misses cross PCIe.
-                    if let Some(pages) = &outcome.pages {
-                        let access = sess.cache.access(LayerId(layer), HeadId(head), pages);
-                        stats.charge_recall(&access);
-                        if outcome.compressed {
-                            // Compressed recalls move quantized pages; the
-                            // cache reports their exact byte count, which
-                            // the latency model prices directly.
-                            sess.step.transferred_compressed_bytes += access.bytes_recalled.get();
-                            sess.step.promoted_compressed_bytes += access.staged_bytes.get();
-                        } else {
-                            sess.step.transferred += access.missed_tokens;
-                            sess.step.promoted_tokens += access.staged_tokens;
-                        }
-                    }
-                    // Nominate next-step pages for the end-of-step staging
-                    // pass: every predictor re-nominates the pages this step
-                    // selected (semantic locality), Lookahead adds its
-                    // widened-budget hint. Pushed in (layer, head) order by
-                    // this sequential phase, so the staging order — and
-                    // hence every staging-LRU stamp — is deterministic.
-                    if prefetch.enabled() {
-                        if let Some(pages) = outcome.pages.take() {
-                            sess.nominations.push((layer, head, pages));
-                        }
-                        if !outcome.hint.is_empty() {
-                            let hint = std::mem::take(&mut outcome.hint);
-                            sess.nominations.push((layer, head, hint));
-                        }
-                    }
-                    sess.stats.merge(&stats);
-                    if layer >= config.dense_layers {
-                        sess.step.scored += stats.scored_vectors;
-                        sess.step.attended += outcome.selected.len() as u64;
-                    }
-                    if let Some(trace) = sess.traces.get_mut(&(layer, head)) {
-                        let store = &sess.kv[layer][Self::kv_head_of(config, head)];
-                        trace.push(TraceStep {
-                            position,
-                            full_weights: full_attention_weights(store, &outcome.query),
-                            selected: outcome.selected.clone(),
-                        });
-                    }
+            // accesses (whose LRU stamps are order-sensitive) and stats
+            // accumulation consume the outcomes exactly as a sequential
+            // engine would (outputs already sit in the concat buffer,
+            // written by the parallel phase).
+            for (head, outcome) in head_outcomes.into_iter().enumerate() {
+                let Some(outcome) = outcome else { continue };
+                sess.stats.merge(&outcome.stats);
+                if layer >= config.dense_layers {
+                    sess.residency
+                        .selected(outcome.stats.scored_vectors, outcome.attended as u64);
                 }
+                sess.residency
+                    .recall(layer, head, outcome.pages, outcome.hint);
             }
 
             // Output projection and residual (row-parallel).
@@ -1508,42 +1242,6 @@ impl ServeEngine {
 
         sess.num_tokens += 1;
         Ok(rms_norm(&x, &weights.final_norm, 1e-6))
-    }
-
-    /// Admit pages whose KV was just produced on the GPU (prefill
-    /// clustering, incremental decode clustering) into the session's cluster
-    /// cache while capacity allows, and grow the CPU backing store to the
-    /// full KV size.
-    fn settle_session_memory(config: &ModelConfig, sess: &mut SessionState) {
-        if sess.cache.enabled() {
-            let group = config.num_heads / config.num_kv_heads;
-            for layer in config.dense_layers..config.num_layers {
-                for head in 0..config.num_heads {
-                    // Once a head's KV is offloaded the decision is permanent
-                    // — skip building its page table again every step.
-                    if sess.cache.is_offloaded(LayerId(layer), HeadId(head)) {
-                        continue;
-                    }
-                    // Both paged and recall-compressed tables warm the same
-                    // way: admission is always exact, demotion to the
-                    // compressed tier happens under eviction pressure.
-                    let table = sess.selectors[layer][head / group].page_table(head % group);
-                    if let Some(pages) = table.page_requests() {
-                        sess.cache.warm(LayerId(layer), HeadId(head), pages);
-                    }
-                }
-            }
-        }
-        // Shared-prefix positions live in the workspace-global store and are
-        // charged there exactly once; the session's backing store only pays
-        // for its private rows (novel prompt suffix + generated tokens).
-        // Without a prefix store `matched_prefix_tokens` is 0 and this is
-        // the plain full-context charge.
-        let private = sess.num_tokens - sess.matched_prefix_tokens;
-        let total = Bytes(private as u64 * config.kv_bytes_per_token());
-        sess.cache
-            .set_backing(total)
-            .expect("host DRAM exhausted by simulated KV");
     }
 
     /// Fan a key event out across the selector group of every selective
@@ -1611,7 +1309,6 @@ impl ServeEngine {
             config,
             weights,
             rope,
-            budget,
             sessions,
             prefix,
             injector,
@@ -1686,17 +1383,17 @@ impl ServeEngine {
                                     if injector.should_corrupt(FaultSite::PrefixAdoption, key)
                                         && store.corrupt_block(seg.node, layer, kv_head, block)
                                     {
-                                        sess.integrity.record_injected();
+                                        sess.residency.seams.record_injected();
                                     }
                                     match store.verify_block(seg.node, layer, kv_head, block) {
-                                        Some(true) => sess.integrity.record_verified(),
+                                        Some(true) => sess.residency.seams.record_verified(),
                                         Some(false) => {
-                                            sess.integrity.record_verified();
-                                            sess.integrity.record_detected();
+                                            sess.residency.seams.record_verified();
+                                            sess.residency.seams.record_detected();
                                             if let Some(bytes) =
                                                 store.repair_block(seg.node, layer, kv_head, block)
                                             {
-                                                sess.integrity.record_repaired(bytes.get());
+                                                sess.residency.seams.record_repaired(bytes.get());
                                             }
                                         }
                                         None => {}
@@ -1726,19 +1423,7 @@ impl ServeEngine {
         }
         let mut last = Vec::new();
         for &token in &chunk[fast..] {
-            last = Self::forward_token(
-                config,
-                weights,
-                rope,
-                StepPolicy {
-                    budget: *budget,
-                    prefetch: PrefetchConfig::disabled(),
-                    faults: *injector,
-                },
-                sess,
-                token,
-                false,
-            )?;
+            last = Self::forward_token(config, weights, rope, None, sess, token)?;
         }
         // Notify the selector groups of the chunk's keys, once per KV head.
         // Groups are independent, making the observes order-free; policies
@@ -1857,7 +1542,11 @@ impl ServeEngine {
         }
         // The prefill KV was produced on the GPU: pages stay resident while
         // cache capacity allows, the rest is offloaded to the backing store.
-        Self::settle_session_memory(config, sess);
+        sess.residency.settle(
+            config,
+            &sess.selectors,
+            sess.num_tokens - sess.matched_prefix_tokens,
+        );
         sess.phase = SessionPhase::Ready;
         Ok(())
     }
@@ -1898,33 +1587,28 @@ impl ServeEngine {
     }
 
     fn decode_session(&mut self, id: SessionId) -> Result<DecodeOutput, EngineError> {
+        let policy = self.step_policy();
         let Self {
             config,
             weights,
             rope,
-            budget,
-            prefetch,
             sessions,
             latency,
-            injector,
             ..
         } = self;
         let sess = sessions
             .get_mut(&id.0)
             .ok_or(EngineError::UnknownSession(id))?;
-        Self::decode_one(
-            config,
-            weights,
-            rope,
-            StepPolicy {
-                budget: *budget,
-                prefetch: *prefetch,
-                faults: *injector,
-            },
-            latency,
-            id,
-            sess,
-        )
+        Self::decode_one(config, weights, rope, policy, latency, id, sess)
+    }
+
+    /// The per-step knobs every session of this engine decodes under.
+    fn step_policy(&self) -> StepPolicy {
+        StepPolicy {
+            budget: self.budget,
+            prefetch: self.prefetch,
+            faults: self.injector,
+        }
     }
 
     /// Advance one session by one decoding step. Free of `&mut self` so
@@ -1939,14 +1623,13 @@ impl ServeEngine {
         id: SessionId,
         sess: &mut SessionState,
     ) -> Result<DecodeOutput, EngineError> {
-        let StepPolicy { prefetch, .. } = policy;
         if sess.phase != SessionPhase::Ready {
             return Err(EngineError::NotPrefilled);
         }
         let token = sess.next_input.ok_or(EngineError::NotPrefilled)?;
         let position = sess.num_tokens;
-        sess.step = StepAccounting::default();
-        let hidden = Self::forward_token(config, weights, rope, policy, sess, token, true)?;
+        sess.residency.begin_step();
+        let hidden = Self::forward_token(config, weights, rope, Some(policy), sess, token)?;
 
         // Notify the selector groups of the key each KV head appended at
         // `position` — parallel across the independent (layer, kv_head)
@@ -1961,94 +1644,24 @@ impl ServeEngine {
                 key: kv[li + dense][kv_head].key(position),
             });
         });
-        // New KV (and any freshly created clusters) was produced on-device;
-        // settle what stays resident, then stage this step's nominations for
-        // the next step. Staging runs after settlement so freshly admitted
-        // pages are already resident (stage() skips them), and drains the
-        // nominations in the (layer, head) order phase 2 pushed them —
-        // deterministic staging-LRU stamps at any thread count.
-        Self::settle_session_memory(config, sess);
-        if prefetch.enabled() {
-            let mut budget_left = prefetch.step_bytes;
-            for (layer, head, pages) in sess.nominations.drain(..) {
-                if budget_left.get() == 0 {
-                    continue; // keep draining so no stale nominations survive
-                }
-                let moved = sess
-                    .cache
-                    .stage(LayerId(layer), HeadId(head), &pages, budget_left);
-                sess.step.staged_bytes += moved.get();
-                budget_left = Bytes(budget_left.get() - moved.get());
-            }
-        }
-        // Deterministic fault injection (DESIGN.md §11). Every decision is a
-        // pure function of (plan seed, site, session id, position), so the
-        // schedule is bit-identical across runs, chunkings and thread
-        // counts. Faults only add modeled time (retried bytes, backoff) and
-        // checksum churn; the KV payloads a step attends are untouched, so
-        // token streams match the faults-off run byte for byte.
-        let injector = policy.faults;
-        if injector.enabled() {
-            let step_key = id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ position as u64;
-            // Modeled transfer failures: this step's demand recall is
-            // re-sent (attempts - 1) extra times, each preceded by an
-            // exponential-backoff wait charged to the modeled clock.
-            let demand_bytes = sess.step.transferred * (4 * config.head_dim) as u64
-                + sess.step.transferred_compressed_bytes;
-            if demand_bytes > 0 {
-                let attempts = injector.transfer_attempts(FaultSite::DemandRecall, step_key);
-                if attempts > 1 {
-                    let retries = u64::from(attempts - 1);
-                    let retried = retries * demand_bytes;
-                    let backoff = backoff_seconds(injector.plan().backoff_base, attempts);
-                    sess.step.retried_bytes += retried;
-                    sess.step.backoff_seconds += backoff;
-                    sess.integrity.record_retries(retries, retried, backoff);
-                }
-            }
-            // Checksum corruption of a resident page, scrubbed in the same
-            // step: detection re-seals the tag from the pristine backing
-            // rows and the re-fetch is charged as retried demand traffic.
-            if injector.should_corrupt(FaultSite::DemandRecall, step_key)
-                && sess.cache.corrupt_resident_page(step_key)
-            {
-                let repaired = sess.cache.scrub();
-                sess.step.retried_bytes += repaired.get();
-            }
-        }
-        // Price the step. With the overlap clock, miss tokens promoted out
-        // of the staging buffer leave the demand term (their transfer was
-        // charged — overlapped — by the step that staged them) and this
-        // step's staged bytes enter the overlap term. Without overlap (or
-        // with prefetch off) the raw totals reproduce the pure-sum clock
-        // bit for bit.
-        let (transferred, compressed_bytes, staged_bytes) =
-            if prefetch.enabled() && prefetch.overlap {
-                (
-                    sess.step.transferred - sess.step.promoted_tokens,
-                    sess.step.transferred_compressed_bytes - sess.step.promoted_compressed_bytes,
-                    sess.step.staged_bytes,
-                )
-            } else {
-                (
-                    sess.step.transferred,
-                    sess.step.transferred_compressed_bytes,
-                    0,
-                )
-            };
-        let cost = StepCost::from_step_totals(
+        // New KV (and any freshly created clusters) was produced on-device:
+        // settle what stays resident, then close the step — staging, the
+        // fault plan and pricing. Every fault decision is a pure function of
+        // (plan seed, site, session id, position), so the schedule is
+        // bit-identical across runs, chunkings and thread counts
+        // (DESIGN.md §11).
+        sess.residency.settle(
             config,
-            sess.step.scored,
-            sess.step.attended,
-            transferred,
-            compressed_bytes,
-            staged_bytes,
-        )
-        .with_retries(sess.step.retried_bytes, sess.step.backoff_seconds);
-        let breakdown = latency.decode_step_breakdown(sess.num_tokens, &cost);
-        sess.modeled_decode += breakdown.total;
-        sess.hidden_transfer += breakdown.hidden();
-        sess.transfer_time += breakdown.staged + breakdown.demand;
+            &sess.selectors,
+            sess.num_tokens - sess.matched_prefix_tokens,
+        );
+        sess.residency.finish_step(
+            latency,
+            policy.prefetch,
+            policy.faults,
+            id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ position as u64,
+            sess.num_tokens,
+        );
 
         // Tied-embedding logits (blocked matvec, row-chunk-parallel over the
         // vocabulary).
@@ -2126,22 +1739,15 @@ impl ServeEngine {
         for (slot, &id) in ids.iter().enumerate() {
             slots_per_id.entry(id.0).or_default().push(slot);
         }
+        let policy = self.step_policy();
         let Self {
             config,
             weights,
             rope,
-            budget,
-            prefetch,
             sessions,
             latency,
-            injector,
             ..
         } = self;
-        let policy = StepPolicy {
-            budget: *budget,
-            prefetch: *prefetch,
-            faults: *injector,
-        };
         // The session table is a BTreeMap, so the work list (and thus chunk
         // assignment) is id-ordered structurally — no post-hoc sort needed.
         let work: Vec<(u64, Vec<usize>, &mut SessionState)> = sessions
@@ -2275,7 +1881,6 @@ mod tests {
         let b = eng.create_session().unwrap();
         assert_ne!(a, b);
         assert_eq!(eng.num_sessions(), 2);
-        assert_eq!(eng.session_ids(), vec![a, b]);
         eng.generate(a, &[1, 2, 3], 2).unwrap();
         let report = eng.release(a).unwrap();
         assert_eq!(report.id, a);
@@ -2302,8 +1907,8 @@ mod tests {
             eng.create_session().unwrap_err(),
             EngineError::SessionLimitReached { max: 2 }
         );
-        let ids = eng.session_ids();
-        eng.release(ids[0]).unwrap();
+        let first = SessionId(*eng.sessions.keys().next().unwrap());
+        eng.release(first).unwrap();
         assert!(eng.create_session().is_ok(), "capacity is reclaimed");
     }
 
@@ -2605,16 +2210,18 @@ mod tests {
         assert_eq!(got_b, alone_b);
     }
 
-    fn clusterkv_like_engine(capacity: Bytes) -> ServeEngine {
-        // A paged policy without depending on the core crate: exercise the
-        // cache through a minimal cluster-shaped selector.
+    /// A paged policy without depending on the core crate: exercise the
+    /// cache through a minimal cluster-shaped selector, at budget 8.
+    fn paged(capacity: Bytes) -> ServeEngineBuilder {
         ServeEngine::builder(ModelConfig::tiny())
             .synthetic_weights(7)
             .budget(Budget::new(8))
             .policy(Box::new(PagedTopKFactory))
             .kv_cache_capacity(capacity)
-            .build()
-            .unwrap()
+    }
+
+    fn clusterkv_like_engine(capacity: Bytes) -> ServeEngine {
+        paged(capacity).build().unwrap()
     }
 
     /// Test-only paged policy: exact top-k selection reported as one
@@ -2700,7 +2307,6 @@ mod tests {
         fn observe(&mut self, event: ObserveEvent<'_>) {
             use std::sync::atomic::Ordering::Relaxed;
             match event {
-                ObserveEvent::Prefill { .. } => unreachable!("the engine feeds chunks"),
                 ObserveEvent::PrefillChunk { start, keys } => {
                     assert_eq!(start, self.keys.rows(), "chunks arrive once, in order");
                     self.keys.extend_rows(keys).unwrap();
@@ -2865,7 +2471,7 @@ mod tests {
         let prompt: Vec<usize> = (0..24).map(|i| (i * 3) % 128).collect();
         eng.prefill(s, &prompt).unwrap();
         eng.decode_batch(&[s, s]).unwrap();
-        let cache = eng.session_cache(s).unwrap();
+        let cache = eng.sessions[&s.0].residency.cache();
         let expected = 26 * eng.config().kv_bytes_per_token();
         assert_eq!(cache.cpu().used(), Bytes(expected));
         assert!(cache.resident_bytes() <= cache.capacity());
@@ -2883,7 +2489,7 @@ mod tests {
         assert_eq!(eng.kv_cache_capacity(), Bytes(1 << 20));
         let s = eng.create_session().unwrap();
         eng.generate(s, &[1, 2, 3, 4, 5, 6], 4).unwrap();
-        let cache = eng.session_cache(s).unwrap();
+        let cache = eng.sessions[&s.0].residency.cache();
         assert_eq!(cache.resident_pages(), 0, "FullKV never pages");
         let report = eng.release(s).unwrap();
         assert_eq!(report.stats.cache.total(), 0);
@@ -2921,13 +2527,24 @@ mod tests {
         for _ in 0..4 {
             eng.decode_batch(&[s]).unwrap();
         }
-        let warm = eng.session_workspace_bytes(s).unwrap();
+        // Heap bytes held by the per-head kernel workspaces plus the layer
+        // concat and projection scratch.
+        let workspace_bytes = |eng: &ServeEngine| {
+            let sess = &eng.sessions[&s.0];
+            let per_head: usize = sess.workspaces.iter().map(|w| w.allocated_bytes()).sum();
+            per_head
+                + std::mem::size_of::<f32>()
+                    * (sess.concat.capacity()
+                        + sess.k_scratch.capacity()
+                        + sess.v_scratch.capacity())
+        };
+        let warm = workspace_bytes(&eng);
         assert!(warm > 0, "workspaces are in use");
         for _ in 0..12 {
             eng.decode_batch(&[s]).unwrap();
         }
         assert_eq!(
-            eng.session_workspace_bytes(s).unwrap(),
+            workspace_bytes(&eng),
             warm,
             "steady-state decode must not grow the workspaces"
         );
@@ -3171,7 +2788,6 @@ mod tests {
 
         fn observe(&mut self, event: ObserveEvent<'_>) {
             let n = match event {
-                ObserveEvent::Prefill { keys } => keys.rows(),
                 ObserveEvent::PrefillChunk { start, keys } => start + keys.rows(),
                 ObserveEvent::PrefillDone { total_tokens } => total_tokens,
                 ObserveEvent::Append { position, .. } => position + 1,
@@ -3414,14 +3030,7 @@ mod tests {
     }
 
     fn prefetch_engine(capacity: Bytes, prefetch: PrefetchConfig) -> ServeEngine {
-        ServeEngine::builder(ModelConfig::tiny())
-            .synthetic_weights(7)
-            .budget(Budget::new(8))
-            .policy(Box::new(PagedTopKFactory))
-            .kv_cache_capacity(capacity)
-            .prefetch(prefetch)
-            .build()
-            .unwrap()
+        paged(capacity).prefetch(prefetch).build().unwrap()
     }
 
     #[test]
@@ -3490,7 +3099,7 @@ mod tests {
         let s = eng.create_session().unwrap();
         let choked = eng.generate(s, &prompt, 6).unwrap();
         assert_eq!(
-            eng.session_prefetch_stats(s).unwrap(),
+            eng.sessions[&s.0].residency.prefetch_stats(),
             PrefetchStats::new(),
             "a zero per-step budget stages nothing"
         );
@@ -3500,9 +3109,9 @@ mod tests {
         for _ in 0..6 {
             eng.decode_batch(&[s]).unwrap();
         }
-        assert!(eng.session_prefetch_stats(s).unwrap().staged_pages > 0);
-        let (hidden, total) = eng.session_transfer_times(s).unwrap();
-        assert!(total >= hidden);
+        let report = eng.release(s).unwrap();
+        assert!(report.prefetch.staged_pages > 0);
+        assert!(report.transfer_time >= report.hidden_transfer_time);
 
         let mut free = prefetch_engine(Bytes(512), PrefetchConfig::reuse_last(Bytes(1 << 20)));
         let fs = free.create_session().unwrap();
@@ -3614,14 +3223,8 @@ mod tests {
     /// a target) while a small budget keeps demand transfers flowing (so
     /// retries have traffic to re-send).
     fn tiny_faulty(budget: usize, plan: FaultPlan) -> ServeEngine {
-        ServeEngine::builder(ModelConfig::tiny())
-            .synthetic_weights(7)
-            .budget(Budget::new(budget))
-            .policy(Box::new(PagedTopKFactory))
-            .kv_cache_capacity(Bytes(1 << 16))
-            .faults(plan)
-            .build()
-            .unwrap()
+        let builder = paged(Bytes(1 << 16)).budget(Budget::new(budget));
+        builder.faults(plan).build().unwrap()
     }
 
     #[test]
@@ -3703,8 +3306,7 @@ mod tests {
         for _ in 0..10 {
             eng.decode_batch(&[s]).unwrap();
         }
-        let integrity = eng.integrity_stats(s).unwrap();
-        eng.release(s).unwrap();
+        let integrity = eng.release(s).unwrap().integrity;
         assert!(
             integrity.corruptions_injected > 0,
             "corruption never fired at rate 0.45 over 10 steps"
@@ -3753,7 +3355,7 @@ mod tests {
             adopter_stream, donor_stream,
             "adoption-time corruption must never reach the adopted rows"
         );
-        let integrity = eng.integrity_stats(adopter).unwrap();
+        let integrity = eng.release(adopter).unwrap().integrity;
         assert!(
             integrity.verifications > 0,
             "adoption must verify shared-page seals"
@@ -3770,7 +3372,6 @@ mod tests {
             integrity.corruptions_repaired,
             integrity.corruptions_detected
         );
-        eng.release(adopter).unwrap();
         eng.release(donor).unwrap();
     }
 
@@ -3807,7 +3408,9 @@ mod tests {
         let mut verified = 0;
         for (chunk, piece) in prompt.chunks(SEAL_BLOCK_ROWS).enumerate() {
             eng.prefill_chunk(adopter, piece).unwrap();
-            let integrity = eng.integrity_stats(adopter).unwrap();
+            // Nothing decodes during prefill, so the adoption seam's counters
+            // are the session's whole integrity record so far.
+            let integrity = eng.sessions[&adopter.0].residency.integrity();
             // Each chunk hashes the one block its rows sit in, per page.
             verified += pages;
             assert_eq!(integrity.verifications, verified, "chunk {chunk}");
@@ -3827,6 +3430,104 @@ mod tests {
             eng.decode_batch(&[adopter]).unwrap()[0].next_token,
             reference
         );
+    }
+
+    #[test]
+    fn reports_carry_the_caches_counters_and_steps_price_its_bytes() {
+        // One owner of data movement: whatever the tier, prefetcher or
+        // fault plan, a report's hit/miss and transfer stats are the session
+        // cache's own counters, and the demand bytes the steps priced add up
+        // to what it recalled minus what staging had already moved.
+        let prompt: Vec<usize> = (0..40).map(|i| (i * 7 + 5) % 128).collect();
+        let engines = [
+            ("lossless", clusterkv_like_engine(Bytes(512))),
+            (
+                "int4",
+                block_paged_engine(true, CompressionConfig::int4(), Bytes(600)),
+            ),
+            (
+                "lookahead",
+                prefetch_engine(Bytes(512), PrefetchConfig::lookahead(Bytes(1 << 20))),
+            ),
+            ("faults", tiny_faulty(6, FaultPlan::uniform(3, 0.9))),
+        ];
+        for (name, mut eng) in engines {
+            let s = eng.create_session().unwrap();
+            eng.prefill(s, &prompt).unwrap();
+            let (mut priced, mut retried) = (0, 0);
+            for _ in 0..10 {
+                eng.decode_batch(&[s]).unwrap();
+                let step = eng.sessions[&s.0].residency.last_step();
+                priced += step.demand_bytes().get();
+                retried += step.retried.get();
+            }
+            assert_eq!(retried > 0, name == "faults", "{name}");
+            let cache = eng.sessions[&s.0].residency.cache();
+            let (counted, moved) = (cache.stats(), cache.transfers());
+            let promoted = cache.prefetch_stats().used_bytes.get();
+            assert!(moved.bytes_to_device.get() > 0, "{name}: nothing missed");
+            assert_eq!(promoted > 0, name == "lookahead", "{name}");
+            let live = eng.session_stats(s).unwrap();
+            assert_eq!((live.cache, live.transfer), (counted, moved), "{name}");
+            let report = eng.release(s).unwrap();
+            assert_eq!(report.stats.cache, counted, "{name}");
+            assert_eq!(report.stats.transfer, moved, "{name}");
+            assert_eq!(
+                priced,
+                report.bytes_recalled().get() - promoted,
+                "{name}: priced demand bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn oracle_with_large_budget_matches_full_attention() {
+        // When the budget covers the whole context, top-k selection selects
+        // everything and generation must match full attention exactly.
+        let prompt = [5, 9, 13, 17, 21, 25];
+        let mut eng = tiny_serve(512);
+        let oracle = eng.create_session().unwrap();
+        let full = eng.create_session_with(&FullAttentionFactory).unwrap();
+        assert_eq!(
+            eng.generate(oracle, &prompt, 5).unwrap(),
+            eng.generate(full, &prompt, 5).unwrap()
+        );
+    }
+
+    #[test]
+    fn dense_layers_ignore_budget() {
+        // Dense layers attend the whole context whatever the budget and do
+        // no selection work: with only its second layer selective, an
+        // oracle scores that layer's two heads over the 8 prompt keys; all
+        // dense, it scores nothing and decodes as full attention does.
+        let engine = |dense_layers| {
+            let config = ModelConfig {
+                dense_layers,
+                ..ModelConfig::tiny()
+            };
+            let builder = ServeEngine::builder(config).synthetic_weights(7);
+            let policy = Box::new(OracleTopKFactory);
+            builder
+                .budget(Budget::new(2))
+                .policy(policy)
+                .build()
+                .unwrap()
+        };
+        let prompt = [1, 2, 3, 4, 5, 6, 7, 8];
+        let mut half = engine(1);
+        let s = half.create_session().unwrap();
+        half.prefill(s, &prompt).unwrap();
+        half.decode_step(s, 1).unwrap();
+        assert_eq!(half.session_stats(s).unwrap().scored_vectors, 2 * 8);
+
+        let mut dense = engine(2);
+        let oracle = dense.create_session().unwrap();
+        let full = dense.create_session_with(&FullAttentionFactory).unwrap();
+        assert_eq!(
+            dense.generate(oracle, &prompt, 4).unwrap(),
+            dense.generate(full, &prompt, 4).unwrap()
+        );
+        assert_eq!(dense.session_stats(oracle).unwrap().scored_vectors, 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use clusterkv_kvcache::device::Seconds;
 use clusterkv_kvcache::types::Bytes;
 use clusterkv_metrics::RequestRow;
 use clusterkv_model::latency::StepCost;
-use clusterkv_model::{EngineError, ServeEngine, SessionId};
+use clusterkv_model::{EngineError, ServeEngine, SessionId, SessionReport};
 use serde::{Deserialize, Serialize};
 
 /// Default prefill chunk size (tokens per session per tick), matching the
@@ -332,6 +332,23 @@ struct Running {
     retries: u32,
 }
 
+impl Running {
+    /// The request's terminal record, its stream ending at `finished_at`.
+    fn into_terminal(self, finished_at: Seconds) -> Terminal {
+        Terminal {
+            id: self.id,
+            arrival: self.arrival,
+            admitted_at: self.admitted_at,
+            first_token_at: self.first_token_at,
+            finished_at,
+            prompt_len: self.prompt.len(),
+            tokens: self.tokens,
+            priority: self.priority,
+            retries: self.retries,
+        }
+    }
+}
+
 /// Final measurements of one completed request. All times are modeled
 /// (roofline device model), not wall clock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -381,7 +398,45 @@ pub struct RequestMetrics {
     pub integrity: IntegrityStats,
 }
 
+/// What the scheduler knows about a request when it reaches a terminal
+/// state, whether it was still queued or already running.
+struct Terminal {
+    id: RequestId,
+    arrival: Seconds,
+    admitted_at: Seconds,
+    first_token_at: Option<Seconds>,
+    finished_at: Seconds,
+    prompt_len: usize,
+    tokens: Vec<usize>,
+    priority: u32,
+    retries: u32,
+}
+
 impl RequestMetrics {
+    /// The metrics of a request that ended with `outcome`, carrying over
+    /// what its released session reported (`None` for a request that never
+    /// held one: every session-side figure is zero).
+    fn terminal(t: Terminal, outcome: RequestOutcome, report: Option<&SessionReport>) -> Self {
+        Self {
+            id: t.id,
+            arrival: t.arrival,
+            admitted_at: t.admitted_at,
+            first_token_at: t.first_token_at,
+            finished_at: t.finished_at,
+            prompt_len: t.prompt_len,
+            tokens: t.tokens,
+            priority: t.priority,
+            cache_hit_rate: report.map_or(0.0, SessionReport::cache_hit_rate),
+            bytes_recalled: report.map_or(Bytes(0), SessionReport::bytes_recalled),
+            shared_prefix_tokens: report.map_or(0, |s| s.shared_prefix_tokens),
+            prefetch_accuracy: report.map_or(0.0, SessionReport::prefetch_accuracy),
+            hidden_transfer_fraction: report.map_or(0.0, SessionReport::hidden_transfer_fraction),
+            outcome,
+            retries: t.retries,
+            integrity: report.map_or_else(IntegrityStats::default, |s| s.integrity),
+        }
+    }
+
     /// Time to first token: arrival → first generated token
     /// ([`Seconds::zero`] for requests cancelled before their first token —
     /// never negative, never NaN).
@@ -638,18 +693,7 @@ impl Scheduler {
             .faults
             .validate()
             .map_err(SchedError::InvalidConfig)?;
-        let weight_stream = engine.latency_model().decode_step(
-            0,
-            &StepCost {
-                scored_vectors_per_head: 0.0,
-                attended_tokens: 0.0,
-                transferred_tokens_per_head: 0.0,
-                transferred_compressed_bytes: 0.0,
-                staged_transfer_bytes: 0.0,
-                retried_transfer_bytes: 0.0,
-                retry_backoff_seconds: 0.0,
-            },
-        );
+        let weight_stream = engine.latency_model().decode_step(0, &StepCost::default());
         Ok(Self {
             engine,
             config,
@@ -1000,30 +1044,25 @@ impl Scheduler {
         // out of the chunk: only the `computed` deepest positions of [a, b)
         // are charged, which for a fully cold session reduces to the plain
         // telescoping rule.
-        let lm = self.engine.latency_model().clone();
-        let lm_prefill = move |tokens: usize| -> Seconds {
-            if tokens == 0 {
-                Seconds::zero()
-            } else {
-                lm.prefill(tokens)
-            }
-        };
         let mut elapsed = Seconds::zero();
         for &(i, take) in &prefill_jobs {
-            let r = &self.running[i];
+            let r = &mut self.running[i];
             let (from, to) = (r.fed, r.fed + take);
             let session = r.session;
-            let chunk: Vec<usize> = r.prompt[from..to].to_vec();
             let (_, fast_before) = self.engine.session_prefix_tokens(session)?;
-            self.engine.prefill_chunk(session, &chunk)?;
+            self.engine.prefill_chunk(session, &r.prompt[from..to])?;
             let (_, fast_after) = self.engine.session_prefix_tokens(session)?;
             let computed = take - (fast_after - fast_before);
-            let r = &mut self.running[i];
             r.fed = to;
             if r.fed == r.prompt.len() {
                 self.engine.finish_prefill(session)?;
             }
-            elapsed += lm_prefill(to) - lm_prefill(to - computed);
+            let lm = self.engine.latency_model();
+            let prefill = |tokens: usize| match tokens {
+                0 => Seconds::zero(),
+                n => lm.prefill(n),
+            };
+            elapsed += prefill(to) - prefill(to - computed);
             outcome.prefill_tokens += take;
         }
 
@@ -1110,7 +1149,7 @@ impl Scheduler {
                         "crash retry budget exhausted ({} runs)",
                         u64::from(r.retries) + 1
                     );
-                    self.record_terminal(r, RequestOutcome::Cancelled { reason }, Some(&report));
+                    self.record_terminal(r, RequestOutcome::Cancelled { reason }, &report);
                 } else {
                     outcome.retried.push(r.id);
                     self.requeue(r);
@@ -1130,25 +1169,14 @@ impl Scheduler {
                 } else {
                     RequestOutcome::Completed
                 };
+                // A completed stream ends with its last token, not with the
+                // tick that noticed.
                 let finished_at = r.last_token_at;
-                self.completed.push(RequestMetrics {
-                    id: r.id,
-                    arrival: r.arrival,
-                    admitted_at: r.admitted_at,
-                    first_token_at: r.first_token_at,
-                    finished_at,
-                    prompt_len: r.prompt.len(),
-                    tokens: r.tokens,
-                    priority: r.priority,
-                    cache_hit_rate: report.cache_hit_rate(),
-                    bytes_recalled: report.bytes_recalled(),
-                    shared_prefix_tokens: report.shared_prefix_tokens,
-                    prefetch_accuracy: report.prefetch_accuracy(),
-                    hidden_transfer_fraction: report.hidden_transfer_fraction(),
-                    outcome: terminal,
-                    retries: r.retries,
-                    integrity: report.integrity,
-                });
+                self.completed.push(RequestMetrics::terminal(
+                    r.into_terminal(finished_at),
+                    terminal,
+                    Some(&report),
+                ));
             } else {
                 i += 1;
             }
@@ -1167,7 +1195,7 @@ impl Scheduler {
                 let r = self.running.remove(i);
                 let report = self.engine.release(r.session)?;
                 outcome.cancelled.push(r.id);
-                self.record_terminal(r, RequestOutcome::TimedOut, Some(&report));
+                self.record_terminal(r, RequestOutcome::TimedOut, &report);
             } else {
                 i += 1;
             }
@@ -1177,7 +1205,7 @@ impl Scheduler {
             if self.waiting[i].deadline.is_some_and(|d| now > d) {
                 let w = self.waiting.remove(i);
                 outcome.cancelled.push(w.id);
-                self.completed.push(RequestMetrics {
+                let queued = Terminal {
                     id: w.id,
                     arrival: w.arrival,
                     admitted_at: w.admitted_at.unwrap_or(now),
@@ -1186,15 +1214,13 @@ impl Scheduler {
                     prompt_len: w.prompt.len(),
                     tokens: Vec::new(),
                     priority: w.priority,
-                    cache_hit_rate: 0.0,
-                    bytes_recalled: Bytes(0),
-                    shared_prefix_tokens: 0,
-                    prefetch_accuracy: 0.0,
-                    hidden_transfer_fraction: 0.0,
-                    outcome: RequestOutcome::TimedOut,
                     retries: w.retries,
-                    integrity: IntegrityStats::default(),
-                });
+                };
+                self.completed.push(RequestMetrics::terminal(
+                    queued,
+                    RequestOutcome::TimedOut,
+                    None,
+                ));
             } else {
                 i += 1;
             }
@@ -1210,30 +1236,10 @@ impl Scheduler {
     /// completion (crash-cancelled or timed out), carrying over whatever
     /// the released session reported.
     // analyzer: recovery-path
-    fn record_terminal(
-        &mut self,
-        r: Running,
-        outcome: RequestOutcome,
-        report: Option<&clusterkv_model::SessionReport>,
-    ) {
-        self.completed.push(RequestMetrics {
-            id: r.id,
-            arrival: r.arrival,
-            admitted_at: r.admitted_at,
-            first_token_at: r.first_token_at,
-            finished_at: self.clock,
-            prompt_len: r.prompt.len(),
-            tokens: r.tokens,
-            priority: r.priority,
-            cache_hit_rate: report.map_or(0.0, |s| s.cache_hit_rate()),
-            bytes_recalled: report.map_or(Bytes(0), |s| s.bytes_recalled()),
-            shared_prefix_tokens: report.map_or(0, |s| s.shared_prefix_tokens),
-            prefetch_accuracy: report.map_or(0.0, |s| s.prefetch_accuracy()),
-            hidden_transfer_fraction: report.map_or(0.0, |s| s.hidden_transfer_fraction()),
-            outcome,
-            retries: r.retries,
-            integrity: report.map_or_else(IntegrityStats::default, |s| s.integrity),
-        });
+    fn record_terminal(&mut self, r: Running, outcome: RequestOutcome, report: &SessionReport) {
+        let abandoned = r.into_terminal(self.clock);
+        self.completed
+            .push(RequestMetrics::terminal(abandoned, outcome, Some(report)));
     }
 
     /// Re-queue a crash victim for bounded retry, preserving its identity,

@@ -13,7 +13,8 @@ use clusterkv_kvcache::types::{Budget, Bytes, HeadId, LayerId};
 use clusterkv_kvcache::KvStore;
 use clusterkv_model::attention::{attention_output_error, full_attention_weights};
 use clusterkv_model::policy::{
-    HeadContext, ObserveEvent, PolicyStats, SelectionRequest, SelectorFactory, TokenSelector,
+    observe_prompt, HeadContext, ObserveEvent, PolicyStats, SelectionRequest, SelectorFactory,
+    TokenSelector,
 };
 use clusterkv_tensor::vector::top_k_indices;
 use rayon::prelude::*;
@@ -162,8 +163,9 @@ pub fn run_episode(
 /// error are measured against full attention, and the step's generated
 /// key/value are appended to both the store and the selector (so incremental
 /// clustering and recallability across appended tokens are exercised). The
-/// per-call plan statistics and residency outcomes are merged into
-/// [`EpisodeResult::stats`].
+/// per-call plan statistics are merged into [`EpisodeResult::stats`]; its
+/// residency half is `cache`'s own counters at the end of the run, so hand
+/// in a fresh cache to read one episode's traffic.
 pub fn run_episode_cached(
     episode: &Episode,
     selector: &mut dyn TokenSelector,
@@ -174,9 +176,7 @@ pub fn run_episode_cached(
     let head_dim = episode.config.head_dim;
     let mut store = KvStore::new(head_dim);
     store.append_batch(&episode.keys, &episode.values);
-    selector.observe(ObserveEvent::Prefill {
-        keys: &episode.keys,
-    });
+    observe_prompt(selector, &episode.keys);
     // Paged and recall-compressed tables warm identically: admission is
     // always exact; demotion to the compressed tier happens under eviction
     // pressure (DESIGN.md §9).
@@ -214,8 +214,7 @@ pub fn run_episode_cached(
                 }
                 lru_stack.push(request.page);
             }
-            let outcome = cache.access(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
-            stats.charge_recall(&outcome);
+            cache.access(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
         }
         let selected = plan.indices;
         per_step_selected.push(selected.len());
@@ -244,6 +243,9 @@ pub fn run_episode_cached(
         });
         warm(selector, cache);
     }
+    // The cache counted every hit, miss and recalled byte of the run.
+    stats.cache = cache.stats();
+    stats.transfer = cache.transfers();
 
     EpisodeResult {
         method: selector.name().to_string(),
@@ -549,6 +551,33 @@ mod tests {
             cached.stats.transfer.tokens_moved < uncached.stats.transfer.tokens_moved,
             "cache must reduce recall traffic"
         );
+    }
+
+    #[test]
+    fn episode_stats_are_the_handed_caches_own_counters() {
+        use clusterkv::{ClusterKvConfig, ClusterKvFactory};
+        use clusterkv_kvcache::cluster_cache::ClusterCacheConfig;
+        use clusterkv_model::policy::SelectorFactory;
+        let e = episode();
+        let factory = ClusterKvFactory::new(
+            ClusterKvConfig::default()
+                .with_sink_tokens(8)
+                .with_tokens_per_cluster(16),
+        );
+        // With the cache on, and at capacity 0 (every selected page recalled
+        // at every step).
+        for config in [
+            ClusterCacheConfig::for_recency_window(4, 32, 32),
+            ClusterCacheConfig::new(Bytes(0), 32),
+        ] {
+            let mut selector = factory.create(HeadContext::mha(2, 0, 32));
+            let mut cache = ClusterCache::new(config);
+            let r = run_episode_cached(&e, selector.as_mut(), Budget::new(32), &mut cache);
+            assert!(r.stats.cache.misses > 0, "the episode pages KV");
+            assert_eq!(r.stats.cache.hits > 0, cache.enabled());
+            assert_eq!(r.stats.cache, cache.stats());
+            assert_eq!(r.stats.transfer, cache.transfers());
+        }
     }
 
     #[test]

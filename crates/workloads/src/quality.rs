@@ -34,7 +34,7 @@ use clusterkv_kvcache::types::Budget;
 use clusterkv_kvcache::KvStore;
 use clusterkv_model::attention::attend_full;
 use clusterkv_model::policy::{
-    KvResidency, ObserveEvent, PolicyStats, SelectionRequest, TokenSelector,
+    observe_prompt, KvResidency, ObserveEvent, PolicyStats, SelectionRequest, TokenSelector,
 };
 use clusterkv_tensor::kernels::attend_into;
 use clusterkv_tensor::vector::top_k_indices;
@@ -226,9 +226,7 @@ pub fn run_episode_quality(
     let head_dim = episode.config.head_dim;
     let mut store = KvStore::new(head_dim);
     store.append_batch(&episode.keys, &episode.values);
-    selector.observe(ObserveEvent::Prefill {
-        keys: &episode.keys,
-    });
+    observe_prompt(selector, &episode.keys);
 
     let mut per_step_recall = Vec::with_capacity(episode.decode_steps());
     let mut per_step_error = Vec::with_capacity(episode.decode_steps());

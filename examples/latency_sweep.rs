@@ -6,6 +6,7 @@
 //! cargo run --release -p clusterkv-repro --example latency_sweep
 //! ```
 
+use clusterkv_bench::clusterkv_cost;
 use clusterkv_kvcache::DeviceModel;
 use clusterkv_model::latency::StepCost;
 use clusterkv_model::{LatencyModel, ModelPreset};
@@ -27,17 +28,13 @@ fn main() {
     for prompt in [8_192usize, 16_384, 32_768] {
         let full = model.run(prompt, decode_len, None, StepCost::full_kv);
         for budget in [512usize, 1024, 2048] {
-            let clusterkv = model.run(prompt, decode_len, Some((prompt / 80, 10)), |ctx| {
-                StepCost {
-                    scored_vectors_per_head: (ctx as f64 / 80.0).max(1.0),
-                    attended_tokens: budget as f64,
-                    transferred_tokens_per_head: budget as f64 * (1.0 - cache_hit_rate),
-                    transferred_compressed_bytes: 0.0,
-                    staged_transfer_bytes: 0.0,
-                    retried_transfer_bytes: 0.0,
-                    retry_backoff_seconds: 0.0,
-                }
-            });
+            let recalled = budget as f64 * (1.0 - cache_hit_rate);
+            let clusterkv = model.run(
+                prompt,
+                decode_len,
+                Some((prompt / 80, 10)),
+                clusterkv_cost(model.config(), budget, recalled),
+            );
             println!(
                 "{:>7}k {:>10} {:>14.2} {:>14.2} {:>9.2}x {:>11.2}x",
                 prompt / 1024,

@@ -19,6 +19,6 @@
 pub use clusterkv::{ClusterKvConfig, ClusterKvFactory, ClusterKvSelector};
 pub use clusterkv_kvcache::{ClusterCache, ClusterCacheConfig, PageRequest};
 pub use clusterkv_model::{
-    DecodeOutput, EngineError, InferenceEngine, KvResidency, ModelConfig, ModelPreset, ServeEngine,
+    DecodeOutput, EngineError, KvResidency, ModelConfig, ModelPreset, ServeEngine,
     ServeEngineBuilder, SessionId, SessionReport,
 };

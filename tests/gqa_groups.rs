@@ -136,7 +136,11 @@ fn mha_clusterkv_is_bit_identical_to_the_parent_commit() {
         let mut twin = ClusterIndex::new(ckv_config().with_seed(seed), 8);
         assert!(twin.adopt_prefill_state(&state, 60));
         let mut own = ClusterIndex::new(ckv_config().with_seed(seed), 8);
-        own.observe(ObserveEvent::Prefill { keys: &keys });
+        own.observe(ObserveEvent::PrefillChunk {
+            start: 0,
+            keys: &keys,
+        });
+        own.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
         for index in [&twin, &own] {
             assert_eq!(
                 clustering_digest(index),

@@ -5,13 +5,13 @@
 use clusterkv::{ClusterCache, ClusterCacheConfig};
 use clusterkv::{ClusterKvConfig, ClusterKvFactory, DistanceMetric};
 use clusterkv_bench::{
-    clusterkv_config_for_ablation, evaluate, evaluate_clusterkv_variant, Method,
+    clusterkv_config_for_ablation, clusterkv_cost, evaluate, evaluate_clusterkv_variant, Method,
 };
 use clusterkv_kvcache::types::Budget;
 use clusterkv_kvcache::DeviceModel;
-use clusterkv_model::latency::StepCost;
+use clusterkv_model::latency::{StepCost, Transfers};
 use clusterkv_model::policy::{HeadContext, SelectorFactory};
-use clusterkv_model::{InferenceEngine, LatencyModel, ModelConfig, ModelPreset};
+use clusterkv_model::{LatencyModel, ModelConfig, ModelPreset, ServeEngine};
 use clusterkv_workloads::{
     perplexity_proxy, run_episode, run_episode_cached, Episode, EpisodeConfig, LongBenchDataset,
 };
@@ -228,16 +228,23 @@ fn end_to_end_engine_runs_with_every_method() {
     let prompt: Vec<usize> = (0..48).map(|i| (i * 5) % config.vocab_size).collect();
     for method in Method::all() {
         let factory = method.factory();
-        let mut engine =
-            InferenceEngine::with_synthetic_weights(config, 9, factory.as_ref(), Budget::new(24))
-                .unwrap();
-        let generated = engine.generate(&prompt, 6).unwrap();
+        let mut engine = ServeEngine::builder(config)
+            .synthetic_weights(9)
+            .budget(Budget::new(24))
+            .build()
+            .unwrap();
+        let session = engine.create_session_with(factory.as_ref()).unwrap();
+        let generated = engine.generate(session, &prompt, 6).unwrap();
         assert_eq!(generated.len(), 6, "{method}");
         assert!(
             generated.iter().all(|&t| t < config.vocab_size),
             "{method} produced out-of-vocabulary tokens"
         );
-        assert_eq!(engine.context_len(), prompt.len() + 6, "{method}");
+        assert_eq!(
+            engine.context_len(session).unwrap(),
+            prompt.len() + 6,
+            "{method}"
+        );
     }
 }
 
@@ -247,15 +254,12 @@ fn latency_model_reproduces_fig12_shape() {
     let prompt = 32_768;
     let decode = 512;
     let full = model.run(prompt, decode, None, StepCost::full_kv);
-    let clusterkv = model.run(prompt, decode, Some((prompt / 80, 10)), |ctx| StepCost {
-        scored_vectors_per_head: (ctx as f64 / 80.0).max(1.0),
-        attended_tokens: 1024.0,
-        transferred_tokens_per_head: 1024.0 * 0.37,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
-    });
+    let clusterkv = model.run(
+        prompt,
+        decode,
+        Some((prompt / 80, 10)),
+        clusterkv_cost(model.config(), 1024, 1024.0 * 0.37),
+    );
     let speedup = full.total.get() / clusterkv.total.get();
     assert!(speedup > 1.2, "end-to-end speedup {speedup:.2} too small");
     let thpt_gain = clusterkv.decode_throughput / full.decode_throughput;
@@ -279,21 +283,14 @@ fn fig13_shape_clusterkv_beats_infinigen_and_matches_quest() {
     let infinigen = opt.run(2048, 256, None, |ctx| StepCost {
         scored_vectors_per_head: ctx as f64 * 0.25,
         attended_tokens: 256.0,
-        transferred_tokens_per_head: 256.0,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        transfers: Transfers::demand_per_kv_head(opt.config(), 256.0),
     });
-    let clusterkv_opt = opt.run(2048, 256, Some((2048 / 80, 10)), |ctx| StepCost {
-        scored_vectors_per_head: (ctx as f64 / 80.0).max(1.0),
-        attended_tokens: 256.0,
-        transferred_tokens_per_head: 256.0 * 0.37,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
-    });
+    let clusterkv_opt = opt.run(
+        2048,
+        256,
+        Some((2048 / 80, 10)),
+        clusterkv_cost(opt.config(), 256, 256.0 * 0.37),
+    );
     assert!(infinigen.total.get() / clusterkv_opt.total.get() > 1.1);
 
     // Fig. 13b: ClusterKV is within ~15% of Quest on the Llama-class config.
@@ -301,21 +298,14 @@ fn fig13_shape_clusterkv_beats_infinigen_and_matches_quest() {
     let quest = llama.run(16_384, 256, None, |ctx| StepCost {
         scored_vectors_per_head: ctx as f64 / 16.0,
         attended_tokens: 1024.0,
-        transferred_tokens_per_head: 0.0,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        ..StepCost::default()
     });
-    let clusterkv = llama.run(16_384, 256, Some((16_384 / 80, 10)), |ctx| StepCost {
-        scored_vectors_per_head: (ctx as f64 / 80.0).max(1.0),
-        attended_tokens: 1024.0,
-        transferred_tokens_per_head: 1024.0 * 0.37,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
-    });
+    let clusterkv = llama.run(
+        16_384,
+        256,
+        Some((16_384 / 80, 10)),
+        clusterkv_cost(llama.config(), 1024, 1024.0 * 0.37),
+    );
     let deviation = (clusterkv.total.get() - quest.total.get()).abs() / quest.total.get();
     assert!(
         deviation < 0.15,

@@ -12,7 +12,7 @@ use clusterkv_baselines::QuestFactory;
 use clusterkv_kvcache::stats::PrefetchStats;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_model::policy::SelectorFactory;
-use clusterkv_model::{InferenceEngine, ModelConfig, PrefetchConfig, ServeEngine, SessionId};
+use clusterkv_model::{ModelConfig, PrefetchConfig, ServeEngine, SessionId};
 use common::{thread_env_lock, with_thread_count};
 
 const SEED: u64 = 21;
@@ -54,7 +54,7 @@ fn clusterkv_factory() -> ClusterKvFactory {
     )
 }
 
-/// N sequential single-session runs through the legacy adapter.
+/// N sequential runs, each alone in an engine of its own.
 fn sequential_streams(
     model: ModelConfig,
     factory: &dyn SelectorFactory,
@@ -63,10 +63,13 @@ fn sequential_streams(
     prompts()
         .iter()
         .map(|prompt| {
-            let mut engine =
-                InferenceEngine::with_synthetic_weights(model, SEED, factory, Budget::new(budget))
-                    .unwrap();
-            engine.generate(prompt, DECODE_STEPS).unwrap()
+            let mut engine = ServeEngine::builder(model)
+                .synthetic_weights(SEED)
+                .budget(Budget::new(budget))
+                .build()
+                .unwrap();
+            let session = engine.create_session_with(factory).unwrap();
+            engine.generate(session, prompt, DECODE_STEPS).unwrap()
         })
         .collect()
 }
@@ -345,12 +348,15 @@ fn per_session_stats_match_single_session_runs() {
     for model in shapes() {
         let factory = clusterkv_factory();
         // Single-session reference stats.
-        let mut single =
-            InferenceEngine::with_synthetic_weights(model, SEED, &factory, Budget::new(24))
-                .unwrap();
+        let mut single = ServeEngine::builder(model)
+            .synthetic_weights(SEED)
+            .budget(Budget::new(24))
+            .build()
+            .unwrap();
+        let alone = single.create_session_with(&factory).unwrap();
         let prompt = &prompts()[0];
-        single.generate(prompt, DECODE_STEPS).unwrap();
-        let reference = single.policy_stats();
+        single.generate(alone, prompt, DECODE_STEPS).unwrap();
+        let reference = single.session_stats(alone).unwrap();
         assert!(reference.scored_vectors > 0);
 
         // The same sequence decoded in a busy engine accumulates identical

@@ -133,7 +133,7 @@ fn selection_allocates_only_the_plan() {
     use clusterkv_kvcache::types::Budget;
     use clusterkv_kvcache::CompressionConfig;
     use clusterkv_model::policy::{
-        HeadContext, ObserveEvent, SelectionRequest, SelectorFactory, TokenSelector,
+        observe_prompt, HeadContext, ObserveEvent, SelectionRequest, SelectorFactory, TokenSelector,
     };
     use clusterkv_tensor::rng::{gaussian_vec, seeded};
     use clusterkv_tensor::Matrix;
@@ -156,7 +156,7 @@ fn selection_allocates_only_the_plan() {
                     .with_compression(compression)
             };
             let mut selector = ClusterKvSelector::new(config, dim);
-            selector.observe(ObserveEvent::Prefill { keys: &keys });
+            observe_prompt(&mut selector, &keys);
             for (i, key) in decode_keys.iter().enumerate() {
                 selector.observe(ObserveEvent::Append {
                     position: n + i,
@@ -218,7 +218,11 @@ fn selection_allocates_only_the_plan() {
         kv_head: 0,
         group_size: 4,
     });
-    group.observe(ObserveEvent::Prefill { keys: &keys });
+    group.observe(ObserveEvent::PrefillChunk {
+        start: 0,
+        keys: &keys,
+    });
+    group.observe(ObserveEvent::PrefillDone { total_tokens: n });
     let request = |q| SelectionRequest::new(q, n, Budget::new(256));
     for mut head in group.heads() {
         head.plan(request(&queries[0]));
