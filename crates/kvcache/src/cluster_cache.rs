@@ -148,12 +148,41 @@ pub struct StepOutcome {
     pub staged_bytes: Bytes,
 }
 
+/// End of an LRU chain (no slot).
+const NIL: u32 = u32::MAX;
+
+/// A resident page's neighbours in one LRU chain, as slab slots.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Links {
+    prev: u32,
+    next: u32,
+}
+
+/// The LRU chains threaded through the resident slab, oldest page first.
+/// Slab slots are reused, so moving a page along a chain allocates nothing.
+#[derive(Debug, Clone, Copy)]
+enum Chain {
+    /// Every resident page: the order pages are dropped in.
+    All = 0,
+    /// The exact (not demoted) pages, in the same relative order: what a
+    /// demotion pass still has something to take from.
+    Exact = 1,
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ResidentPage {
+    key: PageKey,
     tokens: usize,
-    stamp: u64,
     /// Whether the page was demoted to the compressed tier (DESIGN.md §9).
     compressed: bool,
+    /// FNV-1a integrity tag, sealed at admission. The cache tracks
+    /// residency, not payloads, so the tag commits to the page's identity
+    /// and token count — the modeled stand-in for a checksum over row bytes
+    /// (DESIGN.md §11).
+    tag: u64,
+    /// Neighbours per [`Chain`]; the `Exact` entry is stale while the page
+    /// is compressed.
+    links: [Links; 2],
 }
 
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -188,19 +217,24 @@ pub struct ClusterCache {
     compression: CompressionConfig,
     gpu: MemoryTier,
     cpu: MemoryTier,
-    resident: BTreeMap<PageKey, ResidentPage>,
-    /// LRU order: stamp → page. Stamps are unique (a monotone clock), so
-    /// eviction order is fully deterministic.
-    lru: BTreeMap<u64, PageKey>,
-    /// Pages ever seen (admitted, accessed or declined): warm admission only
-    /// applies to pages the cache has never seen, so a page evicted under
-    /// capacity pressure cannot sneak back in for free.
-    known: BTreeSet<PageKey>,
+    /// Every page ever seen (admitted, accessed or declined), with its slab
+    /// slot while it is resident. Entries are never removed: warm admission
+    /// only applies to pages the cache has never seen, so a page evicted
+    /// under capacity pressure cannot sneak back in for free — and once a
+    /// session's pages are all known, a miss rewrites values of this map
+    /// and reuses slab slots, so the miss path allocates nothing.
+    pages: BTreeMap<PageKey, Option<u32>>,
+    /// The resident pages; `free` lists the slots to reuse.
+    slab: Vec<ResidentPage>,
+    free: Vec<u32>,
+    /// Oldest and youngest slot of each [`Chain`]. Chain order is the
+    /// order of admission and use, so eviction is fully deterministic.
+    heads: [u32; 2],
+    tails: [u32; 2],
     /// Heads whose KV has been offloaded wholesale (a warm call declined):
     /// capacity is fixed and page tables only grow, so the decision is
     /// permanent and later warm calls can skip their table scan entirely.
     offloaded: BTreeSet<(LayerId, HeadId)>,
-    clock: u64,
     stats: CacheStats,
     transfers: TransferStats,
     compression_stats: CompressionStats,
@@ -211,16 +245,11 @@ pub struct ClusterCache {
     staging_capacity: Bytes,
     staging_used: Bytes,
     staged: BTreeMap<PageKey, StagedPage>,
-    /// Staging LRU: stamp → page, sharing the cache's monotone clock so
-    /// staging eviction order is deterministic and coherent with the
-    /// resident LRU.
+    /// Staging LRU: stamp → page. Stamps come from a monotone clock, so
+    /// staging eviction order is deterministic.
     staging_lru: BTreeMap<u64, PageKey>,
+    staging_clock: u64,
     prefetch_stats: PrefetchStats,
-    /// FNV-1a tag per resident page, sealed at admission and kept in
-    /// lock-step with `resident`. The cache tracks residency, not payloads,
-    /// so the tag commits to the page's identity and token count — the
-    /// modeled stand-in for a checksum over row bytes (DESIGN.md §11).
-    checksums: BTreeMap<PageKey, u64>,
     integrity: IntegrityStats,
 }
 
@@ -246,11 +275,12 @@ impl ClusterCache {
             compression: CompressionConfig::lossless(),
             gpu,
             cpu,
-            resident: BTreeMap::new(),
-            lru: BTreeMap::new(),
-            known: BTreeSet::new(),
+            pages: BTreeMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            heads: [NIL; 2],
+            tails: [NIL; 2],
             offloaded: BTreeSet::new(),
-            clock: 0,
             stats: CacheStats::new(),
             transfers: TransferStats::new(),
             compression_stats: CompressionStats::new(),
@@ -258,8 +288,8 @@ impl ClusterCache {
             staging_used: Bytes(0),
             staged: BTreeMap::new(),
             staging_lru: BTreeMap::new(),
+            staging_clock: 0,
             prefetch_stats: PrefetchStats::new(),
-            checksums: BTreeMap::new(),
             integrity: IntegrityStats::new(),
         }
     }
@@ -281,12 +311,22 @@ impl ClusterCache {
 
     /// Number of pages currently resident on the GPU.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.slab.len() - self.free.len()
+    }
+
+    /// Slab slot of a page, if it is resident.
+    fn slot_of(&self, key: PageKey) -> Option<u32> {
+        self.pages.get(&key).copied().flatten()
+    }
+
+    /// Slab slots of the resident pages, in key order.
+    fn resident_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.pages.values().copied().flatten()
     }
 
     /// Whether a page is currently GPU resident.
     pub fn contains(&self, key: PageKey) -> bool {
-        self.resident.contains_key(&key)
+        self.slot_of(key).is_some()
     }
 
     /// Whether a head's KV has been offloaded wholesale (some
@@ -328,7 +368,9 @@ impl ClusterCache {
 
     /// Number of pages currently resident in compressed form.
     pub fn compressed_pages(&self) -> usize {
-        self.resident.values().filter(|p| p.compressed).count()
+        self.resident_slots()
+            .filter(|&slot| self.slab[slot as usize].compressed)
+            .count()
     }
 
     /// Bytes of the GPU resident set currently held compressed.
@@ -376,6 +418,15 @@ impl ClusterCache {
         self.compression.page_bytes(tokens, self.bytes_per_token)
     }
 
+    /// Bytes the GPU tier is charged for a resident page in its state.
+    fn charged_bytes(&self, page: &ResidentPage) -> Bytes {
+        if page.compressed {
+            self.compressed_page_bytes(page.tokens)
+        } else {
+            self.page_bytes(page.tokens)
+        }
+    }
+
     /// Bytes one recalled token moves over PCIe. With a quantized compressed
     /// tier the CPU backing store holds cold pages at the integer width, so
     /// recalls travel compressed (§9); lossless mode moves exact f16 bytes.
@@ -389,25 +440,54 @@ impl ClusterCache {
         }
     }
 
-    fn alloc_name(key: PageKey) -> String {
-        format!("l{}h{}p{}", key.layer.0, key.head.0, key.page)
-    }
-
-    fn touch(&mut self, key: PageKey) {
-        if let Some(entry) = self.resident.get_mut(&key) {
-            self.lru.remove(&entry.stamp);
-            self.clock += 1;
-            entry.stamp = self.clock;
-            self.lru.insert(self.clock, key);
+    /// Take `slot` out of `chain`.
+    fn unlink(&mut self, chain: Chain, slot: u32) {
+        let c = chain as usize;
+        let Links { prev, next } = self.slab[slot as usize].links[c];
+        match prev {
+            NIL => self.heads[c] = next,
+            prev => self.slab[prev as usize].links[c].next = next,
+        }
+        match next {
+            NIL => self.tails[c] = prev,
+            next => self.slab[next as usize].links[c].prev = prev,
         }
     }
 
-    fn drop_page(&mut self, key: PageKey) {
-        if let Some(entry) = self.resident.remove(&key) {
-            self.lru.remove(&entry.stamp);
-            self.checksums.remove(&key);
-            self.gpu.free(&Self::alloc_name(key));
+    /// Put `slot` into `chain` right after `prev` (`NIL`: as the oldest).
+    fn link_after(&mut self, chain: Chain, prev: u32, slot: u32) {
+        let c = chain as usize;
+        let next = match prev {
+            NIL => std::mem::replace(&mut self.heads[c], slot),
+            prev => std::mem::replace(&mut self.slab[prev as usize].links[c].next, slot),
+        };
+        match next {
+            NIL => self.tails[c] = slot,
+            next => self.slab[next as usize].links[c].prev = slot,
         }
+        self.slab[slot as usize].links[c] = Links { prev, next };
+    }
+
+    /// A use: `slot` becomes the youngest page of its chains.
+    fn touch(&mut self, slot: u32) {
+        self.unlink(Chain::All, slot);
+        self.link_after(Chain::All, self.tails[Chain::All as usize], slot);
+        if !self.slab[slot as usize].compressed {
+            self.unlink(Chain::Exact, slot);
+            self.link_after(Chain::Exact, self.tails[Chain::Exact as usize], slot);
+        }
+    }
+
+    fn drop_page(&mut self, slot: u32) {
+        let page = &self.slab[slot as usize];
+        let (key, compressed, size) = (page.key, page.compressed, self.charged_bytes(page));
+        self.unlink(Chain::All, slot);
+        if !compressed {
+            self.unlink(Chain::Exact, slot);
+        }
+        self.gpu.release(size, compressed);
+        self.pages.insert(key, None);
+        self.free.push(slot);
     }
 
     /// Integrity tag of a resident page: FNV-1a over its identity and token
@@ -429,27 +509,23 @@ impl ClusterCache {
         Some(entry)
     }
 
-    /// Demote a resident page to the compressed tier: its GPU region
-    /// re-allocates at the compressed size and the page stays resident
-    /// (and stays at its LRU position — demotion is not a use). Returns
-    /// whether the page was demoted.
-    fn demote_page(&mut self, key: PageKey) -> bool {
-        let Some(entry) = self.resident.get(&key) else {
-            return false;
-        };
-        if entry.compressed || !self.compression.shrinks(entry.tokens, self.bytes_per_token) {
+    /// Demote a resident page to the compressed tier: it is charged at the
+    /// compressed size and stays resident (and stays at its LRU position —
+    /// demotion is not a use). Returns whether the page was demoted.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
+    fn demote_page(&mut self, slot: u32) -> bool {
+        let page = &self.slab[slot as usize];
+        if page.compressed || !self.compression.shrinks(page.tokens, self.bytes_per_token) {
             return false;
         }
-        let tokens = entry.tokens;
-        let exact = self.page_bytes(tokens);
-        let compressed = self.compressed_page_bytes(tokens);
+        let exact = self.page_bytes(page.tokens);
+        let compressed = self.compressed_page_bytes(page.tokens);
+        self.gpu.release(exact, false);
         self.gpu
-            .allocate_compressed(&Self::alloc_name(key), compressed)
-            .expect("demotion shrinks the allocation");
-        self.resident
-            .get_mut(&key)
-            .expect("checked resident")
-            .compressed = true;
+            .charge(compressed, true)
+            .expect("demotion shrinks the page");
+        self.slab[slot as usize].compressed = true;
+        self.unlink(Chain::Exact, slot);
         self.compression_stats.record_demotion(exact, compressed);
         true
     }
@@ -458,51 +534,91 @@ impl ClusterCache {
     /// exact victims to the compressed tier (Resident → Compressed), and
     /// only if that is not enough drop victims to the backing store outright
     /// (Compressed → Paged). Returns whether `size` fits afterwards. Never
-    /// touches anything when `size` exceeds the total capacity. With a
-    /// lossless config demotion never shrinks, so this degenerates to the
-    /// original evict-outright behaviour.
+    /// touches anything when `size` exceeds the total capacity. The demotion
+    /// pass walks the chain of exact pages only — the already-demoted ones
+    /// it would skip are not on it — and a lossless config never demotes, so
+    /// there this is the original evict-outright behaviour.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
     fn evict_until_fits(&mut self, size: Bytes) -> bool {
         if size.get() > self.gpu.capacity().get() {
             return false;
         }
-        if !self.gpu.fits(size) && !self.compression.is_lossless() {
-            let victims: Vec<PageKey> = self.lru.values().copied().collect();
-            for key in victims {
-                if self.gpu.fits(size) {
-                    break;
-                }
-                self.demote_page(key);
+        if !self.compression.is_lossless() {
+            let mut slot = self.heads[Chain::Exact as usize];
+            while slot != NIL && !self.gpu.fits(size) {
+                // A page too small to shrink stays on the chain.
+                let next = self.slab[slot as usize].links[Chain::Exact as usize].next;
+                self.demote_page(slot);
+                slot = next;
             }
         }
         while !self.gpu.fits(size) {
-            let victim = match self.lru.iter().next() {
-                Some((_, &key)) => key,
-                None => return false,
-            };
-            self.drop_page(victim);
+            match self.heads[Chain::All as usize] {
+                NIL => return false,
+                victim => self.drop_page(victim),
+            }
         }
         true
     }
 
+    /// Admit a page the index already knows, evicting to make room; a page
+    /// larger than the whole capacity is not admitted.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
     fn admit(&mut self, key: PageKey, tokens: usize) {
         let size = self.page_bytes(tokens);
         if !self.evict_until_fits(size) {
             return;
         }
-        self.gpu
-            .allocate(&Self::alloc_name(key), size)
-            .expect("eviction made room");
-        self.clock += 1;
-        self.resident.insert(
+        self.gpu.charge(size, false).expect("eviction made room");
+        let page = ResidentPage {
             key,
-            ResidentPage {
-                tokens,
-                stamp: self.clock,
-                compressed: false,
-            },
-        );
-        self.lru.insert(self.clock, key);
-        self.checksums.insert(key, Self::page_tag(key, tokens));
+            tokens,
+            compressed: false,
+            tag: Self::page_tag(key, tokens),
+            links: [Links {
+                prev: NIL,
+                next: NIL,
+            }; 2],
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = page;
+                slot
+            }
+            None => {
+                assert!(self.slab.len() < NIL as usize, "slab slots are u32");
+                self.slab.push(page);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.link_after(Chain::All, self.tails[Chain::All as usize], slot);
+        self.link_after(Chain::Exact, self.tails[Chain::Exact as usize], slot);
+        self.pages.insert(key, Some(slot));
+    }
+
+    /// Grow a resident page to `tokens` tokens in place (its KV was produced
+    /// on device): it is charged exact at the new size, so a compressed
+    /// page is promoted — back onto the exact chain at its LRU position.
+    fn grow(&mut self, slot: u32, tokens: usize) {
+        let page = &self.slab[slot as usize];
+        let (key, was_compressed, old) = (page.key, page.compressed, self.charged_bytes(page));
+        self.gpu.release(old, was_compressed);
+        self.gpu
+            .charge(self.page_bytes(tokens), false)
+            .expect("total growth checked");
+        let page = &mut self.slab[slot as usize];
+        page.tokens = tokens;
+        page.compressed = false;
+        // The page changed size: re-seal its integrity tag.
+        page.tag = Self::page_tag(key, tokens);
+        if was_compressed {
+            let all = Chain::All as usize;
+            let mut older = self.slab[slot as usize].links[all].prev;
+            while older != NIL && self.slab[older as usize].compressed {
+                older = self.slab[older as usize].links[all].prev;
+            }
+            self.link_after(Chain::Exact, older, slot);
+        }
     }
 
     /// Keep a head's just-produced KV resident instead of offloading it —
@@ -519,31 +635,28 @@ impl ClusterCache {
         if self.offloaded.contains(&(layer, head)) {
             return 0;
         }
+        let key_of = |req: &PageRequest| PageKey {
+            layer,
+            head,
+            page: req.page,
+        };
         let mut needed = Bytes(0);
         for req in pages {
-            let key = PageKey {
-                layer,
-                head,
-                page: req.page,
-            };
-            match self.resident.get(&key) {
-                Some(entry) if req.tokens > entry.tokens => {
-                    // Growth re-admits the page exact, so a compressed page
-                    // needs the full exact size minus its (smaller)
-                    // compressed allocation.
-                    let current = if entry.compressed {
-                        self.compressed_page_bytes(entry.tokens)
-                    } else {
-                        self.page_bytes(entry.tokens)
-                    };
-                    needed += Bytes(
-                        self.page_bytes(req.tokens)
-                            .get()
-                            .saturating_sub(current.get()),
-                    );
+            match self.pages.get(&key_of(req)) {
+                Some(&Some(slot)) => {
+                    let page = &self.slab[slot as usize];
+                    if req.tokens > page.tokens {
+                        // Growth re-admits the page exact, so a compressed
+                        // page needs the full exact size minus its (smaller)
+                        // compressed charge.
+                        needed += Bytes(
+                            self.page_bytes(req.tokens)
+                                .get()
+                                .saturating_sub(self.charged_bytes(page).get()),
+                        );
+                    }
                 }
-                Some(_) => {}
-                None if self.known.contains(&key) => {
+                Some(None) => {
                     self.offloaded.insert((layer, head));
                     return 0;
                 }
@@ -558,27 +671,16 @@ impl ClusterCache {
         }
         let mut admitted = 0;
         for req in pages {
-            let key = PageKey {
-                layer,
-                head,
-                page: req.page,
-            };
-            match self.resident.get(&key) {
-                Some(entry) if req.tokens > entry.tokens => {
-                    self.gpu
-                        .allocate(&Self::alloc_name(key), self.page_bytes(req.tokens))
-                        .expect("total growth checked");
-                    let entry = self.resident.get_mut(&key).expect("checked resident");
-                    entry.tokens = req.tokens;
-                    // Growth re-admits exact; fresh tokens were produced on
-                    // device, never compressed.
-                    entry.compressed = false;
-                    // The page changed size: re-seal its integrity tag.
-                    self.checksums.insert(key, Self::page_tag(key, req.tokens));
+            let key = key_of(req);
+            match self.slot_of(key) {
+                Some(slot) => {
+                    // Fresh tokens were produced on device, never compressed.
+                    if req.tokens > self.slab[slot as usize].tokens {
+                        self.grow(slot, req.tokens);
+                    }
                 }
-                Some(_) => {}
                 None => {
-                    self.known.insert(key);
+                    self.pages.insert(key, None);
                     // Freshly produced on-device KV supersedes any staged
                     // copy (keeps staged ∩ resident = ∅).
                     if let Some(staged) = self.unstage(key) {
@@ -627,7 +729,7 @@ impl ClusterCache {
                 head,
                 page: req.page,
             };
-            if self.resident.contains_key(&key) {
+            if self.contains(key) {
                 continue;
             }
             if let Some(entry) = self.staged.get(&key) {
@@ -636,10 +738,10 @@ impl ClusterCache {
                     // position; no new bytes move.
                     let stamp = entry.stamp;
                     self.staging_lru.remove(&stamp);
-                    self.clock += 1;
+                    self.staging_clock += 1;
                     let entry = self.staged.get_mut(&key).expect("checked staged");
-                    entry.stamp = self.clock;
-                    self.staging_lru.insert(self.clock, key);
+                    entry.stamp = self.staging_clock;
+                    self.staging_lru.insert(self.staging_clock, key);
                     continue;
                 }
             }
@@ -664,16 +766,16 @@ impl ClusterCache {
                 let evicted = self.unstage(victim).expect("victim is staged");
                 self.prefetch_stats.record_wasted(evicted.bytes);
             }
-            self.clock += 1;
+            self.staging_clock += 1;
             self.staged.insert(
                 key,
                 StagedPage {
                     tokens: req.tokens,
-                    stamp: self.clock,
+                    stamp: self.staging_clock,
                     bytes: size,
                 },
             );
-            self.staging_lru.insert(self.clock, key);
+            self.staging_lru.insert(self.staging_clock, key);
             self.staging_used += size;
             self.prefetch_stats.record_staged(size);
             staged += size;
@@ -685,6 +787,7 @@ impl ClusterCache {
     /// pages hit (and are refreshed in LRU order), the rest are recalled
     /// from CPU memory, admitted, and older pages are evicted to make room.
     /// A resident page that has grown recalls only the new tokens.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
     pub fn access(&mut self, layer: LayerId, head: HeadId, pages: &[PageRequest]) -> StepOutcome {
         let mut out = StepOutcome::default();
         for req in pages {
@@ -693,42 +796,44 @@ impl ClusterCache {
                 head,
                 page: req.page,
             };
-            self.known.insert(key);
-            match self.resident.get(&key) {
-                Some(entry) if entry.tokens >= req.tokens => {
+            let resident = self.pages.entry(key).or_insert(None).map(|slot| {
+                let page = &self.slab[slot as usize];
+                (slot, page.tokens, page.compressed)
+            });
+            match resident {
+                Some((slot, tokens, compressed)) if tokens >= req.tokens => {
                     out.hit_pages += 1;
                     out.hit_tokens += req.tokens as u64;
-                    if entry.compressed {
+                    if compressed {
                         // Served from the compressed tier: on-GPU (no PCIe),
                         // dequantized on access, and it stays compressed.
                         out.compressed_pages += 1;
                         out.compressed_tokens += req.tokens as u64;
                     }
-                    self.touch(key);
+                    self.touch(slot);
                 }
-                Some(entry) => {
+                Some((slot, tokens, compressed)) => {
                     // Partial hit: the resident prefix is free, the new
                     // tokens are recalled and the page is re-admitted exact
                     // at its grown size.
-                    let grown = req.tokens - entry.tokens;
-                    if entry.compressed {
-                        out.compressed_tokens += entry.tokens as u64;
+                    let grown = req.tokens - tokens;
+                    if compressed {
+                        out.compressed_tokens += tokens as u64;
                         out.compressed_pages += 1;
                     }
                     out.missed_pages += 1;
-                    out.hit_tokens += entry.tokens as u64;
+                    out.hit_tokens += tokens as u64;
                     out.missed_tokens += grown as u64;
                     out.bytes_recalled += self.recall_bytes(grown);
-                    self.drop_page(key);
+                    self.drop_page(slot);
                     self.admit(key, req.tokens);
                 }
                 None => {
                     out.missed_pages += 1;
                     out.missed_tokens += req.tokens as u64;
                     out.bytes_recalled += self.recall_bytes(req.tokens);
-                    if let Some(&StagedPage { tokens, .. }) = self.staged.get(&key) {
-                        let staged = self.unstage(key).expect("checked staged");
-                        if tokens >= req.tokens {
+                    if let Some(staged) = self.unstage(key) {
+                        if staged.tokens >= req.tokens {
                             // Promotion: the staged transfer already moved
                             // these bytes, so the overlap clock discounts
                             // them. Miss/recall accounting above is
@@ -777,17 +882,14 @@ impl ClusterCache {
     /// charges the repair traffic. Returns whether a page was corrupted
     /// (`false` when nothing is resident).
     pub fn corrupt_resident_page(&mut self, pick: u64) -> bool {
-        if self.checksums.is_empty() {
+        let resident = self.resident_pages() as u64;
+        if resident == 0 {
             return false;
         }
-        let idx = (pick % self.checksums.len() as u64) as usize;
-        let key = match self.checksums.keys().nth(idx) {
-            Some(&key) => key,
-            None => return false,
+        let Some(slot) = self.resident_slots().nth((pick % resident) as usize) else {
+            return false;
         };
-        if let Some(sum) = self.checksums.get_mut(&key) {
-            *sum ^= clusterkv_faults::CORRUPTION_MASK;
-        }
+        self.slab[slot as usize].tag ^= clusterkv_faults::CORRUPTION_MASK;
         self.integrity.record_injected();
         true
     }
@@ -800,22 +902,14 @@ impl ClusterCache {
     /// Returns the bytes re-fetched by repairs.
     pub fn scrub(&mut self) -> Bytes {
         let mut repaired = Bytes(0);
-        let keys: Vec<PageKey> = self.checksums.keys().copied().collect();
-        for key in keys {
-            let tokens = match self.resident.get(&key) {
-                Some(entry) => entry.tokens,
-                None => continue,
-            };
+        for slot in self.pages.values().copied().flatten() {
+            let page = &self.slab[slot as usize];
+            let (tokens, sealed) = (page.tokens, Self::page_tag(page.key, page.tokens));
             self.integrity.record_verified();
-            let sealed = Self::page_tag(key, tokens);
-            let stored = match self.checksums.get(&key) {
-                Some(&stored) => stored,
-                None => continue,
-            };
-            if stored != sealed {
+            if page.tag != sealed {
                 self.integrity.record_detected();
                 let bytes = self.recall_bytes(tokens);
-                self.checksums.insert(key, sealed);
+                self.slab[slot as usize].tag = sealed;
                 self.integrity.record_repaired(bytes.get());
                 repaired += bytes;
             }
@@ -843,11 +937,14 @@ impl ClusterCache {
     /// (degradation-ladder rung 2). A no-op in lossless mode, where demotion
     /// never shrinks a page. Returns the number of pages demoted.
     pub fn demote_all(&mut self) -> usize {
-        let victims: Vec<PageKey> = self.lru.values().copied().collect();
-        victims
-            .into_iter()
-            .filter(|&key| self.demote_page(key))
-            .count()
+        let mut demoted = 0;
+        let mut slot = self.heads[Chain::Exact as usize];
+        while slot != NIL {
+            let next = self.slab[slot as usize].links[Chain::Exact as usize].next;
+            demoted += usize::from(self.demote_page(slot));
+            slot = next;
+        }
+        demoted
     }
 }
 
@@ -865,6 +962,24 @@ mod tests {
 
     fn reqs(pages: &[(usize, usize)]) -> Vec<PageRequest> {
         pages.iter().map(|&(p, t)| PageRequest::new(p, t)).collect()
+    }
+
+    /// `(key, tokens, compressed)` of every resident page, least recently
+    /// used first.
+    fn lru_order(c: &ClusterCache) -> Vec<(PageKey, usize, bool)> {
+        let mut order = Vec::new();
+        let mut slot = c.heads[Chain::All as usize];
+        while slot != NIL {
+            let page = &c.slab[slot as usize];
+            order.push((page.key, page.tokens, page.compressed));
+            slot = page.links[Chain::All as usize].next;
+        }
+        order
+    }
+
+    /// Whether a resident page is held compressed.
+    fn is_compressed(c: &ClusterCache, key: PageKey) -> bool {
+        c.slab[c.slot_of(key).expect("page is resident") as usize].compressed
     }
 
     #[test]
@@ -1180,7 +1295,7 @@ mod tests {
             page: 0,
         };
         if c.contains(key0) {
-            assert!(!c.resident.get(&key0).unwrap().compressed);
+            assert!(!is_compressed(&c, key0));
         }
     }
 
@@ -1204,7 +1319,7 @@ mod tests {
             page: 0,
         };
         assert!(c.contains(key0));
-        assert!(!c.resident.get(&key0).unwrap().compressed, "promoted");
+        assert!(!is_compressed(&c, key0), "promoted");
         assert_eq!(c.compressed_pages(), 1);
         let out = c.access(L, H, &reqs(&[(0, 5)]));
         assert_eq!(out.hit_tokens, 5);
@@ -1468,6 +1583,289 @@ mod tests {
         assert_eq!(out.compressed_tokens, 16);
     }
 
+    /// The cache as it was before the slab and its chains: pages in a `Vec`
+    /// in LRU order, every lookup and every eviction a full scan — the
+    /// demotion pass snapshots all of it and walks it per admission. Slow
+    /// and obviously right; the model the real cache is replayed against.
+    struct ScanCache {
+        capacity: u64,
+        bytes_per_token: Bytes,
+        compression: CompressionConfig,
+        /// `(key, tokens, compressed)`, least recently used first.
+        resident: Vec<(PageKey, usize, bool)>,
+        known: BTreeSet<PageKey>,
+        offloaded: BTreeSet<(LayerId, HeadId)>,
+        staging_capacity: u64,
+        /// `(key, tokens, bytes)`, least recently staged first.
+        staged: Vec<(PageKey, usize, u64)>,
+        stats: CacheStats,
+        transfers: TransferStats,
+        compression_stats: CompressionStats,
+        prefetch_stats: PrefetchStats,
+    }
+
+    impl ScanCache {
+        fn new(config: ClusterCacheConfig) -> Self {
+            Self {
+                capacity: config.gpu_capacity.get(),
+                bytes_per_token: config.bytes_per_token,
+                compression: config.compression,
+                resident: Vec::new(),
+                known: BTreeSet::new(),
+                offloaded: BTreeSet::new(),
+                staging_capacity: config.staging_capacity.get(),
+                staged: Vec::new(),
+                stats: CacheStats::new(),
+                transfers: TransferStats::new(),
+                compression_stats: CompressionStats::new(),
+                prefetch_stats: PrefetchStats::new(),
+            }
+        }
+
+        fn exact(&self, tokens: usize) -> u64 {
+            self.bytes_per_token.get() * tokens as u64
+        }
+
+        fn compressed(&self, tokens: usize) -> u64 {
+            self.compression
+                .page_bytes(tokens, self.bytes_per_token)
+                .get()
+        }
+
+        fn recall(&self, tokens: usize) -> u64 {
+            if self.compression.is_lossless() {
+                self.exact(tokens)
+            } else if tokens == 0 {
+                0
+            } else {
+                self.compressed(tokens)
+            }
+        }
+
+        fn charged(&self, &(_, tokens, compressed): &(PageKey, usize, bool)) -> u64 {
+            if compressed {
+                self.compressed(tokens)
+            } else {
+                self.exact(tokens)
+            }
+        }
+
+        fn used(&self) -> u64 {
+            self.resident.iter().map(|p| self.charged(p)).sum()
+        }
+
+        fn find(&self, key: PageKey) -> Option<usize> {
+            self.resident.iter().position(|p| p.0 == key)
+        }
+
+        fn demote(&mut self, at: usize) -> bool {
+            let (_, tokens, compressed) = self.resident[at];
+            if compressed || !self.compression.shrinks(tokens, self.bytes_per_token) {
+                return false;
+            }
+            self.resident[at].2 = true;
+            self.compression_stats
+                .record_demotion(Bytes(self.exact(tokens)), Bytes(self.compressed(tokens)));
+            true
+        }
+
+        fn admit(&mut self, key: PageKey, tokens: usize) {
+            let size = self.exact(tokens);
+            if size > self.capacity {
+                return;
+            }
+            if !self.compression.is_lossless() {
+                for at in 0..self.resident.len() {
+                    if self.used() + size <= self.capacity {
+                        break;
+                    }
+                    self.demote(at);
+                }
+            }
+            while self.used() + size > self.capacity {
+                self.resident.remove(0);
+            }
+            self.resident.push((key, tokens, false));
+        }
+
+        fn unstage(&mut self, key: PageKey) -> Option<(usize, u64)> {
+            let at = self.staged.iter().position(|p| p.0 == key)?;
+            let (_, tokens, bytes) = self.staged.remove(at);
+            Some((tokens, bytes))
+        }
+
+        fn warm(&mut self, layer: LayerId, head: HeadId, pages: &[PageRequest]) -> usize {
+            if self.offloaded.contains(&(layer, head)) {
+                return 0;
+            }
+            let key_of = |req: &PageRequest| PageKey {
+                layer,
+                head,
+                page: req.page,
+            };
+            let mut needed = 0;
+            for req in pages {
+                match self.find(key_of(req)) {
+                    Some(at) if req.tokens > self.resident[at].1 => {
+                        needed += self
+                            .exact(req.tokens)
+                            .saturating_sub(self.charged(&self.resident[at]));
+                    }
+                    Some(_) => {}
+                    None if self.known.contains(&key_of(req)) => {
+                        self.offloaded.insert((layer, head));
+                        return 0;
+                    }
+                    None => needed += self.exact(req.tokens),
+                }
+            }
+            if self.used() + needed > self.capacity {
+                self.offloaded.insert((layer, head));
+                return 0;
+            }
+            let mut admitted = 0;
+            for req in pages {
+                let key = key_of(req);
+                match self.find(key) {
+                    Some(at) if req.tokens > self.resident[at].1 => {
+                        self.resident[at] = (key, req.tokens, false);
+                    }
+                    Some(_) => {}
+                    None => {
+                        self.known.insert(key);
+                        if let Some((_, bytes)) = self.unstage(key) {
+                            self.prefetch_stats.record_wasted(Bytes(bytes));
+                        }
+                        self.admit(key, req.tokens);
+                        admitted += 1;
+                    }
+                }
+            }
+            admitted
+        }
+
+        fn stage(
+            &mut self,
+            layer: LayerId,
+            head: HeadId,
+            pages: &[PageRequest],
+            byte_budget: Bytes,
+        ) -> Bytes {
+            if self.staging_capacity == 0 {
+                return Bytes(0);
+            }
+            let mut moved = 0;
+            for req in pages {
+                let key = PageKey {
+                    layer,
+                    head,
+                    page: req.page,
+                };
+                if req.tokens == 0 || self.find(key).is_some() {
+                    continue;
+                }
+                if let Some(at) = self.staged.iter().position(|p| p.0 == key) {
+                    if self.staged[at].1 >= req.tokens {
+                        let entry = self.staged.remove(at);
+                        self.staged.push(entry);
+                        continue;
+                    }
+                }
+                let size = self.recall(req.tokens);
+                if size > self.staging_capacity || moved + size > byte_budget.get() {
+                    continue;
+                }
+                if let Some((_, bytes)) = self.unstage(key) {
+                    self.prefetch_stats.record_wasted(Bytes(bytes));
+                }
+                while self.staged.iter().map(|p| p.2).sum::<u64>() + size > self.staging_capacity {
+                    let (_, _, bytes) = self.staged.remove(0);
+                    self.prefetch_stats.record_wasted(Bytes(bytes));
+                }
+                self.staged.push((key, req.tokens, size));
+                self.prefetch_stats.record_staged(Bytes(size));
+                moved += size;
+            }
+            Bytes(moved)
+        }
+
+        fn access(&mut self, layer: LayerId, head: HeadId, pages: &[PageRequest]) -> StepOutcome {
+            let mut out = StepOutcome::default();
+            for req in pages {
+                let key = PageKey {
+                    layer,
+                    head,
+                    page: req.page,
+                };
+                self.known.insert(key);
+                match self.find(key) {
+                    Some(at) if self.resident[at].1 >= req.tokens => {
+                        out.hit_pages += 1;
+                        out.hit_tokens += req.tokens as u64;
+                        if self.resident[at].2 {
+                            out.compressed_pages += 1;
+                            out.compressed_tokens += req.tokens as u64;
+                        }
+                        let page = self.resident.remove(at);
+                        self.resident.push(page);
+                    }
+                    Some(at) => {
+                        let (_, tokens, compressed) = self.resident.remove(at);
+                        if compressed {
+                            out.compressed_tokens += tokens as u64;
+                            out.compressed_pages += 1;
+                        }
+                        out.missed_pages += 1;
+                        out.hit_tokens += tokens as u64;
+                        out.missed_tokens += (req.tokens - tokens) as u64;
+                        out.bytes_recalled += Bytes(self.recall(req.tokens - tokens));
+                        self.admit(key, req.tokens);
+                    }
+                    None => {
+                        out.missed_pages += 1;
+                        out.missed_tokens += req.tokens as u64;
+                        out.bytes_recalled += Bytes(self.recall(req.tokens));
+                        if let Some((tokens, bytes)) = self.unstage(key) {
+                            if tokens >= req.tokens {
+                                let used = self.recall(req.tokens);
+                                self.prefetch_stats.record_used(Bytes(used));
+                                if bytes > used {
+                                    self.prefetch_stats.record_wasted(Bytes(bytes - used));
+                                }
+                                out.staged_pages += 1;
+                                out.staged_tokens += req.tokens as u64;
+                                out.staged_bytes += Bytes(used);
+                            } else {
+                                self.prefetch_stats.record_wasted(Bytes(bytes));
+                            }
+                        }
+                        self.admit(key, req.tokens);
+                    }
+                }
+            }
+            self.stats.record_hits(out.hit_tokens);
+            self.stats.record_misses(out.missed_tokens);
+            self.compression_stats
+                .record_compressed_hits(out.compressed_tokens);
+            if out.missed_tokens > 0 {
+                self.transfers.record(out.missed_tokens, out.bytes_recalled);
+            }
+            out
+        }
+
+        fn demote_all(&mut self) -> usize {
+            (0..self.resident.len())
+                .filter(|&at| self.demote(at))
+                .count()
+        }
+
+        fn drop_staging(&mut self) -> Bytes {
+            let dropped = Bytes(self.staged.drain(..).map(|p| p.2).sum());
+            self.prefetch_stats.record_wasted(dropped);
+            dropped
+        }
+    }
+
     mod transition_properties {
         use super::*;
         use proptest::prelude::*;
@@ -1477,28 +1875,18 @@ mod tests {
         /// bytes exact per state, capacity never leaked, and the compressed
         /// pool consistent between the resident map and the GPU tier.
         fn check_byte_exactness(c: &ClusterCache) {
+            let order = lru_order(c);
             let mut expected_used = 0u64;
             let mut expected_compressed = 0u64;
-            for (key, page) in &c.resident {
-                let size = if page.compressed {
-                    c.compressed_page_bytes(page.tokens)
+            for &(key, tokens, compressed) in &order {
+                assert!(c.contains(key), "the LRU chain holds resident pages only");
+                let size = if compressed {
+                    expected_compressed += c.compressed_page_bytes(tokens).get();
+                    c.compressed_page_bytes(tokens)
                 } else {
-                    c.page_bytes(page.tokens)
+                    c.page_bytes(tokens)
                 };
-                assert_eq!(
-                    c.gpu.allocation(&ClusterCache::alloc_name(*key)),
-                    Some(size),
-                    "allocation size must match the page's residency state"
-                );
-                assert_eq!(
-                    c.gpu.is_compressed(&ClusterCache::alloc_name(*key)),
-                    page.compressed,
-                    "tier pool must agree with the page state"
-                );
                 expected_used += size.get();
-                if page.compressed {
-                    expected_compressed += size.get();
-                }
             }
             assert_eq!(c.gpu.used(), Bytes(expected_used), "byte exactness");
             assert_eq!(
@@ -1507,7 +1895,17 @@ mod tests {
                 "compressed-pool exactness"
             );
             assert!(c.gpu.used().get() <= c.gpu.capacity().get());
-            assert_eq!(c.lru.len(), c.resident.len(), "LRU tracks every page");
+            assert_eq!(order.len(), c.resident_pages(), "LRU tracks every page");
+            assert_eq!(order.len(), c.resident_slots().count());
+            // The exact chain is the LRU chain minus the demoted pages.
+            let mut exact = Vec::new();
+            let mut slot = c.heads[Chain::Exact as usize];
+            while slot != NIL {
+                exact.push(c.slab[slot as usize].key);
+                slot = c.slab[slot as usize].links[Chain::Exact as usize].next;
+            }
+            let expected: Vec<PageKey> = order.iter().filter(|p| !p.2).map(|p| p.0).collect();
+            assert_eq!(exact, expected, "exact chain");
         }
 
         proptest! {
@@ -1538,8 +1936,7 @@ mod tests {
                 // The stats side stays consistent too.
                 prop_assert!(c.compression_stats().ratio() >= 0.0);
                 prop_assert!(
-                    c.compressed_pages()
-                        == c.resident.values().filter(|p| p.compressed).count()
+                    c.compressed_pages() == lru_order(&c).iter().filter(|p| p.2).count()
                 );
             }
 
@@ -1585,15 +1982,11 @@ mod tests {
                     let staged_sum: u64 = a.staged.values().map(|p| p.bytes.get()).sum();
                     prop_assert_eq!(a.staged_bytes(), Bytes(staged_sum));
                     for key in a.staged.keys() {
-                        prop_assert!(
-                            !a.resident.contains_key(key),
-                            "staged ∩ resident must be empty"
-                        );
+                        prop_assert!(!a.contains(*key), "staged ∩ resident must be empty");
                     }
                     // The resident set and all demand-side accounting are
                     // byte-identical with and without staging.
-                    prop_assert_eq!(&a.resident.keys().collect::<Vec<_>>(),
-                                    &b.resident.keys().collect::<Vec<_>>());
+                    prop_assert_eq!(lru_order(&a), lru_order(&b));
                     prop_assert_eq!(a.resident_bytes(), b.resident_bytes());
                     prop_assert_eq!(a.stats(), b.stats());
                     prop_assert_eq!(a.transfers(), b.transfers());
@@ -1605,6 +1998,68 @@ mod tests {
                     s.staged_bytes,
                     Bytes(s.used_bytes.get() + s.wasted_bytes.get() + a.staged_bytes().get())
                 );
+            }
+
+            #[test]
+            fn random_traffic_matches_the_full_scan_model(
+                // Encoded op: 2 bits page id, 1 bit head, 3 bits tokens
+                // (1..=8), 3 bits kind — access ×3, warm, stage,
+                // stage-with-tight-budget, demote_all, drop_staging.
+                ops in proptest::collection::vec(0u64..512, 1..120),
+                capacity_tokens in 4u64..40,
+                staging_tokens in 0u64..12,
+                ladder in 0usize..3,
+            ) {
+                let compression = [
+                    CompressionConfig::lossless(),
+                    CompressionConfig::int8(),
+                    CompressionConfig::int4(),
+                ][ladder];
+                let config = ClusterCacheConfig::new(Bytes(32 * capacity_tokens), 8)
+                    .with_compression(compression)
+                    .with_staging(Bytes(32 * staging_tokens));
+                let mut real = ClusterCache::new(config);
+                let mut model = ScanCache::new(config);
+                for op in ops {
+                    let head = HeadId((op >> 2 & 1) as usize);
+                    // Two pages per request, so one access can hit, miss,
+                    // demote and evict.
+                    let tokens = (op >> 3 & 7) as usize + 1;
+                    let pages = reqs(&[((op & 3) as usize, tokens), (((op + 1) & 3) as usize, 9 - tokens)]);
+                    match op >> 6 {
+                        0..=2 => prop_assert_eq!(
+                            real.access(L, head, &pages),
+                            model.access(L, head, &pages)
+                        ),
+                        3 => prop_assert_eq!(
+                            real.warm(L, head, &pages),
+                            model.warm(L, head, &pages)
+                        ),
+                        4 | 5 => {
+                            let budget = Bytes(if op >> 6 == 4 { u64::MAX } else { 8 * tokens as u64 });
+                            prop_assert_eq!(
+                                real.stage(L, head, &pages, budget),
+                                model.stage(L, head, &pages, budget)
+                            );
+                        }
+                        6 => prop_assert_eq!(real.demote_all(), model.demote_all()),
+                        _ => prop_assert_eq!(real.drop_staging(), model.drop_staging()),
+                    }
+                    prop_assert_eq!(lru_order(&real), model.resident.clone());
+                    prop_assert_eq!(real.resident_bytes(), Bytes(model.used()));
+                    prop_assert_eq!(real.stats(), model.stats);
+                    prop_assert_eq!(real.transfers(), model.transfers);
+                    prop_assert_eq!(real.compression_stats(), model.compression_stats);
+                    let staged: Vec<(PageKey, usize, u64)> = real
+                        .staging_lru
+                        .values()
+                        .map(|key| (*key, real.staged[key].tokens, real.staged[key].bytes.get()))
+                        .collect();
+                    prop_assert_eq!(staged, model.staged.clone());
+                    prop_assert_eq!(real.is_offloaded(L, head), model.offloaded.contains(&(L, head)));
+                    prop_assert_eq!(real.prefetch_stats(), model.prefetch_stats);
+                    check_byte_exactness(&real);
+                }
             }
 
             #[test]
@@ -1648,13 +2103,13 @@ mod tests {
                     let tokens = ((op >> 3) & 7) as usize + 1;
                     c.access(L, H, &reqs(&[(page, tokens)]));
                 }
-                let residency: Vec<_> = c.resident.keys().copied().collect();
+                let residency = lru_order(&c);
                 // Picks land on `pick % pages` in key order; a page hit an
                 // even number of times has its tag XOR-restored, so the
                 // exact detection count is the number of odd-multiplicity
                 // pages — and the scrub must find precisely those.
-                let pages = c.checksums.len() as u64;
-                let mut mult = vec![0u64; c.checksums.len().max(1)];
+                let pages = c.resident_pages() as u64;
+                let mut mult = vec![0u64; c.resident_pages().max(1)];
                 let mut injected = 0u64;
                 for &pick in &picks {
                     if c.corrupt_resident_page(pick) {
@@ -1672,7 +2127,7 @@ mod tests {
                 prop_assert_eq!(repaired.get() > 0, expected_detected > 0);
                 // Corruption and repair are invisible to residency — the
                 // stream-observable state is untouched.
-                prop_assert_eq!(c.resident.keys().copied().collect::<Vec<_>>(), residency);
+                prop_assert_eq!(lru_order(&c), residency);
                 // A second scrub over the repaired set is clean.
                 let before = c.integrity().corruptions_detected;
                 prop_assert_eq!(c.scrub(), Bytes(0));

@@ -9,7 +9,7 @@
 
 use crate::types::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Which physical memory a tier models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -52,7 +52,9 @@ impl std::fmt::Display for AllocationError {
 
 impl std::error::Error for AllocationError {}
 
-/// A single capacity-tracked memory tier with named allocations.
+/// A single capacity-tracked memory tier: named allocations for the few
+/// long-lived regions, plus anonymous byte counts for cache pages, whose
+/// owner already knows each page's size and state.
 ///
 /// # Examples
 ///
@@ -71,12 +73,11 @@ pub struct MemoryTier {
     kind: TierKind,
     capacity: Bytes,
     allocations: BTreeMap<String, Bytes>,
-    /// Running sum of `allocations` so `used()`/`fits()` are O(1) — the
-    /// cluster cache calls them on every page admission and eviction.
+    /// Running sum of `allocations` and of every charged page, so
+    /// `used()`/`fits()` are O(1) — the cluster cache calls them on every
+    /// page admission and eviction.
     used: Bytes,
-    /// Names of allocations holding *compressed* data (DESIGN.md §9), plus a
-    /// running byte sum, so the compressed footprint is O(1) to read.
-    compressed: BTreeSet<String>,
+    /// Bytes charged for pages holding *compressed* data (DESIGN.md §9).
     compressed_used: Bytes,
 }
 
@@ -88,7 +89,6 @@ impl MemoryTier {
             capacity,
             allocations: BTreeMap::new(),
             used: Bytes(0),
-            compressed: BTreeSet::new(),
             compressed_used: Bytes(0),
         }
     }
@@ -132,28 +132,6 @@ impl MemoryTier {
     ///
     /// Returns [`AllocationError`] if the allocation would exceed capacity.
     pub fn allocate(&mut self, name: &str, size: Bytes) -> Result<(), AllocationError> {
-        self.allocate_with(name, size, false)
-    }
-
-    /// Allocate (or grow) a named region holding *compressed* data: same
-    /// semantics as [`allocate`](Self::allocate), but the bytes also count
-    /// toward [`compressed_bytes`](Self::compressed_bytes). Re-allocating a
-    /// name under the other method moves it between the exact and compressed
-    /// pools (a page demotion re-allocates its region compressed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocationError`] if the allocation would exceed capacity.
-    pub fn allocate_compressed(&mut self, name: &str, size: Bytes) -> Result<(), AllocationError> {
-        self.allocate_with(name, size, true)
-    }
-
-    fn allocate_with(
-        &mut self,
-        name: &str,
-        size: Bytes,
-        is_compressed: bool,
-    ) -> Result<(), AllocationError> {
         let existing = self.allocations.get(name).copied().unwrap_or(Bytes(0));
         let used_without = self.used.get() - existing.get();
         if used_without + size.get() > self.capacity.get() {
@@ -162,14 +140,6 @@ impl MemoryTier {
                 requested: size,
                 available: Bytes(self.capacity.get() - used_without),
             });
-        }
-        if self.compressed.contains(name) {
-            self.compressed_used = Bytes(self.compressed_used.get() - existing.get());
-            self.compressed.remove(name);
-        }
-        if is_compressed {
-            self.compressed.insert(name.to_string());
-            self.compressed_used += size;
         }
         self.allocations.insert(name.to_string(), size);
         self.used = Bytes(used_without + size.get());
@@ -180,9 +150,51 @@ impl MemoryTier {
     pub fn free(&mut self, name: &str) {
         if let Some(size) = self.allocations.remove(name) {
             self.used = Bytes(self.used.get() - size.get());
-            if self.compressed.remove(name) {
-                self.compressed_used = Bytes(self.compressed_used.get() - size.get());
-            }
+        }
+    }
+
+    /// Charge `size` bytes for one anonymous page, counted toward
+    /// [`compressed_bytes`](Self::compressed_bytes) too if the page holds
+    /// compressed data. The tier keeps no record of the page: whoever
+    /// charges it [`release`](Self::release)s the same size from the same
+    /// pool (a demotion releases the exact size and charges the compressed
+    /// one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocationError`] if the bytes would exceed capacity.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
+    pub fn charge(&mut self, size: Bytes, compressed: bool) -> Result<(), AllocationError> {
+        if !self.fits(size) {
+            return Err(AllocationError {
+                tier: self.kind,
+                requested: size,
+                available: self.available(),
+            });
+        }
+        self.used += size;
+        if compressed {
+            self.compressed_used += size;
+        }
+        Ok(())
+    }
+
+    /// Give back `size` bytes [`charge`](Self::charge)d to the same pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more is released than the pool holds — the caller's page
+    /// accounting is broken.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
+    pub fn release(&mut self, size: Bytes, compressed: bool) {
+        assert!(size.get() <= self.used.get(), "released more than charged");
+        self.used = Bytes(self.used.get() - size.get());
+        if compressed {
+            assert!(
+                size.get() <= self.compressed_used.get(),
+                "released more compressed bytes than charged"
+            );
+            self.compressed_used = Bytes(self.compressed_used.get() - size.get());
         }
     }
 
@@ -191,12 +203,7 @@ impl MemoryTier {
         self.allocations.get(name).copied()
     }
 
-    /// Whether a named region holds compressed data.
-    pub fn is_compressed(&self, name: &str) -> bool {
-        self.compressed.contains(name)
-    }
-
-    /// Bytes currently allocated to compressed regions.
+    /// Bytes currently charged for compressed pages.
     pub fn compressed_bytes(&self) -> Bytes {
         self.compressed_used
     }
@@ -270,39 +277,49 @@ mod tests {
     #[test]
     fn compressed_pool_tracks_moves_between_representations() {
         let mut t = MemoryTier::new(TierKind::Gpu, Bytes(100));
-        t.allocate("page", Bytes(40)).unwrap();
-        assert!(!t.is_compressed("page"));
+        t.allocate("centroids", Bytes(10)).unwrap();
+        t.charge(Bytes(40), false).unwrap();
+        assert_eq!(
+            t.used(),
+            Bytes(50),
+            "pages and named regions share the tier"
+        );
         assert_eq!(t.compressed_bytes(), Bytes(0));
-        // Demotion: the same region re-allocates smaller, compressed.
-        t.allocate_compressed("page", Bytes(12)).unwrap();
-        assert!(t.is_compressed("page"));
-        assert_eq!(t.used(), Bytes(12));
+        // Demotion: the page's exact bytes go, its smaller compressed
+        // layout comes.
+        t.release(Bytes(40), false);
+        t.charge(Bytes(12), true).unwrap();
+        assert_eq!(t.used(), Bytes(22));
         assert_eq!(t.compressed_bytes(), Bytes(12));
-        // Growing a compressed region keeps it in the pool, once only.
-        t.allocate_compressed("page", Bytes(20)).unwrap();
-        assert_eq!(t.compressed_bytes(), Bytes(20));
         // Promotion back to exact leaves the pool.
-        t.allocate("page", Bytes(40)).unwrap();
-        assert!(!t.is_compressed("page"));
+        t.release(Bytes(12), true);
+        t.charge(Bytes(40), false).unwrap();
         assert_eq!(t.compressed_bytes(), Bytes(0));
-        t.allocate_compressed("other", Bytes(8)).unwrap();
-        t.free("other");
+        t.charge(Bytes(8), true).unwrap();
+        t.release(Bytes(8), true);
         assert_eq!(t.compressed_bytes(), Bytes(0));
-        assert_eq!(t.used(), Bytes(40));
+        assert_eq!(t.used(), Bytes(50));
+        t.free("centroids");
+        assert_eq!(t.used(), Bytes(40), "freeing a name leaves the pages");
     }
 
     #[test]
     fn compressed_allocation_respects_capacity() {
         let mut t = MemoryTier::new(TierKind::Gpu, Bytes(10));
-        t.allocate("a", Bytes(8)).unwrap();
-        let err = t.allocate_compressed("b", Bytes(4)).unwrap_err();
+        t.charge(Bytes(8), false).unwrap();
+        let err = t.charge(Bytes(4), true).unwrap_err();
         assert_eq!(err.available, Bytes(2));
-        assert_eq!(
-            t.compressed_bytes(),
-            Bytes(0),
-            "failed alloc changes nothing"
-        );
-        assert!(!t.is_compressed("b"));
+        assert_eq!(err.requested, Bytes(4));
+        assert_eq!(t.used(), Bytes(8), "a refused charge changes nothing");
+        assert_eq!(t.compressed_bytes(), Bytes(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "released more")]
+    fn releasing_more_than_was_charged_is_a_bug() {
+        let mut t = MemoryTier::new(TierKind::Gpu, Bytes(10));
+        t.charge(Bytes(4), false).unwrap();
+        t.release(Bytes(4), true);
     }
 
     #[test]
@@ -317,7 +334,7 @@ mod tests {
         use std::collections::HashMap;
 
         /// Replay an op sequence against both the tier and a flat model map;
-        /// op = (name_index, size, is_free).
+        /// op = (name_index, size, kind).
         fn names() -> [&'static str; 4] {
             ["kv", "centroids", "metadata", "selected"]
         }
@@ -326,72 +343,76 @@ mod tests {
             #[test]
             fn alloc_free_round_trips_never_leak_capacity(
                 // Encoded op: low 2 bits name, next 6 bits size, next 2 bits
-                // kind (0 = free, else allocate) — the shim proptest has no
-                // tuple strategies.
+                // kind (0 = free the name, 1 = allocate it, 2 / 3 = charge
+                // an exact / compressed page of that size) — the shim
+                // proptest has no tuple strategies.
                 ops in proptest::collection::vec(0u64..1024, 0..48),
                 capacity in 1u64..128,
             ) {
                 let mut tier = MemoryTier::new(TierKind::Gpu, Bytes(capacity));
-                // Model value: (size, is_compressed).
-                let mut model: HashMap<&str, (u64, bool)> = HashMap::new();
+                let mut model: HashMap<&str, u64> = HashMap::new();
+                // Charged pages as (size, is_compressed), released in LIFO
+                // order when the named ops come around to `free`.
+                let mut pages: Vec<(u64, bool)> = Vec::new();
                 for op in ops {
                     let name = names()[(op & 3) as usize];
                     let size = (op >> 2) & 63;
-                    let kind = (op >> 8) & 3;
-                    if kind == 0 {
-                        tier.free(name);
-                        model.remove(name);
-                    } else {
-                        // kind 1 allocates exact, kind 2/3 compressed, so the
-                        // replay exercises moves between the two pools.
-                        let compressed = kind >= 2;
-                        let outcome = if compressed {
-                            tier.allocate_compressed(name, Bytes(size))
-                        } else {
-                            tier.allocate(name, Bytes(size))
-                        };
-                        match outcome {
-                            Ok(()) => { model.insert(name, (size, compressed)); }
+                    let used: u64 =
+                        model.values().sum::<u64>() + pages.iter().map(|p| p.0).sum::<u64>();
+                    match (op >> 8) & 3 {
+                        0 => {
+                            tier.free(name);
+                            model.remove(name);
+                            if let Some((size, compressed)) = pages.pop() {
+                                tier.release(Bytes(size), compressed);
+                            }
+                        }
+                        1 => match tier.allocate(name, Bytes(size)) {
+                            Ok(()) => { model.insert(name, size); }
                             Err(err) => {
                                 // A rejected allocation reports the exact
                                 // availability for *this* name (its current
                                 // size is reusable) and changes nothing.
-                                let used_without: u64 = model
-                                    .iter()
-                                    .filter(|(n, _)| **n != name)
-                                    .map(|(_, &(s, _))| s)
-                                    .sum();
+                                let used_without = used - model.get(name).copied().unwrap_or(0);
                                 prop_assert_eq!(err.available, Bytes(capacity - used_without));
                                 prop_assert_eq!(err.requested, Bytes(size));
                                 prop_assert!(size + used_without > capacity);
                             }
+                        },
+                        kind => {
+                            let compressed = kind == 3;
+                            match tier.charge(Bytes(size), compressed) {
+                                Ok(()) => pages.push((size, compressed)),
+                                Err(err) => {
+                                    prop_assert_eq!(err.available, Bytes(capacity - used));
+                                    prop_assert!(size + used > capacity);
+                                }
+                            }
                         }
                     }
-                    // Interleaved named allocations stay consistent with the
-                    // model: per-name sizes, total usage, the compressed
-                    // pool, and the invariant used + available == capacity.
-                    let used: u64 = model.values().map(|&(s, _)| s).sum();
-                    let compressed: u64 =
-                        model.values().filter(|&&(_, c)| c).map(|&(s, _)| s).sum();
+                    // Interleaved named regions and pages stay consistent
+                    // with the model: per-name sizes, total usage, the
+                    // compressed pool, and used + available == capacity.
+                    let used: u64 =
+                        model.values().sum::<u64>() + pages.iter().map(|p| p.0).sum::<u64>();
+                    let compressed: u64 = pages.iter().filter(|p| p.1).map(|p| p.0).sum();
                     prop_assert_eq!(tier.used(), Bytes(used));
                     prop_assert_eq!(tier.available(), Bytes(capacity - used));
                     prop_assert_eq!(tier.compressed_bytes(), Bytes(compressed));
                     prop_assert!(used <= capacity, "capacity leaked");
-                    prop_assert!(compressed <= used, "compressed pool leaked");
                     for name in names() {
                         prop_assert_eq!(
                             tier.allocation(name),
-                            model.get(name).map(|&(s, _)| Bytes(s))
-                        );
-                        prop_assert_eq!(
-                            tier.is_compressed(name),
-                            model.get(name).is_some_and(|&(_, c)| c)
+                            model.get(name).map(|&s| Bytes(s))
                         );
                     }
                 }
-                // Freeing everything returns the tier to pristine state.
+                // Giving everything back returns the tier to pristine state.
                 for name in names() {
                     tier.free(name);
+                }
+                for (size, compressed) in pages {
+                    tier.release(Bytes(size), compressed);
                 }
                 prop_assert_eq!(tier.used(), Bytes(0));
                 prop_assert_eq!(tier.available(), Bytes(capacity));

@@ -10,6 +10,7 @@
 //! over all indices. The pre-kernel scalar pipeline survives as
 //! [`attend_selected_reference`] for property tests and benches.
 
+use clusterkv_kvcache::compressed::CompressedPage;
 use clusterkv_kvcache::KvStore;
 use clusterkv_tensor::kernels::{attend_into, attention_weights_into, Workspace};
 use clusterkv_tensor::ops::{attention_weights, weighted_sum};
@@ -49,6 +50,58 @@ pub fn attend_selected_ws(store: &KvStore, query: &[f32], indices: &[usize], ws:
         &mut ws.weights,
         &mut ws.out,
     );
+}
+
+/// Attend the query in `ws.q` over the tokens at `selected`, reading every
+/// selected member of `pages` from the page's compressed representation
+/// (SLERP-merged, dequantized from its integer codes — DESIGN.md §9) and
+/// every other token — sinks, pending decode tokens, the position being
+/// generated — from its exact KV in `store`. Weights land in `ws.weights`,
+/// the output in `out`.
+///
+/// The selected rows are gathered into the workspace and each page writes
+/// its members over theirs, so nothing is allocated once the workspace is
+/// warm, and the result depends only on the pages and the stored KV — never
+/// on the order heads or threads run in. Of a position selected twice only
+/// the later row is rewritten, as inserting `(position, row)` pairs into a
+/// map would have it.
+///
+/// # Panics
+///
+/// Panics if `ws.q.len() != store.head_dim()`, a selected position or a
+/// page member is out of bounds, or a page's rows are of another width.
+// analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
+pub fn attend_compressed_ws<'p>(
+    store: &KvStore,
+    selected: &[usize],
+    pages: impl Iterator<Item = &'p CompressedPage>,
+    ws: &mut Workspace,
+    out: &mut [f32],
+) {
+    let Workspace {
+        q,
+        weights,
+        idx: row_of,
+        k_rows,
+        v_rows,
+        ..
+    } = ws;
+    store.keys().select_rows_into(selected, k_rows);
+    store.values().select_rows_into(selected, v_rows);
+    row_of.clear();
+    row_of.resize(store.len(), usize::MAX);
+    for (row, &pos) in selected.iter().enumerate() {
+        row_of[pos] = row;
+    }
+    for page in pages {
+        let members = page.tokens();
+        page.dequantize_into(
+            |slot| Some(row_of[members[slot]]).filter(|&row| row != usize::MAX),
+            k_rows,
+            v_rows,
+        );
+    }
+    attend_into(k_rows, v_rows, None, q, weights, out);
 }
 
 /// Compute single-head attention of `query` over the tokens at `indices`
@@ -274,6 +327,202 @@ mod tests {
         let w1 = full_attention_weights(&store, &q);
         let w2 = attend_full(&store, &q).weights;
         assert_eq!(w1, w2, "both full paths share the same kernels");
+    }
+
+    mod compressed_recall {
+        use super::*;
+        use clusterkv_kvcache::compressed::{
+            compress_page, reconstruct_page_rows_reference, CompressedPage, CompressionConfig,
+            QuantMode,
+        };
+        use clusterkv_tensor::rng::{gaussian_vec, seeded};
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Compressed-recall attention through the kept f32 round trip:
+        /// fresh gathered copies, an ordered position → row map, every page
+        /// reconstructed from the backing rows on the spot.
+        fn reference(
+            store: &KvStore,
+            selected: &[usize],
+            pages: &[Vec<usize>],
+            compression: CompressionConfig,
+            query: &[f32],
+        ) -> (Vec<f32>, Vec<f32>) {
+            let mut k_sel = store.keys().select_rows(selected);
+            let mut v_sel = store.values().select_rows(selected);
+            let row_of: BTreeMap<usize, usize> = selected
+                .iter()
+                .enumerate()
+                .map(|(row, &pos)| (pos, row))
+                .collect();
+            for members in pages {
+                reconstruct_page_rows_reference(
+                    (store.keys(), store.values()),
+                    members,
+                    compression,
+                    (&mut k_sel, &mut v_sel),
+                    |slot| row_of.get(&members[slot]).copied(),
+                );
+            }
+            let mut weights = Vec::new();
+            let mut out = vec![0.0; store.head_dim()];
+            attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);
+            (weights, out)
+        }
+
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        #[test]
+        fn trimmed_pages_merged_pairs_and_repeated_positions_match_the_round_trip() {
+            let (n, dim) = (64, 16);
+            let mut rng = seeded(0xC0);
+            let mut store = KvStore::new(dim);
+            for t in 0..n {
+                let mut key = gaussian_vec(&mut rng, dim, 0.0, 1.0);
+                // Near-parallel neighbours, so the merging rung has pairs to
+                // merge: (5, 6) inside a fully selected page, (13, 14) across
+                // the trim boundary of the last one.
+                if t == 6 || t == 14 {
+                    key = store.key(t - 1).iter().map(|x| 1.02 * x + 1e-3).collect();
+                }
+                store.append(&key, &gaussian_vec(&mut rng, dim, 0.0, 2.0));
+            }
+            let pages = vec![
+                vec![4, 9, 10, 17, 30],
+                vec![5, 6, 7, 8, 40, 41],
+                vec![11, 12, 13, 14, 15, 16],
+            ];
+            // Sinks and pending tokens outside every page, two whole pages,
+            // the last page trimmed to three of its six members, a position
+            // selected twice, and the position being generated.
+            let mut selected = vec![0, 1, 60, 61];
+            selected.extend(&pages[0]);
+            selected.extend(&pages[1]);
+            selected.extend(&pages[2][..3]);
+            selected.extend([9, n - 1]);
+            let sealed = |compression| -> Vec<CompressedPage> {
+                pages
+                    .iter()
+                    .map(|p| compress_page(store.keys(), store.values(), p, compression))
+                    .collect()
+            };
+            let merging = CompressionConfig::int4().with_merge_threshold(0.2);
+            let merged = sealed(merging);
+            assert_eq!(merged[1].merged_pairs(), 1, "(5, 6) merges");
+            assert_eq!(merged[2].merged_pairs(), 1, "(13, 14) merges");
+
+            let mut ws = Workspace::new();
+            for compression in [
+                CompressionConfig::lossless(),
+                CompressionConfig::int8(),
+                CompressionConfig::int4(),
+                merging,
+            ] {
+                // The workspace carries over between rungs: stale gathered
+                // rows and a stale position map must not leak into the next
+                // call.
+                for query_seed in 0..3 {
+                    ws.q = gaussian_vec(&mut seeded(query_seed), dim, 0.0, 1.0);
+                    let mut out = vec![0.0f32; dim];
+                    let sealed = sealed(compression);
+                    attend_compressed_ws(&store, &selected, sealed.iter(), &mut ws, &mut out);
+                    let (weights, expected) =
+                        reference(&store, &selected, &pages, compression, &ws.q);
+                    assert_eq!(bits(&out), bits(&expected), "{compression}: output");
+                    assert_eq!(bits(&ws.weights), bits(&weights), "{compression}: weights");
+                }
+            }
+            // And the lossy rungs do change what is attended.
+            let lossless = CompressionConfig::lossless();
+            let (_, exact) = reference(&store, &selected, &pages, lossless, &ws.q);
+            let (_, lossy) = reference(&store, &selected, &pages, merging, &ws.q);
+            assert_ne!(exact, lossy);
+        }
+
+        proptest! {
+            // Attending from sealed pages' codes against re-running the f32
+            // round trip per call: lossless / int8 / int4, merging off and
+            // at 0.2, random shapes and memberships. Rows include both
+            // zeros, all-zero values, a page of nothing but zeros
+            // (`scale == 0`) and grid-edge magnitudes (`|x| == scale`);
+            // near-parallel neighbours give the merging rungs pairs, the
+            // trimmed last page cuts through them; one position is selected
+            // twice and some selected tokens lie outside every page. A
+            // negative zero survives because a page stores it under the
+            // spare integer code, so even the sign of a zero logit or output
+            // agrees. Non-finite KV is outside the contract — the round trip
+            // spread one NaN over its row and one infinity over its page,
+            // the grid has no code for them, and no finite weight produces
+            // either (see `compressed.rs`).
+            #[test]
+            fn attending_from_codes_is_bit_identical_to_the_round_trip(
+                n in 12usize..96,
+                dim in 1usize..24,
+                page_len in 1usize..14,
+                seed in 0u64..1_000_000,
+            ) {
+                let mut rng = seeded(seed);
+                let mut store = KvStore::new(dim);
+                let zero_page = seed as usize % 5;
+                for t in 0..n {
+                    let mut key = gaussian_vec(&mut rng, dim, 0.0, 1.0);
+                    let mut value = gaussian_vec(&mut rng, dim, 0.0, 2.0);
+                    match (t + seed as usize) % 6 {
+                        0 if t > 0 => {
+                            key = store.key(t - 1).iter().map(|x| 1.02 * x + 1e-3).collect();
+                        }
+                        1 => value.fill(0.0),
+                        2 => value.iter_mut().step_by(2).for_each(|x| *x = -0.0),
+                        3 => key[0] = -7.5,
+                        4 => key[dim - 1] = 7.5,
+                        _ => {}
+                    }
+                    if t / page_len == zero_page {
+                        key.fill(if t % 2 == 0 { 0.0 } else { -0.0 });
+                        value.fill(-0.0);
+                    }
+                    store.append(&key, &value);
+                }
+                // Pages tile positions 2..n-2; the rest are sinks, pending
+                // tokens and the position being generated.
+                let pages: Vec<Vec<usize>> = (2..n - 2)
+                    .collect::<Vec<_>>()
+                    .chunks(page_len)
+                    .map(<[usize]>::to_vec)
+                    .collect();
+                let picked: Vec<&Vec<usize>> =
+                    pages.iter().filter(|p| (p[0] + seed as usize) % 3 < 2).collect();
+                let mut selected = vec![0, n - 1];
+                for (i, page) in picked.iter().enumerate() {
+                    let keep = if i + 1 == picked.len() { page.len().div_ceil(2) } else { page.len() };
+                    selected.extend(&page[..keep]);
+                }
+                selected.push(selected[selected.len() / 2]);
+                selected.push(1);
+                let query = gaussian_vec(&mut rng, dim, 0.0, 1.0);
+                let mut ws = Workspace::new();
+                for quant in [QuantMode::Off, QuantMode::Int8, QuantMode::Int4] {
+                    for merge_threshold in [0.0, 0.2] {
+                        let compression = CompressionConfig { merge_threshold, quant };
+                        let picked: Vec<Vec<usize>> = picked.iter().map(|p| (*p).clone()).collect();
+                        let sealed: Vec<CompressedPage> = picked
+                            .iter()
+                            .map(|p| compress_page(store.keys(), store.values(), p, compression))
+                            .collect();
+                        ws.q.clone_from(&query);
+                        let mut out = vec![0.0f32; dim];
+                        attend_compressed_ws(&store, &selected, sealed.iter(), &mut ws, &mut out);
+                        let (weights, expected) =
+                            reference(&store, &selected, &picked, compression, &query);
+                        prop_assert!(bits(&out) == bits(&expected), "{compression}: output");
+                        prop_assert!(bits(&ws.weights) == bits(&weights), "{compression}: weights");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

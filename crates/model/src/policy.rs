@@ -186,8 +186,10 @@ pub enum KvResidency {
     Paged(Vec<PageRequest>),
     /// The selected KV is paged *and* recalled through the compressed tier:
     /// member tokens of each page — [`TokenSelector::page_members`] names
-    /// them — are attended via their SLERP-merged, quantize-round-tripped
-    /// representation (DESIGN.md §9). Tokens outside every page (sinks,
+    /// them — are attended via their SLERP-merged, quantized representation
+    /// (DESIGN.md §9), which the engine builds once per page of the
+    /// selector's [`page_table`](TokenSelector::page_table) — so every page
+    /// a plan names must be in that table. Tokens outside every page (sinks,
     /// pending tokens, the token being generated) stay exact.
     Compressed(Vec<PageRequest>),
 }
@@ -311,11 +313,14 @@ pub trait TokenSelector: Send {
         KvResidency::Resident
     }
 
-    /// Absolute token positions belonging to `page`, ascending — read by
-    /// whoever attends a [`KvResidency::Compressed`] plan, straight after the
-    /// [`plan`](TokenSelector::plan) call that named the page and before the
-    /// next [`observe`](TokenSelector::observe). A slice into state the
-    /// selector already keeps, so a plan never copies memberships. Selectors
+    /// Absolute token positions belonging to `page` — read by whoever
+    /// compresses the pages [`KvResidency::Compressed`] plans name: the
+    /// engine, once per page of the [`page_table`](TokenSelector::page_table)
+    /// after the key event that created the page, and again only when the
+    /// table reports the page at a different size. So a page that keeps its
+    /// size must keep its members (clusters never change once sealed;
+    /// positional pages only grow). A slice into state the selector already
+    /// keeps, so neither a plan nor the table copies memberships. Selectors
     /// that emit no compressed plans keep the default (no members).
     fn page_members(&self, _page: usize) -> &[usize] {
         &[]
@@ -494,6 +499,25 @@ impl SelectorGroup {
         }
     }
 
+    /// Members of a page of the `head`-th query head's table (see
+    /// [`TokenSelector::page_members`]).
+    pub fn page_members(&self, head: usize, page: usize) -> &[usize] {
+        match self {
+            SelectorGroup::PerHead(heads) => heads[head].page_members(page),
+            SelectorGroup::Shared { index, .. } => index.page_members(page),
+        }
+    }
+
+    /// The group's heads that own a page table: every head of a per-head
+    /// group, the first alone when all read one shared index. Head `h` of
+    /// the group reads the table of owner [`HeadSelector::table_owner`]`(h)`.
+    pub fn table_owners(&self) -> std::ops::Range<usize> {
+        match self {
+            SelectorGroup::PerHead(heads) => 0..heads.len(),
+            SelectorGroup::Shared { .. } => 0..1,
+        }
+    }
+
     /// [`GroupIndex::export_prefill_state`] of a shared index; per-head
     /// groups share nothing across sessions.
     pub fn export_prefill_state(&self) -> Option<SharedPrefixState> {
@@ -550,6 +574,15 @@ impl HeadSelector<'_> {
         match self {
             HeadSelector::Own(selector) => selector.page_members(page),
             HeadSelector::Shared(index, _) => index.page_members(page),
+        }
+    }
+
+    /// Which head of the group owns the page table this head — the group's
+    /// `head`-th — plans against (see [`SelectorGroup::table_owners`]).
+    pub fn table_owner(&self, head: usize) -> usize {
+        match self {
+            HeadSelector::Own(_) => head,
+            HeadSelector::Shared(..) => 0,
         }
     }
 }

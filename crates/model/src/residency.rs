@@ -8,17 +8,23 @@
 //! retries — which the [`LatencyModel`] prices in exact bytes; session
 //! totals are read back from the cache's own counters when the engine
 //! reports. Residency changes what a step costs, never what it attends.
+//!
+//! Under a lossy compression config the session also owns the compressed
+//! pages themselves (DESIGN.md §9): one [`CompressedStore`] per
+//! `(layer, kv_head)`, each page quantized once when its cluster is sealed
+//! and read by every query head of the group.
 
 use crate::config::ModelConfig;
 use crate::latency::{LatencyModel, StepCost, Transfers};
-use crate::policy::{PageRequest, PolicyStats, SelectorGroup};
+use crate::policy::{KvResidency, PageRequest, PolicyStats, SelectorGroup};
 use crate::prefetch::PrefetchConfig;
 use clusterkv_faults::{backoff_seconds, FaultInjector, FaultSite, IntegrityStats};
-use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
-use clusterkv_kvcache::compressed::CompressionConfig;
+use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig, PageKey};
+use clusterkv_kvcache::compressed::{CompressedStore, CompressionConfig};
 use clusterkv_kvcache::device::Seconds;
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
 use clusterkv_kvcache::types::{Bytes, HeadId, LayerId};
+use clusterkv_kvcache::KvStore;
 
 /// One session's GPU-resident selected-KV pages over its CPU backing store,
 /// plus everything the engine derives from their movement.
@@ -26,6 +32,11 @@ pub(crate) struct Residency {
     /// Capacity 0 models pure offload: every selected page is recalled at
     /// every step.
     cache: ClusterCache,
+    /// The compressed pages recall-compressed plans attend through, indexed
+    /// `[layer][kv_head]` and keyed by the query head owning the page table
+    /// (the group's first when its heads share one index). Empty under a
+    /// lossless config, whose plans attend exact KV.
+    pages: Vec<Vec<CompressedStore>>,
     /// Vectors scored by the selective-layer heads of the step in flight.
     scored: u64,
     /// Tokens attended by the selective-layer heads of the step in flight.
@@ -54,8 +65,8 @@ pub(crate) struct Residency {
 impl Residency {
     /// Residency state of a fresh session.
     pub(crate) fn new(
+        config: &ModelConfig,
         capacity: Bytes,
-        head_dim: usize,
         compression: CompressionConfig,
         prefetch: PrefetchConfig,
     ) -> Self {
@@ -64,12 +75,18 @@ impl Residency {
         } else {
             Bytes(0)
         };
+        let layers = if compression.is_lossless() {
+            0
+        } else {
+            config.num_layers
+        };
         Self {
             cache: ClusterCache::new(
-                ClusterCacheConfig::new(capacity, head_dim)
+                ClusterCacheConfig::new(capacity, config.head_dim)
                     .with_compression(compression)
                     .with_staging(staging),
             ),
+            pages: vec![vec![CompressedStore::new(compression); config.num_kv_heads]; layers],
             scored: 0,
             attended: 0,
             step: Transfers::default(),
@@ -81,9 +98,10 @@ impl Residency {
         }
     }
 
-    /// How compressed plans are reconstructed for attention.
-    pub(crate) fn compression(&self) -> CompressionConfig {
-        self.cache.compression()
+    /// The compressed pages of `layer`, one store per KV head; empty when
+    /// the session compresses nothing.
+    pub(crate) fn compressed_pages(&self, layer: usize) -> &[CompressedStore] {
+        self.pages.get(layer).map_or(&[], Vec::as_slice)
     }
 
     /// Open the ledger of a new decode step.
@@ -126,30 +144,68 @@ impl Residency {
 
     /// Admit pages whose KV was just produced on the GPU (prefill
     /// clustering, incremental decode clustering) while capacity allows,
-    /// and grow the CPU backing store to the session's `private_tokens` —
-    /// shared-prefix positions live in the prefix store and are charged
-    /// there once.
+    /// quantize those a recall-compressed plan may name, and grow the CPU
+    /// backing store to the session's `private_tokens` — shared-prefix
+    /// positions live in the prefix store and are charged there once. Call
+    /// after every key event the selectors observed: the plans of the next
+    /// step attend the pages as they stand here.
     pub(crate) fn settle(
         &mut self,
         config: &ModelConfig,
         selectors: &[Vec<SelectorGroup>],
+        kv: &[Vec<KvStore>],
         private_tokens: usize,
     ) {
-        if self.cache.enabled() {
-            let group = config.num_heads / config.num_kv_heads;
-            for (layer, groups) in selectors.iter().enumerate().skip(config.dense_layers) {
-                for head in 0..config.num_heads {
-                    // Once a head's KV is offloaded the decision is permanent
-                    // — skip building its page table again every step.
-                    if self.cache.is_offloaded(LayerId(layer), HeadId(head)) {
-                        continue;
+        let group_size = config.num_heads / config.num_kv_heads;
+        for (layer, groups) in selectors.iter().enumerate().skip(config.dense_layers) {
+            for (kv_head, group) in groups.iter().enumerate() {
+                let first = kv_head * group_size;
+                if self.cache.enabled() {
+                    for head in 0..group_size {
+                        // Once a head's KV is offloaded the decision is
+                        // permanent — skip building its page table again
+                        // every step.
+                        if self
+                            .cache
+                            .is_offloaded(LayerId(layer), HeadId(first + head))
+                        {
+                            continue;
+                        }
+                        // Both paged and recall-compressed tables warm the
+                        // same way: admission is always exact, demotion to
+                        // the compressed tier happens under eviction
+                        // pressure.
+                        if let Some(pages) = group.page_table(head).page_requests() {
+                            self.cache.warm(LayerId(layer), HeadId(first + head), pages);
+                        }
                     }
-                    // Both paged and recall-compressed tables warm the same
-                    // way: admission is always exact, demotion to the
-                    // compressed tier happens under eviction pressure.
-                    let table = groups[head / group].page_table(head % group);
-                    if let Some(pages) = table.page_requests() {
-                        self.cache.warm(LayerId(layer), HeadId(head), pages);
+                }
+                let Some(store) = self.pages.get_mut(layer).map(|l| &mut l[kv_head]) else {
+                    continue;
+                };
+                // A page is built once per membership: when its cluster is
+                // sealed (prefill, adopted or clustered here; incremental
+                // decode clustering) and again only if it grew since.
+                for owner in group.table_owners() {
+                    let KvResidency::Compressed(table) = group.page_table(owner) else {
+                        continue;
+                    };
+                    for page in table {
+                        let key = PageKey {
+                            layer: LayerId(layer),
+                            head: HeadId(first + owner),
+                            page: page.page,
+                        };
+                        if store.get(key).map(|p| p.tokens().len()) != Some(page.tokens) {
+                            let (keys, values) =
+                                (kv[layer][kv_head].keys(), kv[layer][kv_head].values());
+                            store.compress_and_insert(
+                                key,
+                                keys,
+                                values,
+                                group.page_members(owner, page.page),
+                            );
+                        }
                     }
                 }
             }

@@ -25,6 +25,7 @@
 //!
 //! [`decode_batch`]: ServeEngine::decode_batch
 
+use crate::attention::attend_compressed_ws;
 use crate::config::ModelConfig;
 use crate::latency::LatencyModel;
 use crate::policy::{
@@ -36,11 +37,12 @@ use crate::residency::Residency;
 use crate::rope::Rope;
 use crate::weights::ModelWeights;
 use clusterkv_faults::{FaultInjector, FaultPlan, FaultSite, IntegrityStats};
-use clusterkv_kvcache::compressed::{reconstruct_page_rows, CompressionConfig};
+use clusterkv_kvcache::cluster_cache::PageKey;
+use clusterkv_kvcache::compressed::CompressionConfig;
 use clusterkv_kvcache::device::{DeviceModel, Seconds};
 use clusterkv_kvcache::prefix::{PrefixStore, PrefixStoreConfig, PrefixStoreStats, SharedKvPage};
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
-use clusterkv_kvcache::types::{Budget, Bytes};
+use clusterkv_kvcache::types::{Budget, Bytes, HeadId, LayerId};
 use clusterkv_kvcache::KvStore;
 use clusterkv_tensor::kernels::{attend_into, matvec_rows_into, Workspace};
 use clusterkv_tensor::ops::{rms_norm, silu};
@@ -722,8 +724,8 @@ impl ServeEngine {
                 next_input: None,
                 stats: PolicyStats::default(),
                 residency: Residency::new(
+                    &self.config,
                     self.kv_cache_capacity,
-                    self.config.head_dim,
                     self.compression,
                     self.prefetch,
                 ),
@@ -995,59 +997,6 @@ impl ServeEngine {
         clusterkv_tensor::kernels::par_matvec_rows(w, 0..rows, v, PROJ_MIN_ROWS_PER_WORKER)
     }
 
-    /// Attend the query in `ws.q` over the gathered selected tokens,
-    /// substituting the compressed (SLERP-merged, quantize-round-tripped)
-    /// representation for every selected token belonging to one of the
-    /// plan's pages (DESIGN.md §9). Tokens outside the pages — sinks, pending
-    /// decode tokens, the position being generated — keep their exact KV.
-    ///
-    /// Per-page reconstruction runs over the page's *full* membership from
-    /// the backing store, never the selection or cache state, so the result
-    /// depends only on `(compression, membership, stored KV)` and phase-1
-    /// head parallelism stays order-free. The rows are gathered into the
-    /// head's workspace and the reconstruction writes over them in place:
-    /// the recalled page is attended, not stored, so it is neither built nor
-    /// sealed.
-    fn attend_compressed<'m>(
-        store: &KvStore,
-        selected: &[usize],
-        pages: &[PageRequest],
-        members_of: impl Fn(usize) -> &'m [usize],
-        compression: CompressionConfig,
-        ws: &mut Workspace,
-        out: &mut [f32],
-    ) {
-        let Workspace {
-            q,
-            weights,
-            idx: row_of,
-            k_rows,
-            v_rows,
-            ..
-        } = ws;
-        store.keys().select_rows_into(selected, k_rows);
-        store.values().select_rows_into(selected, v_rows);
-        // Position → gathered row. A position selected twice keeps its last
-        // row, as inserting the pairs into a map would.
-        row_of.clear();
-        row_of.resize(store.len(), usize::MAX);
-        for (row, &pos) in selected.iter().enumerate() {
-            row_of[pos] = row;
-        }
-        for page in pages {
-            let members = members_of(page.page);
-            reconstruct_page_rows(
-                (store.keys(), store.values()),
-                members,
-                compression,
-                (&mut *k_rows, &mut *v_rows),
-                |slot| Some(row_of[members[slot]]).filter(|&row| row != usize::MAX),
-                |_| {},
-            );
-        }
-        attend_into(k_rows, v_rows, None, q, weights, out);
-    }
-
     /// Run one token of one session through the transformer: a decode step
     /// under `selection`, or — with `None` — a prefill token under full
     /// causal attention.
@@ -1108,7 +1057,7 @@ impl ServeEngine {
                 num_heads
             };
             let kv_layer = &sess.kv[layer];
-            let compression = sess.residency.compression();
+            let compressed_pages = sess.residency.compressed_pages(layer);
             sess.concat.clear();
             sess.concat.resize(num_heads * head_dim, 0.0);
             /// One head's unit of the parallel attention phase: its index,
@@ -1128,7 +1077,8 @@ impl ServeEngine {
                 .map(|(head, mut selector, ws, slot)| {
                     Self::project_head_into(&lw.wq, &h, head, head_dim, &mut ws.q);
                     rope.apply(&mut ws.q, position);
-                    let store = &kv_layer[Self::kv_head_of(config, head)];
+                    let kv_head = Self::kv_head_of(config, head);
+                    let store = &kv_layer[kv_head];
                     let Some(StepPolicy {
                         budget, prefetch, ..
                     }) = selection
@@ -1166,30 +1116,44 @@ impl ServeEngine {
                     if !selected.contains(&position) {
                         selected.push(position);
                     }
-                    if let KvResidency::Compressed(pages) = &plan.residency {
-                        // Recall-compressed attention (DESIGN.md §9): attend
-                        // through the merged + quantize-round-tripped KV of
-                        // the plan's pages, exact KV elsewhere. Depends only
-                        // on (config, page membership, stored values), so it
-                        // is order-free across heads and thread counts.
-                        Self::attend_compressed(
-                            store,
-                            &selected,
-                            pages,
-                            |page| selector.page_members(page),
-                            compression,
-                            ws,
-                            slot,
-                        );
-                    } else {
-                        attend_into(
+                    match (&plan.residency, compressed_pages.get(kv_head)) {
+                        (KvResidency::Compressed(pages), Some(sealed)) => {
+                            // Recall-compressed attention (DESIGN.md §9):
+                            // attend through the merged + quantized KV of
+                            // the plan's pages, exact KV elsewhere. The
+                            // pages were built when their clusters were
+                            // sealed, from (config, membership, stored
+                            // values) alone, so this is order-free across
+                            // heads and thread counts.
+                            let group = num_heads / config.num_kv_heads;
+                            let owner = kv_head * group + selector.table_owner(head % group);
+                            let page_of = |page: &PageRequest| {
+                                sealed
+                                    .get(PageKey {
+                                        layer: LayerId(layer),
+                                        head: HeadId(owner),
+                                        page: page.page,
+                                    })
+                                    .expect("every page of a plan was sealed with its cluster")
+                            };
+                            attend_compressed_ws(
+                                store,
+                                &selected,
+                                pages.iter().map(page_of),
+                                ws,
+                                slot,
+                            );
+                        }
+                        // A lossless session keeps no compressed pages: its
+                        // plans attend exact KV whatever they call it.
+                        _ => attend_into(
                             store.keys(),
                             store.values(),
                             Some(&selected),
                             &ws.q,
                             &mut ws.weights,
                             slot,
-                        );
+                        ),
                     }
                     let pages = match plan.residency {
                         KvResidency::Paged(pages) | KvResidency::Compressed(pages) => Some(pages),
@@ -1545,6 +1509,7 @@ impl ServeEngine {
         sess.residency.settle(
             config,
             &sess.selectors,
+            &sess.kv,
             sess.num_tokens - sess.matched_prefix_tokens,
         );
         sess.phase = SessionPhase::Ready;
@@ -1653,6 +1618,7 @@ impl ServeEngine {
         sess.residency.settle(
             config,
             &sess.selectors,
+            &sess.kv,
             sess.num_tokens - sess.matched_prefix_tokens,
         );
         sess.residency.finish_step(
@@ -2903,130 +2869,6 @@ mod tests {
         assert!(!report.compression_ratio().is_nan());
         assert!(report.generated_tokens == 10);
         assert!(report.modeled_decode_time > Seconds(0.0));
-    }
-
-    /// Compressed-recall attention as it was first written: build every
-    /// selected page with `compress_page` (sealed, then dropped), look rows
-    /// up through an ordered map, attend over fresh gathered copies.
-    fn attend_compressed_reference(
-        store: &KvStore,
-        selected: &[usize],
-        pages: &[Vec<usize>],
-        compression: CompressionConfig,
-        query: &[f32],
-    ) -> (Vec<f32>, Vec<f32>) {
-        let mut k_sel = store.keys().select_rows(selected);
-        let mut v_sel = store.values().select_rows(selected);
-        let row_of: BTreeMap<usize, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(row, &pos)| (pos, row))
-            .collect();
-        for members in pages {
-            let cp = clusterkv_kvcache::compressed::compress_page(
-                store.keys(),
-                store.values(),
-                members,
-                compression,
-            );
-            for (i, &pos) in members.iter().enumerate() {
-                if let Some(&row) = row_of.get(&pos) {
-                    k_sel.row_mut(row).copy_from_slice(cp.keys.row(i));
-                    v_sel.row_mut(row).copy_from_slice(cp.values.row(i));
-                }
-            }
-        }
-        let mut weights = Vec::new();
-        let mut out = vec![0.0; store.head_dim()];
-        attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);
-        (weights, out)
-    }
-
-    #[test]
-    fn compressed_recall_attention_is_bit_identical_to_composing_compressed_pages() {
-        use clusterkv_tensor::rng::{gaussian_vec, seeded};
-        let (n, dim) = (64, 16);
-        let mut rng = seeded(0xC0);
-        let mut store = KvStore::new(dim);
-        for t in 0..n {
-            let mut key = gaussian_vec(&mut rng, dim, 0.0, 1.0);
-            // Near-parallel neighbours, so the merging rung has pairs to
-            // merge: (5, 6) inside a fully selected page, (13, 14) across
-            // the trim boundary of the last one.
-            if t == 6 || t == 14 {
-                key = store.key(t - 1).iter().map(|x| 1.02 * x + 1e-3).collect();
-            }
-            store.append(&key, &gaussian_vec(&mut rng, dim, 0.0, 2.0));
-        }
-        let pages = vec![
-            vec![4, 9, 10, 17, 30],
-            vec![5, 6, 7, 8, 40, 41],
-            vec![11, 12, 13, 14, 15, 16],
-        ];
-        // Sinks and pending tokens outside every page, two whole pages, the
-        // last page trimmed to three of its six members, a position selected
-        // twice, and the position being generated.
-        let mut selected = vec![0, 1, 60, 61];
-        selected.extend(&pages[0]);
-        selected.extend(&pages[1]);
-        selected.extend(&pages[2][..3]);
-        selected.extend([9, n - 1]);
-        let requests: Vec<PageRequest> = pages
-            .iter()
-            .enumerate()
-            .map(|(page, members)| PageRequest::new(page, members.len()))
-            .collect();
-        let merging = CompressionConfig::int4().with_merge_threshold(0.2);
-        let merged_pairs = |members: &[usize]| {
-            let page = clusterkv_kvcache::compressed::compress_page(
-                store.keys(),
-                store.values(),
-                members,
-                merging,
-            );
-            page.merged_pairs
-        };
-        assert_eq!(merged_pairs(&pages[1]), 1, "(5, 6) merges");
-        assert_eq!(merged_pairs(&pages[2]), 1, "(13, 14) merges");
-
-        let mut ws = Workspace::new();
-        for compression in [
-            CompressionConfig::lossless(),
-            CompressionConfig::int8(),
-            CompressionConfig::int4(),
-            merging,
-        ] {
-            // The workspace carries over between rungs: stale gathered rows
-            // and a stale position map must not leak into the next call.
-            for query_seed in 0..3 {
-                ws.q = gaussian_vec(&mut seeded(query_seed), dim, 0.0, 1.0);
-                let mut out = vec![0.0f32; dim];
-                ServeEngine::attend_compressed(
-                    &store,
-                    &selected,
-                    &requests,
-                    |page| &pages[page],
-                    compression,
-                    &mut ws,
-                    &mut out,
-                );
-                let (weights, expected) =
-                    attend_compressed_reference(&store, &selected, &pages, compression, &ws.q);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out), bits(&expected), "{compression}: output");
-                assert_eq!(bits(&ws.weights), bits(&weights), "{compression}: weights");
-            }
-        }
-        // And the lossy rungs do change what is attended.
-        let (_, exact) = attend_compressed_reference(
-            &store,
-            &selected,
-            &pages,
-            CompressionConfig::lossless(),
-            &ws.q,
-        );
-        let (_, lossy) = attend_compressed_reference(&store, &selected, &pages, merging, &ws.q);
-        assert_ne!(exact, lossy);
     }
 
     fn prefetch_engine(capacity: Bytes, prefetch: PrefetchConfig) -> ServeEngine {

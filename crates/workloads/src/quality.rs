@@ -4,9 +4,10 @@
 //! [`run_episode_quality`] mirrors the plain [`harness`](crate::harness)
 //! decode loop but attends over *compressed-reconstructed* KV wherever a
 //! token lives in a cold page: pages are compressed with
-//! [`compress_page`] exactly as the serving engine does on a compressed
-//! recall, the reconstructed rows are substituted into the selected set, and
-//! the attention-output error is measured against exact full attention. The
+//! [`compress_page`] — once per membership, as the serving engine seals a
+//! cluster once — their rows are dequantized over the selected set exactly
+//! as on the engine's compressed recall, and the attention-output error is
+//! measured against exact full attention. The
 //! per-page byte accounting accumulates into an accuracy-vs-memory point —
 //! one [`QualityResult`] per (method, compression config) — from which
 //! `exp_quality` draws the frontier.
@@ -29,7 +30,7 @@ use crate::harness::EpisodeResult;
 use crate::language_modeling::{BASE_PERPLEXITY, ERROR_SENSITIVITY};
 use crate::longbench::LongBenchProfile;
 use crate::semantic::Episode;
-use clusterkv_kvcache::compressed::{compress_page, CompressionConfig};
+use clusterkv_kvcache::compressed::{compress_page, CompressedPage, CompressionConfig};
 use clusterkv_kvcache::types::Budget;
 use clusterkv_kvcache::KvStore;
 use clusterkv_model::attention::attend_full;
@@ -205,8 +206,8 @@ fn relative_error(full: &[f32], approx: &[f32]) -> f32 {
 /// The decode loop matches the plain harness step for step: plan, measure
 /// recall of the true top-`B` tokens, measure attention-output error — but
 /// the error is computed after substituting every selected row that lives in
-/// a cold page with its [`compress_page`] reconstruction (the engine's
-/// compressed-recall path, [`ServeEngine`] §9). Recall-compressed plans
+/// a cold page with the row its [`compress_page`] page dequantizes to (the
+/// engine's compressed-recall path, [`ServeEngine`] §9). Recall-compressed plans
 /// contribute their cluster memberships as pages; other plans use
 /// `lane.block_tokens`-sized positional blocks over the selected tokens.
 ///
@@ -236,6 +237,9 @@ pub fn run_episode_quality(
     let mut exact_bytes = 0u64;
     let mut compressed_bytes = 0u64;
     let mut merged_pairs = 0u64;
+    // Stored KV never changes once appended, so a page is a function of
+    // its membership: clusters compress once, not once per step.
+    let mut pages: BTreeMap<Vec<usize>, CompressedPage> = BTreeMap::new();
 
     for step in 0..episode.decode_steps() {
         let query = &episode.queries[step];
@@ -267,9 +271,9 @@ pub fn run_episode_quality(
             hit as f64 / truth.len() as f64
         });
 
-        // Reconstruct each cold page over its full membership (the
-        // order-free engine invariant) and substitute the selected rows,
-        // then attend and measure against exact full attention.
+        // Compress each cold page over its full membership (the
+        // order-free engine invariant), substitute the selected rows from
+        // its codes, then attend and measure against exact full attention.
         let mut k_sel = store.keys().select_rows(&selected);
         let mut v_sel = store.values().select_rows(&selected);
         let mut weights = Vec::with_capacity(selected.len());
@@ -280,17 +284,19 @@ pub fn run_episode_quality(
             .enumerate()
             .map(|(row, &pos)| (pos, row))
             .collect();
-        for members in &groups {
-            let page = compress_page(store.keys(), store.values(), members, lane.compression);
-            exact_bytes += page.exact_bytes.get();
-            compressed_bytes += page.compressed_bytes.get();
-            merged_pairs += page.merged_pairs as u64;
-            for (i, &pos) in members.iter().enumerate() {
-                if let Some(&row) = row_of.get(&pos) {
-                    k_sel.row_mut(row).copy_from_slice(page.keys.row(i));
-                    v_sel.row_mut(row).copy_from_slice(page.values.row(i));
-                }
-            }
+        for members in groups {
+            let page = pages.entry(members).or_insert_with_key(|members| {
+                compress_page(store.keys(), store.values(), members, lane.compression)
+            });
+            exact_bytes += page.exact_bytes().get();
+            compressed_bytes += page.compressed_bytes().get();
+            merged_pairs += page.merged_pairs() as u64;
+            let members = page.tokens();
+            page.dequantize_into(
+                |slot| row_of.get(&members[slot]).copied(),
+                &mut k_sel,
+                &mut v_sel,
+            );
         }
         let mut out = vec![0.0f32; head_dim];
         attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);

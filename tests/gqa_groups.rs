@@ -19,8 +19,9 @@ use clusterkv_tensor::kernels::Workspace;
 use clusterkv_tensor::rng::{derive_seed, gaussian_vec, seeded};
 use clusterkv_tensor::Matrix;
 use common::{thread_env_lock, with_thread_count};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const DECODE_STEPS: usize = 20;
 
@@ -212,17 +213,25 @@ fn baselines_are_bit_identical_to_the_parent_commit() {
 }
 
 /// How often the indexes a factory built ran their prompt clustering
-/// (`PrefillDone`, where the k-means runs) or adopted another session's.
+/// (`PrefillDone`, where the k-means runs) or adopted another session's,
+/// and which pages had their membership read — what the engine does exactly
+/// when it quantizes a page.
 #[derive(Default)]
 struct SealCounts {
     clustered: AtomicUsize,
     adopted: AtomicUsize,
+    /// `(layer, kv_head, page)` of every `page_members` call, in call order.
+    members_read: Mutex<Vec<(usize, usize, usize)>>,
+    /// Pages of the last table each `(layer, kv_head)` index reported.
+    table_len: Mutex<BTreeMap<(usize, usize), usize>>,
 }
 
 /// A [`ClusterIndex`] behind a counter.
 struct CountedIndex {
     inner: Box<dyn GroupIndex>,
     counts: Arc<SealCounts>,
+    /// The `(layer, kv_head)` the index serves.
+    at: (usize, usize),
 }
 
 impl GroupIndex for CountedIndex {
@@ -244,9 +253,18 @@ impl GroupIndex for CountedIndex {
         self.inner.prefetch_hint(request, lookahead_tokens, scratch)
     }
     fn page_table(&self) -> KvResidency {
-        self.inner.page_table()
+        let table = self.inner.page_table();
+        let pages = table.page_requests().map_or(0, <[PageRequest]>::len);
+        self.counts.table_len.lock().unwrap().insert(self.at, pages);
+        table
     }
     fn page_members(&self, page: usize) -> &[usize] {
+        let (layer, kv_head) = self.at;
+        self.counts
+            .members_read
+            .lock()
+            .unwrap()
+            .push((layer, kv_head, page));
         self.inner.page_members(page)
     }
     fn export_prefill_state(&self) -> Option<SharedPrefixState> {
@@ -283,6 +301,7 @@ impl SelectorFactory for CountedFactory {
             index: Box::new(CountedIndex {
                 inner: index,
                 counts,
+                at: (ctx.layer, ctx.kv_head),
             }),
             scratch,
         }
@@ -331,6 +350,69 @@ fn a_sealed_prompt_clusters_once_per_selective_kv_head() {
             streams[0], streams[1],
             "{heads}:{kv_heads}: adoption changed a stream"
         );
+    }
+}
+
+#[test]
+fn a_sealed_cluster_is_quantised_once_per_selective_kv_head() {
+    // Under a lossy tier the engine reads a page's membership when — and
+    // only when — it quantizes the page. One page per (layer, KV head,
+    // cluster), read by the group's G query heads: every cluster of every
+    // selective KV head is read exactly once per session, whether the
+    // session clustered the prompt itself, adopted the clustering from the
+    // prefix store, or added the cluster while decoding.
+    for (heads, kv_heads) in [(4, 1), (8, 2)] {
+        let model = model(heads, kv_heads);
+        let kv_indexes = (model.num_layers - model.dense_layers) * kv_heads;
+        let int8 = CompressionConfig::int8();
+        let mut engine = engine(model)
+            .compression(int8)
+            .prefix_store(Bytes(1 << 20))
+            .build()
+            .unwrap();
+        let prompt = prompt(64);
+        for session in 0..2 {
+            let counts = Arc::new(SealCounts::default());
+            let factory = CountedFactory {
+                inner: ClusterKvFactory::new(ckv_config().with_compression(int8)),
+                counts: counts.clone(),
+            };
+            let id = engine.create_session_with(&factory).unwrap();
+            engine.prefill(id, &prompt).unwrap();
+            assert_eq!(
+                counts.adopted.load(Ordering::Relaxed),
+                session * kv_indexes,
+                "{heads}:{kv_heads}: the second session adopts"
+            );
+            let sealed_pages = |when: &str| {
+                let mut read = counts.members_read.lock().unwrap().clone();
+                let tables = counts.table_len.lock().unwrap().clone();
+                assert_eq!(tables.len(), kv_indexes, "{heads}:{kv_heads}, {when}");
+                let expected: Vec<(usize, usize, usize)> = tables
+                    .iter()
+                    .flat_map(|(&(layer, kv_head), &pages)| {
+                        (0..pages).map(move |page| (layer, kv_head, page))
+                    })
+                    .collect();
+                read.sort_unstable();
+                assert_eq!(
+                    read, expected,
+                    "{heads}:{kv_heads}, session {session}, {when}: \
+                     each page of each selective KV head once"
+                );
+                read.len()
+            };
+            let at_seal = sealed_pages("prompt sealed");
+            assert!(at_seal >= kv_indexes * ckv_config().min_clusters.max(1));
+            for _ in 0..DECODE_STEPS {
+                engine.decode_batch(&[id]).unwrap();
+            }
+            // 20 steps at a period of 8: two incremental clusterings per
+            // index, each adding `decode_new_clusters` pages.
+            let grown = sealed_pages("after decoding");
+            assert_eq!(grown, at_seal + kv_indexes * 2 * 2);
+            engine.release(id).unwrap();
+        }
     }
 }
 

@@ -6,7 +6,10 @@
 //! query head's against its group's shared index — allocates exactly the
 //! two buffers its `SelectionPlan` hands to the engine (token positions,
 //! pages), whatever the budget, the cluster count or the compression
-//! config, and a k-means fit allocates only the `Clustering` it returns.
+//! config, a k-means fit allocates only the `Clustering` it returns, a
+//! compressed-recall attend reads its pages' integer codes without
+//! allocating, and so does a cluster-cache access on its miss path —
+//! recall, demotion, eviction — once every page of the session is known.
 //!
 //! The whole proof lives in a single `#[test]` so no concurrent test in this
 //! binary can allocate while the counters are being read (the allocator is
@@ -119,6 +122,8 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
 
     selection_allocates_only_the_plan();
     kmeans_fit_allocates_only_its_result();
+    compressed_recall_attend_allocates_nothing();
+    cache_miss_path_allocates_nothing();
 }
 
 /// The ClusterKV selection path over one 3200-token context clustered two
@@ -269,5 +274,134 @@ fn kmeans_fit_allocates_only_its_result() {
     assert_eq!(
         during, 3,
         "a warm fit allocates its centroids, their norms and its labels"
+    );
+}
+
+/// Attention over a budget-1024 ClusterKV selection of a 3200-token context
+/// clustered two ways (20 and 199 clusters) under int4, read from the pages
+/// each cluster was quantized into once: gather, dequantize-into-row and the
+/// fused kernel allocate nothing once the head's workspace is warm. Called
+/// from the single test above.
+fn compressed_recall_attend_allocates_nothing() {
+    use clusterkv::{fill_selection_ws, ClusterKvConfig, ClusterKvSelector};
+    use clusterkv_kvcache::compressed::{compress_page, CompressedPage};
+    use clusterkv_kvcache::types::Budget;
+    use clusterkv_kvcache::{CompressionConfig, KvStore};
+    use clusterkv_model::attention::attend_compressed_ws;
+    use clusterkv_model::policy::observe_prompt;
+    use clusterkv_tensor::rng::{gaussian_vec, seeded};
+    use clusterkv_tensor::Matrix;
+
+    let rng = &mut seeded(0x2D);
+    let (n, dim) = (3200, 16);
+    let keys = Matrix::from_flat(n, dim, gaussian_vec(rng, n * dim, 0.0, 1.0)).unwrap();
+    let values = Matrix::from_flat(n, dim, gaussian_vec(rng, n * dim, 0.0, 1.0)).unwrap();
+    let mut store = KvStore::new(dim);
+    store.append_batch(&keys, &values);
+    let queries: Vec<Vec<f32>> = (0..8).map(|_| gaussian_vec(rng, dim, 0.0, 1.0)).collect();
+    let int4 = CompressionConfig::int4();
+    let budget = Budget::new(1024);
+
+    for (tokens_per_cluster, clusters) in [(160, 20), (16, 199)] {
+        let config = ClusterKvConfig {
+            max_kmeans_iters: 2,
+            ..ClusterKvConfig::default()
+                .with_tokens_per_cluster(tokens_per_cluster)
+                .with_compression(int4)
+        };
+        let mut selector = ClusterKvSelector::new(config, dim);
+        observe_prompt(&mut selector, &keys);
+        let sc = selector.clustering();
+        assert!(
+            sc.num_clusters().abs_diff(clusters) <= 1,
+            "{}",
+            sc.num_clusters()
+        );
+        let pages: Vec<CompressedPage> = (0..sc.num_clusters())
+            .map(|c| compress_page(&keys, &values, sc.metadata().cluster_tokens(c), int4))
+            .collect();
+
+        let (mut plan_ws, mut ws) = (Workspace::new(), Workspace::new());
+        let mut out = vec![0.0f32; dim];
+        let mut attend = |q: &[f32], ws: &mut Workspace| {
+            fill_selection_ws(q, sc, budget, &mut plan_ws);
+            assert_eq!(plan_ws.tokens.len(), budget.tokens());
+            ws.q.clear();
+            ws.q.extend_from_slice(q);
+            attend_compressed_ws(
+                &store,
+                &plan_ws.tokens,
+                plan_ws.labels.iter().map(|&c| &pages[c]),
+                ws,
+                &mut out,
+            );
+            out[0]
+        };
+        attend(&queries[0], &mut ws);
+        let before = allocations();
+        let mut sink = 0.0;
+        for q in &queries {
+            sink += attend(q, &mut ws);
+        }
+        let during = allocations() - before;
+        assert!(sink.is_finite());
+        assert_eq!(
+            during, 0,
+            "a warm compressed-recall attend must not allocate ({clusters} clusters)"
+        );
+    }
+}
+
+/// A cluster cache a quarter the size of what its head cycles through,
+/// with an int4 tier: once every page has been seen, accesses that miss,
+/// demote exact victims and drop compressed ones only rewrite index values
+/// and reuse slab slots. Called from the single test above.
+fn cache_miss_path_allocates_nothing() {
+    use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig, PageRequest};
+    use clusterkv_kvcache::types::{Bytes, HeadId, LayerId};
+    use clusterkv_kvcache::CompressionConfig;
+
+    let (dim, page_tokens, pages) = (32usize, 80usize, 48usize);
+    let page_bytes = 4 * dim * page_tokens;
+    let mut cache = ClusterCache::new(
+        ClusterCacheConfig::new(Bytes((3 * page_bytes) as u64), dim)
+            .with_compression(CompressionConfig::int4()),
+    );
+    // Plans of four pages drifting through the table two at a time: each
+    // access hits the two pages it shares with the previous one and recalls
+    // the other two.
+    let plans: Vec<Vec<PageRequest>> = (0..pages)
+        .map(|step| {
+            (0..4)
+                .map(|i| PageRequest::new((2 * step + i) % pages, page_tokens))
+                .collect()
+        })
+        .collect();
+    let (layer, head) = (LayerId(1), HeadId(2));
+    for plan in plans.iter().chain(&plans) {
+        cache.access(layer, head, plan);
+    }
+    let (stats, compression) = (cache.stats(), cache.compression_stats());
+    let resident = cache.resident_pages();
+    let before = allocations();
+    let mut compressed_hits = 0;
+    for plan in &plans {
+        compressed_hits += cache.access(layer, head, plan).compressed_pages;
+    }
+    let during = allocations() - before;
+    assert!(cache.stats().misses > stats.misses, "pages were recalled");
+    assert!(cache.stats().hits > stats.hits, "pages were hit");
+    assert!(
+        cache.compression_stats().demotions > compression.demotions,
+        "exact victims were demoted"
+    );
+    assert!(compressed_hits > 0, "demoted pages served hits");
+    assert!(
+        cache.resident_pages() <= resident + 4 && cache.resident_pages() < pages / 2,
+        "compressed victims were dropped"
+    );
+    assert_eq!(
+        during, 0,
+        "a warm access that misses, demotes and evicts must not allocate"
     );
 }
