@@ -5,20 +5,17 @@
 //! likely to select and stages their pages into a bounded staging buffer;
 //! the roofline clock prices staged transfers as overlapped with compute
 //! (`max(compute, staged) + demand` instead of a pure sum). This experiment
-//! sweeps GPU cache capacity × predictor (none / reuse-last /
-//! reuse+lookahead) and asserts the four properties the design promises,
-//! rather than assuming them:
+//! sweeps GPU cache capacity × prefetch off / on (the `none` and
+//! `reuse+lookahead` rows: this step's pages plus the selector's lookahead
+//! hint) and asserts the three properties the design promises, rather than
+//! assuming them:
 //!
-//! * **Parity** — token streams, hit rates and recalled bytes are
-//!   byte-identical with prefetch off, staging-only, reuse-last and
-//!   reuse+lookahead, at every thread count swept. Prefetch changes *when*
-//!   bytes move, never *what* attends.
+//! * **Parity** — token streams, cache hit/miss counts and transfer
+//!   counters are byte-identical with prefetch off and on, at every thread
+//!   count swept. Prefetch changes *when* bytes move, never *what* attends.
 //! * **Speedup** — reuse+lookahead strictly improves modeled mean TBT over
 //!   no-prefetch at the two tightest capacities, where demand misses
 //!   dominate the step and promotion out of the staging buffer pays.
-//! * **Clock pinning** — with staging enabled but overlap pricing off, the
-//!   modeled decode clock is bit-identical to the prefetch-off engine: the
-//!   overlap clock with `staged = 0` *is* the pure-sum clock.
 //! * **Determinism** — a repeated reuse+lookahead run reproduces streams,
 //!   clock bits and prefetch statistics bit for bit.
 //!
@@ -28,7 +25,7 @@
 
 use clusterkv::ClusterKvFactory;
 use clusterkv_bench::{serving_clusterkv_config, serving_model_config, smoke, with_threads};
-use clusterkv_kvcache::stats::PrefetchStats;
+use clusterkv_kvcache::stats::{CacheStats, PrefetchStats, TransferStats};
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::DeviceModel;
 use clusterkv_metrics::{fmt, Table};
@@ -88,14 +85,13 @@ fn engine(capacity: Bytes, prefetch: PrefetchConfig) -> ServeEngine {
 
 /// Everything one serving run produces that the gates compare. Clock times
 /// are compared through their raw bit patterns — "close enough" is not a
-/// thing the determinism and pinning gates accept.
+/// thing the determinism gate accepts.
 #[derive(Debug, Clone, PartialEq)]
 struct RunOutcome {
     streams: Vec<Vec<usize>>,
     modeled_bits: Vec<u64>,
-    hits: u64,
-    misses: u64,
-    recalled_bytes: u64,
+    cache: CacheStats,
+    transfers: TransferStats,
     tbt: f64,
     prefetch: PrefetchStats,
     accuracy: f64,
@@ -132,8 +128,11 @@ fn run(capacity: Bytes, prefetch: PrefetchConfig) -> RunOutcome {
     let hidden: f64 = reports.iter().map(|r| r.hidden_transfer_time.get()).sum();
     let transfer: f64 = reports.iter().map(|r| r.transfer_time.get()).sum();
     let mut prefetch_stats = PrefetchStats::new();
+    let (mut cache, mut transfers) = (CacheStats::new(), TransferStats::new());
     for r in &reports {
         prefetch_stats.merge(&r.prefetch);
+        cache.merge(&r.stats.cache);
+        transfers.merge(&r.stats.transfer);
     }
     RunOutcome {
         streams,
@@ -141,9 +140,8 @@ fn run(capacity: Bytes, prefetch: PrefetchConfig) -> RunOutcome {
             .iter()
             .map(|r| r.modeled_decode_time.get().to_bits())
             .collect(),
-        hits: reports.iter().map(|r| r.stats.cache.hits).sum(),
-        misses: reports.iter().map(|r| r.stats.cache.misses).sum(),
-        recalled_bytes: reports.iter().map(|r| r.bytes_recalled().get()).sum(),
+        cache,
+        transfers,
         tbt: total_decode / (SESSIONS * decode_steps()) as f64,
         accuracy: prefetch_stats.accuracy(),
         hidden_fraction: if transfer == 0.0 {
@@ -157,16 +155,14 @@ fn run(capacity: Bytes, prefetch: PrefetchConfig) -> RunOutcome {
 }
 
 /// The staging buffer every prefetch-enabled run uses: roomy enough that
-/// the per-step byte budget and the GPU cache capacity stay the binding
-/// constraints.
+/// the GPU cache capacity stays the binding constraint.
 fn staging_capacity() -> Bytes {
     Bytes(1 << 20)
 }
 
-fn predictors() -> [(&'static str, PrefetchConfig); 3] {
+fn predictors() -> [(&'static str, PrefetchConfig); 2] {
     [
         ("none", PrefetchConfig::disabled()),
-        ("reuse-last", PrefetchConfig::reuse_last(staging_capacity())),
         (
             "reuse+lookahead",
             PrefetchConfig::lookahead(staging_capacity()),
@@ -209,26 +205,21 @@ fn main() {
         );
     }
 
-    // ---- Gate (a): byte-identical streams and cache accounting across
-    // predictors (plus the staging-only probe) and thread counts.
-    // Reference: prefetch off on one thread.
+    // ---- Gate (a): byte-identical streams and cache accounting with
+    // prefetch off and on, across thread counts. Reference: prefetch off on
+    // one thread.
     let reference = with_threads(1, || run(capacities[1].1, PrefetchConfig::disabled()));
     let mut parity_cells = 0;
-    let mut probes = predictors().to_vec();
-    probes.push((
-        "staging-only",
-        PrefetchConfig::staging_only(staging_capacity()),
-    ));
-    for (name, prefetch) in &probes {
+    for (name, prefetch) in predictors() {
         for &threads in &[1usize, 2, 8] {
-            let outcome = with_threads(threads, || run(capacities[1].1, *prefetch));
+            let outcome = with_threads(threads, || run(capacities[1].1, prefetch));
             assert_eq!(
                 outcome.streams, reference.streams,
                 "token streams diverged (predictor={name}, threads={threads})"
             );
             assert_eq!(
-                (outcome.hits, outcome.misses, outcome.recalled_bytes),
-                (reference.hits, reference.misses, reference.recalled_bytes),
+                (outcome.cache, outcome.transfers),
+                (reference.cache, reference.transfers),
                 "cache accounting diverged (predictor={name}, threads={threads})"
             );
             parity_cells += 1;
@@ -236,28 +227,11 @@ fn main() {
     }
     if !json {
         println!(
-            "Parity: {} cells (predictors + staging-only probe x threads [1, 2, 8]) \
-             all byte-identical to the prefetch-off single-thread run.\n",
+            "Parity: {} cells (prefetch off / on x threads [1, 2, 8]) all byte-identical \
+             to the prefetch-off single-thread run.\n",
             parity_cells
         );
     }
-
-    // ---- Gate (c): the staging-only probe (staging and promotion active,
-    // overlap pricing off) reproduces the prefetch-off modeled clock bit
-    // for bit — the overlap clock with nothing staged is the pure-sum
-    // clock.
-    let probe = run(
-        capacities[1].1,
-        PrefetchConfig::staging_only(staging_capacity()),
-    );
-    assert_eq!(
-        probe.modeled_bits, reference.modeled_bits,
-        "staging without overlap pricing must not move the clock by a single bit"
-    );
-    assert!(
-        probe.prefetch.staged_pages > 0 && probe.prefetch.used_pages > 0,
-        "the probe must actually stage and promote to make the pinning meaningful"
-    );
 
     // ---- Sweep: capacity x predictor.
     let mut rows: Vec<(String, String, RunOutcome)> = Vec::new();
@@ -312,7 +286,7 @@ fn main() {
             "Wasted",
         ]);
         for (cap, pred, o) in &rows {
-            let hit_rate = o.hits as f64 / (o.hits + o.misses).max(1) as f64;
+            let hit_rate = o.cache.hits as f64 / (o.cache.hits + o.cache.misses).max(1) as f64;
             table.row(vec![
                 cap.clone(),
                 pred.clone(),
@@ -336,7 +310,7 @@ fn main() {
         );
     }
 
-    // ---- Gate (d): bit-identical repeat of the reuse+lookahead run at the
+    // ---- Gate (c): bit-identical repeat of the reuse+lookahead run at the
     // tightest capacity.
     let again = run(
         capacities[0].1,
@@ -370,10 +344,9 @@ fn main() {
         out.push_str(&format!("    \"budget\": {BUDGET}\n"));
         out.push_str("  },\n");
         out.push_str(&format!("  \"parity_cells\": {parity_cells},\n"));
-        out.push_str("  \"clock_pinned\": true,\n");
         out.push_str("  \"sweep\": [\n");
         for (i, (cap, pred, o)) in rows.iter().enumerate() {
-            let hit_rate = o.hits as f64 / (o.hits + o.misses).max(1) as f64;
+            let hit_rate = o.cache.hits as f64 / (o.cache.hits + o.cache.misses).max(1) as f64;
             out.push_str(&format!(
                 "    {{\"capacity_steps\": \"{cap}\", \"predictor\": \"{pred}\", \
                  \"tbt_us\": {:.6}, \"hit_rate\": {:.6}, \"accuracy\": {:.6}, \

@@ -217,6 +217,9 @@ pub struct ClusterCache {
     compression: CompressionConfig,
     gpu: MemoryTier,
     cpu: MemoryTier,
+    /// Bytes of `cpu` charged for the full KV cache
+    /// ([`set_backing`](Self::set_backing)).
+    backing: Bytes,
     /// Every page ever seen (admitted, accessed or declined), with its slab
     /// slot while it is resident. Entries are never removed: warm admission
     /// only applies to pages the cache has never seen, so a page evicted
@@ -275,6 +278,7 @@ impl ClusterCache {
             compression: CompressionConfig::lossless(),
             gpu,
             cpu,
+            backing: Bytes(0),
             pages: BTreeMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -334,11 +338,6 @@ impl ClusterCache {
     /// head's page table once this is true — the decision is permanent.
     pub fn is_offloaded(&self, layer: LayerId, head: HeadId) -> bool {
         self.offloaded.contains(&(layer, head))
-    }
-
-    /// The GPU tier (resident set).
-    pub fn gpu(&self) -> &MemoryTier {
-        &self.gpu
     }
 
     /// The CPU tier (backing store).
@@ -404,9 +403,18 @@ impl ClusterCache {
     /// # Errors
     ///
     /// Returns [`AllocationError`](crate::tier::AllocationError) if the full
-    /// KV no longer fits in host DRAM.
+    /// KV no longer fits in host DRAM; the previous size stays charged.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
     pub fn set_backing(&mut self, total_kv: Bytes) -> Result<(), crate::tier::AllocationError> {
-        self.cpu.allocate("kv-backing", total_kv)
+        self.cpu.release(self.backing, false);
+        if let Err(err) = self.cpu.charge(total_kv, false) {
+            self.cpu
+                .charge(self.backing, false)
+                .expect("the bytes just released fit again");
+            return Err(err);
+        }
+        self.backing = total_kv;
+        Ok(())
     }
 
     fn page_bytes(&self, tokens: usize) -> Bytes {
@@ -704,18 +712,12 @@ impl ClusterCache {
     /// Per nomination, in order: zero-token and GPU-resident pages are
     /// skipped (growth deltas of resident pages always travel on demand); a
     /// staged copy covering the nomination is refreshed in staging-LRU
-    /// order; pages whose recall size exceeds the staging capacity or the
-    /// remaining `byte_budget` of this call are skipped; a smaller staged
-    /// copy is superseded (its transfer was wasted); and the oldest staged
-    /// pages — never resident ones — are evicted until the new page fits.
+    /// order; pages whose recall size exceeds the staging capacity are
+    /// skipped; a smaller staged copy is superseded (its transfer was
+    /// wasted); and the oldest staged pages — never resident ones — are
+    /// evicted until the new page fits.
     /// Returns the bytes staged by this call.
-    pub fn stage(
-        &mut self,
-        layer: LayerId,
-        head: HeadId,
-        pages: &[PageRequest],
-        byte_budget: Bytes,
-    ) -> Bytes {
+    pub fn stage(&mut self, layer: LayerId, head: HeadId, pages: &[PageRequest]) -> Bytes {
         if self.staging_capacity.get() == 0 {
             return Bytes(0);
         }
@@ -746,11 +748,9 @@ impl ClusterCache {
                 }
             }
             let size = self.recall_bytes(req.tokens);
-            if size.get() > self.staging_capacity.get()
-                || staged.get() + size.get() > byte_budget.get()
-            {
-                // Over capacity or budget: skip, keeping any smaller staged
-                // copy (it can still serve a smaller future demand).
+            if size.get() > self.staging_capacity.get() {
+                // Over capacity: skip, keeping any smaller staged copy (it
+                // can still serve a smaller future demand).
                 continue;
             }
             if let Some(old) = self.unstage(key) {
@@ -1177,9 +1177,18 @@ mod tests {
         c.set_backing(Bytes(40)).unwrap();
         c.set_backing(Bytes(90)).unwrap();
         assert_eq!(c.cpu().used(), Bytes(90));
+        // A size that does not fit reports what the backing could grow to
+        // (its current bytes are reusable) and changes nothing.
         let err = c.set_backing(Bytes(120)).unwrap_err();
         assert_eq!(err.tier, TierKind::Cpu);
         assert_eq!(err.available, Bytes(100));
+        assert_eq!(c.cpu().used(), Bytes(90));
+        // Each call replaces the previous size, so shrinking a nearly full
+        // tier and growing it back to capacity both fit.
+        c.set_backing(Bytes(50)).unwrap();
+        assert_eq!(c.cpu().used(), Bytes(50));
+        c.set_backing(Bytes(100)).unwrap();
+        assert_eq!(c.cpu().used(), Bytes(100));
     }
 
     #[test]
@@ -1339,7 +1348,7 @@ mod tests {
     fn zero_staging_capacity_disables_staging() {
         let mut c = cache_for(16);
         assert_eq!(c.staging_capacity(), Bytes(0));
-        assert_eq!(c.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX)), Bytes(0));
+        assert_eq!(c.stage(L, H, &reqs(&[(0, 4)])), Bytes(0));
         assert_eq!(c.staged_pages(), 0);
         assert_eq!(c.prefetch_stats(), PrefetchStats::new());
     }
@@ -1348,10 +1357,7 @@ mod tests {
     fn staged_page_promotes_without_changing_accounting() {
         let mut plain = cache_for(16);
         let mut staged = staged_cache_for(16, 8);
-        assert_eq!(
-            staged.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX)),
-            Bytes(16)
-        );
+        assert_eq!(staged.stage(L, H, &reqs(&[(0, 4)])), Bytes(16));
         assert_eq!(staged.staged_bytes(), Bytes(16));
         let p = plain.access(L, H, &reqs(&[(0, 4)]));
         let s = staged.access(L, H, &reqs(&[(0, 4)]));
@@ -1374,12 +1380,11 @@ mod tests {
     }
 
     #[test]
-    fn stage_skips_resident_pages_and_respects_budget() {
+    fn stage_skips_resident_pages() {
         let mut c = staged_cache_for(16, 16);
         c.access(L, H, &reqs(&[(0, 4)]));
-        // Page 0 is resident; pages 1 and 2 want 16 B each but the call
-        // budget only covers one of them.
-        let moved = c.stage(L, H, &reqs(&[(0, 4), (1, 4), (2, 4)]), Bytes(16));
+        // Page 0 is resident: only page 1 moves.
+        let moved = c.stage(L, H, &reqs(&[(0, 4), (1, 4)]));
         assert_eq!(moved, Bytes(16));
         assert_eq!(c.staged_pages(), 1);
         assert_eq!(c.prefetch_stats().staged_pages, 1);
@@ -1391,7 +1396,7 @@ mod tests {
         let mut c = staged_cache_for(4, 8);
         c.access(L, H, &reqs(&[(9, 4)]));
         let before_resident = c.resident_bytes();
-        c.stage(L, H, &reqs(&[(0, 4), (1, 4), (2, 4)]), Bytes(u64::MAX));
+        c.stage(L, H, &reqs(&[(0, 4), (1, 4), (2, 4)]));
         // Page 0 was evicted from staging (oldest) to make room for page 2.
         assert_eq!(c.staged_pages(), 2);
         assert_eq!(c.staged_bytes(), Bytes(32));
@@ -1414,14 +1419,14 @@ mod tests {
     #[test]
     fn oversized_page_is_never_staged() {
         let mut c = staged_cache_for(16, 4);
-        assert_eq!(c.stage(L, H, &reqs(&[(0, 100)]), Bytes(u64::MAX)), Bytes(0));
+        assert_eq!(c.stage(L, H, &reqs(&[(0, 100)])), Bytes(0));
         assert_eq!(c.staged_pages(), 0);
     }
 
     #[test]
     fn stale_staged_copy_is_wasted_on_larger_demand() {
         let mut c = staged_cache_for(16, 8);
-        c.stage(L, H, &reqs(&[(0, 2)]), Bytes(u64::MAX));
+        c.stage(L, H, &reqs(&[(0, 2)]));
         let out = c.access(L, H, &reqs(&[(0, 4)]));
         // The staged 2-token copy cannot serve a 4-token demand: full
         // demand recall, staged bytes all wasted.
@@ -1436,8 +1441,8 @@ mod tests {
     #[test]
     fn larger_nomination_supersedes_staged_copy() {
         let mut c = staged_cache_for(16, 8);
-        c.stage(L, H, &reqs(&[(0, 2)]), Bytes(u64::MAX));
-        c.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX));
+        c.stage(L, H, &reqs(&[(0, 2)]));
+        c.stage(L, H, &reqs(&[(0, 4)]));
         assert_eq!(c.staged_pages(), 1);
         assert_eq!(c.staged_bytes(), Bytes(16));
         assert_eq!(c.prefetch_stats().wasted_bytes, Bytes(8), "old copy");
@@ -1449,9 +1454,9 @@ mod tests {
     #[test]
     fn restaging_a_covering_copy_moves_no_new_bytes() {
         let mut c = staged_cache_for(16, 8);
-        assert_eq!(c.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX)), Bytes(16));
-        assert_eq!(c.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX)), Bytes(0));
-        assert_eq!(c.stage(L, H, &reqs(&[(0, 2)]), Bytes(u64::MAX)), Bytes(0));
+        assert_eq!(c.stage(L, H, &reqs(&[(0, 4)])), Bytes(16));
+        assert_eq!(c.stage(L, H, &reqs(&[(0, 4)])), Bytes(0));
+        assert_eq!(c.stage(L, H, &reqs(&[(0, 2)])), Bytes(0));
         assert_eq!(c.prefetch_stats().staged_pages, 1);
         assert_eq!(c.prefetch_stats().staged_bytes, Bytes(16));
     }
@@ -1459,7 +1464,7 @@ mod tests {
     #[test]
     fn warm_admission_supersedes_staged_copy() {
         let mut c = staged_cache_for(16, 8);
-        c.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX));
+        c.stage(L, H, &reqs(&[(0, 4)]));
         assert_eq!(c.warm(L, H, &reqs(&[(0, 4)])), 1);
         assert_eq!(c.staged_pages(), 0, "staged ∩ resident = ∅");
         assert_eq!(c.prefetch_stats().wasted_bytes, Bytes(16));
@@ -1470,7 +1475,7 @@ mod tests {
     #[test]
     fn promotion_of_covering_copy_wastes_only_the_excess() {
         let mut c = staged_cache_for(16, 8);
-        c.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX));
+        c.stage(L, H, &reqs(&[(0, 4)]));
         let out = c.access(L, H, &reqs(&[(0, 3)]));
         assert_eq!(out.missed_tokens, 3);
         assert_eq!(out.staged_pages, 1);
@@ -1487,7 +1492,7 @@ mod tests {
                 .with_compression(CompressionConfig::int8())
                 .with_staging(Bytes(32 * 8)),
         );
-        let moved = c.stage(L, H, &reqs(&[(0, 4)]), Bytes(u64::MAX));
+        let moved = c.stage(L, H, &reqs(&[(0, 4)]));
         assert_eq!(moved, Bytes(4 * 16 + 8), "staged at the recall width");
         let out = c.access(L, H, &reqs(&[(0, 4)]));
         assert_eq!(out.bytes_recalled, Bytes(4 * 16 + 8));
@@ -1546,7 +1551,7 @@ mod tests {
     fn drop_staging_releases_everything_as_wasted() {
         let mut c =
             ClusterCache::new(ClusterCacheConfig::new(Bytes(4 * 16), 1).with_staging(Bytes(4 * 8)));
-        c.stage(L, H, &reqs(&[(0, 2), (1, 2)]), Bytes(u64::MAX));
+        c.stage(L, H, &reqs(&[(0, 2), (1, 2)]));
         assert_eq!(c.staged_pages(), 2);
         let before_wasted = c.prefetch_stats().wasted_bytes;
         let dropped = c.drop_staging();
@@ -1744,13 +1749,7 @@ mod tests {
             admitted
         }
 
-        fn stage(
-            &mut self,
-            layer: LayerId,
-            head: HeadId,
-            pages: &[PageRequest],
-            byte_budget: Bytes,
-        ) -> Bytes {
+        fn stage(&mut self, layer: LayerId, head: HeadId, pages: &[PageRequest]) -> Bytes {
             if self.staging_capacity == 0 {
                 return Bytes(0);
             }
@@ -1772,7 +1771,7 @@ mod tests {
                     }
                 }
                 let size = self.recall(req.tokens);
-                if size > self.staging_capacity || moved + size > byte_budget.get() {
+                if size > self.staging_capacity {
                     continue;
                 }
                 if let Some((_, bytes)) = self.unstage(key) {
@@ -1943,8 +1942,7 @@ mod tests {
             #[test]
             fn staging_respects_cap_and_never_touches_the_resident_set(
                 // Encoded op: low 3 bits page id, next 3 bits tokens
-                // (1..=8), next 2 bits op kind (access / warm / stage /
-                // stage-with-tight-budget).
+                // (1..=8), next 2 bits op kind (access ×2 / warm / stage).
                 ops in proptest::collection::vec(0u64..256, 1..60),
                 capacity_tokens in 4u64..24,
                 staging_tokens in 1u64..16,
@@ -1973,8 +1971,7 @@ mod tests {
                             );
                         }
                         _ => {
-                            let budget = Bytes(4 * (op >> 4));
-                            a.stage(L, H, &reqs(&[(page, tokens)]), budget);
+                            a.stage(L, H, &reqs(&[(page, tokens)]));
                         }
                     }
                     prop_assert!(a.staged_bytes().get() <= a.staging_capacity().get());
@@ -2003,8 +2000,8 @@ mod tests {
             #[test]
             fn random_traffic_matches_the_full_scan_model(
                 // Encoded op: 2 bits page id, 1 bit head, 3 bits tokens
-                // (1..=8), 3 bits kind — access ×3, warm, stage,
-                // stage-with-tight-budget, demote_all, drop_staging.
+                // (1..=8), 3 bits kind — access ×3, warm, stage ×2,
+                // demote_all, drop_staging.
                 ops in proptest::collection::vec(0u64..512, 1..120),
                 capacity_tokens in 4u64..40,
                 staging_tokens in 0u64..12,
@@ -2035,13 +2032,10 @@ mod tests {
                             real.warm(L, head, &pages),
                             model.warm(L, head, &pages)
                         ),
-                        4 | 5 => {
-                            let budget = Bytes(if op >> 6 == 4 { u64::MAX } else { 8 * tokens as u64 });
-                            prop_assert_eq!(
-                                real.stage(L, head, &pages, budget),
-                                model.stage(L, head, &pages, budget)
-                            );
-                        }
+                        4 | 5 => prop_assert_eq!(
+                            real.stage(L, head, &pages),
+                            model.stage(L, head, &pages)
+                        ),
                         6 => prop_assert_eq!(real.demote_all(), model.demote_all()),
                         _ => prop_assert_eq!(real.drop_staging(), model.drop_staging()),
                     }

@@ -137,12 +137,6 @@ impl CompressionConfig {
         self
     }
 
-    /// Set the quantization mode.
-    pub fn with_quant(mut self, quant: QuantMode) -> Self {
-        self.quant = quant;
-        self
-    }
-
     /// Whether this configuration is exactly lossless: no merging and no
     /// quantization. Selectors emit recall-exact plans under this config and
     /// the cache never demotes, so token streams stay byte-identical.

@@ -9,13 +9,11 @@
 //!   shared across the workspace.
 //! * [`store`] — the per-layer, per-head [`KvStore`] holding key/value
 //!   vectors for all previous tokens ("CPU memory" in the paper).
-//! * [`selected`] — [`SelectedKv`], the gathered subset `K_S, V_S` that
-//!   actually participates in attention.
 //! * [`device`] — an analytical [`DeviceModel`] (bandwidths + overheads)
 //!   used to estimate prefill/decoding latency and host-to-device transfer
 //!   cost; this is the substitute for the paper's NVIDIA Ada 6000 testbed.
-//! * [`tier`] — a two-tier memory simulator (GPU HBM + CPU DRAM) tracking
-//!   residency and capacity.
+//! * [`tier`] — a two-tier memory simulator (GPU HBM + CPU DRAM) counting
+//!   charged bytes against capacity.
 //! * [`cluster_cache`] — [`ClusterCache`], the session-level tiered KV
 //!   hierarchy: a capacity-bounded GPU resident set of KV pages with
 //!   deterministic LRU demotion (Resident → Compressed → Paged) over a CPU
@@ -34,7 +32,6 @@ pub mod cluster_cache;
 pub mod compressed;
 pub mod device;
 pub mod prefix;
-pub mod selected;
 pub mod stats;
 pub mod store;
 pub mod tier;
@@ -48,7 +45,6 @@ pub use device::DeviceModel;
 pub use prefix::{
     MatchSegment, PrefixStore, PrefixStoreConfig, PrefixStoreStats, SharedKvPage, SharedPrefixState,
 };
-pub use selected::SelectedKv;
 pub use stats::{CacheStats, CompressionStats, PrefetchStats, TransferStats};
 pub use store::KvStore;
 pub use tier::{MemoryTier, TierKind};

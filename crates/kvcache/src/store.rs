@@ -2,12 +2,9 @@
 //!
 //! A [`KvStore`] holds the keys and values of every token seen so far for a
 //! single attention head. Selection policies read keys (or their metadata)
-//! to decide which tokens participate in attention, then gather the selected
-//! rows into a [`SelectedKv`].
-//!
-//! [`SelectedKv`]: crate::selected::SelectedKv
+//! to decide which tokens participate in attention; the attention kernels
+//! then read the selected rows in place.
 
-use crate::selected::SelectedKv;
 use crate::types::Bytes;
 use clusterkv_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -200,20 +197,6 @@ impl KvStore {
         &self.key_norms
     }
 
-    /// Gather the keys/values of the given token indices into a
-    /// [`SelectedKv`] ready for attention computation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn gather(&self, indices: &[usize]) -> SelectedKv {
-        SelectedKv::new(
-            indices.to_vec(),
-            self.keys.select_rows(indices),
-            self.values.select_rows(indices),
-        )
-    }
-
     /// Size of the full KV cache of this head in bytes under the fp16 cost
     /// model (keys + values).
     pub fn size_bytes(&self) -> Bytes {
@@ -270,23 +253,6 @@ mod tests {
         b.append(&[3.0, 4.0], &[7.0, 8.0]);
         assert_eq!(a.keys(), b.keys());
         assert_eq!(a.values(), b.values());
-    }
-
-    #[test]
-    fn gather_preserves_requested_order() {
-        let s = filled_store(5, 2);
-        let sel = s.gather(&[4, 0, 2]);
-        assert_eq!(sel.len(), 3);
-        assert_eq!(sel.indices(), &[4, 0, 2]);
-        assert_eq!(sel.keys().row(0), s.key(4));
-        assert_eq!(sel.values().row(1), s.value(0));
-    }
-
-    #[test]
-    fn gather_empty_selection() {
-        let s = filled_store(5, 2);
-        let sel = s.gather(&[]);
-        assert_eq!(sel.len(), 0);
     }
 
     #[test]
@@ -363,18 +329,6 @@ mod tests {
             let s = filled_store(n, dim);
             prop_assert_eq!(s.len(), n);
             prop_assert_eq!(s.is_empty(), n == 0);
-        }
-
-        #[test]
-        fn gather_rows_match_source(n in 1usize..32, dim in 1usize..8, pick in proptest::collection::vec(0usize..32, 0..16)) {
-            let s = filled_store(n, dim);
-            let indices: Vec<usize> = pick.into_iter().map(|i| i % n).collect();
-            let sel = s.gather(&indices);
-            prop_assert_eq!(sel.len(), indices.len());
-            for (row, &src) in indices.iter().enumerate() {
-                prop_assert_eq!(sel.keys().row(row), s.key(src));
-                prop_assert_eq!(sel.values().row(row), s.value(src));
-            }
         }
     }
 }

@@ -18,24 +18,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation; `0.0` for fewer than two values.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64).sqrt()
-}
-
-/// Geometric mean of positive values; `0.0` if any value is non-positive or
-/// the slice is empty.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() || values.iter().any(|&v| v <= 0.0) {
-        return 0.0;
-    }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
 /// Nearest-rank percentile (`p` in `[0, 100]`); `0.0` for an empty slice.
 /// NaN values sort last (total order), so degenerate inputs cannot panic.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
@@ -136,21 +118,6 @@ pub fn request_table(rows: &[RequestRow]) -> Table {
     t
 }
 
-/// Extract one per-request metric as a plottable [`Series`] (x = request
-/// id, y = `metric(row)`), e.g.
-/// `request_series("TTFT", &rows, |r| r.ttft)`.
-pub fn request_series(
-    label: impl Into<String>,
-    rows: &[RequestRow],
-    metric: impl Fn(&RequestRow) -> f64,
-) -> Series {
-    let mut s = Series::new(label);
-    for r in rows {
-        s.push(r.id as f64, metric(r));
-    }
-    s
-}
-
 /// A named series of `(x, y)` points — one line in a figure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Series {
@@ -202,40 +169,6 @@ impl Series {
         out.push_str("]}");
         out
     }
-
-    /// Parse a series back from the JSON produced by [`Series::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax problem encountered.
-    pub fn from_json(json: &str) -> Result<Series, String> {
-        let mut p = JsonParser::new(json);
-        p.expect('{')?;
-        p.expect_str("\"label\"")?;
-        p.expect(':')?;
-        let label = p.parse_string()?;
-        p.expect(',')?;
-        p.expect_str("\"points\"")?;
-        p.expect(':')?;
-        p.expect('[')?;
-        let mut points = Vec::new();
-        if !p.try_consume(']') {
-            loop {
-                p.expect('[')?;
-                let x = p.parse_number()?;
-                p.expect(',')?;
-                let y = p.parse_number()?;
-                p.expect(']')?;
-                points.push((x, y));
-                if !p.try_consume(',') {
-                    p.expect(']')?;
-                    break;
-                }
-            }
-        }
-        p.expect('}')?;
-        Ok(Series { label, points })
-    }
 }
 
 /// Render an `f64` so it round-trips through [`str::parse`] (shortest
@@ -246,135 +179,6 @@ fn fmt_json_f64(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_string()
-    }
-}
-
-/// Minimal recursive-descent parser for the subset of JSON emitted by
-/// [`Series::to_json`].
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{c}' at byte {}", self.pos))
-        }
-    }
-
-    fn try_consume(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_str(&mut self, s: &str) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(s.as_bytes()) {
-            self.pos += s.len();
-            Ok(())
-        } else {
-            Err(format!("expected '{s}' at byte {}", self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Continue a (possibly multi-byte) UTF-8 sequence.
-                    let start = self.pos - 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        // `to_json` emits non-finite values as `null` (JSON has no NaN /
-        // Infinity literals); accept it back as NaN so round-trips of
-        // degenerate series do not error.
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
     }
 }
 
@@ -458,15 +262,6 @@ mod tests {
     fn mean_and_std_of_known_values() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_behaviour() {
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert_eq!(geometric_mean(&[1.0, -2.0]), 0.0);
     }
 
     #[test]
@@ -479,15 +274,15 @@ mod tests {
             json,
             r#"{"label":"ClusterKV","points":[[256,46.7],[512,48]]}"#
         );
-        let back = Series::from_json(&json).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]
     fn empty_series_and_escaped_labels_round_trip() {
         let empty = Series::new("quote \" backslash \\ newline \n");
-        let back = Series::from_json(&empty.to_json()).unwrap();
-        assert_eq!(back, empty);
+        assert_eq!(
+            empty.to_json(),
+            r#"{"label":"quote \" backslash \\ newline \n","points":[]}"#
+        );
     }
 
     #[test]
@@ -500,18 +295,6 @@ mod tests {
             json,
             r#"{"label":"degenerate","points":[[null,1],[2,null]]}"#
         );
-        let back = Series::from_json(&json).unwrap();
-        assert!(back.points[0].0.is_nan());
-        assert_eq!(back.points[0].1, 1.0);
-        assert_eq!(back.points[1].0, 2.0);
-        assert!(back.points[1].1.is_nan());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(Series::from_json("{\"label\":\"x\"").is_err());
-        assert!(Series::from_json("[]").is_err());
-        assert!(Series::from_json("{\"label\":\"x\",\"points\":[[1]]}").is_err());
     }
 
     #[test]
@@ -582,9 +365,6 @@ mod tests {
         let table = request_table(&rows).render();
         assert!(table.contains("| Request | TTFT (ms) |"));
         assert!(table.contains("| r0 | 10.00 | 2.000 | 50.00 | 75.0% | 20 |"));
-        let series = request_series("TTFT", &rows, |r| r.ttft);
-        assert_eq!(series.label, "TTFT");
-        assert_eq!(series.points, vec![(0.0, 0.010), (1.0, 0.020)]);
     }
 
     proptest! {
@@ -604,11 +384,6 @@ mod tests {
             let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
-        }
-
-        #[test]
-        fn std_dev_is_non_negative(v in proptest::collection::vec(-100.0f64..100.0, 0..50)) {
-            prop_assert!(std_dev(&v) >= 0.0);
         }
     }
 }

@@ -156,14 +156,6 @@ pub fn full_attention_weights_ws(store: &KvStore, query: &[f32], ws: &mut Worksp
     attention_weights_into(store.keys(), None, query, &mut ws.weights);
 }
 
-/// Exact attention weights of `query` over *all* tokens in the store
-/// (allocating variant of [`full_attention_weights_ws`]).
-pub fn full_attention_weights(store: &KvStore, query: &[f32]) -> Vec<f32> {
-    let mut weights = Vec::with_capacity(store.len());
-    attention_weights_into(store.keys(), None, query, &mut weights);
-    weights
-}
-
 /// The pre-kernel-layer scalar attention pipeline (iterator logits via
 /// scalar `dot`, row-sequential `axpy` reduction), kept as the reference the
 /// blocked path is property-tested and speedup-gated against.
@@ -180,20 +172,18 @@ pub fn attend_selected_reference(
     AttentionOutput { output, weights }
 }
 
-/// L2 error between the full-attention output and the output computed over a
-/// selected subset, normalised by the full output's norm. This is the
-/// quantity the accuracy proxies in `clusterkv-workloads` are built on.
-pub fn attention_output_error(store: &KvStore, query: &[f32], indices: &[usize]) -> f32 {
-    let full = attend_full(store, query);
-    let approx = attend_selected(store, query, indices);
+/// L2 error between the full-attention output `full` and an approximation
+/// of it (attention over a selected subset, over reconstructed KV),
+/// normalised by the full output's norm. This is the quantity the accuracy
+/// proxies in `clusterkv-workloads` are built on.
+pub fn attention_output_error(full: &[f32], approx: &[f32]) -> f32 {
     let diff: f32 = full
-        .output
         .iter()
-        .zip(&approx.output)
+        .zip(approx)
         .map(|(a, b)| (a - b) * (a - b))
         .sum::<f32>()
         .sqrt();
-    let denom: f32 = full.output.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let denom: f32 = full.iter().map(|x| x * x).sum::<f32>().sqrt();
     if denom == 0.0 {
         diff
     } else {
@@ -311,8 +301,11 @@ mod tests {
             vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]],
         );
         let q = [4.0, 0.0];
-        let err_good = attention_output_error(&store, &q, &[0]);
-        let err_bad = attention_output_error(&store, &q, &[1]);
+        let full = attend_full(&store, &q).output;
+        let error = |indices: &[usize]| {
+            attention_output_error(&full, &attend_selected(&store, &q, indices).output)
+        };
+        let (err_good, err_bad) = (error(&[0]), error(&[1]));
         assert!(err_good < err_bad);
         assert!(err_good < 0.1);
     }
@@ -324,9 +317,10 @@ mod tests {
             vec![vec![0.0, 0.0]; 3],
         );
         let q = [0.7, -0.1];
-        let w1 = full_attention_weights(&store, &q);
-        let w2 = attend_full(&store, &q).weights;
-        assert_eq!(w1, w2, "both full paths share the same kernels");
+        let mut ws = Workspace::new();
+        full_attention_weights_ws(&store, &q, &mut ws);
+        let full = attend_full(&store, &q).weights;
+        assert_eq!(ws.weights, full, "both full paths share the same kernels");
     }
 
     mod compressed_recall {
@@ -531,7 +525,11 @@ mod tests {
             vec![vec![1.0, 2.0], vec![2.0, 1.0]],
             vec![vec![0.5, 0.5], vec![1.5, -0.5]],
         );
-        let err = attention_output_error(&store, &[1.0, 1.0], &[0, 1]);
+        let q = [1.0, 1.0];
+        let err = attention_output_error(
+            &attend_full(&store, &q).output,
+            &attend_selected(&store, &q, &[0, 1]).output,
+        );
         assert!(err < 1e-6);
     }
 }

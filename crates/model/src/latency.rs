@@ -565,7 +565,7 @@ mod tests {
                 let (layer, head) = (LayerId(i / kv_heads), HeadId(i % kv_heads));
                 let pages = [PageRequest::new(0, seed_tokens[i % seed_tokens.len()])];
                 if i % staged_every == 0 {
-                    cache.stage(layer, head, &pages, Bytes(u64::MAX));
+                    cache.stage(layer, head, &pages);
                 }
                 let access = cache.access(layer, head, &pages);
                 recalled += access.bytes_recalled.get();
@@ -582,12 +582,22 @@ mod tests {
 
     #[test]
     fn overlap_clock_reduces_to_pure_sum_when_nothing_is_staged() {
-        // Gate (c) of exp_prefetch: with no staged bytes the new clock must
-        // be *bit-identical* to the pre-overlap pure sum `gpu + demand`.
+        // A step whose transfers have `staged == promoted == 0` — every
+        // step of a prefetch-off engine — must price *bit-identically* to
+        // the pre-overlap pure sum `gpu + demand`.
         let m = llama_model();
         let cost = budgeted(&m, 300.0);
+        assert_eq!(
+            (cost.transfers.staged, cost.transfers.promoted),
+            (Bytes(0), Bytes(0))
+        );
         let bd = m.decode_step_breakdown(32_000, &cost);
         assert_eq!(bd.staged, Seconds::zero());
+        assert_eq!(
+            bd.demand,
+            m.device().transfer_time(cost.transfers.demand),
+            "nothing was promoted out of the demand term"
+        );
         assert_eq!(
             bd.total.get().to_bits(),
             (bd.gpu + bd.demand).get().to_bits(),

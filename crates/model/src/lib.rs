@@ -43,7 +43,7 @@ pub use policy::{
     FullAttentionSelector, GroupIndex, KvResidency, ObserveEvent, PageRequest, PolicyStats,
     SelectionPlan, SelectionRequest, SelectorFactory, SelectorGroup, TokenSelector,
 };
-pub use prefetch::{PrefetchConfig, PrefetchPredictor};
+pub use prefetch::PrefetchConfig;
 pub use serve::{
     DecodeOutput, EngineError, ServeEngine, ServeEngineBuilder, SessionId, SessionReport,
 };

@@ -1,11 +1,12 @@
 //! Speculative cluster prefetch configuration (DESIGN.md §10).
 //!
 //! During decode step *t* the engine nominates clusters likely to be
-//! selected at step *t+1* and stages their pages into the session cache's
-//! bounded staging buffer. Staged transfers overlap step *t*'s compute in
-//! the modeled clock (`max(compute, staged) + demand` instead of a pure
-//! sum); a nomination that the next step actually selects is *promoted*
-//! out of the staging buffer and its demand transfer is already paid.
+//! selected at step *t+1* — the pages step *t* selected plus the selector's
+//! lookahead hint — and stages their pages into the session cache's bounded
+//! staging buffer. Staged transfers overlap step *t*'s compute in the
+//! modeled clock (`max(compute, staged) + demand` instead of a pure sum); a
+//! nomination that the next step actually selects is *promoted* out of the
+//! staging buffer and its demand transfer is already paid.
 //!
 //! Prefetch changes **when** bytes move, never **what** attends: token
 //! streams, hit rates and recalled bytes are byte-identical with prefetch
@@ -17,32 +18,9 @@
 use clusterkv_kvcache::types::Bytes;
 use serde::{Deserialize, Serialize};
 
-/// Which signal nominates clusters for step *t+1*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PrefetchPredictor {
-    /// No speculation: the staging buffer is never written.
-    None,
-    /// Re-nominate the pages step *t* selected: semantic locality makes the
-    /// next step's cluster set heavily overlap the current one (the paper's
-    /// Fig. 7 observation). Policy-agnostic — works for any paged selector.
-    ReuseLast,
-    /// [`ReuseLast`](Self::ReuseLast) plus a cheap centroid-score lookahead:
-    /// the selector re-ranks cluster centroids against the current query
-    /// under a budget widened by `lookahead_tokens`, nominating the
-    /// clusters that would enter the plan if the budget grew — the ones a
-    /// drifting query pulls in next
-    /// ([`TokenSelector::prefetch_hint`](crate::policy::TokenSelector::prefetch_hint)).
-    Lookahead,
-}
-
-/// Default widening of the selection budget used by the
-/// [`Lookahead`](PrefetchPredictor::Lookahead) predictor.
+/// Widening of the selection budget behind the selector's lookahead hint
+/// ([`TokenSelector::prefetch_hint`](crate::policy::TokenSelector::prefetch_hint)).
 pub const DEFAULT_LOOKAHEAD_TOKENS: usize = 64;
-
-/// Default per-decode-step staging byte budget (unlimited: the staging
-/// buffer's own capacity is the binding constraint; the scheduler tightens
-/// this per tick when configured with a prefetch byte budget).
-pub const DEFAULT_STEP_BYTES: Bytes = Bytes(u64::MAX);
 
 /// Speculative prefetch configuration for a [`ServeEngine`]
 /// (`ServeEngineBuilder::prefetch`).
@@ -50,23 +28,15 @@ pub const DEFAULT_STEP_BYTES: Bytes = Bytes(u64::MAX);
 /// [`ServeEngine`]: crate::serve::ServeEngine
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrefetchConfig {
-    /// The nomination signal.
-    pub predictor: PrefetchPredictor,
     /// Byte capacity of each session cache's staging buffer. 0 disables
-    /// staging regardless of the predictor.
+    /// prefetch.
     pub staging_capacity: Bytes,
-    /// Per-decode-step cap on staged bytes (the scheduler's per-tick
-    /// prefetch budget divides into this).
-    pub step_bytes: Bytes,
-    /// Budget widening used by the lookahead predictor (ignored by the
-    /// others).
+    /// Budget widening of the lookahead hint: the selector re-ranks its
+    /// cluster centroids against the current query under a budget this many
+    /// tokens wider and nominates the clusters that would enter the plan if
+    /// the budget grew — the ones a drifting query pulls in next. Policies
+    /// without a hint nominate only the pages the step selected.
     pub lookahead_tokens: usize,
-    /// Whether staged transfers overlap compute in the modeled clock. With
-    /// `false` the engine still stages and promotes (accounting identical)
-    /// but prices every transfer on the demand path — the modeled clock is
-    /// then bit-identical to a prefetch-off engine, which is how the parity
-    /// suite pins the clock refactor.
-    pub overlap: bool,
 }
 
 impl PrefetchConfig {
@@ -74,65 +44,26 @@ impl PrefetchConfig {
     /// engine default.
     pub fn disabled() -> Self {
         Self {
-            predictor: PrefetchPredictor::None,
             staging_capacity: Bytes(0),
-            step_bytes: Bytes(0),
             lookahead_tokens: 0,
-            overlap: false,
         }
     }
 
-    /// Reuse-last prediction into a staging buffer of `staging_capacity`
-    /// bytes, with overlap pricing.
-    pub fn reuse_last(staging_capacity: Bytes) -> Self {
-        Self {
-            predictor: PrefetchPredictor::ReuseLast,
-            staging_capacity,
-            step_bytes: DEFAULT_STEP_BYTES,
-            lookahead_tokens: 0,
-            overlap: true,
-        }
-    }
-
-    /// Reuse-last + centroid lookahead prediction into a staging buffer of
-    /// `staging_capacity` bytes, with overlap pricing.
+    /// Prefetch into a staging buffer of `staging_capacity` bytes: every
+    /// step nominates the pages it selected (semantic locality makes the
+    /// next step's cluster set heavily overlap the current one — the
+    /// paper's Fig. 7 observation) plus the selector's lookahead hint.
     pub fn lookahead(staging_capacity: Bytes) -> Self {
         Self {
-            predictor: PrefetchPredictor::Lookahead,
             staging_capacity,
-            step_bytes: DEFAULT_STEP_BYTES,
             lookahead_tokens: DEFAULT_LOOKAHEAD_TOKENS,
-            overlap: true,
         }
     }
 
-    /// Full staging machinery with overlap pricing switched off: every
-    /// transfer stays on the demand path, so the modeled clock must be
-    /// bit-identical to [`disabled`](Self::disabled). The parity suite's
-    /// probe configuration.
-    pub fn staging_only(staging_capacity: Bytes) -> Self {
-        Self {
-            overlap: false,
-            ..Self::lookahead(staging_capacity)
-        }
-    }
-
-    /// Override the budget widening of the lookahead predictor.
-    pub fn with_lookahead_tokens(mut self, tokens: usize) -> Self {
-        self.lookahead_tokens = tokens;
-        self
-    }
-
-    /// Override the per-step staged byte cap.
-    pub fn with_step_bytes(mut self, bytes: Bytes) -> Self {
-        self.step_bytes = bytes;
-        self
-    }
-
-    /// Whether the engine runs any prefetch machinery at all: a predictor
-    /// is configured and the staging buffer has capacity.
+    /// Whether the engine runs any prefetch machinery at all: the staging
+    /// buffer has capacity.
     pub fn enabled(&self) -> bool {
-        self.predictor != PrefetchPredictor::None && self.staging_capacity.get() > 0
+        self.staging_capacity.get() > 0
     }
 }
 
@@ -151,36 +82,14 @@ mod tests {
         let cfg = PrefetchConfig::disabled();
         assert!(!cfg.enabled());
         assert_eq!(cfg, PrefetchConfig::default());
-        // A predictor without staging capacity is still disabled.
+        // Without staging capacity prefetch is off whatever the lookahead.
         let no_buffer = PrefetchConfig {
             staging_capacity: Bytes(0),
             ..PrefetchConfig::lookahead(Bytes(1024))
         };
         assert!(!no_buffer.enabled());
-    }
-
-    #[test]
-    fn constructors_pick_their_predictors() {
-        let reuse = PrefetchConfig::reuse_last(Bytes(4096));
-        assert_eq!(reuse.predictor, PrefetchPredictor::ReuseLast);
-        assert!(reuse.enabled() && reuse.overlap);
-
-        let look = PrefetchConfig::lookahead(Bytes(4096));
-        assert_eq!(look.predictor, PrefetchPredictor::Lookahead);
-        assert_eq!(look.lookahead_tokens, DEFAULT_LOOKAHEAD_TOKENS);
-
-        let probe = PrefetchConfig::staging_only(Bytes(4096));
-        assert!(probe.enabled() && !probe.overlap);
-        assert_eq!(
-            probe.with_lookahead_tokens(7).lookahead_tokens,
-            7,
-            "builder overrides stick"
-        );
-        assert_eq!(
-            PrefetchConfig::reuse_last(Bytes(1))
-                .with_step_bytes(Bytes(9))
-                .step_bytes,
-            Bytes(9)
-        );
+        let on = PrefetchConfig::lookahead(Bytes(4096));
+        assert!(on.enabled());
+        assert_eq!(on.lookahead_tokens, DEFAULT_LOOKAHEAD_TOKENS);
     }
 }

@@ -52,7 +52,7 @@ pub(crate) struct Residency {
     /// Modeled decode latency summed over every step.
     modeled_decode: Seconds,
     /// Modeled PCIe time hidden behind compute (`min(gpu, staged)` per
-    /// step); zero without the overlap clock.
+    /// step); zero while nothing is staged.
     hidden_transfer: Seconds,
     /// Total modeled PCIe time (staged + demand) summed over every step.
     transfer_time: Seconds,
@@ -70,11 +70,6 @@ impl Residency {
         compression: CompressionConfig,
         prefetch: PrefetchConfig,
     ) -> Self {
-        let staging = if prefetch.enabled() {
-            prefetch.staging_capacity
-        } else {
-            Bytes(0)
-        };
         let layers = if compression.is_lossless() {
             0
         } else {
@@ -84,7 +79,7 @@ impl Residency {
             cache: ClusterCache::new(
                 ClusterCacheConfig::new(capacity, config.head_dim)
                     .with_compression(compression)
-                    .with_staging(staging),
+                    .with_staging(prefetch.staging_capacity),
             ),
             pages: vec![vec![CompressedStore::new(compression); config.num_kv_heads]; layers],
             scored: 0,
@@ -119,7 +114,7 @@ impl Residency {
 
     /// Resolve one head's plan against the cache — only misses cross PCIe —
     /// and nominate next-step pages for the staging pass: the pages this
-    /// step selected (semantic locality) plus the predictor's `hint`. Call
+    /// step selected (semantic locality) plus the selector's `hint`. Call
     /// in `(layer, head)` order: LRU stamps are order-sensitive.
     pub(crate) fn recall(
         &mut self,
@@ -223,23 +218,13 @@ impl Residency {
     pub(crate) fn finish_step(
         &mut self,
         latency: &LatencyModel,
-        prefetch: PrefetchConfig,
         faults: FaultInjector,
         step_key: u64,
         context_len: usize,
     ) {
-        if prefetch.enabled() {
-            let mut budget_left = prefetch.step_bytes;
-            for (layer, head, pages) in self.nominations.drain(..) {
-                if budget_left.get() == 0 {
-                    continue; // keep draining so no stale nominations survive
-                }
-                let moved = self
-                    .cache
-                    .stage(LayerId(layer), HeadId(head), &pages, budget_left);
-                self.step.staged += moved;
-                budget_left = Bytes(budget_left.get() - moved.get());
-            }
+        // Empty unless the cache has a staging buffer.
+        for (layer, head, pages) in self.nominations.drain(..) {
+            self.step.staged += self.cache.stage(LayerId(layer), HeadId(head), &pages);
         }
         // Faults only add modeled time (retried bytes, backoff) and checksum
         // churn; the KV payloads a step attends are untouched.
@@ -267,12 +252,6 @@ impl Residency {
             {
                 self.step.retried += self.cache.scrub();
             }
-        }
-        // Without the overlap clock every byte is priced on the demand
-        // path, which reproduces the pure-sum clock bit for bit.
-        if !prefetch.overlap {
-            self.step.staged = Bytes(0);
-            self.step.promoted = Bytes(0);
         }
         let cost = StepCost::of_step(latency.config(), self.scored, self.attended, self.step);
         let breakdown = latency.decode_step_breakdown(context_len, &cost);

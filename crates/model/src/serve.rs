@@ -32,7 +32,7 @@ use crate::policy::{
     FullAttentionSelector, HeadContext, HeadSelector, KvResidency, ObserveEvent, PageRequest,
     PolicyStats, SelectionRequest, SelectorFactory, SelectorGroup,
 };
-use crate::prefetch::{PrefetchConfig, PrefetchPredictor};
+use crate::prefetch::PrefetchConfig;
 use crate::residency::Residency;
 use crate::rope::Rope;
 use crate::weights::ModelWeights;
@@ -207,7 +207,7 @@ pub struct SessionReport {
     /// prefetch disabled — DESIGN.md §10).
     pub prefetch: PrefetchStats,
     /// Modeled PCIe time hidden behind compute by the overlap clock: per
-    /// step, `min(gpu, staged)`. Zero with prefetch or overlap disabled.
+    /// step, `min(gpu, staged)`. Zero with prefetch disabled.
     pub hidden_transfer_time: Seconds,
     /// Total modeled PCIe time of the session's decode steps (staged +
     /// demand transfers), the denominator of
@@ -284,10 +284,9 @@ struct HeadOutcome {
     /// Page decomposition of the plan (`None` when the selected KV is
     /// trivially resident).
     pages: Option<Vec<PageRequest>>,
-    /// Clusters the lookahead predictor nominates for the next step
-    /// (DESIGN.md §10). Always empty unless the engine runs the
-    /// [`Lookahead`](PrefetchPredictor::Lookahead) predictor, so
-    /// prefetch-off engines allocate nothing here.
+    /// Clusters the selector's lookahead hint nominates for the next step
+    /// (DESIGN.md §10). Always empty with prefetch off, so prefetch-off
+    /// engines allocate nothing here.
     hint: Vec<PageRequest>,
 }
 
@@ -476,9 +475,8 @@ impl ServeEngineBuilder {
     }
 
     /// Speculative cluster prefetch (DESIGN.md §10): sessions get a bounded
-    /// staging buffer of [`PrefetchConfig::staging_capacity`] bytes, the
-    /// configured predictor nominates next-step clusters at every decode
-    /// step, and — when [`PrefetchConfig::overlap`] is set — staged
+    /// staging buffer of [`PrefetchConfig::staging_capacity`] bytes, every
+    /// decode step nominates next-step clusters into it, and staged
     /// transfers overlap compute in the modeled clock
     /// (`max(compute, staged) + demand`). Defaults to
     /// [`PrefetchConfig::disabled`]. Prefetch changes *when* bytes move,
@@ -522,10 +520,14 @@ impl ServeEngineBuilder {
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidConfig`] if the configuration fails
-    /// [`ModelConfig::validate`] or the fault plan fails
+    /// [`ModelConfig::validate`], the compressed-tier configuration fails
+    /// [`CompressionConfig::validate`] or the fault plan fails
     /// [`FaultPlan::validate`].
     pub fn build(self) -> Result<ServeEngine, EngineError> {
         self.config.validate().map_err(EngineError::InvalidConfig)?;
+        self.compression
+            .validate()
+            .map_err(EngineError::InvalidConfig)?;
         self.faults.validate().map_err(EngineError::InvalidConfig)?;
         let weights = ModelWeights::synthetic(&self.config, self.synthetic_seed);
         let rope = Rope::new(self.config.head_dim, 10_000.0);
@@ -571,8 +573,8 @@ pub struct ServeEngine {
     kv_cache_capacity: Bytes,
     /// Compressed-tier configuration applied to every session's cache.
     compression: CompressionConfig,
-    /// Speculative prefetch: predictor, staging capacity, per-step byte cap
-    /// and the overlap-clock switch (DESIGN.md §10).
+    /// Speculative prefetch: staging capacity and lookahead widening
+    /// (DESIGN.md §10).
     prefetch: PrefetchConfig,
     /// Cross-session shared-prefix pages (`None` = every session cold).
     prefix: Option<PrefixStore>,
@@ -911,13 +913,6 @@ impl ServeEngine {
         self.prefetch
     }
 
-    /// Cap the bytes every decode step may stage from here on. The
-    /// scheduler calls this each tick to divide its per-tick prefetch byte
-    /// budget across the decode batch; a no-op while prefetch is disabled.
-    pub fn set_prefetch_step_bytes(&mut self, bytes: Bytes) {
-        self.prefetch.step_bytes = bytes;
-    }
-
     /// Cap on concurrently resident sessions.
     pub fn max_sessions(&self) -> usize {
         self.max_sessions
@@ -1099,11 +1094,9 @@ impl ServeEngine {
                     let plan = selector.plan(request);
                     // The lookahead nomination runs right after the plan,
                     // against the same query: a pure read re-ranking cluster
-                    // centroids under a widened budget. Only the Lookahead
-                    // predictor pays for it.
-                    let hint = if prefetch.enabled()
-                        && prefetch.predictor == PrefetchPredictor::Lookahead
-                    {
+                    // centroids under a widened budget. Only prefetching
+                    // engines pay for it.
+                    let hint = if prefetch.enabled() {
                         selector.prefetch_hint(request, prefetch.lookahead_tokens)
                     } else {
                         Vec::new()
@@ -1623,7 +1616,6 @@ impl ServeEngine {
         );
         sess.residency.finish_step(
             latency,
-            policy.prefetch,
             policy.faults,
             id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ position as u64,
             sess.num_tokens,
@@ -1827,6 +1819,17 @@ mod tests {
             ServeEngine::builder(bad).build().unwrap_err(),
             EngineError::InvalidConfig(_)
         ));
+        // The compressed-tier config is validated too: a merge threshold
+        // outside [0, 1] or not finite never reaches a session's cache.
+        for threshold in [f32::NAN, 7.0] {
+            let lossy = CompressionConfig::int4().with_merge_threshold(threshold);
+            assert!(matches!(
+                ServeEngine::builder(ModelConfig::tiny())
+                    .compression(lossy)
+                    .build(),
+                Err(EngineError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]
@@ -2879,9 +2882,7 @@ mod tests {
     fn prefetch_changes_accounting_but_never_token_streams() {
         // The tentpole invariant (DESIGN.md §10): prefetch only changes
         // *when* bytes move. Streams, hit rates and recalled bytes must be
-        // identical with prefetch off, staging without overlap pricing, and
-        // the full overlap clock; the staging-only probe must additionally
-        // reproduce the prefetch-off modeled clock bit for bit.
+        // identical with prefetch off and on.
         let prompt: Vec<usize> = (0..32).map(|i| (i * 5 + 1) % 128).collect();
         let capacity = Bytes(512); // tight: most selected pages miss
         let run = |prefetch: PrefetchConfig| {
@@ -2891,32 +2892,19 @@ mod tests {
             (stream, eng.release(s).unwrap())
         };
         let (off_stream, off) = run(PrefetchConfig::disabled());
-        let (probe_stream, probe) = run(PrefetchConfig::staging_only(Bytes(1 << 20)));
-        let (on_stream, on) = run(PrefetchConfig::reuse_last(Bytes(1 << 20)));
+        let (on_stream, on) = run(PrefetchConfig::lookahead(Bytes(1 << 20)));
 
-        assert_eq!(probe_stream, off_stream, "staging must not change tokens");
-        assert_eq!(on_stream, off_stream, "overlap must not change tokens");
-        for report in [&probe, &on] {
-            assert_eq!(report.stats.cache, off.stats.cache, "hit rates differ");
-            assert_eq!(
-                report.bytes_recalled(),
-                off.bytes_recalled(),
-                "recalled bytes differ"
-            );
-        }
-        assert_eq!(
-            probe.modeled_decode_time.get().to_bits(),
-            off.modeled_decode_time.get().to_bits(),
-            "without overlap pricing the clock is bit-identical to prefetch off"
-        );
+        assert_eq!(on_stream, off_stream, "prefetch must not change tokens");
+        assert_eq!(on.stats.cache, off.stats.cache, "hit rates differ");
+        assert_eq!(on.stats.transfer, off.stats.transfer, "transfers differ");
 
-        // Reuse-last on a slowly drifting top-k set stages pages the next
-        // step actually demands: the staging buffer sees real promotions.
+        // Re-nominating this step's pages on a slowly drifting top-k set
+        // stages pages the next step actually demands: the staging buffer
+        // sees real promotions.
         assert!(on.prefetch.staged_pages > 0, "nothing was staged");
         assert!(on.prefetch.used_pages > 0, "nothing was promoted");
         let accuracy = on.prefetch_accuracy();
         assert!(accuracy > 0.0 && accuracy <= 1.0, "accuracy {accuracy}");
-        assert_eq!(probe.prefetch.staged_pages, on.prefetch.staged_pages);
         // Off-engine prefetch accounting stays all-zero.
         assert_eq!(off.prefetch, PrefetchStats::new());
         assert_eq!(off.prefetch_accuracy(), 0.0);
@@ -2929,36 +2917,6 @@ mod tests {
         assert!(hidden > 0.0 && hidden <= 1.0, "hidden fraction {hidden}");
         assert!(on.hidden_transfer_time.get() > 0.0);
         assert!(on.transfer_time >= on.hidden_transfer_time);
-    }
-
-    #[test]
-    fn prefetch_step_byte_cap_throttles_staging() {
-        let prompt: Vec<usize> = (0..24).map(|i| (i * 3 + 2) % 128).collect();
-        let mut eng = prefetch_engine(
-            Bytes(512),
-            PrefetchConfig::reuse_last(Bytes(1 << 20)).with_step_bytes(Bytes(0)),
-        );
-        let s = eng.create_session().unwrap();
-        let choked = eng.generate(s, &prompt, 6).unwrap();
-        assert_eq!(
-            eng.sessions[&s.0].residency.prefetch_stats(),
-            PrefetchStats::new(),
-            "a zero per-step budget stages nothing"
-        );
-        // Lifting the cap mid-flight starts staging without touching tokens.
-        eng.set_prefetch_step_bytes(Bytes(u64::MAX));
-        assert_eq!(eng.prefetch_config().step_bytes, Bytes(u64::MAX));
-        for _ in 0..6 {
-            eng.decode_batch(&[s]).unwrap();
-        }
-        let report = eng.release(s).unwrap();
-        assert!(report.prefetch.staged_pages > 0);
-        assert!(report.transfer_time >= report.hidden_transfer_time);
-
-        let mut free = prefetch_engine(Bytes(512), PrefetchConfig::reuse_last(Bytes(1 << 20)));
-        let fs = free.create_session().unwrap();
-        let free_stream = free.generate(fs, &prompt, 6).unwrap();
-        assert_eq!(choked, free_stream, "step budget must not change tokens");
     }
 
     #[test]
@@ -2979,7 +2937,7 @@ mod tests {
             .synthetic_weights(7)
             .budget(Budget::new(8))
             .policy(Box::new(FullAttentionFactory))
-            .prefetch(PrefetchConfig::reuse_last(Bytes(1 << 16)))
+            .prefetch(PrefetchConfig::lookahead(Bytes(1 << 16)))
             .build()
             .unwrap();
         let s = full.create_session().unwrap();

@@ -169,12 +169,6 @@ pub struct SchedConfig {
     /// worst-case KV footprint (`(prompt + max_new_tokens) ·
     /// kv_bytes_per_token`) never exceeds this. `None` disables the bound.
     pub kv_capacity: Option<Bytes>,
-    /// Per-tick byte budget for speculative prefetch staging, divided
-    /// evenly across the tick's decode batch (integer division — the split
-    /// is deterministic in the batch size). `None` leaves the engine's own
-    /// per-step cap untouched; irrelevant unless the engine was built with
-    /// prefetch enabled (DESIGN.md §10).
-    pub prefetch_bytes_per_tick: Option<Bytes>,
     /// Deterministic fault plan driving the scheduler's recovery seams:
     /// whole-session crash faults (checkpoint-release + bounded retry) and
     /// capacity-shrink pressure events (the degradation ladder). Defaults
@@ -196,7 +190,6 @@ impl SchedConfig {
             chunk_tokens: DEFAULT_CHUNK_TOKENS,
             tick_token_budget: DEFAULT_TICK_TOKEN_BUDGET,
             kv_capacity: None,
-            prefetch_bytes_per_tick: None,
             faults: FaultPlan::disabled(),
             max_retries: 2,
         }
@@ -223,13 +216,6 @@ impl SchedConfig {
     /// Bound admission by total worst-case KV bytes of running requests.
     pub fn with_kv_capacity(mut self, capacity: Bytes) -> Self {
         self.kv_capacity = Some(capacity);
-        self
-    }
-
-    /// Cap speculative prefetch staging at `budget` bytes per tick, split
-    /// evenly across the tick's decode batch.
-    pub fn with_prefetch_bytes_per_tick(mut self, budget: Bytes) -> Self {
-        self.prefetch_bytes_per_tick = Some(budget);
         self
     }
 
@@ -723,11 +709,6 @@ impl Scheduler {
         self.running.len()
     }
 
-    /// Requests submitted and not yet admitted (arrived or future).
-    pub fn num_waiting(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Worst-case KV bytes reserved by the running requests (the quantity
     /// the `kv_capacity` admission bound caps).
     pub fn kv_reserved(&self) -> Bytes {
@@ -1072,14 +1053,6 @@ impl Scheduler {
                 .iter()
                 .map(|&i| self.running[i].session)
                 .collect();
-            // Divide the tick's prefetch byte budget across the batch:
-            // every decode step this tick may stage at most its even share
-            // (integer division, so the split depends only on the batch
-            // size — deterministic across runs and thread counts).
-            if let Some(total) = self.config.prefetch_bytes_per_tick {
-                self.engine
-                    .set_prefetch_step_bytes(Bytes(total.get() / ids.len() as u64));
-            }
             let before: Vec<Seconds> = ids
                 .iter()
                 .map(|&s| self.engine.modeled_decode_time(s))
@@ -1389,14 +1362,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_tick_budget_divides_across_the_batch_and_fills_metrics() {
+    fn prefetch_fills_request_metrics_without_changing_tokens() {
         use clusterkv_model::PrefetchConfig;
-        let run = |prefetch: PrefetchConfig, tick_budget: Option<Bytes>| {
-            let mut cfg = SchedConfig::fcfs(4);
-            if let Some(b) = tick_budget {
-                cfg = cfg.with_prefetch_bytes_per_tick(b);
-            }
-            let mut sched = Scheduler::new(paged_engine(prefetch), cfg).unwrap();
+        let run = |prefetch: PrefetchConfig| {
+            let mut sched = Scheduler::new(paged_engine(prefetch), SchedConfig::fcfs(4)).unwrap();
             for i in 0..3 {
                 sched
                     .submit(request(16 + i, 6, 0, i as f64 * 1e-6))
@@ -1404,38 +1373,27 @@ mod tests {
             }
             sched.run().unwrap()
         };
-        let off = run(PrefetchConfig::disabled(), None);
-        let on = run(
-            PrefetchConfig::reuse_last(Bytes(1 << 20)),
-            Some(Bytes(1 << 20)),
-        );
-        let choked = run(PrefetchConfig::reuse_last(Bytes(1 << 20)), Some(Bytes(0)));
+        let off = run(PrefetchConfig::disabled());
+        let on = run(PrefetchConfig::lookahead(Bytes(1 << 20)));
         for (a, b) in off.requests.iter().zip(&on.requests) {
             assert_eq!(a.tokens, b.tokens, "prefetch must not change tokens");
         }
-        for (a, b) in off.requests.iter().zip(&choked.requests) {
-            assert_eq!(a.tokens, b.tokens, "a zero budget must not change tokens");
-        }
-        // The budgeted run staged and promoted; its metrics carry the
+        // The prefetching run staged and promoted; its metrics carry the
         // ratios, both inside [0, 1] and never NaN.
         assert!(on.requests.iter().any(|r| r.prefetch_accuracy > 0.0));
         for r in &on.requests {
             assert!((0.0..=1.0).contains(&r.prefetch_accuracy));
             assert!((0.0..=1.0).contains(&r.hidden_transfer_fraction));
         }
-        // Zero per-tick budget chokes staging entirely; prefetch-off
-        // engines report hard zeros (PR 8 zero-guard convention).
-        for r in choked.requests.iter().chain(&off.requests) {
+        // Prefetch-off engines report hard zeros (PR 8 zero-guard
+        // convention).
+        for r in &off.requests {
             assert_eq!(r.prefetch_accuracy, 0.0);
             assert_eq!(r.hidden_transfer_fraction, 0.0);
             assert!(!r.prefetch_accuracy.is_nan());
         }
-        // Determinism: the same budgeted run repeats bit-identically.
-        let again = run(
-            PrefetchConfig::reuse_last(Bytes(1 << 20)),
-            Some(Bytes(1 << 20)),
-        );
-        assert_eq!(on, again);
+        // Determinism: the same run repeats bit-identically.
+        assert_eq!(on, run(PrefetchConfig::lookahead(Bytes(1 << 20))));
     }
 
     #[test]

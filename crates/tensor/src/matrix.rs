@@ -114,17 +114,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consume the matrix and return the underlying buffer.
-    pub fn into_inner(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow row `r`.
     ///
     /// # Panics
@@ -321,16 +310,6 @@ impl Matrix {
         let mut out = Vec::new();
         crate::kernels::matvec_t_into(self, v, &mut out);
         Ok(out)
-    }
-
-    /// `self · vec`: multiply this matrix by a column vector of length
-    /// `cols()`; used for weight projections (`W · x`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f32]) -> Result<Vec<f32>> {
-        self.matvec_t(v)
     }
 
     /// Transpose.

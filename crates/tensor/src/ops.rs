@@ -86,13 +86,6 @@ pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + ((0.797_884_6) * (x + 0.044_715 * x * x * x)).tanh())
 }
 
-/// Element-wise SiLU over a slice, in place.
-pub fn silu_in_place(v: &mut [f32]) {
-    for x in v.iter_mut() {
-        *x = silu(*x);
-    }
-}
-
 /// Weighted sum of value vectors: `Σ w_i · v_i`.
 ///
 /// Used to compute the attention output `softmax(qKᵀ/√d)·V` once the weights

@@ -11,10 +11,12 @@ use crate::semantic::Episode;
 use clusterkv_kvcache::cluster_cache::ClusterCache;
 use clusterkv_kvcache::types::{Budget, Bytes, HeadId, LayerId};
 use clusterkv_kvcache::KvStore;
-use clusterkv_model::attention::{attention_output_error, full_attention_weights};
+use clusterkv_model::attention::{
+    attend_full, attend_selected, attention_output_error, AttentionOutput,
+};
 use clusterkv_model::policy::{
-    observe_prompt, HeadContext, ObserveEvent, PolicyStats, SelectionRequest, SelectorFactory,
-    TokenSelector,
+    observe_prompt, HeadContext, ObserveEvent, PolicyStats, SelectionPlan, SelectionRequest,
+    SelectorFactory, TokenSelector,
 };
 use clusterkv_tensor::vector::top_k_indices;
 use rayon::prelude::*;
@@ -151,101 +153,82 @@ pub fn run_episode(
     run_episode_cached(episode, selector, budget, &mut cache)
 }
 
-/// Run `selector` over `episode` with the given budget, resolving each
-/// plan's page requests against `cache` — the single-head analogue of the
-/// serving engine's per-session residency tracking.
-///
-/// The harness mirrors the engine's decode loop for a single head: the
-/// selector observes the prefill keys (after which never-offloaded pages are
-/// warm-admitted into the cache while capacity allows), then at every step
-/// plans the token set for the query, the plan's pages are looked up in the
-/// cache (misses become transfers), the exact top-`B` set and attention
-/// error are measured against full attention, and the step's generated
-/// key/value are appended to both the store and the selector (so incremental
-/// clustering and recallability across appended tokens are exercised). The
-/// per-call plan statistics are merged into [`EpisodeResult::stats`]; its
-/// residency half is `cache`'s own counters at the end of the run, so hand
-/// in a fresh cache to read one episode's traffic.
-pub fn run_episode_cached(
+/// One decode step of [`drive_episode`] as its lane measures it: the plan
+/// just made, and exact full attention over the store it was made against.
+pub(crate) struct EpisodeStep<'a> {
+    pub(crate) store: &'a KvStore,
+    pub(crate) query: &'a [f32],
+    pub(crate) plan: &'a SelectionPlan,
+    pub(crate) full: &'a AttentionOutput,
+}
+
+/// The decode loop every evaluation lane shares, mirroring the engine's for
+/// a single head: the selector observes the prefill keys, then at every
+/// step plans the token set for the query, the recall of the exact top-`B`
+/// set is measured against full attention, `measure` turns the step into
+/// its attention-output error, and the step's generated key/value are
+/// appended to both the store and the selector (so incremental clustering
+/// and recallability across appended tokens are exercised). `settle` runs
+/// after every key event the selector observed — where the engine settles
+/// residency. Both closures work on the lane's own state `lane`; the result
+/// carries the merged per-call plan statistics and no residency counters.
+pub(crate) fn drive_episode<L>(
     episode: &Episode,
     selector: &mut dyn TokenSelector,
     budget: Budget,
-    cache: &mut ClusterCache,
+    lane: &mut L,
+    settle: impl Fn(&mut L, &dyn TokenSelector),
+    measure: impl Fn(&mut L, &dyn TokenSelector, EpisodeStep<'_>) -> f64,
 ) -> EpisodeResult {
-    const HARNESS_HEAD: (LayerId, HeadId) = (LayerId(0), HeadId(0));
-    let head_dim = episode.config.head_dim;
-    let mut store = KvStore::new(head_dim);
+    let mut store = KvStore::new(episode.config.head_dim);
     store.append_batch(&episode.keys, &episode.values);
     observe_prompt(selector, &episode.keys);
-    // Paged and recall-compressed tables warm identically: admission is
-    // always exact; demotion to the compressed tier happens under eviction
-    // pressure (DESIGN.md §9).
-    let warm = |selector: &dyn TokenSelector, cache: &mut ClusterCache| {
-        if cache.enabled() && !cache.is_offloaded(HARNESS_HEAD.0, HARNESS_HEAD.1) {
-            if let Some(pages) = selector.page_table().page_requests() {
-                cache.warm(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
-            }
-        }
-    };
-    warm(selector, cache);
+    settle(lane, selector);
 
     let mut per_step_recall = Vec::with_capacity(episode.decode_steps());
     let mut per_step_error = Vec::with_capacity(episode.decode_steps());
     let mut per_step_selected = Vec::with_capacity(episode.decode_steps());
     let mut stats = PolicyStats::default();
-    let mut reuse = ReuseDistanceHistogram::default();
-    // LRU stack for the reuse-distance measurement: most recently requested
-    // page last; an access's stack distance is how deep it sits from the top.
-    let mut lru_stack: Vec<usize> = Vec::new();
 
     for step in 0..episode.decode_steps() {
         let query = &episode.queries[step];
         let n = store.len();
         let plan = selector.plan(SelectionRequest::new(query, n, budget));
         stats.merge(&plan.stats);
-        if let Some(pages) = plan.residency.page_requests() {
-            for request in pages {
-                match lru_stack.iter().rposition(|&p| p == request.page) {
-                    Some(pos) => {
-                        reuse.record(Some(lru_stack.len() - 1 - pos));
-                        lru_stack.remove(pos);
-                    }
-                    None => reuse.record(None),
-                }
-                lru_stack.push(request.page);
-            }
-            cache.access(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
-        }
-        let selected = plan.indices;
-        per_step_selected.push(selected.len());
+        per_step_selected.push(plan.indices.len());
 
         // Ground truth: the B tokens with the largest exact attention weights.
-        let full = full_attention_weights(&store, query);
-        let truth: BTreeSet<usize> = top_k_indices(&full, budget.tokens().min(n))
+        let full = attend_full(&store, query);
+        let truth: BTreeSet<usize> = top_k_indices(&full.weights, budget.tokens().min(n))
             .into_iter()
             .collect();
-        let selected_set: BTreeSet<usize> = selected.iter().copied().collect();
+        let selected_set: BTreeSet<usize> = plan.indices.iter().copied().collect();
         let hit = truth.intersection(&selected_set).count();
         per_step_recall.push(if truth.is_empty() {
             1.0
         } else {
             hit as f64 / truth.len() as f64
         });
-        per_step_error.push(attention_output_error(&store, query, &selected) as f64);
+        per_step_error.push(measure(
+            lane,
+            selector,
+            EpisodeStep {
+                store: &store,
+                query,
+                plan: &plan,
+                full: &full,
+            },
+        ));
 
-        // Append the generated token and let the policy observe it; KV of
-        // freshly clustered pages stays resident while capacity allows.
+        // Append the generated token and let the policy observe it.
         let position = store.len();
         store.append(&episode.decode_keys[step], &episode.decode_values[step]);
         selector.observe(ObserveEvent::Append {
             position,
             key: &episode.decode_keys[step],
         });
-        warm(selector, cache);
+        settle(lane, selector);
     }
-    // The cache counted every hit, miss and recalled byte of the run.
-    stats.cache = cache.stats();
-    stats.transfer = cache.transfers();
 
     EpisodeResult {
         method: selector.name().to_string(),
@@ -254,8 +237,83 @@ pub fn run_episode_cached(
         per_step_error,
         per_step_selected,
         stats,
-        reuse,
+        reuse: ReuseDistanceHistogram::default(),
     }
+}
+
+/// Run `selector` over `episode` with the given budget, resolving each
+/// plan's page requests against `cache` — the single-head analogue of the
+/// serving engine's per-session residency tracking.
+///
+/// On top of the shared decode loop ([`run_episode_quality`] runs the same
+/// one over compressed KV), never-offloaded pages are warm-admitted into the
+/// cache after every key event while capacity allows, each plan's pages are
+/// looked up in the cache (misses become transfers), and the attention error
+/// is that of exact attention over the selected tokens. The per-call plan
+/// statistics are merged into [`EpisodeResult::stats`]; its residency half
+/// is `cache`'s own counters at the end of the run, so hand in a fresh cache
+/// to read one episode's traffic.
+///
+/// [`run_episode_quality`]: crate::quality::run_episode_quality
+pub fn run_episode_cached(
+    episode: &Episode,
+    selector: &mut dyn TokenSelector,
+    budget: Budget,
+    cache: &mut ClusterCache,
+) -> EpisodeResult {
+    const HARNESS_HEAD: (LayerId, HeadId) = (LayerId(0), HeadId(0));
+    struct Lane<'a> {
+        cache: &'a mut ClusterCache,
+        reuse: ReuseDistanceHistogram,
+        /// LRU stack for the reuse-distance measurement: most recently
+        /// requested page last; an access's stack distance is how deep it
+        /// sits from the top.
+        lru_stack: Vec<usize>,
+    }
+    let mut lane = Lane {
+        cache,
+        reuse: ReuseDistanceHistogram::default(),
+        lru_stack: Vec::new(),
+    };
+    let mut result = drive_episode(
+        episode,
+        selector,
+        budget,
+        &mut lane,
+        // Paged and recall-compressed tables warm identically: admission is
+        // always exact; demotion to the compressed tier happens under
+        // eviction pressure (DESIGN.md §9). KV of freshly clustered pages
+        // stays resident while capacity allows.
+        |lane, selector| {
+            if lane.cache.enabled() && !lane.cache.is_offloaded(HARNESS_HEAD.0, HARNESS_HEAD.1) {
+                if let Some(pages) = selector.page_table().page_requests() {
+                    lane.cache.warm(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
+                }
+            }
+        },
+        |lane, _, step| {
+            if let Some(pages) = step.plan.residency.page_requests() {
+                for request in pages {
+                    match lane.lru_stack.iter().rposition(|&p| p == request.page) {
+                        Some(pos) => {
+                            lane.reuse.record(Some(lane.lru_stack.len() - 1 - pos));
+                            lane.lru_stack.remove(pos);
+                        }
+                        None => lane.reuse.record(None),
+                    }
+                    lane.lru_stack.push(request.page);
+                }
+                lane.cache.access(HARNESS_HEAD.0, HARNESS_HEAD.1, pages);
+            }
+            let approx = attend_selected(step.store, step.query, &step.plan.indices);
+            attention_output_error(&step.full.output, &approx.output) as f64
+        },
+    );
+    // The cache counted every hit, miss and recalled byte of the run.
+    result.stats.cache = lane.cache.stats();
+    result.stats.transfer = lane.cache.transfers();
+    result.reuse = lane.reuse;
+    result
 }
 
 /// Configuration of the open-loop traffic generator.

@@ -1,7 +1,7 @@
 //! Quality-vs-memory evaluation lane for the compressed KV tier
 //! (DESIGN.md §9).
 //!
-//! [`run_episode_quality`] mirrors the plain [`harness`](crate::harness)
+//! [`run_episode_quality`] runs the plain [`harness`](crate::harness)
 //! decode loop but attends over *compressed-reconstructed* KV wherever a
 //! token lives in a cold page: pages are compressed with
 //! [`compress_page`] — once per membership, as the serving engine seals a
@@ -26,21 +26,17 @@
 //! [`run_episode`](crate::harness::run_episode)'s — the golden-parity
 //! property the lossless boundary tests pin down.
 
-use crate::harness::EpisodeResult;
+use crate::harness::{drive_episode, EpisodeResult, EpisodeStep};
 use crate::language_modeling::{BASE_PERPLEXITY, ERROR_SENSITIVITY};
 use crate::longbench::LongBenchProfile;
 use crate::semantic::Episode;
 use clusterkv_kvcache::compressed::{compress_page, CompressedPage, CompressionConfig};
 use clusterkv_kvcache::types::Budget;
-use clusterkv_kvcache::KvStore;
-use clusterkv_model::attention::attend_full;
-use clusterkv_model::policy::{
-    observe_prompt, KvResidency, ObserveEvent, PolicyStats, SelectionRequest, TokenSelector,
-};
+use clusterkv_model::attention::attention_output_error;
+use clusterkv_model::policy::{KvResidency, TokenSelector};
 use clusterkv_tensor::kernels::attend_into;
-use clusterkv_tensor::vector::top_k_indices;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Weight of the attention-output error in [`quality_perplexity`]. Selection
 /// misses (recall) and reconstruction error (quantization / merging) degrade
@@ -63,24 +59,13 @@ pub struct QualityLane {
 }
 
 impl QualityLane {
-    /// A lane over the given compression config with the default 16-token
-    /// positional blocks (Quest's page size in the paper's configuration).
+    /// A lane over the given compression config with 16-token positional
+    /// blocks (Quest's page size in the paper's configuration).
     pub fn new(compression: CompressionConfig) -> Self {
         Self {
             compression,
             block_tokens: 16,
         }
-    }
-
-    /// Replace the positional block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_tokens` is zero.
-    pub fn with_block_tokens(mut self, block_tokens: usize) -> Self {
-        assert!(block_tokens > 0, "block_tokens must be positive");
-        self.block_tokens = block_tokens;
-        self
     }
 }
 
@@ -181,33 +166,14 @@ fn positional_blocks(selected: &[usize], block_tokens: usize) -> Vec<Vec<usize>>
         .collect()
 }
 
-/// Relative L2 error between the exact full-attention output and the
-/// compressed-reconstruction output. Same arithmetic as
-/// [`attention_output_error`](clusterkv_model::attention::attention_output_error),
-/// so lossless runs reproduce the plain harness's error values bit-for-bit.
-fn relative_error(full: &[f32], approx: &[f32]) -> f32 {
-    let diff: f32 = full
-        .iter()
-        .zip(approx)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f32>()
-        .sqrt();
-    let denom: f32 = full.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if denom == 0.0 {
-        diff
-    } else {
-        diff / denom
-    }
-}
-
 /// Run `selector` over `episode` with the given budget, attending over
 /// compressed-reconstructed KV and accounting the compressed footprint.
 ///
-/// The decode loop matches the plain harness step for step: plan, measure
-/// recall of the true top-`B` tokens, measure attention-output error — but
-/// the error is computed after substituting every selected row that lives in
-/// a cold page with the row its [`compress_page`] page dequantizes to (the
-/// engine's compressed-recall path, [`ServeEngine`] §9). Recall-compressed plans
+/// The decode loop is the plain harness's own: plan, measure recall of the
+/// true top-`B` tokens, measure attention-output error — but the error is
+/// computed after substituting every selected row that lives in a cold page
+/// with the row its [`compress_page`] page dequantizes to (the engine's
+/// compressed-recall path, [`ServeEngine`] §9). Recall-compressed plans
 /// contribute their cluster memberships as pages; other plans use
 /// `lane.block_tokens`-sized positional blocks over the selected tokens.
 ///
@@ -224,108 +190,83 @@ pub fn run_episode_quality(
     budget: Budget,
     lane: QualityLane,
 ) -> QualityResult {
-    let head_dim = episode.config.head_dim;
-    let mut store = KvStore::new(head_dim);
-    store.append_batch(&episode.keys, &episode.values);
-    observe_prompt(selector, &episode.keys);
-
-    let mut per_step_recall = Vec::with_capacity(episode.decode_steps());
-    let mut per_step_error = Vec::with_capacity(episode.decode_steps());
-    let mut per_step_reconstruction_error = Vec::with_capacity(episode.decode_steps());
-    let mut per_step_selected = Vec::with_capacity(episode.decode_steps());
-    let mut stats = PolicyStats::default();
-    let mut exact_bytes = 0u64;
-    let mut compressed_bytes = 0u64;
-    let mut merged_pairs = 0u64;
-    // Stored KV never changes once appended, so a page is a function of
-    // its membership: clusters compress once, not once per step.
-    let mut pages: BTreeMap<Vec<usize>, CompressedPage> = BTreeMap::new();
-
-    for step in 0..episode.decode_steps() {
-        let query = &episode.queries[step];
-        let n = store.len();
-        let plan = selector.plan(SelectionRequest::new(query, n, budget));
-        stats.merge(&plan.stats);
-        let groups: Vec<Vec<usize>> = match &plan.residency {
-            KvResidency::Compressed(pages) => pages
-                .iter()
-                .map(|p| selector.page_members(p.page).to_vec())
-                .collect(),
-            _ => positional_blocks(&plan.indices, lane.block_tokens),
-        };
-        let selected = plan.indices;
-        per_step_selected.push(selected.len());
-
-        // Ground truth: the B tokens with the largest exact attention
-        // weights (identical to the plain harness — compression never
-        // changes selection).
-        let full = attend_full(&store, query);
-        let truth: BTreeSet<usize> = top_k_indices(&full.weights, budget.tokens().min(n))
-            .into_iter()
-            .collect();
-        let selected_set: BTreeSet<usize> = selected.iter().copied().collect();
-        let hit = truth.intersection(&selected_set).count();
-        per_step_recall.push(if truth.is_empty() {
-            1.0
-        } else {
-            hit as f64 / truth.len() as f64
-        });
-
-        // Compress each cold page over its full membership (the
-        // order-free engine invariant), substitute the selected rows from
-        // its codes, then attend and measure against exact full attention.
-        let mut k_sel = store.keys().select_rows(&selected);
-        let mut v_sel = store.values().select_rows(&selected);
-        let mut weights = Vec::with_capacity(selected.len());
-        let mut exact_out = vec![0.0f32; head_dim];
-        attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut exact_out);
-        let row_of: BTreeMap<usize, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(row, &pos)| (pos, row))
-            .collect();
-        for members in groups {
-            let page = pages.entry(members).or_insert_with_key(|members| {
-                compress_page(store.keys(), store.values(), members, lane.compression)
-            });
-            exact_bytes += page.exact_bytes().get();
-            compressed_bytes += page.compressed_bytes().get();
-            merged_pairs += page.merged_pairs() as u64;
-            let members = page.tokens();
-            page.dequantize_into(
-                |slot| row_of.get(&members[slot]).copied(),
-                &mut k_sel,
-                &mut v_sel,
-            );
-        }
-        let mut out = vec![0.0f32; head_dim];
-        attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);
-        per_step_error.push(relative_error(&full.output, &out) as f64);
-        per_step_reconstruction_error.push(relative_error(&exact_out, &out) as f64);
-
-        let position = store.len();
-        store.append(&episode.decode_keys[step], &episode.decode_values[step]);
-        selector.observe(ObserveEvent::Append {
-            position,
-            key: &episode.decode_keys[step],
-        });
+    #[derive(Default)]
+    struct Footprint {
+        per_step_reconstruction_error: Vec<f64>,
+        exact_bytes: u64,
+        compressed_bytes: u64,
+        merged_pairs: u64,
+        /// Stored KV never changes once appended, so a page is a function
+        /// of its membership: clusters compress once, not once per step.
+        pages: BTreeMap<Vec<usize>, CompressedPage>,
     }
+    let head_dim = episode.config.head_dim;
+    let mut footprint = Footprint::default();
+    let result = drive_episode(
+        episode,
+        selector,
+        budget,
+        &mut footprint,
+        |_, _| {},
+        |acc, selector, step| {
+            let EpisodeStep {
+                store,
+                query,
+                plan,
+                full,
+            } = step;
+            let selected = &plan.indices;
+            let groups: Vec<Vec<usize>> = match &plan.residency {
+                KvResidency::Compressed(pages) => pages
+                    .iter()
+                    .map(|p| selector.page_members(p.page).to_vec())
+                    .collect(),
+                _ => positional_blocks(selected, lane.block_tokens),
+            };
+
+            // Compress each cold page over its full membership (the
+            // order-free engine invariant), substitute the selected rows
+            // from its codes, then attend and measure against exact full
+            // attention.
+            let mut k_sel = store.keys().select_rows(selected);
+            let mut v_sel = store.values().select_rows(selected);
+            let mut weights = Vec::with_capacity(selected.len());
+            let mut exact_out = vec![0.0f32; head_dim];
+            attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut exact_out);
+            let row_of: BTreeMap<usize, usize> = selected
+                .iter()
+                .enumerate()
+                .map(|(row, &pos)| (pos, row))
+                .collect();
+            for members in groups {
+                let page = acc.pages.entry(members).or_insert_with_key(|members| {
+                    compress_page(store.keys(), store.values(), members, lane.compression)
+                });
+                acc.exact_bytes += page.exact_bytes().get();
+                acc.compressed_bytes += page.compressed_bytes().get();
+                acc.merged_pairs += page.merged_pairs() as u64;
+                let members = page.tokens();
+                page.dequantize_into(
+                    |slot| row_of.get(&members[slot]).copied(),
+                    &mut k_sel,
+                    &mut v_sel,
+                );
+            }
+            let mut out = vec![0.0f32; head_dim];
+            attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);
+            acc.per_step_reconstruction_error
+                .push(attention_output_error(&exact_out, &out) as f64);
+            attention_output_error(&full.output, &out) as f64
+        },
+    );
 
     QualityResult {
-        result: EpisodeResult {
-            method: selector.name().to_string(),
-            budget: budget.tokens(),
-            per_step_recall,
-            per_step_error,
-            per_step_selected,
-            stats,
-            reuse: crate::harness::ReuseDistanceHistogram::default(),
-        },
-        per_step_reconstruction_error,
+        result,
+        per_step_reconstruction_error: footprint.per_step_reconstruction_error,
         compression: lane.compression,
-        exact_bytes,
-        compressed_bytes,
-        merged_pairs,
+        exact_bytes: footprint.exact_bytes,
+        compressed_bytes: footprint.compressed_bytes,
+        merged_pairs: footprint.merged_pairs,
     }
 }
 
@@ -336,8 +277,9 @@ mod tests {
     use crate::longbench::LongBenchDataset;
     use crate::semantic::EpisodeConfig;
     use clusterkv::{ClusterKvConfig, ClusterKvFactory};
-    use clusterkv_kvcache::compressed::QuantMode;
-    use clusterkv_model::policy::{FullAttentionSelector, HeadContext, SelectorFactory};
+    use clusterkv_model::policy::{
+        FullAttentionSelector, HeadContext, PolicyStats, SelectorFactory,
+    };
 
     fn episode() -> Episode {
         Episode::generate(EpisodeConfig {
@@ -545,7 +487,7 @@ mod tests {
                 reuse: Default::default(),
             },
             per_step_reconstruction_error: vec![],
-            compression: CompressionConfig::int4().with_quant(QuantMode::Int4),
+            compression: CompressionConfig::int4(),
             exact_bytes: 0,
             compressed_bytes: 0,
             merged_pairs: 0,

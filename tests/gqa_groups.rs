@@ -433,8 +433,8 @@ fn gqa_streams_and_reports_hold_across_stores_chunkings_threads_prefetch_and_fau
     let lossy = ClusterKvFactory::new(ckv_config().with_compression(CompressionConfig::int8()));
     let variants: [(&str, Variant); 4] = [
         ("prefix store", |b| b.prefix_store(Bytes(1 << 22))),
-        ("staging-only prefetch", |b| {
-            b.prefetch(PrefetchConfig::staging_only(Bytes(1 << 20)))
+        ("prefetch", |b| {
+            b.prefetch(PrefetchConfig::lookahead(Bytes(1 << 20)))
         }),
         ("faults", |b| b.faults(FaultPlan::uniform(3, 0.2))),
         ("store + faults", |b| {

@@ -776,13 +776,11 @@ fn prefetch_chunked_run(
 fn prefetch_parity_across_chunkings_threads_and_policies() {
     for model in shapes() {
         // The hard invariant of the speculative prefetcher: staging changes
-        // *when* bytes move, never *what* attends. With overlap pricing off
-        // (the staging-only probe), everything — token streams, selection work,
-        // hit/miss counts, recalled bytes, and the modeled decode clock down to
-        // the bit — must match a prefetch-disabled engine, at every prefill
-        // chunking, every worker-thread count, for the cluster-paged policy and
-        // the page-paged baseline alike. With overlap pricing on, only the
-        // clock may move; all other observables stay pinned.
+        // *when* bytes move, never *what* attends. Token streams, selection
+        // work, hit/miss counts and recalled bytes must match a
+        // prefetch-disabled engine, at every prefill chunking, every
+        // worker-thread count, for the cluster-paged policy and the page-paged
+        // baseline alike; only the modeled clock may move.
         let _guard = thread_env_lock();
         let staging = Bytes(1 << 20);
         let clusterkv = clusterkv_factory();
@@ -808,42 +806,9 @@ fn prefetch_parity_across_chunkings_threads_and_policies() {
             // every (chunk, threads) grid point, because nominations are
             // collected in the sequential phase-2 head order and staged with
             // deterministic LRU stamps.
-            let mut probe_stats: Option<PrefetchStats> = None;
-            let mut overlap_stats: Option<PrefetchStats> = None;
+            let mut staging_stats: Option<PrefetchStats> = None;
             for threads in [1usize, 2, 8] {
                 for chunk in [1usize, 7, 64, usize::MAX] {
-                    let (probe, stats) = with_thread_count(threads, || {
-                        prefetch_chunked_run(
-                            model,
-                            factory,
-                            Some(chunk),
-                            PrefetchConfig::staging_only(staging),
-                        )
-                    });
-                    assert_eq!(
-                        probe,
-                        reference,
-                        "{}: staging-only run (chunk {chunk}, {threads} threads) \
-                     diverged from the prefetch-off engine",
-                        factory.name()
-                    );
-                    assert!(
-                        stats.staged_pages > 0 && stats.used_pages > 0,
-                        "{}: the probe must stage and promote pages for the \
-                     pinning to be meaningful (chunk {chunk})",
-                        factory.name()
-                    );
-                    match &probe_stats {
-                        None => probe_stats = Some(stats),
-                        Some(first) => assert_eq!(
-                            &stats,
-                            first,
-                            "{}: staging counters drifted across the grid \
-                         (chunk {chunk}, {threads} threads)",
-                            factory.name()
-                        ),
-                    }
-
                     let (on, stats) = with_thread_count(threads, || {
                         prefetch_chunked_run(
                             model,
@@ -855,7 +820,7 @@ fn prefetch_parity_across_chunkings_threads_and_policies() {
                     assert_eq!(
                         on.streams,
                         reference.streams,
-                        "{}: overlap run changed token streams (chunk {chunk}, \
+                        "{}: prefetch changed token streams (chunk {chunk}, \
                      {threads} threads)",
                         factory.name()
                     );
@@ -867,23 +832,23 @@ fn prefetch_parity_across_chunkings_threads_and_policies() {
                             &reference.misses,
                             &reference.bytes_recalled
                         ),
-                        "{}: overlap run changed cache accounting (chunk {chunk}, \
+                        "{}: prefetch changed cache accounting (chunk {chunk}, \
                      {threads} threads)",
                         factory.name()
                     );
                     assert!(
-                        stats.used_pages > 0,
-                        "{}: promoted pages must exist for the overlap clock to \
-                     have anything to hide (chunk {chunk})",
+                        stats.staged_pages > 0 && stats.used_pages > 0,
+                        "{}: pages must be staged and promoted for the parity \
+                     to be meaningful (chunk {chunk})",
                         factory.name()
                     );
-                    match &overlap_stats {
-                        None => overlap_stats = Some(stats),
+                    match &staging_stats {
+                        None => staging_stats = Some(stats),
                         Some(first) => assert_eq!(
                             &stats,
                             first,
-                            "{}: overlap-run staging counters drifted across the \
-                         grid (chunk {chunk}, {threads} threads)",
+                            "{}: staging counters drifted across the grid \
+                         (chunk {chunk}, {threads} threads)",
                             factory.name()
                         ),
                     }

@@ -355,7 +355,9 @@ fn compressed_recall_attend_allocates_nothing() {
 /// A cluster cache a quarter the size of what its head cycles through,
 /// with an int4 tier: once every page has been seen, accesses that miss,
 /// demote exact victims and drop compressed ones only rewrite index values
-/// and reuse slab slots. Called from the single test above.
+/// and reuse slab slots, and growing the CPU backing store — which a session
+/// does after every decode step — only moves a byte counter. Called from
+/// the single test above.
 fn cache_miss_path_allocates_nothing() {
     use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig, PageRequest};
     use clusterkv_kvcache::types::{Bytes, HeadId, LayerId};
@@ -381,12 +383,16 @@ fn cache_miss_path_allocates_nothing() {
     for plan in plans.iter().chain(&plans) {
         cache.access(layer, head, plan);
     }
+    cache.set_backing(Bytes(page_bytes as u64)).unwrap();
     let (stats, compression) = (cache.stats(), cache.compression_stats());
     let resident = cache.resident_pages();
     let before = allocations();
     let mut compressed_hits = 0;
-    for plan in &plans {
+    for (step, plan) in plans.iter().enumerate() {
         compressed_hits += cache.access(layer, head, plan).compressed_pages;
+        cache
+            .set_backing(Bytes(((step + 2) * page_bytes) as u64))
+            .unwrap();
     }
     let during = allocations() - before;
     assert!(cache.stats().misses > stats.misses, "pages were recalled");
@@ -402,6 +408,7 @@ fn cache_miss_path_allocates_nothing() {
     );
     assert_eq!(
         during, 0,
-        "a warm access that misses, demotes and evicts must not allocate"
+        "a warm access that misses, demotes and evicts, and a backing store that \
+         grows, must not allocate"
     );
 }
