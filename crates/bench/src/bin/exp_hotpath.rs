@@ -1,8 +1,7 @@
 //! Experiment E13 — the blocked kernel layer vs the scalar reference
 //! kernels on the decode hot path (DESIGN.md §6).
 //!
-//! Four measurements, all on the same data at long context (`n = 8192`
-//! tokens, `d = 64`):
+//! Five measurements, all at long context (`n = 8192` tokens, `d = 64`):
 //!
 //! 1. **Centroid scoring** — one blocked matvec over an `n × d` matrix
 //!    (`matvec_t_into` into a warm workspace) vs the scalar per-row
@@ -21,6 +20,17 @@
 //!    of pages quantized once (`attend_compressed_ws`) vs re-running the f32
 //!    merge + quantize round trip over every selected page's backing rows
 //!    on each call (`reconstruct_page_rows_reference`, DESIGN.md §9).
+//!
+//! 5. **Compressed recall, cold** — the same attention when the rows are not
+//!    in cache, which is how a serving step finds them: every call goes to
+//!    the next of [`COLD_STORES`] stores of `n × d` (and that store's pages)
+//!    under another plan, so a store is revisited only after the calls
+//!    between have pushed its rows out of L2. Here `reference` is the
+//!    lossless path — the exact scattered gather (`attend_into` with
+//!    indices) — and `blocked` the compressed one, page codes read
+//!    contiguously: the row says what the int4 tier costs or saves a head
+//!    step against exact KV, where row 4 says what sealing pages once saves
+//!    against redoing the round trip. Ungated.
 //!
 //! The first two are **gated** at ≥ 2×, the fourth at ≥ 3×: the kernel must
 //! beat its reference by that much at `n = 8192` or the binary exits
@@ -59,6 +69,12 @@ const SPEEDUP_FLOOR: f64 = 2.0;
 /// Floor of the compressed-recall row: reading codes must beat redoing the
 /// round trip by more than a kernel beats its scalar twin.
 const RECALL_SPEEDUP_FLOOR: f64 = 3.0;
+
+/// Stores the cold row cycles through: a call's exact rows are 0.5 MB and
+/// its pages' codes 66 KB, so with 16 plans a store (see
+/// [`bench_compressed_recall_cold`]) a trial walks 64 MB and 8 MB of them
+/// between two visits of the same rows — past any L2.
+const COLD_STORES: usize = 8;
 
 const SMOKE_VAR: &str = "EXP_HOTPATH_SMOKE";
 
@@ -261,6 +277,75 @@ fn bench_compressed_recall(trials: usize, steps: usize) -> Section {
     }
 }
 
+/// [`bench_compressed_recall`]'s attention with nothing in cache: call `i`
+/// attends plan `i` over store `i % COLD_STORES`, once exactly (the fused
+/// gather-attend of a lossless session) and once through that store's int4
+/// pages. The stores hold different values under one clustering — the
+/// memberships, and with them every access pattern, are those of a real
+/// prefill; only what is read differs from store to store.
+fn bench_compressed_recall_cold(trials: usize) -> Section {
+    let int4 = CompressionConfig::int4();
+    let mut clustering =
+        SemanticClustering::new(ClusterKvConfig::default().with_tokens_per_cluster(80), DIM);
+    let stores: Vec<KvStore> = (0..COLD_STORES as u64)
+        .map(|s| {
+            let mut store = KvStore::new(DIM);
+            store.append_batch(
+                &random_matrix(N, DIM, 0xF0 + 2 * s),
+                &random_matrix(N, DIM, 0xF1 + 2 * s),
+            );
+            store
+        })
+        .collect();
+    clustering.prefill(stores[0].keys());
+    let metadata = clustering.metadata();
+    let pages: Vec<Vec<CompressedPage>> = stores
+        .iter()
+        .map(|store| {
+            (0..clustering.num_clusters())
+                .map(|c| {
+                    let members = metadata.cluster_tokens(c);
+                    compress_page(store.keys(), store.values(), members, int4)
+                })
+                .collect()
+        })
+        .collect();
+    let mut ws = Workspace::new();
+    let mut rng = seeded(0xF2);
+    let calls = 16 * COLD_STORES;
+    let plans: Vec<_> = (0..calls)
+        .map(|_| {
+            let q = gaussian_vec(&mut rng, DIM, 0.0, 1.0);
+            let plan = select_clusters_ws(&q, &clustering, Budget::new(1024), &mut ws);
+            (q, plan)
+        })
+        .collect();
+    let mut out = vec![0.0f32; DIM];
+    let mut sink = 0.0f32;
+    let compressed = best_of(trials, 1, || {
+        for (i, (q, plan)) in plans.iter().enumerate() {
+            let (store, pages) = (&stores[i % COLD_STORES], &pages[i % COLD_STORES]);
+            ws.q.clone_from(q);
+            let selected = plan.selected_clusters.iter().map(|&c| &pages[c]);
+            attend_compressed_ws(store, &plan.token_indices, selected, &mut ws, &mut out);
+            sink += out[0];
+        }
+    }) / calls as f64;
+    let exact = best_of(trials, 1, || {
+        for (i, (q, plan)) in plans.iter().enumerate() {
+            attend_selected_ws(&stores[i % COLD_STORES], q, &plan.token_indices, &mut ws);
+            sink += ws.out[0];
+        }
+    }) / calls as f64;
+    assert!(sink.is_finite());
+    Section {
+        name: "compressed_recall_cold",
+        blocked_us: compressed * 1e6,
+        reference_us: exact * 1e6,
+        floor: None,
+    }
+}
+
 fn emit_json(sections: &[Section], tokens_per_sec: f64, scale: (usize, usize, usize)) {
     let (trials, reps, steps) = scale;
     let mut out = String::from("{\"bench\":\"exp_hotpath\"");
@@ -304,7 +389,8 @@ fn main() {
     let assignment = bench_kmeans_assignment(trials, reps.clamp(3, 5));
     let (decode, tokens_per_sec) = bench_decode_step(trials, steps);
     let recall = bench_compressed_recall(trials, steps);
-    let sections = [scoring, assignment, decode, recall];
+    let recall_cold = bench_compressed_recall_cold(trials);
+    let sections = [scoring, assignment, decode, recall, recall_cold];
 
     if json {
         emit_json(&sections, tokens_per_sec, (trials, reps, steps));

@@ -208,6 +208,13 @@ impl GroupIndex for ClusterIndex {
         self.clustering.metadata().cluster_tokens(page)
     }
 
+    fn page_table_version(&self) -> Option<u64> {
+        // Clusters are only ever added — by the prefill pass, an adopted
+        // prefill, an incremental flush — and a sealed cluster keeps its
+        // members, so the table is a function of how many there are.
+        Some(self.clustering.num_clusters() as u64)
+    }
+
     fn export_prefill_state(&self) -> Option<SharedPrefixState> {
         // Only a reconciled index has anything worth sharing: mid-prefill
         // the clustering is empty and the keys sit in the chunk buffer.
@@ -471,6 +478,48 @@ mod tests {
         };
         assert_eq!(table.len(), metadata.num_clusters());
         assert!(matches!(exact.page_table(), KvResidency::Paged(_)));
+    }
+
+    #[test]
+    fn page_table_version_moves_exactly_when_the_table_does() {
+        use clusterkv_kvcache::CompressionConfig;
+        let cfg = test_config().with_compression(CompressionConfig::int4());
+        let keys = prefill_keys(60, 8, 6);
+        let mut index = ClusterIndex::new(cfg, 8);
+        let mut last = (index.page_table_version(), index.page_table());
+        let mut moves = 0;
+        let mut step = |index: &ClusterIndex| {
+            let now = (index.page_table_version(), index.page_table());
+            assert!(now.0 >= last.0, "versions never decrease");
+            assert_eq!(now.0 == last.0, now.1 == last.1);
+            moves += usize::from(now.0 != last.0);
+            last = now;
+        };
+        chunk_feed(&mut index, &keys);
+        step(&index);
+        index.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
+        step(&index);
+        // Two decode-clustering periods: the table grows at each flush and
+        // stands still on the appends between.
+        for position in 60..60 + 2 * cfg.decode_cluster_period {
+            let key = gaussian_vec(&mut seeded(position as u64), 8, 0.0, 1.0);
+            index.observe(ObserveEvent::Append {
+                position,
+                key: &key,
+            });
+            step(&index);
+        }
+        assert_eq!(moves, 3, "the prefill and two flushes");
+
+        // An adopted prefill moves it like a clustered one.
+        let mut donor = ClusterIndex::new(cfg, 8);
+        chunk_feed(&mut donor, &keys);
+        donor.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
+        let mut adopter = ClusterIndex::new(cfg, 8);
+        let fresh = adopter.page_table_version();
+        assert!(adopter.adopt_prefill_state(&donor.export_prefill_state().unwrap(), 60));
+        assert_ne!(adopter.page_table_version(), fresh);
+        assert_eq!(adopter.page_table_version(), donor.page_table_version());
     }
 
     #[test]

@@ -654,7 +654,10 @@ impl CompressedPage {
     /// `code · scale / qmax` — bit for bit what
     /// [`reconstruct_page_rows_reference`] writes there — or a plain copy of
     /// an unquantized row. Both members of a merged pair receive the pair's
-    /// one stored row. Allocates nothing.
+    /// one stored row. The stored rows are read front to back, `dest_row` is
+    /// asked once per slot in slot order, and a destination row is written
+    /// whole — whatever it held before never shows through. Allocates
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -663,7 +666,7 @@ impl CompressedPage {
     // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
     pub fn dequantize_into(
         &self,
-        dest_row: impl Fn(usize) -> Option<usize>,
+        mut dest_row: impl FnMut(usize) -> Option<usize>,
         k_out: &mut Matrix,
         v_out: &mut Matrix,
     ) {
@@ -684,7 +687,7 @@ impl CompressedPage {
         let (mut slot, mut stored) = (0, 0);
         while slot < self.tokens.len() {
             let span = if self.is_retained(slot) { 1 } else { 2 };
-            for row in (slot..slot + span).filter_map(&dest_row) {
+            for row in (slot..slot + span).filter_map(&mut dest_row) {
                 keys.write(stored, k_out.row_mut(row));
                 values.write(stored, v_out.row_mut(row));
             }

@@ -59,17 +59,30 @@ pub fn attend_selected_ws(store: &KvStore, query: &[f32], indices: &[usize], ws:
 /// generated — from its exact KV in `store`. Weights land in `ws.weights`,
 /// the output in `out`.
 ///
-/// The selected rows are gathered into the workspace and each page writes
-/// its members over theirs, so nothing is allocated once the workspace is
-/// warm, and the result depends only on the pages and the stored KV — never
-/// on the order heads or threads run in. Of a position selected twice only
-/// the later row is rewritten, as inserting `(position, row)` pairs into a
-/// map would have it.
+/// Each selected token is read once, from where it will be attended: a row
+/// one of the pages covers is dequantized out of the page's contiguous codes
+/// straight into its row of the operand, and only the rows no page covers are
+/// copied from the exact store — no exact row is fetched to be overwritten.
+/// The operand is shaped without being filled; every row of it has a writer
+/// (a page that names its position, else the exact copy), so what an earlier,
+/// longer selection left in the workspace cannot be attended. Of a position
+/// selected twice only the later row is a page's — the earlier one stays
+/// exact, as inserting `(position, row)` pairs into a map would have it — and
+/// a position two pages (or two slots of one) name is written by each in
+/// turn, the last one standing, the only case in which a row is written more
+/// than once. The fused kernel then runs over the rows in `selected`'s order.
+///
+/// The work is linear in the selection and in the pages' members, never in
+/// the context: `ws.row_of` (position → row) is kept across calls and reset
+/// through the positions this call set, so it is all-`usize::MAX` again on
+/// return; it grows with the store, one entry a decode step. Nothing is
+/// allocated once the workspace is warm, and the result depends only on the
+/// pages and the stored KV — never on the order heads or threads run in.
 ///
 /// # Panics
 ///
-/// Panics if `ws.q.len() != store.head_dim()`, a selected position or a
-/// page member is out of bounds, or a page's rows are of another width.
+/// Panics if `ws.q.len() != store.head_dim()`, a selected position is out of
+/// bounds, or a page's rows are of another width.
 // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
 pub fn attend_compressed_ws<'p>(
     store: &KvStore,
@@ -81,25 +94,45 @@ pub fn attend_compressed_ws<'p>(
     let Workspace {
         q,
         weights,
-        idx: row_of,
+        seen: paged,
+        row_of,
         k_rows,
         v_rows,
         ..
     } = ws;
-    store.keys().select_rows_into(selected, k_rows);
-    store.values().select_rows_into(selected, v_rows);
-    row_of.clear();
-    row_of.resize(store.len(), usize::MAX);
+    k_rows.reshape(selected.len(), store.head_dim());
+    v_rows.reshape(selected.len(), store.head_dim());
+    // One entry per stored position: a decode step adds one, nothing is
+    // ever cleared.
+    if row_of.len() < store.len() {
+        row_of.resize(store.len(), usize::MAX);
+    }
+    paged.clear();
+    paged.resize(selected.len().div_ceil(64), 0);
     for (row, &pos) in selected.iter().enumerate() {
+        assert!(pos < store.len(), "selected position {pos} out of bounds");
         row_of[pos] = row;
     }
     for page in pages {
         let members = page.tokens();
         page.dequantize_into(
-            |slot| Some(row_of[members[slot]]).filter(|&row| row != usize::MAX),
+            |slot| {
+                let row = row_of[members[slot]];
+                (row != usize::MAX).then(|| {
+                    paged[row / 64] |= 1 << (row % 64);
+                    row
+                })
+            },
             k_rows,
             v_rows,
         );
+    }
+    for (row, &pos) in selected.iter().enumerate() {
+        row_of[pos] = usize::MAX;
+        if paged[row / 64] >> (row % 64) & 1 == 0 {
+            k_rows.row_mut(row).copy_from_slice(store.key(pos));
+            v_rows.row_mut(row).copy_from_slice(store.value(pos));
+        }
     }
     attend_into(k_rows, v_rows, None, q, weights, out);
 }
@@ -335,7 +368,8 @@ mod tests {
 
         /// Compressed-recall attention through the kept f32 round trip:
         /// fresh gathered copies, an ordered position → row map, every page
-        /// reconstructed from the backing rows on the spot.
+        /// reconstructed from the backing rows on the spot, row by row over
+        /// whatever the gather or an earlier page put there.
         fn reference(
             store: &KvStore,
             selected: &[usize],
@@ -369,6 +403,45 @@ mod tests {
             v.iter().map(|x| x.to_bits()).collect()
         }
 
+        /// Attend `selected` through pages sealed over `pages` in a
+        /// workspace a longer selection left dirty — operand matrices three
+        /// rows taller than this call's, a NaN in every cell, so one row
+        /// without a writer poisons the output — and compare with the
+        /// reference bit for bit. Every call must hand the position table
+        /// back clear.
+        fn check(
+            store: &KvStore,
+            selected: &[usize],
+            pages: &[Vec<usize>],
+            compression: CompressionConfig,
+            query: &[f32],
+            ws: &mut Workspace,
+        ) {
+            let dim = store.head_dim();
+            let sealed: Vec<CompressedPage> = pages
+                .iter()
+                .map(|p| compress_page(store.keys(), store.values(), p, compression))
+                .collect();
+            for operand in [&mut ws.k_rows, &mut ws.v_rows] {
+                operand.reshape(selected.len() + 3, dim);
+                for row in 0..operand.rows() {
+                    operand.row_mut(row).fill(f32::NAN);
+                }
+            }
+            ws.q.clear();
+            ws.q.extend_from_slice(query);
+            let mut out = vec![f32::NAN; dim];
+            attend_compressed_ws(store, selected, sealed.iter(), ws, &mut out);
+            let (weights, expected) = reference(store, selected, pages, compression, query);
+            assert_eq!(bits(&out), bits(&expected), "{compression}: output");
+            assert_eq!(bits(&ws.weights), bits(&weights), "{compression}: weights");
+            assert_eq!(ws.k_rows.shape(), (selected.len(), dim));
+            assert!(
+                ws.row_of.iter().all(|&row| row == usize::MAX),
+                "{compression}: the position table is handed back clear"
+            );
+        }
+
         #[test]
         fn trimmed_pages_merged_pairs_and_repeated_positions_match_the_round_trip() {
             let (n, dim) = (64, 16);
@@ -376,9 +449,9 @@ mod tests {
             let mut store = KvStore::new(dim);
             for t in 0..n {
                 let mut key = gaussian_vec(&mut rng, dim, 0.0, 1.0);
-                // Near-parallel neighbours, so the merging rung has pairs to
-                // merge: (5, 6) inside a fully selected page, (13, 14) across
-                // the trim boundary of the last one.
+                // Near-parallel neighbours, so the merging rungs have pairs
+                // to merge: (5, 6) inside a fully selected page, (13, 14)
+                // across the trim boundary of the last one.
                 if t == 6 || t == 14 {
                     key = store.key(t - 1).iter().map(|x| 1.02 * x + 1e-3).collect();
                 }
@@ -388,69 +461,114 @@ mod tests {
                 vec![4, 9, 10, 17, 30],
                 vec![5, 6, 7, 8, 40, 41],
                 vec![11, 12, 13, 14, 15, 16],
+                // Positions two earlier pages already wrote, out of order,
+                // beside one nobody selected: the later page's rows stand.
+                vec![10, 50, 5, 9],
+                // A page none of whose members is selected.
+                vec![44, 45, 46],
             ];
             // Sinks and pending tokens outside every page, two whole pages,
-            // the last page trimmed to three of its six members, a position
-            // selected twice, and the position being generated.
+            // the third trimmed to three of its six members, a position
+            // selected twice (only its later row is a page's), and the
+            // position being generated.
             let mut selected = vec![0, 1, 60, 61];
             selected.extend(&pages[0]);
             selected.extend(&pages[1]);
             selected.extend(&pages[2][..3]);
             selected.extend([9, n - 1]);
-            let sealed = |compression| -> Vec<CompressedPage> {
-                pages
-                    .iter()
-                    .map(|p| compress_page(store.keys(), store.values(), p, compression))
-                    .collect()
-            };
-            let merging = CompressionConfig::int4().with_merge_threshold(0.2);
-            let merged = sealed(merging);
-            assert_eq!(merged[1].merged_pairs(), 1, "(5, 6) merges");
-            assert_eq!(merged[2].merged_pairs(), 1, "(13, 14) merges");
+            let int4_merging = CompressionConfig::int4().with_merge_threshold(0.2);
+            let int8_merging = CompressionConfig::int8().with_merge_threshold(0.2);
+            for merging in [int4_merging, int8_merging] {
+                let sealed =
+                    |p: &Vec<usize>| compress_page(store.keys(), store.values(), p, merging);
+                assert_eq!(sealed(&pages[1]).merged_pairs(), 1, "(5, 6) merges");
+                assert_eq!(sealed(&pages[2]).merged_pairs(), 1, "(13, 14) merges");
+            }
 
+            // One workspace throughout: whatever a call leaves in it is the
+            // next call's problem.
             let mut ws = Workspace::new();
             for compression in [
                 CompressionConfig::lossless(),
                 CompressionConfig::int8(),
                 CompressionConfig::int4(),
-                merging,
+                int4_merging,
+                int8_merging,
             ] {
-                // The workspace carries over between rungs: stale gathered
-                // rows and a stale position map must not leak into the next
-                // call.
                 for query_seed in 0..3 {
-                    ws.q = gaussian_vec(&mut seeded(query_seed), dim, 0.0, 1.0);
-                    let mut out = vec![0.0f32; dim];
-                    let sealed = sealed(compression);
-                    attend_compressed_ws(&store, &selected, sealed.iter(), &mut ws, &mut out);
-                    let (weights, expected) =
-                        reference(&store, &selected, &pages, compression, &ws.q);
-                    assert_eq!(bits(&out), bits(&expected), "{compression}: output");
-                    assert_eq!(bits(&ws.weights), bits(&weights), "{compression}: weights");
+                    let query = gaussian_vec(&mut seeded(query_seed), dim, 0.0, 1.0);
+                    check(&store, &selected, &pages, compression, &query, &mut ws);
+                    // No page at all: the exact gather, row for row.
+                    check(&store, &selected, &[], compression, &query, &mut ws);
+                    let exact = attend_selected(&store, &query, &selected);
+                    assert_eq!(bits(&ws.weights), bits(&exact.weights));
                 }
             }
             // And the lossy rungs do change what is attended.
+            let query = gaussian_vec(&mut seeded(0), dim, 0.0, 1.0);
             let lossless = CompressionConfig::lossless();
-            let (_, exact) = reference(&store, &selected, &pages, lossless, &ws.q);
-            let (_, lossy) = reference(&store, &selected, &pages, merging, &ws.q);
+            let (_, exact) = reference(&store, &selected, &pages, lossless, &query);
+            let (_, lossy) = reference(&store, &selected, &pages, int4_merging, &query);
             assert_ne!(exact, lossy);
+        }
+
+        #[test]
+        fn a_second_call_at_the_same_context_grows_nothing() {
+            let (n, dim) = (2048, 16);
+            let mut rng = seeded(0xC1);
+            let mut store = KvStore::new(dim);
+            for _ in 0..n {
+                let key = gaussian_vec(&mut rng, dim, 0.0, 1.0);
+                store.append(&key, &gaussian_vec(&mut rng, dim, 0.0, 1.0));
+            }
+            let members: Vec<Vec<usize>> = (4..n - 8)
+                .collect::<Vec<_>>()
+                .chunks(80)
+                .map(<[usize]>::to_vec)
+                .collect();
+            let int4 = CompressionConfig::int4();
+            let sealed: Vec<CompressedPage> = members
+                .iter()
+                .map(|p| compress_page(store.keys(), store.values(), p, int4))
+                .collect();
+            let mut ws = Workspace::new();
+            ws.q = gaussian_vec(&mut rng, dim, 0.0, 1.0);
+            let mut out = vec![0.0f32; dim];
+            let mut warm = None;
+            // Different pages every call, the same context: the table is as
+            // long as the store and stays that long, clear between calls,
+            // and no buffer of the workspace grows after the first call.
+            for first in [0, 7, 13, 2] {
+                let picked = first..first + 6;
+                let mut selected = vec![0, 1, 2, 3, n - 1];
+                selected.extend(members[picked.clone()].iter().flatten());
+                attend_compressed_ws(&store, &selected, sealed[picked].iter(), &mut ws, &mut out);
+                assert!(ws.row_of.iter().all(|&row| row == usize::MAX));
+                let now = (ws.row_of.len(), ws.allocated_bytes());
+                assert_eq!(now.0, n, "one entry per stored position");
+                assert_eq!(*warm.get_or_insert(now), now);
+            }
         }
 
         proptest! {
             // Attending from sealed pages' codes against re-running the f32
             // round trip per call: lossless / int8 / int4, merging off and
-            // at 0.2, random shapes and memberships. Rows include both
-            // zeros, all-zero values, a page of nothing but zeros
-            // (`scale == 0`) and grid-edge magnitudes (`|x| == scale`);
-            // near-parallel neighbours give the merging rungs pairs, the
-            // trimmed last page cuts through them; one position is selected
-            // twice and some selected tokens lie outside every page. A
-            // negative zero survives because a page stores it under the
-            // spare integer code, so even the sign of a zero logit or output
-            // agrees. Non-finite KV is outside the contract — the round trip
-            // spread one NaN over its row and one infinity over its page,
-            // the grid has no code for them, and no finite weight produces
-            // either (see `compressed.rs`).
+            // at 0.2, random shapes and memberships, in a workspace every
+            // call finds dirty (see `check`). Rows include both zeros,
+            // all-zero values, a page of nothing but zeros (`scale == 0`)
+            // and grid-edge magnitudes (`|x| == scale`); near-parallel
+            // neighbours give the merging rungs pairs, the trimmed last page
+            // cuts through them; one position is selected twice and some
+            // selected tokens lie outside every page; one page names
+            // positions other pages name too — before them or after them,
+            // so it is overwritten or overwrites — and one page has no
+            // selected member; the same selection is then attended with no
+            // page at all. A negative zero survives because a page stores it
+            // under the spare integer code, so even the sign of a zero logit
+            // or output agrees. Non-finite KV is outside the contract — the
+            // round trip spread one NaN over its row and one infinity over
+            // its page, the grid has no code for them, and no finite weight
+            // produces either (see `compressed.rs`).
             #[test]
             fn attending_from_codes_is_bit_identical_to_the_round_trip(
                 n in 12usize..96,
@@ -482,37 +600,32 @@ mod tests {
                 }
                 // Pages tile positions 2..n-2; the rest are sinks, pending
                 // tokens and the position being generated.
-                let pages: Vec<Vec<usize>> = (2..n - 2)
+                let tiles: Vec<Vec<usize>> = (2..n - 2)
                     .collect::<Vec<_>>()
                     .chunks(page_len)
                     .map(<[usize]>::to_vec)
                     .collect();
-                let picked: Vec<&Vec<usize>> =
-                    pages.iter().filter(|p| (p[0] + seed as usize) % 3 < 2).collect();
+                let (mut pages, unpicked): (Vec<Vec<usize>>, Vec<Vec<usize>>) =
+                    tiles.into_iter().partition(|p| (p[0] + seed as usize) % 3 < 2);
                 let mut selected = vec![0, n - 1];
-                for (i, page) in picked.iter().enumerate() {
-                    let keep = if i + 1 == picked.len() { page.len().div_ceil(2) } else { page.len() };
+                for (i, page) in pages.iter().enumerate() {
+                    let keep = if i + 1 == pages.len() { page.len().div_ceil(2) } else { page.len() };
                     selected.extend(&page[..keep]);
                 }
                 selected.push(selected[selected.len() / 2]);
                 selected.push(1);
+                // A page over every third selected position, last first.
+                let twice: Vec<usize> = selected.iter().rev().step_by(3).copied().collect();
+                let at = if seed % 2 == 0 { 0 } else { pages.len() };
+                pages.insert(at, twice);
+                pages.extend(unpicked.into_iter().take(1));
                 let query = gaussian_vec(&mut rng, dim, 0.0, 1.0);
                 let mut ws = Workspace::new();
                 for quant in [QuantMode::Off, QuantMode::Int8, QuantMode::Int4] {
                     for merge_threshold in [0.0, 0.2] {
                         let compression = CompressionConfig { merge_threshold, quant };
-                        let picked: Vec<Vec<usize>> = picked.iter().map(|p| (*p).clone()).collect();
-                        let sealed: Vec<CompressedPage> = picked
-                            .iter()
-                            .map(|p| compress_page(store.keys(), store.values(), p, compression))
-                            .collect();
-                        ws.q.clone_from(&query);
-                        let mut out = vec![0.0f32; dim];
-                        attend_compressed_ws(&store, &selected, sealed.iter(), &mut ws, &mut out);
-                        let (weights, expected) =
-                            reference(&store, &selected, &picked, compression, &query);
-                        prop_assert!(bits(&out) == bits(&expected), "{compression}: output");
-                        prop_assert!(bits(&ws.weights) == bits(&weights), "{compression}: weights");
+                        check(&store, &selected, &pages, compression, &query, &mut ws);
+                        check(&store, &selected, &[], compression, &query, &mut ws);
                     }
                 }
             }

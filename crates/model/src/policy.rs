@@ -395,6 +395,15 @@ pub trait GroupIndex: Send + Sync {
         &[]
     }
 
+    /// A version of [`page_table`](GroupIndex::page_table): a value that
+    /// never decreases and differs between any two states of the index whose
+    /// tables (page ids, sizes or memberships) differ, so the engine can skip
+    /// walking a table it has already settled. `None` (the default) promises
+    /// nothing — the table counts as changed after every key event.
+    fn page_table_version(&self) -> Option<u64> {
+        None
+    }
+
     /// Snapshot the post-`PrefillDone` state for caching in the
     /// cross-session [`PrefixStore`], keyed by this index's
     /// `(layer, kv_head)`. Called by the engine immediately after
@@ -505,6 +514,15 @@ impl SelectorGroup {
         match self {
             SelectorGroup::PerHead(heads) => heads[head].page_members(page),
             SelectorGroup::Shared { index, .. } => index.page_members(page),
+        }
+    }
+
+    /// [`GroupIndex::page_table_version`] of a shared index; the tables of
+    /// a per-head group carry no version.
+    pub(crate) fn page_table_version(&self) -> Option<u64> {
+        match self {
+            SelectorGroup::PerHead(_) => None,
+            SelectorGroup::Shared { index, .. } => index.page_table_version(),
         }
     }
 

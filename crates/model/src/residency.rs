@@ -37,6 +37,10 @@ pub(crate) struct Residency {
     /// (the group's first when its heads share one index). Empty under a
     /// lossless config, whose plans attend exact KV.
     pages: Vec<Vec<CompressedStore>>,
+    /// [`SelectorGroup::page_table_version`] each store of `pages` was last
+    /// settled at, indexed alike; `None` until then and for tables that
+    /// carry no version.
+    settled: Vec<Vec<Option<u64>>>,
     /// Vectors scored by the selective-layer heads of the step in flight.
     scored: u64,
     /// Tokens attended by the selective-layer heads of the step in flight.
@@ -82,6 +86,7 @@ impl Residency {
                     .with_staging(prefetch.staging_capacity),
             ),
             pages: vec![vec![CompressedStore::new(compression); config.num_kv_heads]; layers],
+            settled: vec![vec![None; config.num_kv_heads]; layers],
             scored: 0,
             attended: 0,
             step: Transfers::default(),
@@ -178,6 +183,16 @@ impl Residency {
                 let Some(store) = self.pages.get_mut(layer).map(|l| &mut l[kv_head]) else {
                     continue;
                 };
+                // Clusters appear at the end of prefill and once every
+                // decode-clustering period: on the steps between, a table
+                // that reports the version it was settled at has no page to
+                // build.
+                let version = group.page_table_version();
+                let settled = &mut self.settled[layer][kv_head];
+                if version.is_some() && version == *settled {
+                    continue;
+                }
+                *settled = version;
                 // A page is built once per membership: when its cluster is
                 // sealed (prefill, adopted or clustered here; incremental
                 // decode clustering) and again only if it grew since.
@@ -317,5 +332,93 @@ impl Residency {
     #[cfg(test)]
     pub(crate) fn last_step(&self) -> Transfers {
         self.step
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::{GroupIndex, ObserveEvent, SelectionPlan, SelectionRequest};
+    use clusterkv_tensor::kernels::Workspace;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    /// Positional pages of four tokens over the first `positions.len()`
+    /// tokens, under whatever version the test dictates; counts how often
+    /// its table is asked for.
+    struct Blocks {
+        positions: Vec<usize>,
+        version: Option<u64>,
+        walks: Arc<AtomicUsize>,
+    }
+
+    impl GroupIndex for Blocks {
+        fn observe(&mut self, _event: ObserveEvent<'_>) {}
+        fn plan(&self, request: SelectionRequest<'_>, _scratch: &mut Workspace) -> SelectionPlan {
+            SelectionPlan::full(request.num_tokens)
+        }
+        fn page_table(&self) -> KvResidency {
+            self.walks.fetch_add(1, Relaxed);
+            let pages = self.positions.chunks(4).enumerate();
+            KvResidency::Compressed(pages.map(|(p, m)| PageRequest::new(p, m.len())).collect())
+        }
+        fn page_members(&self, page: usize) -> &[usize] {
+            self.positions
+                .chunks(4)
+                .nth(page)
+                .expect("a page of the table")
+        }
+        fn page_table_version(&self) -> Option<u64> {
+            self.version
+        }
+    }
+
+    #[test]
+    fn settle_walks_a_versioned_page_table_only_when_the_version_moved() {
+        let config = ModelConfig {
+            num_layers: 1,
+            num_heads: 2,
+            num_kv_heads: 1,
+            ..ModelConfig::tiny()
+        };
+        let mut store = KvStore::new(config.head_dim);
+        for t in 0..16 {
+            store.append(&[t as f32; 8], &[-(t as f32); 8]);
+        }
+        let kv = vec![vec![store]];
+        for versioned in [true, false] {
+            let walks = Arc::new(AtomicUsize::new(0));
+            let blocks = |tokens: usize, version: u64| {
+                SelectorGroup::shared(
+                    Box::new(Blocks {
+                        positions: (0..tokens).collect(),
+                        version: versioned.then_some(version),
+                        walks: walks.clone(),
+                    }),
+                    2,
+                )
+            };
+            // No cache to warm: the table is asked for by the page probe
+            // alone.
+            let mut residency = Residency::new(
+                &config,
+                Bytes(0),
+                CompressionConfig::int4(),
+                PrefetchConfig::disabled(),
+            );
+            let mut settle = |group: SelectorGroup, sealed: usize, walked: usize| {
+                residency.settle(&config, &[vec![group]], &kv, 16);
+                assert_eq!(residency.compressed_pages(0)[0].len(), sealed);
+                assert_eq!(walks.load(Relaxed), walked, "versioned: {versioned}");
+            };
+            settle(blocks(8, 1), 2, 1);
+            // The same version: nothing to look at. Without one, every
+            // settle looks.
+            settle(blocks(8, 1), 2, if versioned { 1 } else { 2 });
+            settle(blocks(8, 1), 2, if versioned { 1 } else { 3 });
+            // A third page and a version that says so.
+            settle(blocks(12, 2), 3, if versioned { 2 } else { 4 });
+            settle(blocks(12, 2), 3, if versioned { 2 } else { 5 });
+        }
     }
 }

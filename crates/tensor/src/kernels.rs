@@ -73,13 +73,21 @@ pub struct Workspace {
     pub labels: Vec<usize>,
     /// Token positions picked by the selection fill.
     pub tokens: Vec<usize>,
-    /// Dense membership bitmap over token positions (one bit each): which
-    /// positions the selection fill has already emitted.
+    /// Dense membership bitmap (one bit each): the token positions the
+    /// selection fill has already emitted; the operand rows a compressed
+    /// plan's pages have written.
     pub seen: Vec<u64>,
-    /// Gathered key rows of the selected tokens, for attention that must
-    /// rewrite some of them (compressed recall) before the fused kernel runs.
+    /// Token position → operand row of the selection a compressed plan is
+    /// attending, `usize::MAX` for every other position. Kept across calls:
+    /// a call resets the entries it set, so the table is all-`MAX` again
+    /// whenever it returns and is never cleared as a whole.
+    pub row_of: Vec<usize>,
+    /// Key operand of a compressed plan's attention, one row per selected
+    /// token: dequantized from the token's page, or copied from the exact
+    /// store where no page covers it. Every row is written by the call that
+    /// shapes the matrix; nothing is carried over from the previous one.
     pub k_rows: Matrix,
-    /// Gathered value rows, aligned with `k_rows`.
+    /// Value operand, aligned with `k_rows`.
     pub v_rows: Matrix,
     /// Per-cluster running sums of a k-means update step (`C × d`, flat).
     pub sums: Vec<f32>,
@@ -109,6 +117,7 @@ impl Workspace {
                 + self.sums.capacity())
             + std::mem::size_of::<usize>()
                 * (self.idx.capacity()
+                    + self.row_of.capacity()
                     + self.labels.capacity()
                     + self.tokens.capacity()
                     + self.counts.capacity())

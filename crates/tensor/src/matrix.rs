@@ -351,6 +351,18 @@ impl Matrix {
         out.cols = self.cols;
     }
 
+    /// Shape the matrix `rows × cols` in place, keeping its buffer **and
+    /// whatever the buffer holds**: nothing is written unless the matrix
+    /// grows, and then only the added tail (zeros). For a caller that goes
+    /// on to write every row itself; what the rows hold until then is left
+    /// over from earlier use.
+    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Drop every row, keeping the width and the buffer.
     pub fn clear_rows(&mut self) {
         self.data.clear();
@@ -514,6 +526,27 @@ mod tests {
         assert_eq!(out.capacity(), warm);
         out.push_row(&[7.0, 8.0]).unwrap();
         assert_eq!(out.row(0), &[7.0, 8.0]);
+    }
+
+    #[test]
+    fn reshape_keeps_the_buffer_and_writes_only_what_it_adds() {
+        let mut m =
+            Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
+        let warm = m.capacity();
+        m.reshape(2, 2);
+        assert_eq!(m.shape(), (2, 2));
+        assert_eq!(
+            m.as_slice(),
+            &[1.0, 2.0, 3.0, 4.0],
+            "kept rows are untouched"
+        );
+        m.reshape(1, 6);
+        assert_eq!(
+            m.row(0),
+            &[1.0, 2.0, 3.0, 4.0, 0.0, 0.0],
+            "only the growth is zeroed"
+        );
+        assert_eq!(m.capacity(), warm);
     }
 
     #[test]

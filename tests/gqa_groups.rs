@@ -267,6 +267,11 @@ impl GroupIndex for CountedIndex {
             .push((layer, kv_head, page));
         self.inner.page_members(page)
     }
+    // The engine skips settled tables exactly as it does for the index
+    // behind the counter, so the seal counts below hold with the skip on.
+    fn page_table_version(&self) -> Option<u64> {
+        self.inner.page_table_version()
+    }
     fn export_prefill_state(&self) -> Option<SharedPrefixState> {
         self.inner.export_prefill_state()
     }

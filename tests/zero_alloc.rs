@@ -9,7 +9,9 @@
 //! config, a k-means fit allocates only the `Clustering` it returns, a
 //! compressed-recall attend reads its pages' integer codes without
 //! allocating, and so does a cluster-cache access on its miss path —
-//! recall, demotion, eviction — once every page of the session is known.
+//! recall, demotion, eviction — once every page of the session is known;
+//! and the warm decode steps of a whole compressed-recall session allocate
+//! alike, one after the other.
 //!
 //! The whole proof lives in a single `#[test]` so no concurrent test in this
 //! binary can allocate while the counters are being read (the allocator is
@@ -123,6 +125,7 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
     selection_allocates_only_the_plan();
     kmeans_fit_allocates_only_its_result();
     compressed_recall_attend_allocates_nothing();
+    compressed_recall_session_steps_allocate_alike();
     cache_miss_path_allocates_nothing();
 }
 
@@ -279,7 +282,8 @@ fn kmeans_fit_allocates_only_its_result() {
 
 /// Attention over a budget-1024 ClusterKV selection of a 3200-token context
 /// clustered two ways (20 and 199 clusters) under int4, read from the pages
-/// each cluster was quantized into once: gather, dequantize-into-row and the
+/// each cluster was quantized into once: shaping the operand, dequantizing
+/// the pages' members into their rows, copying the uncovered rows and the
 /// fused kernel allocate nothing once the head's workspace is warm. Called
 /// from the single test above.
 fn compressed_recall_attend_allocates_nothing() {
@@ -350,6 +354,90 @@ fn compressed_recall_attend_allocates_nothing() {
             "a warm compressed-recall attend must not allocate ({clusters} clusters)"
         );
     }
+}
+
+/// Whole sessions of the serving engine in the shape of `exp_e2e`'s
+/// `tight_cache_recall` at test scale — ClusterKV over an int4 tier, a
+/// cluster cache a quarter of one step's selection, lookahead prefetch —
+/// decoding past their prompt. A step allocates what it hands out (logits,
+/// one plan per head, one hint per head), so between two incremental
+/// clusterings, once warm, step *k + 1* allocates exactly what step *k* did:
+/// no table sized by the context is regrown, no page list is collected, no
+/// settled page table is walked again. Counts are exact because the engine
+/// is deterministic; a step on which the KV store or the position table
+/// doubles its buffer would add one, and none falls in the window compared.
+///
+/// The prefetching session's staging buffer is too small for a page, so it
+/// plans, hints and nominates but stages nothing: a buffer that holds pages
+/// keeps them in ordered maps that allocate and free nodes as pages churn
+/// (73–97 allocations a step here against 82), which no two steps share.
+/// Called from the single test above.
+fn compressed_recall_session_steps_allocate_alike() {
+    use clusterkv::{ClusterKvConfig, ClusterKvFactory};
+    use clusterkv_kvcache::types::{Budget, Bytes};
+    use clusterkv_kvcache::CompressionConfig;
+    use clusterkv_model::{ModelConfig, PrefetchConfig, ServeEngine};
+
+    let model = ModelConfig {
+        num_layers: 3,
+        num_heads: 4,
+        num_kv_heads: 1,
+        head_dim: 16,
+        ffn_dim: 64,
+        vocab_size: 128,
+        max_context: 1024,
+        dense_layers: 1,
+    };
+    let (budget, tokens_per_cluster, period) = (128, 16, 16);
+    let int4 = CompressionConfig::int4();
+    let capacity = Bytes(model.selected_kv_bytes_per_step(budget + tokens_per_cluster) / 4);
+    let config = ClusterKvConfig {
+        max_kmeans_iters: 2,
+        ..ClusterKvConfig::default()
+            .with_tokens_per_cluster(tokens_per_cluster)
+            .with_decode_cluster_period(period)
+            .with_compression(int4)
+    };
+    let prompt: Vec<usize> = (0..640).map(|i| (i * 7 + 3) % 128).collect();
+    let run = |prefetch: PrefetchConfig| {
+        let mut engine = ServeEngine::builder(model)
+            .synthetic_weights(0x2E)
+            .budget(Budget::new(budget))
+            .policy(Box::new(ClusterKvFactory::new(config)))
+            .kv_cache_capacity(capacity)
+            .compression(int4)
+            .prefetch(prefetch)
+            .build()
+            .unwrap();
+        let id = engine.create_session().unwrap();
+        engine.prefill(id, &prompt).unwrap();
+        let (mut stream, mut counts) = (Vec::new(), Vec::new());
+        for _ in 0..3 * period {
+            let before = allocations();
+            stream.push(engine.decode_batch(&[id]).unwrap()[0].next_token);
+            counts.push(allocations() - before);
+        }
+        (stream, counts, engine.release(id).unwrap())
+    };
+
+    let (stream, plain, report) = run(PrefetchConfig::disabled());
+    assert!(report.compression.compressed_hits > 0 && report.compression.demotions > 0);
+    let (hinted_stream, hinted, _) = run(PrefetchConfig::lookahead(Bytes(64)));
+    assert_eq!(hinted_stream, stream);
+    // Steps 2·period .. 3·period − 1 follow the second incremental
+    // clustering; the first three of them still meet its pages for the
+    // first time.
+    for counts in [&plain, &hinted] {
+        let window = &counts[2 * period + 3..3 * period - 1];
+        assert!(
+            window.windows(2).all(|pair| pair[0] == pair[1]),
+            "warm decode steps must allocate alike: {counts:?}"
+        );
+    }
+    assert!(
+        hinted[3 * period - 2] > plain[3 * period - 2],
+        "one hint per head"
+    );
 }
 
 /// A cluster cache a quarter the size of what its head cycles through,
