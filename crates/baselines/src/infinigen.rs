@@ -33,7 +33,9 @@ use serde::{Deserialize, Serialize};
 /// (InfiniGen's default partial-weight ratio).
 pub const DEFAULT_PARTIAL_RATIO: f64 = 0.25;
 
-/// InfiniGen selection state for one attention head.
+/// InfiniGen selection state for one KV head: its projection and partial
+/// keys depend on the keys alone, so one instance serves every query head of
+/// the group.
 #[derive(Debug, Clone)]
 pub struct InfiniGenSelector {
     head_dim: usize,
@@ -59,10 +61,9 @@ impl InfiniGenSelector {
     ///
     /// Panics if `partial_ratio` is not in `(0, 1]`.
     pub fn new(partial_ratio: f64, head_dim: usize) -> Self {
-        assert!(
-            partial_ratio > 0.0 && partial_ratio <= 1.0,
-            "partial_ratio must be in (0, 1]"
-        );
+        if let Err(msg) = validate_partial_ratio(partial_ratio) {
+            panic!("{msg}");
+        }
         let partial_dims = ((head_dim as f64 * partial_ratio).ceil() as usize).max(1);
         Self {
             head_dim,
@@ -154,7 +155,7 @@ impl TokenSelector for InfiniGenSelector {
         }
     }
 
-    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+    fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
         let n = request.num_tokens.min(self.partial_keys.rows());
         if request.budget.covers(n) {
             return SelectionPlan::full(n);
@@ -183,6 +184,17 @@ impl TokenSelector for InfiniGenSelector {
                 .collect(),
         )
     }
+}
+
+/// InfiniGen's one configuration constraint: the partial projection keeps a
+/// fraction of the head dimension in `(0, 1]`.
+fn validate_partial_ratio(partial_ratio: f64) -> Result<(), String> {
+    if !(partial_ratio > 0.0 && partial_ratio <= 1.0) {
+        return Err(format!(
+            "InfiniGen partial_ratio must be in (0, 1], got {partial_ratio}"
+        ));
+    }
+    Ok(())
 }
 
 /// Factory for [`InfiniGenSelector`].
@@ -215,6 +227,10 @@ impl SelectorFactory for InfiniGenFactory {
     fn create(&self, ctx: HeadContext) -> Box<dyn TokenSelector> {
         Box::new(InfiniGenSelector::new(self.partial_ratio, ctx.head_dim))
     }
+
+    fn validate(&self) -> Result<(), String> {
+        validate_partial_ratio(self.partial_ratio)
+    }
 }
 
 #[cfg(test)]
@@ -226,7 +242,7 @@ mod tests {
     use clusterkv_model::policy::observe_prompt as prefill;
 
     fn select(s: &mut InfiniGenSelector, query: &[f32], n: usize, budget: usize) -> Vec<usize> {
-        s.plan(SelectionRequest::new(query, n, Budget::new(budget)))
+        s.plan(0, SelectionRequest::new(query, n, Budget::new(budget)))
             .indices
     }
 
@@ -308,14 +324,14 @@ mod tests {
         let mut infinigen = InfiniGenSelector::new(0.25, 8);
         prefill(&mut infinigen, &random_keys(100, 8, 6));
         let q = gaussian_vec(&mut seeded(7), 8, 0.0, 1.0);
-        let first = infinigen.plan(SelectionRequest::new(&q, 100, Budget::new(10)));
+        let first = infinigen.plan(0, SelectionRequest::new(&q, 100, Budget::new(10)));
         assert_eq!(first.stats.scored_vectors, 100, "O(L) per-call scoring");
         let key = gaussian_vec(&mut seeded(8), 8, 0.0, 1.0);
         infinigen.observe(ObserveEvent::Append {
             position: 100,
             key: &key,
         });
-        let second = infinigen.plan(SelectionRequest::new(&q, 101, Budget::new(10)));
+        let second = infinigen.plan(0, SelectionRequest::new(&q, 101, Budget::new(10)));
         assert_eq!(
             second.stats.scored_vectors, 101,
             "cost grows with the context"
@@ -347,7 +363,7 @@ mod tests {
         let mut infinigen = InfiniGenSelector::new(0.5, 8);
         prefill(&mut infinigen, &random_keys(32, 8, 11));
         let q = gaussian_vec(&mut seeded(12), 8, 0.0, 1.0);
-        let plan = infinigen.plan(SelectionRequest::new(&q, 32, Budget::new(6)));
+        let plan = infinigen.plan(0, SelectionRequest::new(&q, 32, Budget::new(6)));
         let KvResidency::Paged(pages) = &plan.residency else {
             panic!(
                 "InfiniGen selections must be paged, got {:?}",

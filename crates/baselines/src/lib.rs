@@ -11,8 +11,6 @@
 //!   using low-rank (SVD-derived) partial queries and keys.
 //! * [`h2o`] — H2O (NeurIPS'23): non-recallable eviction keeping "heavy
 //!   hitter" tokens with the largest accumulated attention weights.
-//! * [`streaming`] — StreamingLLM (ICLR'24): attention sinks plus a sliding
-//!   window of recent tokens (non-recallable, position-based).
 //!
 //! The [`BaselineKind`] enum provides a uniform way for the benchmark
 //! harness to enumerate methods.
@@ -22,12 +20,10 @@
 pub mod h2o;
 pub mod infinigen;
 pub mod quest;
-pub mod streaming;
 
 pub use h2o::{H2oFactory, H2oSelector};
 pub use infinigen::{InfiniGenFactory, InfiniGenSelector};
 pub use quest::{QuestFactory, QuestSelector};
-pub use streaming::{StreamingFactory, StreamingSelector};
 
 use clusterkv_model::policy::SelectorFactory;
 use serde::{Deserialize, Serialize};
@@ -44,18 +40,15 @@ pub enum BaselineKind {
     InfiniGen,
     /// H2O heavy-hitter eviction (non-recallable).
     H2o,
-    /// StreamingLLM sinks + sliding window (non-recallable).
-    StreamingLlm,
 }
 
 impl BaselineKind {
     /// All baselines, in the order used in experiment tables.
-    pub fn all() -> [BaselineKind; 5] {
+    pub fn all() -> [BaselineKind; 4] {
         [
             BaselineKind::Quest,
             BaselineKind::InfiniGen,
             BaselineKind::H2o,
-            BaselineKind::StreamingLlm,
             BaselineKind::FullKv,
         ]
     }
@@ -68,7 +61,6 @@ impl BaselineKind {
             BaselineKind::Quest => Box::new(QuestFactory::default()),
             BaselineKind::InfiniGen => Box::new(InfiniGenFactory::default()),
             BaselineKind::H2o => Box::new(H2oFactory::default()),
-            BaselineKind::StreamingLlm => Box::new(StreamingFactory::default()),
         }
     }
 
@@ -79,7 +71,6 @@ impl BaselineKind {
             BaselineKind::Quest => "Quest",
             BaselineKind::InfiniGen => "InfiniGen",
             BaselineKind::H2o => "H2O",
-            BaselineKind::StreamingLlm => "StreamingLLM",
         }
     }
 }
@@ -118,7 +109,7 @@ mod tests {
                 position: 64,
                 key: &key,
             });
-            let plan = sel.plan(SelectionRequest::new(&q, 65, Budget::new(16)));
+            let plan = sel.plan(0, SelectionRequest::new(&q, 65, Budget::new(16)));
             let out = &plan.indices;
             assert!(!out.is_empty(), "{kind} selected nothing");
             assert!(out.iter().all(|&t| t < 65), "{kind} selected out of range");
@@ -133,6 +124,6 @@ mod tests {
     fn display_matches_paper_names() {
         assert_eq!(BaselineKind::Quest.to_string(), "Quest");
         assert_eq!(BaselineKind::FullKv.to_string(), "Full KV");
-        assert_eq!(BaselineKind::all().len(), 5);
+        assert_eq!(BaselineKind::all().len(), 4);
     }
 }

@@ -47,7 +47,8 @@ impl PageMeta {
     }
 }
 
-/// Quest selection state for one attention head.
+/// Quest selection state for one KV head: its page metadata depends on the
+/// keys alone, so one instance serves every query head of the group.
 #[derive(Debug, Clone)]
 pub struct QuestSelector {
     page_size: usize,
@@ -63,7 +64,9 @@ impl QuestSelector {
     ///
     /// Panics if `page_size` is zero.
     pub fn new(page_size: usize, head_dim: usize) -> Self {
-        assert!(page_size > 0, "page_size must be > 0");
+        if let Err(msg) = validate_page_size(page_size) {
+            panic!("{msg}");
+        }
         Self {
             page_size,
             head_dim,
@@ -138,7 +141,7 @@ impl TokenSelector for QuestSelector {
         }
     }
 
-    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+    fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
         let n = request.num_tokens.min(self.num_tokens);
         if request.budget.covers(n) {
             return SelectionPlan::full(n);
@@ -182,6 +185,14 @@ impl TokenSelector for QuestSelector {
     }
 }
 
+/// Quest's one configuration constraint: pages hold at least one token.
+fn validate_page_size(page_size: usize) -> Result<(), String> {
+    if page_size == 0 {
+        return Err("Quest page_size must be > 0".into());
+    }
+    Ok(())
+}
+
 /// Factory for [`QuestSelector`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct QuestFactory {
@@ -211,6 +222,10 @@ impl SelectorFactory for QuestFactory {
 
     fn create(&self, ctx: HeadContext) -> Box<dyn TokenSelector> {
         Box::new(QuestSelector::new(self.page_size, ctx.head_dim))
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate_page_size(self.page_size)
     }
 }
 
@@ -261,7 +276,7 @@ mod tests {
             v
         };
         let out = q
-            .plan(SelectionRequest::new(&query, 20, Budget::new(4)))
+            .plan(0, SelectionRequest::new(&query, 20, Budget::new(4)))
             .indices;
         assert_eq!(out.len(), 4);
         assert!(
@@ -297,7 +312,7 @@ mod tests {
         let mut query = vec![0.0; dim];
         query[0] = 1.0;
         let out = q
-            .plan(SelectionRequest::new(&query, 64, Budget::new(8)))
+            .plan(0, SelectionRequest::new(&query, 64, Budget::new(8)))
             .indices;
         assert_eq!(out.len(), 8);
         assert!(out.contains(&3));
@@ -311,7 +326,7 @@ mod tests {
     fn budget_covering_context_returns_all() {
         let mut q = QuestSelector::new(4, 8);
         prefill(&mut q, &keys_with_hot_token(6, 8, 1));
-        let plan = q.plan(SelectionRequest::new(&[1.0; 8], 6, Budget::new(16)));
+        let plan = q.plan(0, SelectionRequest::new(&[1.0; 8], 6, Budget::new(16)));
         assert_eq!(plan.indices, (0..6).collect::<Vec<_>>());
         assert_eq!(
             plan.stats.scored_vectors, 0,
@@ -323,9 +338,9 @@ mod tests {
     fn plan_stats_count_scored_pages_per_call() {
         let mut q = QuestSelector::new(4, 8);
         prefill(&mut q, &keys_with_hot_token(32, 8, 0));
-        let first = q.plan(SelectionRequest::new(&[1.0; 8], 32, Budget::new(4)));
+        let first = q.plan(0, SelectionRequest::new(&[1.0; 8], 32, Budget::new(4)));
         assert_eq!(first.stats.scored_vectors, 8); // 32 tokens / page 4
-        let second = q.plan(SelectionRequest::new(&[1.0; 8], 32, Budget::new(4)));
+        let second = q.plan(0, SelectionRequest::new(&[1.0; 8], 32, Budget::new(4)));
         assert_eq!(
             second.stats.scored_vectors, 8,
             "stats are per call, not cumulative"
@@ -338,7 +353,7 @@ mod tests {
         prefill(&mut q, &keys_with_hot_token(20, 8, 9));
         let mut query = vec![0.0; 8];
         query[0] = 1.0;
-        let plan = q.plan(SelectionRequest::new(&query, 20, Budget::new(6)));
+        let plan = q.plan(0, SelectionRequest::new(&query, 20, Budget::new(6)));
         let KvResidency::Paged(pages) = &plan.residency else {
             panic!("Quest selections must be paged, got {:?}", plan.residency);
         };

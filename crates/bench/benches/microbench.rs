@@ -78,7 +78,9 @@ fn bench_quest_selection(c: &mut Criterion) {
     observe_prompt(selector.as_mut(), &keys);
     let query = gaussian_vec(&mut seeded(19), 64, 0.0, 1.0);
     group.bench_function("page_scoring_8k", |b| {
-        b.iter(|| black_box(selector.plan(SelectionRequest::new(&query, len, Budget::new(1024)))))
+        b.iter(|| {
+            black_box(selector.plan(0, SelectionRequest::new(&query, len, Budget::new(1024))))
+        })
     });
     group.finish();
 }

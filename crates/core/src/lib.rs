@@ -24,7 +24,7 @@
 //! * [`selection`] — greedy cluster selection under a token budget with
 //!   trimming of the last cluster (§III-C, §IV-C).
 //! * [`policy`] — [`ClusterKvSelector`], the
-//!   [`TokenSelector`](clusterkv_model::TokenSelector) implementation that
+//!   [`TokenSelector`](clusterkv_model::TokenSelector) of one KV head that
 //!   plugs into the inference engine, and its factory.
 //!
 //! The cluster-granularity GPU cache of §IV-D lives in `clusterkv-kvcache`
@@ -79,7 +79,7 @@ pub use config::ClusterKvConfig;
 pub use distance::DistanceMetric;
 pub use kmeans::{assign_labels, assign_labels_reference, KMeans};
 pub use metadata::ClusterMetadata;
-pub use policy::{ClusterIndex, ClusterKvFactory, ClusterKvSelector};
+pub use policy::{ClusterKvFactory, ClusterKvSelector};
 pub use selection::{
     fill_selection_ws, lookahead_clusters_ws, select_clusters, select_clusters_ws, SelectionFill,
     SelectionResult,

@@ -1,18 +1,17 @@
 //! The ClusterKV selection policy, pluggable into the serving engine.
 //!
 //! Keys exist per KV head, so that is the unit of clustering state:
-//! [`ClusterIndex`] is the semantic index of one KV head — semantic
+//! [`ClusterKvSelector`] is the semantic index of one KV head — semantic
 //! clustering at prefill, incremental clustering during decoding (Fig. 5) —
-//! observed once per key event and read by every query head of the GQA
-//! group, each ranking the centroids against its own query with its own
-//! scratch. [`ClusterKvSelector`] is the group of one: an index plus one
-//! scratch workspace, what single-head harnesses drive. Every plan returns
-//! the selected token indices, the selection work of exactly that call
-//! (centroids scored) and the selection's cluster-granularity page
-//! decomposition; the *residency* outcome (which clusters hit the GPU cache
-//! vs. required a PCIe recall) is resolved by whoever owns the session's
-//! tiered [`ClusterCache`](clusterkv_kvcache::cluster_cache::ClusterCache) —
-//! the serving engine or the episode harness (DESIGN.md §3).
+//! observed once per key event and planned against by every query head of
+//! the GQA group in turn, each ranking the centroids against its own query
+//! in the selector's one scratch workspace. Every plan returns the selected
+//! token indices, the selection work of exactly that call (centroids
+//! scored) and the selection's cluster-granularity page decomposition; the
+//! *residency* outcome (which clusters hit the GPU cache vs. required a
+//! PCIe recall) is resolved by whoever owns the session's tiered
+//! [`ClusterCache`](clusterkv_kvcache::cluster_cache::ClusterCache) — the
+//! serving engine or the episode harness (DESIGN.md §3).
 
 use crate::clustering::{PrefillClusters, SemanticClustering};
 use crate::config::ClusterKvConfig;
@@ -21,18 +20,19 @@ use crate::selection::{fill_selection_ws, lookahead_clusters_ws};
 use clusterkv_kvcache::cluster_cache::PageRequest;
 use clusterkv_kvcache::types::Bytes;
 use clusterkv_model::policy::{
-    GroupIndex, HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionPlan,
-    SelectionRequest, SelectorFactory, SelectorGroup, SharedPrefixState, TokenSelector,
+    HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionPlan, SelectionRequest,
+    SelectorFactory, SharedPrefixState, TokenSelector,
 };
 use clusterkv_tensor::kernels::{norm_sq, Workspace};
 use clusterkv_tensor::rng::derive_seed;
 use clusterkv_tensor::Matrix;
 use std::sync::Arc;
 
-/// The semantic index of one KV head: its clustering state plus the prompt
-/// keys still awaiting the prefill clustering pass.
+/// ClusterKV over one KV head: its clustering state, the prompt keys still
+/// awaiting the prefill clustering pass, and the scratch every query head
+/// of the group plans in.
 #[derive(Debug, Clone)]
-pub struct ClusterIndex {
+pub struct ClusterKvSelector {
     clustering: SemanticClustering,
     /// Prompt keys accumulated across `PrefillChunk` events, clustered as a
     /// whole on `PrefillDone`. Semantic clustering is a global pass over the
@@ -46,15 +46,21 @@ pub struct ClusterIndex {
     /// Squared norms `‖x‖²` of `chunk_buffer`'s rows, maintained per chunk
     /// so the reconcile-time clustering pass starts from cached norms.
     chunk_norms: Vec<f32>,
+    /// Scratch reused by every plan and hint, whichever head of the group
+    /// asks (centroid scores, rankings): after the first decode step the
+    /// selection phase allocates nothing. Nothing a plan depends on is left
+    /// behind in it.
+    ws: Workspace,
 }
 
-impl ClusterIndex {
-    /// Create the index of a KV head of dimension `head_dim`.
+impl ClusterKvSelector {
+    /// Create the selector of a KV head of dimension `head_dim`.
     pub fn new(config: ClusterKvConfig, head_dim: usize) -> Self {
         Self {
             clustering: SemanticClustering::new(config, head_dim),
             chunk_buffer: Matrix::zeros(0, head_dim),
             chunk_norms: Vec::new(),
+            ws: Workspace::new(),
         }
     }
 
@@ -69,11 +75,17 @@ impl ClusterIndex {
         &self.chunk_norms
     }
 
-    /// Fingerprint of everything that determines this index's post-prefill
+    /// Heap bytes currently held by this selector's scratch workspace
+    /// (stable across steady-state decode steps; see DESIGN.md §6).
+    pub fn workspace_bytes(&self) -> usize {
+        self.ws.allocated_bytes()
+    }
+
+    /// Fingerprint of everything that determines this selector's post-prefill
     /// clustering state besides the prompt keys themselves: every
     /// [`ClusterKvConfig`] field (the seed included — the factory derives it
     /// from `(layer, kv_head)`, so adoption across KV heads or layers is
-    /// structurally impossible) and the head dimension. Two indexes with
+    /// structurally impossible) and the head dimension. Two selectors with
     /// equal fingerprints fed byte-identical prompt keys reconcile to
     /// byte-identical clustering state, which is exactly the precondition
     /// for sharing that state through the prefix store (DESIGN.md §8).
@@ -104,15 +116,18 @@ impl ClusterIndex {
     /// One cluster-granularity page per id in `clusters`, each sized to the
     /// whole cluster. Under a lossy compression config the pages are recalled
     /// through the compressed tier (DESIGN.md §9) and the engine reads their
-    /// memberships through [`page_members`](GroupIndex::page_members);
+    /// memberships through [`page_members`](TokenSelector::page_members);
     /// lossless configs keep the recall-exact `Paged` residency and its
     /// byte-parity guarantee.
-    fn residency_of(&self, clusters: impl Iterator<Item = usize>) -> KvResidency {
-        let metadata = self.clustering.metadata();
+    fn residency_of(
+        clustering: &SemanticClustering,
+        clusters: impl Iterator<Item = usize>,
+    ) -> KvResidency {
+        let metadata = clustering.metadata();
         let pages = clusters
             .map(|c| PageRequest::new(c, metadata.cluster_size(c)))
             .collect();
-        if self.clustering.config().compression.is_lossless() {
+        if clustering.config().compression.is_lossless() {
             KvResidency::Paged(pages)
         } else {
             KvResidency::Compressed(pages)
@@ -120,7 +135,11 @@ impl ClusterIndex {
     }
 }
 
-impl GroupIndex for ClusterIndex {
+impl TokenSelector for ClusterKvSelector {
+    fn name(&self) -> &str {
+        "ClusterKV"
+    }
+
     fn observe(&mut self, event: ObserveEvent<'_>) {
         match event {
             ObserveEvent::PrefillChunk { start, keys } => {
@@ -152,12 +171,13 @@ impl GroupIndex for ClusterIndex {
         }
     }
 
-    fn plan(&self, request: SelectionRequest<'_>, scratch: &mut Workspace) -> SelectionPlan {
+    fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
         // When the whole context fits in the budget, compression is a no-op.
         if request.budget.covers(request.num_tokens) {
             return SelectionPlan::full(request.num_tokens);
         }
 
+        let scratch = &mut self.ws;
         let fill = fill_selection_ws(request.query, &self.clustering, request.budget, scratch);
         // The plan owns two buffers whatever the budget or the cluster
         // count: the token positions (with one spare slot, because the
@@ -169,15 +189,15 @@ impl GroupIndex for ClusterIndex {
             scored_vectors: fill.scored_centroids as u64,
             ..PolicyStats::default()
         });
-        plan.residency = self.residency_of(scratch.labels.iter().copied());
+        plan.residency = Self::residency_of(&self.clustering, scratch.labels.iter().copied());
         plan
     }
 
     fn prefetch_hint(
-        &self,
+        &mut self,
+        _head: usize,
         request: SelectionRequest<'_>,
         lookahead_tokens: usize,
-        scratch: &mut Workspace,
     ) -> Vec<PageRequest> {
         // Contexts the budget covers never page, so there is nothing worth
         // staging.
@@ -191,17 +211,17 @@ impl GroupIndex for ClusterIndex {
             &self.clustering,
             request.budget,
             lookahead_tokens,
-            scratch,
+            &mut self.ws,
         );
         let metadata = self.clustering.metadata();
-        scratch.labels[..nominated]
+        self.ws.labels[..nominated]
             .iter()
             .map(|&c| PageRequest::new(c, metadata.cluster_size(c)))
             .collect()
     }
 
     fn page_table(&self) -> KvResidency {
-        self.residency_of(0..self.clustering.num_clusters())
+        Self::residency_of(&self.clustering, 0..self.clustering.num_clusters())
     }
 
     fn page_members(&self, page: usize) -> &[usize] {
@@ -216,7 +236,7 @@ impl GroupIndex for ClusterIndex {
     }
 
     fn export_prefill_state(&self) -> Option<SharedPrefixState> {
-        // Only a reconciled index has anything worth sharing: mid-prefill
+        // Only a reconciled selector has anything worth sharing: mid-prefill
         // the clustering is empty and the keys sit in the chunk buffer.
         if self.chunk_buffer.rows() > 0 {
             return None;
@@ -251,77 +271,9 @@ impl GroupIndex for ClusterIndex {
     }
 }
 
-/// ClusterKV for a single attention head on its own: a [`ClusterIndex`] and
-/// the one scratch workspace that plans against it.
-#[derive(Debug, Clone)]
-pub struct ClusterKvSelector {
-    index: ClusterIndex,
-    /// Scratch reused by every `plan` call (centroid scores, rankings):
-    /// after the first decode step the selection phase allocates nothing.
-    ws: Workspace,
-}
-
-impl ClusterKvSelector {
-    /// Create a selector for a head of dimension `head_dim`.
-    pub fn new(config: ClusterKvConfig, head_dim: usize) -> Self {
-        Self {
-            index: ClusterIndex::new(config, head_dim),
-            ws: Workspace::new(),
-        }
-    }
-
-    /// The head's semantic index.
-    pub fn index(&self) -> &ClusterIndex {
-        &self.index
-    }
-
-    /// The clustering state (centroids, metadata, sinks, pending tokens).
-    pub fn clustering(&self) -> &SemanticClustering {
-        self.index.clustering()
-    }
-
-    /// Heap bytes currently held by this selector's scratch workspace
-    /// (stable across steady-state decode steps; see DESIGN.md §6).
-    pub fn workspace_bytes(&self) -> usize {
-        self.ws.allocated_bytes()
-    }
-}
-
-impl TokenSelector for ClusterKvSelector {
-    fn name(&self) -> &str {
-        "ClusterKV"
-    }
-
-    fn observe(&mut self, event: ObserveEvent<'_>) {
-        self.index.observe(event);
-    }
-
-    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
-        self.index.plan(request, &mut self.ws)
-    }
-
-    fn prefetch_hint(
-        &mut self,
-        request: SelectionRequest<'_>,
-        lookahead_tokens: usize,
-    ) -> Vec<PageRequest> {
-        self.index
-            .prefetch_hint(request, lookahead_tokens, &mut self.ws)
-    }
-
-    fn page_table(&self) -> KvResidency {
-        self.index.page_table()
-    }
-
-    fn page_members(&self, page: usize) -> &[usize] {
-        self.index.page_members(page)
-    }
-}
-
-/// Factory creating one [`ClusterIndex`] per `(layer, kv_head)`, with seeds
-/// derived from the configured seed so clustering initialisation differs
-/// across KV heads but stays reproducible. A GQA group gets the one index
-/// of its KV head; a lone head gets it wrapped in a [`ClusterKvSelector`].
+/// Factory creating one [`ClusterKvSelector`] per `(layer, kv_head)`, with
+/// seeds derived from the configured seed so clustering initialisation
+/// differs across KV heads but stays reproducible.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterKvFactory {
     config: ClusterKvConfig,
@@ -333,12 +285,12 @@ impl ClusterKvFactory {
         Self { config }
     }
 
-    /// The configuration used for every created index.
+    /// The configuration used for every created selector.
     pub fn config(&self) -> &ClusterKvConfig {
         &self.config
     }
 
-    /// The configuration of the index over `ctx`'s KV head.
+    /// The configuration of the selector over `ctx`'s KV head.
     fn config_for(&self, ctx: HeadContext) -> ClusterKvConfig {
         let seed = derive_seed(
             self.config.seed,
@@ -363,9 +315,8 @@ impl SelectorFactory for ClusterKvFactory {
         Box::new(ClusterKvSelector::new(self.config_for(ctx), ctx.head_dim))
     }
 
-    fn create_group(&self, ctx: HeadContext) -> SelectorGroup {
-        let index = ClusterIndex::new(self.config_for(ctx), ctx.head_dim);
-        SelectorGroup::shared(Box::new(index), ctx.group_size)
+    fn validate(&self) -> Result<(), String> {
+        self.config.validate()
     }
 }
 
@@ -400,7 +351,7 @@ mod tests {
     fn small_context_bypasses_selection() {
         let mut sel = ClusterKvSelector::new(test_config(), 8);
         observe_prefill(&mut sel, &prefill_keys(10, 8, 1));
-        let plan = sel.plan(SelectionRequest::new(&[0.0; 8], 10, Budget::new(64)));
+        let plan = sel.plan(0, SelectionRequest::new(&[0.0; 8], 10, Budget::new(64)));
         assert_eq!(plan.indices, (0..10).collect::<Vec<_>>());
         assert_eq!(plan.stats.scored_vectors, 0);
     }
@@ -410,7 +361,7 @@ mod tests {
         let mut sel = ClusterKvSelector::new(test_config(), 8);
         observe_prefill(&mut sel, &prefill_keys(80, 8, 2));
         let q = gaussian_vec(&mut seeded(3), 8, 0.0, 1.0);
-        let plan = sel.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
+        let plan = sel.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
         assert!(plan.len() <= 24);
         assert!(!plan.is_empty());
         let set: std::collections::HashSet<_> = plan.indices.iter().collect();
@@ -424,7 +375,7 @@ mod tests {
         let mut sel = ClusterKvSelector::new(test_config(), 8);
         observe_prefill(&mut sel, &prefill_keys(80, 8, 4));
         let q = gaussian_vec(&mut seeded(5), 8, 0.0, 1.0);
-        let plan = sel.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
+        let plan = sel.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
         let KvResidency::Paged(pages) = &plan.residency else {
             panic!(
                 "ClusterKV selections must be paged, got {:?}",
@@ -455,8 +406,8 @@ mod tests {
         observe_prefill(&mut lossy, &keys);
         observe_prefill(&mut exact, &keys);
         let q = gaussian_vec(&mut seeded(5), 8, 0.0, 1.0);
-        let lp = lossy.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
-        let ep = exact.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
+        let lp = lossy.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
+        let ep = exact.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
         // Compression never changes which tokens are selected, only how the
         // paged ones are recalled.
         assert_eq!(lp.indices, ep.indices);
@@ -485,10 +436,10 @@ mod tests {
         use clusterkv_kvcache::CompressionConfig;
         let cfg = test_config().with_compression(CompressionConfig::int4());
         let keys = prefill_keys(60, 8, 6);
-        let mut index = ClusterIndex::new(cfg, 8);
+        let mut index = ClusterKvSelector::new(cfg, 8);
         let mut last = (index.page_table_version(), index.page_table());
         let mut moves = 0;
-        let mut step = |index: &ClusterIndex| {
+        let mut step = |index: &ClusterKvSelector| {
             let now = (index.page_table_version(), index.page_table());
             assert!(now.0 >= last.0, "versions never decrease");
             assert_eq!(now.0 == last.0, now.1 == last.1);
@@ -512,10 +463,10 @@ mod tests {
         assert_eq!(moves, 3, "the prefill and two flushes");
 
         // An adopted prefill moves it like a clustered one.
-        let mut donor = ClusterIndex::new(cfg, 8);
+        let mut donor = ClusterKvSelector::new(cfg, 8);
         chunk_feed(&mut donor, &keys);
         donor.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
-        let mut adopter = ClusterIndex::new(cfg, 8);
+        let mut adopter = ClusterKvSelector::new(cfg, 8);
         let fresh = adopter.page_table_version();
         assert!(adopter.adopt_prefill_state(&donor.export_prefill_state().unwrap(), 60));
         assert_ne!(adopter.page_table_version(), fresh);
@@ -526,14 +477,14 @@ mod tests {
     fn compression_config_feeds_the_prefill_fingerprint() {
         use clusterkv_kvcache::CompressionConfig;
         let keys = prefill_keys(60, 8, 9);
-        let mut donor = ClusterIndex::new(test_config(), 8);
+        let mut donor = ClusterKvSelector::new(test_config(), 8);
         chunk_feed(&mut donor, &keys);
         donor.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
         let state = donor.export_prefill_state().unwrap();
         // A lossy index must not adopt lossless-fingerprinted state: the
         // two produce different residency plans downstream.
         let lossy_cfg = test_config().with_compression(CompressionConfig::int8());
-        let mut lossy = ClusterIndex::new(lossy_cfg, 8);
+        let mut lossy = ClusterKvSelector::new(lossy_cfg, 8);
         chunk_feed(&mut lossy, &keys);
         assert!(!lossy.adopt_prefill_state(&state, 60));
     }
@@ -548,7 +499,7 @@ mod tests {
         // Room for two steps' worth of selected clusters.
         let mut cache = ClusterCache::new(ClusterCacheConfig::for_recency_window(2, 24, 8));
 
-        let first = sel.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
+        let first = sel.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
         let KvResidency::Paged(pages) = &first.residency else {
             panic!("paged plan expected");
         };
@@ -557,7 +508,7 @@ mod tests {
         assert_eq!(cold.hit_tokens, 0, "cold cache has no hits");
 
         // The same query selects the same clusters, which are now resident.
-        let second = sel.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
+        let second = sel.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
         let KvResidency::Paged(pages) = &second.residency else {
             panic!("paged plan expected");
         };
@@ -572,8 +523,8 @@ mod tests {
         let mut sel = ClusterKvSelector::new(test_config(), 8);
         observe_prefill(&mut sel, &prefill_keys(80, 8, 2));
         let q = gaussian_vec(&mut seeded(3), 8, 0.0, 1.0);
-        let before = sel.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
-        let hint = sel.prefetch_hint(SelectionRequest::new(&q, 80, Budget::new(24)), 16);
+        let before = sel.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
+        let hint = sel.prefetch_hint(0, SelectionRequest::new(&q, 80, Budget::new(24)), 16);
         assert!(!hint.is_empty());
         let metadata = sel.clustering().metadata();
         for p in &hint {
@@ -588,11 +539,11 @@ mod tests {
             assert!(hint.contains(p), "hint must cover selected page {p:?}");
         }
         // Scratch-only: the next plan is unchanged by the hint.
-        let after = sel.plan(SelectionRequest::new(&q, 80, Budget::new(24)));
+        let after = sel.plan(0, SelectionRequest::new(&q, 80, Budget::new(24)));
         assert_eq!(before, after);
         // Covered contexts never page, so there is nothing to stage.
         assert!(sel
-            .prefetch_hint(SelectionRequest::new(&q, 80, Budget::new(128)), 16)
+            .prefetch_hint(0, SelectionRequest::new(&q, 80, Budget::new(128)), 16)
             .is_empty());
     }
 
@@ -612,7 +563,7 @@ mod tests {
         assert_eq!(sel.clustering().num_clusters(), clusters_before + 2);
         // Newly clustered decode tokens are selectable.
         let q = gaussian_vec(&mut rng, 8, 0.0, 1.0);
-        let plan = sel.plan(SelectionRequest::new(&q, 48, Budget::new(20)));
+        let plan = sel.plan(0, SelectionRequest::new(&q, 48, Budget::new(20)));
         assert!(plan.len() <= 20);
     }
 
@@ -631,15 +582,15 @@ mod tests {
             });
             start += len;
             // Mid-prefill the chunk-norm cache tracks the buffer exactly.
-            assert_eq!(sel.index().chunk_norms().len(), start);
-            for (i, &n) in sel.index().chunk_norms().iter().enumerate() {
+            assert_eq!(sel.chunk_norms().len(), start);
+            for (i, &n) in sel.chunk_norms().iter().enumerate() {
                 assert_eq!(n, clusterkv_tensor::kernels::norm_sq(full.row(i)));
             }
         }
         sel.observe(ObserveEvent::PrefillDone { total_tokens: 30 });
         // Reconciliation drains the cache into the clustering pass and the
         // resulting centroid-norm cache matches recomputation.
-        assert!(sel.index().chunk_norms().is_empty());
+        assert!(sel.chunk_norms().is_empty());
         let sc = sel.clustering();
         for (c, row) in sc.centroids().iter_rows().enumerate() {
             assert_eq!(
@@ -661,12 +612,12 @@ mod tests {
         let mut rng = seeded(13);
         // Warm-up step sizes the buffers.
         let q = gaussian_vec(&mut rng, 8, 0.0, 1.0);
-        let _ = sel.plan(SelectionRequest::new(&q, 120, Budget::new(24)));
+        let _ = sel.plan(0, SelectionRequest::new(&q, 120, Budget::new(24)));
         let warm = sel.workspace_bytes();
         assert!(warm > 0);
         for _ in 0..20 {
             let q = gaussian_vec(&mut rng, 8, 0.0, 1.0);
-            let _ = sel.plan(SelectionRequest::new(&q, 120, Budget::new(24)));
+            let _ = sel.plan(0, SelectionRequest::new(&q, 120, Budget::new(24)));
         }
         assert_eq!(
             sel.workspace_bytes(),
@@ -711,43 +662,34 @@ mod tests {
     #[test]
     fn a_group_plans_every_head_against_one_index() {
         let factory = ClusterKvFactory::new(test_config());
-        let mut group = factory.create_group(HeadContext {
+        let mut group = factory.create(HeadContext {
             layer: 1,
             head: 4,
             head_dim: 8,
             kv_head: 1,
             group_size: 4,
         });
-        assert_eq!(group.group_size(), 4);
         let keys = prefill_keys(80, 8, 2);
-        group.observe(ObserveEvent::PrefillChunk {
-            start: 0,
-            keys: &keys,
-        });
-        group.observe(ObserveEvent::PrefillDone { total_tokens: 80 });
+        observe_prefill(group.as_mut(), &keys);
         // A lone selector with the KV head's seed is the reference: one
         // clustering, whichever head of the group asks.
         let mut lone = factory.create(HeadContext::mha(1, 1, 8));
         observe_prefill(lone.as_mut(), &keys);
-        let SelectorGroup::Shared { scratch, .. } = &group else {
-            panic!("ClusterKV groups share one index");
-        };
-        assert_eq!(scratch.len(), 4, "one planner scratch per query head");
         let mut rng = seeded(3);
         let queries: Vec<Vec<f32>> = (0..4)
             .map(|_| gaussian_vec(&mut rng, 8, 0.0, 1.0))
             .collect();
         let mut plans = Vec::new();
-        for (mut head, q) in group.heads().zip(&queries) {
+        for (head, q) in queries.iter().enumerate() {
             let request = SelectionRequest::new(q, 80, Budget::new(24));
-            let plan = head.plan(request);
-            assert_eq!(plan, lone.plan(request), "same index, same plan");
+            let plan = group.plan(head, request);
+            assert_eq!(plan, lone.plan(0, request), "same index, same plan");
             for page in plan.residency.page_requests().unwrap() {
-                assert_eq!(head.page_members(page.page), lone.page_members(page.page));
+                assert_eq!(group.page_members(page.page), lone.page_members(page.page));
             }
             assert_eq!(
-                head.prefetch_hint(request, 16),
-                lone.prefetch_hint(request, 16)
+                group.prefetch_hint(head, request, 16),
+                lone.prefetch_hint(0, request, 16)
             );
             plans.push(plan.indices);
         }
@@ -755,9 +697,7 @@ mod tests {
             plans.iter().any(|p| p != &plans[0]),
             "heads rank the shared centroids by their own queries"
         );
-        for head in 0..4 {
-            assert_eq!(group.page_table(head), lone.page_table());
-        }
+        assert_eq!(group.page_table(), lone.page_table());
     }
 
     #[test]
@@ -814,7 +754,7 @@ mod tests {
         engine.release(b).unwrap();
     }
 
-    fn chunk_feed(index: &mut ClusterIndex, keys: &Matrix) {
+    fn chunk_feed(index: &mut ClusterKvSelector, keys: &Matrix) {
         index.observe(ObserveEvent::PrefillChunk { start: 0, keys });
     }
 
@@ -867,7 +807,7 @@ mod tests {
     #[test]
     fn exported_prefill_state_adopts_byte_identically() {
         let keys = prefill_keys(60, 8, 9);
-        let mut donor = ClusterIndex::new(test_config(), 8);
+        let mut donor = ClusterKvSelector::new(test_config(), 8);
         assert!(
             donor.export_prefill_state().is_none(),
             "nothing to export before reconcile"
@@ -889,7 +829,7 @@ mod tests {
         );
 
         // The adopter buffered the same chunks but skips its own reconcile.
-        let mut adopter = ClusterIndex::new(test_config(), 8);
+        let mut adopter = ClusterKvSelector::new(test_config(), 8);
         chunk_feed(&mut adopter, &keys);
         assert!(adopter.adopt_prefill_state(&state, 60));
         assert_eq!(adopter.chunk_norms().len(), 0, "buffers dropped");
@@ -912,7 +852,6 @@ mod tests {
         );
         // Identical plans follow from identical state, and both keep
         // clustering decode keys identically afterwards.
-        let mut ws = Workspace::new();
         let mut rng = seeded(13);
         for step in 0..10 {
             let key = gaussian_vec(&mut rng, 8, 0.0, 1.0);
@@ -924,7 +863,7 @@ mod tests {
             }
             let q = gaussian_vec(&mut rng, 8, 0.0, 1.0);
             let request = SelectionRequest::new(&q, 61 + step, Budget::new(24));
-            assert_eq!(adopter.plan(request, &mut ws), donor.plan(request, &mut ws));
+            assert_eq!(adopter.plan(0, request), donor.plan(0, request));
         }
         assert_eq!(adopter.clustering().incremental_runs(), 1);
         assert!(
@@ -937,7 +876,7 @@ mod tests {
     fn adoption_rejects_mismatched_state() {
         let factory = ClusterKvFactory::new(test_config());
         let index_at = |layer, kv_head| {
-            ClusterIndex::new(
+            ClusterKvSelector::new(
                 factory.config_for(HeadContext {
                     layer,
                     head: kv_head * 4,

@@ -9,14 +9,13 @@
 //!   decision is a pure function of `(seed, site, step)`: no wall clock, no
 //!   global RNG, no state. Two runs with the same plan inject exactly the
 //!   same faults at exactly the same points, at any thread count.
-//! * [`Fnv64`] / [`fnv1a64`] — a hand-rolled FNV-1a page checksum. Each
+//! * [`Fnv64`] — a hand-rolled FNV-1a page checksum. Each
 //!   absorption step `h ← (h ⊕ b) · prime` is a bijection of the state for a
 //!   fixed byte and injective in the byte for a fixed state, so flipping any
 //!   single byte of a page is *guaranteed* to change the checksum — the
 //!   property the detect-and-repair machinery (and its proptest) leans on.
 //! * [`IntegrityStats`] — per-session counters for injected/detected/
-//!   repaired corruptions and retried transfers, with the repo's NaN-guarded
-//!   ratio-accessor convention.
+//!   repaired corruptions and retried transfers.
 //!
 //! The cardinal invariant, shared with every other subsystem here: faults
 //! may move **bytes and time**, never **what attends**. Injected corruption
@@ -99,20 +98,6 @@ impl Default for Fnv64 {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// One-shot FNV-1a 64 over a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// One-shot FNV-1a 64 over the bit patterns of an `f32` slice.
-pub fn fnv1a64_f32(values: &[f32]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_f32s(values);
-    h.finish()
 }
 
 // ------------------------------------------------------------ fault sites
@@ -467,26 +452,6 @@ impl IntegrityStats {
             .saturating_sub(self.corruptions_detected)
     }
 
-    /// Fraction of injected corruptions detected, in `[0, 1]`; `0.0` when
-    /// nothing was injected (never NaN).
-    pub fn detection_rate(&self) -> f64 {
-        if self.corruptions_injected == 0 {
-            0.0
-        } else {
-            self.corruptions_detected as f64 / self.corruptions_injected as f64
-        }
-    }
-
-    /// Fraction of detected corruptions repaired, in `[0, 1]`; `0.0` when
-    /// nothing was detected (never NaN).
-    pub fn repair_rate(&self) -> f64 {
-        if self.corruptions_detected == 0 {
-            0.0
-        } else {
-            self.corruptions_repaired as f64 / self.corruptions_detected as f64
-        }
-    }
-
     /// Merge another set of statistics into this one.
     pub fn merge(&mut self, other: &IntegrityStats) {
         self.corruptions_injected += other.corruptions_injected;
@@ -518,6 +483,20 @@ impl std::fmt::Display for IntegrityStats {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// FNV-1a 64 of `bytes` in one write.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_bytes(bytes);
+        h.finish()
+    }
+
+    /// FNV-1a 64 of the bit patterns of `values` in one write.
+    fn fnv1a64_f32(values: &[f32]) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_f32s(values);
+        h.finish()
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -668,11 +647,7 @@ mod tests {
     #[test]
     fn integrity_accessors_guard_empty_reports() {
         let s = IntegrityStats::new();
-        assert_eq!(s.detection_rate(), 0.0);
-        assert_eq!(s.repair_rate(), 0.0);
         assert_eq!(s.silent_corruptions(), 0);
-        assert!(!s.detection_rate().is_nan());
-        assert!(!s.repair_rate().is_nan());
     }
 
     #[test]
@@ -694,8 +669,6 @@ mod tests {
         assert_eq!(a.retried_bytes, 192);
         assert_eq!(a.verifications, 1);
         assert!((a.backoff_seconds - 3e-3).abs() < 1e-12);
-        assert_eq!(a.detection_rate(), 0.5);
-        assert_eq!(a.repair_rate(), 1.0);
         assert!(a.to_string().contains("injected=2"));
     }
 
@@ -750,8 +723,8 @@ mod tests {
         }
 
         // Checksum round-trip: hashing is a pure function of the value
-        // bits (re-hash == hash), the streaming hasher agrees with the
-        // one-shot helper, and flipping any single bit of any element is
+        // bits (re-hash == hash), value-at-a-time writes agree with one
+        // write of the whole slice, and flipping any single bit of any element is
         // always detected. Single-bit detection is structural for FNV-1a:
         // a bit flip changes exactly one input byte, and for equal-length
         // inputs differing in one byte the folds diverge at that byte and

@@ -372,11 +372,6 @@ impl ClusterCache {
             .count()
     }
 
-    /// Bytes of the GPU resident set currently held compressed.
-    pub fn compressed_resident_bytes(&self) -> Bytes {
-        self.gpu.compressed_bytes()
-    }
-
     /// Capacity of the speculative staging buffer (`0` disables staging).
     pub fn staging_capacity(&self) -> Bytes {
         self.staging_capacity
@@ -1218,7 +1213,7 @@ mod tests {
         c.access(L, H, &reqs(&[(2, 4)]));
         assert_eq!(c.compressed_pages(), 0);
         assert_eq!(c.compression_stats().demotions, 0);
-        assert_eq!(c.compressed_resident_bytes(), Bytes(0));
+        assert_eq!(c.gpu.compressed_bytes(), Bytes(0));
     }
 
     #[test]
@@ -1244,7 +1239,7 @@ mod tests {
         assert_eq!(c.resident_pages(), 3);
         assert_eq!(c.compressed_pages(), 2);
         assert_eq!(c.compression_stats().demotions, 2);
-        assert_eq!(c.compressed_resident_bytes(), Bytes(144));
+        assert_eq!(c.gpu.compressed_bytes(), Bytes(144));
         assert!((c.compression_stats().ratio() - 256.0 / 144.0).abs() < 1e-9);
         // Accessing the demoted page is a compressed hit: on GPU, no PCIe.
         let out = c.access(L, H, &reqs(&[(0, 4)]));

@@ -28,11 +28,6 @@ impl Seconds {
     pub fn get(self) -> f64 {
         self.0
     }
-
-    /// Convert to milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
 }
 
 impl std::ops::Add for Seconds {
@@ -153,12 +148,6 @@ impl DeviceModel {
         Seconds(self.kernel_overhead + bytes.get() as f64 / (self.pcie_bandwidth * self.efficiency))
     }
 
-    /// Time to execute `flops` floating point operations, assuming the
-    /// kernel is compute bound.
-    pub fn compute_time(&self, flops: f64) -> Seconds {
-        Seconds(self.kernel_overhead + flops / (self.peak_flops * self.efficiency))
-    }
-
     /// Time to read `bytes` of KV cache during attention, priced at the
     /// lower attention-kernel bandwidth efficiency.
     pub fn attention_read_time(&self, bytes: Bytes) -> Seconds {
@@ -201,7 +190,6 @@ mod tests {
         let total: Seconds = vec![Seconds(0.1); 10].into_iter().sum();
         assert!((total.get() - 1.0).abs() < 1e-9);
         assert!(((Seconds(2.0) * 3.0).get() - 6.0).abs() < 1e-12);
-        assert!((Seconds(1.5).as_millis() - 1500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -226,7 +214,7 @@ mod tests {
         assert!((mem_bound.get() - mem_only.get()).abs() / mem_only.get() < 0.01);
         // Tiny bytes, huge flops => compute bound.
         let cmp_bound = dev.roofline_time(Bytes(16), 1e15);
-        let cmp_only = dev.compute_time(1e15);
+        let cmp_only = Seconds(dev.kernel_overhead + 1e15 / (dev.peak_flops * dev.efficiency));
         assert!((cmp_bound.get() - cmp_only.get()).abs() / cmp_only.get() < 0.01);
     }
 

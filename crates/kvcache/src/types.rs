@@ -114,11 +114,6 @@ impl Bytes {
         Bytes(2 * n as u64)
     }
 
-    /// Bytes occupied by `n` f32 values.
-    pub fn of_f32(n: usize) -> Self {
-        Bytes(4 * n as u64)
-    }
-
     /// Raw byte count.
     pub fn get(self) -> u64 {
         self.0
@@ -190,8 +185,8 @@ mod tests {
 
     #[test]
     fn bytes_arithmetic_and_display() {
-        let b = Bytes::of_f16(1024) + Bytes::of_f32(256);
-        assert_eq!(b.get(), 2 * 1024 + 4 * 256);
+        let b = Bytes::of_f16(1024) + Bytes(256);
+        assert_eq!(b.get(), 2 * 1024 + 256);
         assert!(Bytes(3 * 1024 * 1024 * 1024).to_string().contains("GiB"));
         assert!(Bytes(5 * 1024 * 1024).to_string().contains("MiB"));
         assert!(Bytes(2048).to_string().contains("KiB"));

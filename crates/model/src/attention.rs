@@ -12,7 +12,7 @@
 
 use clusterkv_kvcache::compressed::CompressedPage;
 use clusterkv_kvcache::KvStore;
-use clusterkv_tensor::kernels::{attend_into, attention_weights_into, Workspace};
+use clusterkv_tensor::kernels::{attend_into, Workspace};
 use clusterkv_tensor::ops::{attention_weights, weighted_sum};
 
 /// Output of a single-head attention step.
@@ -180,15 +180,6 @@ pub fn attend_full(store: &KvStore, query: &[f32]) -> AttentionOutput {
     AttentionOutput { output, weights }
 }
 
-/// Exact attention weights of `query` over *all* tokens in the store into
-/// `ws.weights` (without computing the output, without an index vector and
-/// without allocating once warm). Used by importance traces and recall
-/// metrics, where only the weights matter.
-// analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
-pub fn full_attention_weights_ws(store: &KvStore, query: &[f32], ws: &mut Workspace) {
-    attention_weights_into(store.keys(), None, query, &mut ws.weights);
-}
-
 /// The pre-kernel-layer scalar attention pipeline (iterator logits via
 /// scalar `dot`, row-sequential `axpy` reduction), kept as the reference the
 /// blocked path is property-tested and speedup-gated against.
@@ -289,7 +280,6 @@ mod tests {
         let warm = ws.allocated_bytes();
         for _ in 0..10 {
             attend_selected_ws(&store, &q, &[3, 1, 0], &mut ws);
-            full_attention_weights_ws(&store, &q, &mut ws);
         }
         assert_eq!(ws.allocated_bytes(), warm, "workspace must not grow");
     }
@@ -341,19 +331,6 @@ mod tests {
         let (err_good, err_bad) = (error(&[0]), error(&[1]));
         assert!(err_good < err_bad);
         assert!(err_good < 0.1);
-    }
-
-    #[test]
-    fn full_attention_weights_match_attend_full() {
-        let store = store_with(
-            vec![vec![1.0, 0.5], vec![0.3, -0.2], vec![0.0, 1.0]],
-            vec![vec![0.0, 0.0]; 3],
-        );
-        let q = [0.7, -0.1];
-        let mut ws = Workspace::new();
-        full_attention_weights_ws(&store, &q, &mut ws);
-        let full = attend_full(&store, &q).weights;
-        assert_eq!(ws.weights, full, "both full paths share the same kernels");
     }
 
     mod compressed_recall {

@@ -10,9 +10,10 @@
 //! * [`rope`] — rotary position embeddings applied to queries and keys.
 //! * [`weights`] — deterministic synthetic weight generation.
 //! * [`policy`] — the [`TokenSelector`] trait that ClusterKV and every
-//!   baseline implement (request/plan shaped: [`SelectionRequest`] →
-//!   [`SelectionPlan`] carrying indices, stats and its
-//!   [`KvResidency`] paging), plus [`FullAttentionSelector`].
+//!   baseline implement, one instance per `(layer, kv_head)` planning for
+//!   each query head of its group (request/plan shaped:
+//!   [`SelectionRequest`] → [`SelectionPlan`] carrying indices, stats and
+//!   its [`KvResidency`] paging), plus [`FullAttentionSelector`].
 //! * [`attention`] — multi-head attention over a selected subset of the KV
 //!   cache.
 //! * [`serve`] — the serving engine: weights loaded once, N independent
@@ -40,8 +41,8 @@ pub mod weights;
 pub use config::{ModelConfig, ModelPreset};
 pub use latency::{DecodeStepBreakdown, InferenceBreakdown, LatencyModel};
 pub use policy::{
-    FullAttentionSelector, GroupIndex, KvResidency, ObserveEvent, PageRequest, PolicyStats,
-    SelectionPlan, SelectionRequest, SelectorFactory, SelectorGroup, TokenSelector,
+    FullAttentionSelector, KvResidency, ObserveEvent, PageRequest, PolicyStats, SelectionPlan,
+    SelectionRequest, SelectorFactory, TokenSelector,
 };
 pub use prefetch::PrefetchConfig;
 pub use serve::{

@@ -1,19 +1,20 @@
 //! The token-selection policy interface.
 //!
 //! Every KV-cache compression method in this workspace — ClusterKV itself and
-//! all baselines (Quest, InfiniGen, H2O, StreamingLLM, full attention) — is a
-//! [`TokenSelector`]: an object attached to one attention head that observes
-//! keys as they are produced and, at every decoding step, plans which token
-//! indices participate in the approximated attention.
+//! all baselines (Quest, InfiniGen, H2O, full attention) — is a
+//! [`TokenSelector`]: the selection state of one KV head of one layer, which
+//! observes that head's keys as they are produced and, at every decoding
+//! step, plans which token indices each query head reading it attends to.
 //!
 //! Keys exist per **KV head**, and under grouped-query attention the `G`
-//! query heads of a group attend the same keys. A policy whose state is a
-//! function of the keys alone builds it once per KV head as a
-//! [`GroupIndex`]: observed once, read by every head of the group, each
-//! planning with its own query and scratch. The serving engine holds one
-//! [`SelectorGroup`] per `(layer, kv_head)`, which is either that shared
-//! index or — the default every baseline keeps — one independent
-//! [`TokenSelector`] per query head.
+//! query heads of a group attend the same keys. So the serving engine holds
+//! one selector per `(layer, kv_head)`: it observes every key event once and
+//! plans for member head `h` of its group through
+//! [`plan(h, …)`](TokenSelector::plan). A policy whose state is a function of
+//! the keys alone (ClusterKV, Quest, InfiniGen, exact top-k, full attention)
+//! keeps one state and ignores `h`; one whose state follows the queries it
+//! was asked about (H2O's accumulated attention) keeps what it needs per
+//! member head inside the one object.
 //!
 //! The interface is request/plan shaped so it composes with batched serving
 //! ([`crate::serve::ServeEngine`]): the engine hands the selector a
@@ -24,23 +25,26 @@
 
 use clusterkv_kvcache::stats::{CacheStats, TransferStats};
 use clusterkv_kvcache::types::Budget;
-use clusterkv_tensor::kernels::Workspace;
 use clusterkv_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 pub use clusterkv_kvcache::cluster_cache::PageRequest;
 pub use clusterkv_kvcache::prefix::SharedPrefixState;
 
-/// Identity of the head a selector instance is attached to.
+/// Identity of the GQA group a selector instance serves: one KV head of one
+/// layer and the query heads that attend it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct HeadContext {
     /// Layer index.
     pub layer: usize,
-    /// Query-head index within the layer.
+    /// The group's first query head within the layer
+    /// (`kv_head * group_size`); the group covers query heads
+    /// `head .. head + group_size`, its member `h` being query head
+    /// `head + h`.
     pub head: usize,
     /// Head dimensionality.
     pub head_dim: usize,
-    /// KV head whose keys this query head attends (`head / group_size`).
+    /// The KV head whose keys the group attends.
     pub kv_head: usize,
     /// Query heads per KV head (`G`; 1 for multi-head attention).
     pub group_size: usize,
@@ -90,7 +94,7 @@ impl PolicyStats {
 ///
 /// Folds the former `on_prefill` / `on_append` callbacks into one explicit
 /// event stream: the engine (or harness) feeds every selector the same
-/// sequence of events it would see attached to a real attention head.
+/// sequence of events its KV head produces.
 ///
 /// Prompt keys arrive as a contiguous run of
 /// [`PrefillChunk`](ObserveEvent::PrefillChunk) events starting at position
@@ -101,7 +105,7 @@ impl PolicyStats {
 ///
 /// Implementations **must** leave the selector in a byte-identical state
 /// however the same keys were chunked: naturally incremental policies
-/// (Quest's page metadata, exact top-k, H2O, StreamingLLM) process each
+/// (Quest's page metadata, exact top-k, H2O) process each
 /// chunk as it arrives, while policies whose prefill pass is global
 /// (ClusterKV's semantic clustering, InfiniGen's key-subspace SVD) buffer
 /// the chunks and run it on `PrefillDone`. The chunked-prefill parity suite
@@ -136,7 +140,7 @@ pub enum ObserveEvent<'a> {
 }
 
 /// One selection request: everything a selector needs to plan the token set
-/// for a single decoding step of a single head.
+/// of a single query head for a single decoding step.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectionRequest<'a> {
     /// The post-RoPE query vector of the current step.
@@ -174,8 +178,8 @@ impl<'a> SelectionRequest<'a> {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum KvResidency {
     /// All selected KV is permanently GPU resident: full attention, and
-    /// eviction-style policies (StreamingLLM, H2O) whose retained working
-    /// set never leaves the GPU, so nothing is ever recalled over PCIe.
+    /// eviction-style policies (H2O) whose retained working set never
+    /// leaves the GPU, so nothing is ever recalled over PCIe.
     #[default]
     Resident,
     /// The selected KV is paged at the policy's own granularity (clusters
@@ -258,15 +262,6 @@ impl SelectionPlan {
         self
     }
 
-    /// Mark the selected KV as paged *and* recalled through the compressed
-    /// tier (DESIGN.md §9): the attention kernel substitutes the compressed
-    /// representation for exactly the tokens the selector's
-    /// [`page_members`](TokenSelector::page_members) lists for each page.
-    pub fn with_compressed_pages(mut self, pages: Vec<PageRequest>) -> Self {
-        self.residency = KvResidency::Compressed(pages);
-        self
-    }
-
     /// Number of selected tokens.
     pub fn len(&self) -> usize {
         self.indices.len()
@@ -278,31 +273,39 @@ impl SelectionPlan {
     }
 }
 
-/// A KV-cache token-selection policy attached to a single attention head.
+/// The selection state of one KV head of one layer, planning for each query
+/// head of its GQA group.
 ///
 /// The engine drives a selector through two entry points:
 ///
-/// 1. [`observe`](TokenSelector::observe) — the prompt keys
+/// 1. [`observe`](TokenSelector::observe) — once per key event of the KV
+///    head, however many query heads read it: the prompt keys
 ///    ([`ObserveEvent::PrefillChunk`]s followed by one
 ///    [`ObserveEvent::PrefillDone`]; every chunking must leave
 ///    byte-identical state), then once per generated token with
 ///    [`ObserveEvent::Append`].
-/// 2. [`plan`](TokenSelector::plan) — once per decoding step, returning the
-///    indices `I_T` of the tokens to attend to together with the per-call
+/// 2. [`plan`](TokenSelector::plan) — once per decoding step for each member
+///    head of the group, in head order, returning the indices `I_T` of the
+///    tokens that head attends to together with the per-call
 ///    [`PolicyStats`].
 ///
-/// Implementations must be deterministic for a fixed seed so experiments are
-/// reproducible, and must keep independent state per instance so sessions
-/// can be served concurrently.
+/// The group has one page table ([`page_table`](TokenSelector::page_table),
+/// [`page_members`](TokenSelector::page_members)) and one prefill state to
+/// share across sessions. Implementations must be deterministic for a fixed
+/// seed so experiments are reproducible, and must keep independent state
+/// per instance so sessions can be served concurrently.
 pub trait TokenSelector: Send {
     /// Short human-readable method name ("ClusterKV", "Quest", ...).
     fn name(&self) -> &str;
 
-    /// Observe a key-production event (prompt keys or an appended key).
+    /// Observe a key-production event of the KV head (prompt keys or an
+    /// appended key).
     fn observe(&mut self, event: ObserveEvent<'_>);
 
-    /// Plan the token set for one decoding step.
-    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan;
+    /// Plan the token set of member head `head` (`0..group_size`) of the
+    /// group for one decoding step. Whatever scratch the plan uses is the
+    /// selector's own, reused by every head in turn.
+    fn plan(&mut self, head: usize, request: SelectionRequest<'_>) -> SelectionPlan;
 
     /// The full page decomposition of this selector's current state, used by
     /// the serving stack to warm the GPU cluster cache with pages whose KV
@@ -326,10 +329,20 @@ pub trait TokenSelector: Send {
         &[]
     }
 
-    /// Nominate pages likely to be demanded at the *next* decode step, for
-    /// speculative staging (DESIGN.md §10). The serving engine calls this
-    /// after [`plan`](TokenSelector::plan) within the same step, passing the
-    /// same request; `lookahead_tokens` widens the budget the nomination may
+    /// A version of [`page_table`](TokenSelector::page_table): a value that
+    /// never decreases and differs between any two states of the selector
+    /// whose tables (page ids, sizes or memberships) differ, so the engine
+    /// can skip walking a table it has already settled. `None` (the default)
+    /// promises nothing — the table counts as changed after every key event.
+    fn page_table_version(&self) -> Option<u64> {
+        None
+    }
+
+    /// Nominate pages likely to be demanded by member head `head` at the
+    /// *next* decode step, for speculative staging (DESIGN.md §10). The
+    /// serving engine calls this after the head's
+    /// [`plan`](TokenSelector::plan) within the same step, passing the same
+    /// request; `lookahead_tokens` widens the budget the nomination may
     /// assume (scoring stays as cheap as the plan's own centroid pass — the
     /// greedy-fill superset property makes the widened selection a superset
     /// of the step's, so the extra pages are exactly the marginal
@@ -342,10 +355,43 @@ pub trait TokenSelector: Send {
     /// speculate.
     fn prefetch_hint(
         &mut self,
+        _head: usize,
         _request: SelectionRequest<'_>,
         _lookahead_tokens: usize,
     ) -> Vec<PageRequest> {
         Vec::new()
+    }
+
+    /// Snapshot the post-`PrefillDone` state for caching in the
+    /// cross-session [`PrefixStore`], keyed by this selector's
+    /// `(layer, kv_head)`. Called by the engine immediately after
+    /// `PrefillDone`, before any decode append. Return `None` (the default)
+    /// if the policy has no shareable prefill state.
+    ///
+    /// The returned fingerprint must commit to every configuration input the
+    /// state depends on besides the observed token prefix, so
+    /// [`adopt_prefill_state`] only accepts state this selector would have
+    /// computed itself.
+    ///
+    /// [`PrefixStore`]: clusterkv_kvcache::PrefixStore
+    /// [`adopt_prefill_state`]: TokenSelector::adopt_prefill_state
+    fn export_prefill_state(&self) -> Option<SharedPrefixState> {
+        None
+    }
+
+    /// Adopt a cached prefill snapshot instead of running the global
+    /// `PrefillDone` pass, discarding any buffered chunk keys. Returns `true`
+    /// if the state was adopted (the engine then skips `PrefillDone` for this
+    /// KV head); `false` (the default) to decline — e.g. on a fingerprint
+    /// mismatch — in which case `PrefillDone` runs normally.
+    ///
+    /// Because the cached state was exported after an identical token prefix
+    /// under an identical configuration and the prefill pass is
+    /// deterministic, adoption must leave the selector byte-identical to
+    /// having run `PrefillDone` itself (the prefix parity suite in
+    /// `tests/serving.rs` enforces this).
+    fn adopt_prefill_state(&mut self, _state: &SharedPrefixState, _total_tokens: usize) -> bool {
+        false
     }
 }
 
@@ -359,274 +405,24 @@ pub fn observe_prompt(selector: &mut (impl TokenSelector + ?Sized), keys: &Matri
     });
 }
 
-/// What a policy derives from the keys of one KV head, shared by the query
-/// heads of its GQA group: observed **once** per key event, read immutably
-/// by every head of the group during the parallel attention phase. Planning
-/// takes the per-head mutable state as a caller-owned scratch
-/// [`Workspace`], so the heads need no lock and no copy of the index.
-pub trait GroupIndex: Send + Sync {
-    /// Observe a key-production event of the KV head (same event stream and
-    /// same chunking invariance as [`TokenSelector::observe`]).
-    fn observe(&mut self, event: ObserveEvent<'_>);
-
-    /// Plan one query head's token set for one decoding step.
-    fn plan(&self, request: SelectionRequest<'_>, scratch: &mut Workspace) -> SelectionPlan;
-
-    /// [`TokenSelector::prefetch_hint`] against the shared index. Must leave
-    /// nothing behind in `scratch` that a later plan depends on.
-    fn prefetch_hint(
-        &self,
-        _request: SelectionRequest<'_>,
-        _lookahead_tokens: usize,
-        _scratch: &mut Workspace,
-    ) -> Vec<PageRequest> {
-        Vec::new()
-    }
-
-    /// The full page decomposition of the index (see
-    /// [`TokenSelector::page_table`]); the same for every head of the group.
-    fn page_table(&self) -> KvResidency {
-        KvResidency::Resident
-    }
-
-    /// Absolute token positions belonging to `page` (see
-    /// [`TokenSelector::page_members`]).
-    fn page_members(&self, _page: usize) -> &[usize] {
-        &[]
-    }
-
-    /// A version of [`page_table`](GroupIndex::page_table): a value that
-    /// never decreases and differs between any two states of the index whose
-    /// tables (page ids, sizes or memberships) differ, so the engine can skip
-    /// walking a table it has already settled. `None` (the default) promises
-    /// nothing — the table counts as changed after every key event.
-    fn page_table_version(&self) -> Option<u64> {
-        None
-    }
-
-    /// Snapshot the post-`PrefillDone` state for caching in the
-    /// cross-session [`PrefixStore`], keyed by this index's
-    /// `(layer, kv_head)`. Called by the engine immediately after
-    /// `PrefillDone`, before any decode append. Return `None` (the default)
-    /// if the policy has no shareable prefill state.
-    ///
-    /// The returned fingerprint must commit to every configuration input the
-    /// state depends on besides the observed token prefix, so
-    /// [`adopt_prefill_state`] only accepts state this index would have
-    /// computed itself.
-    ///
-    /// [`PrefixStore`]: clusterkv_kvcache::PrefixStore
-    /// [`adopt_prefill_state`]: GroupIndex::adopt_prefill_state
-    fn export_prefill_state(&self) -> Option<SharedPrefixState> {
-        None
-    }
-
-    /// Adopt a cached prefill snapshot instead of running the global
-    /// `PrefillDone` pass, discarding any buffered chunk keys. Returns `true`
-    /// if the state was adopted (the engine then skips `PrefillDone` for this
-    /// KV head); `false` (the default) to decline — e.g. on a fingerprint
-    /// mismatch — in which case `PrefillDone` runs normally.
-    ///
-    /// Because the cached state was exported after an identical token prefix
-    /// under an identical configuration and the prefill pass is
-    /// deterministic, adoption must leave the index byte-identical to having
-    /// run `PrefillDone` itself (the prefix parity suite in
-    /// `tests/serving.rs` enforces this).
-    fn adopt_prefill_state(&mut self, _state: &SharedPrefixState, _total_tokens: usize) -> bool {
-        false
-    }
-}
-
-/// The selection state of one GQA group: the `G` query heads of a layer that
-/// attend one KV head.
-pub enum SelectorGroup {
-    /// One independent selector per query head, each observing the KV
-    /// head's keys itself (every baseline; any policy whose state depends on
-    /// the queries it was asked about).
-    PerHead(Vec<Box<dyn TokenSelector>>),
-    /// One index over the KV head's keys and one scratch workspace per query
-    /// head planning against it.
-    Shared {
-        /// The state every head of the group reads.
-        index: Box<dyn GroupIndex>,
-        /// Per-head planning scratch, in query-head order.
-        scratch: Vec<Workspace>,
-    },
-}
-
-impl SelectorGroup {
-    /// A group of `group_size` query heads planning against one shared
-    /// index.
-    pub fn shared(index: Box<dyn GroupIndex>, group_size: usize) -> Self {
-        SelectorGroup::Shared {
-            index,
-            scratch: (0..group_size).map(|_| Workspace::new()).collect(),
-        }
-    }
-
-    /// Number of query heads in the group.
-    pub fn group_size(&self) -> usize {
-        match self {
-            SelectorGroup::PerHead(heads) => heads.len(),
-            SelectorGroup::Shared { scratch, .. } => scratch.len(),
-        }
-    }
-
-    /// Deliver a key event of the group's KV head: once to a shared index,
-    /// to every selector of a per-head group.
-    pub fn observe(&mut self, event: ObserveEvent<'_>) {
-        match self {
-            SelectorGroup::PerHead(heads) => heads.iter_mut().for_each(|s| s.observe(event)),
-            SelectorGroup::Shared { index, .. } => index.observe(event),
-        }
-    }
-
-    /// The group's heads in query-head order, each ready to plan on its own
-    /// thread: a shared index is borrowed immutably by all of them.
-    pub fn heads(&mut self) -> impl Iterator<Item = HeadSelector<'_>> {
-        let (own, shared) = match self {
-            SelectorGroup::PerHead(heads) => (Some(heads.iter_mut()), None),
-            SelectorGroup::Shared { index, scratch } => {
-                (None, Some((&**index, scratch.iter_mut())))
-            }
-        };
-        let own = own
-            .into_iter()
-            .flatten()
-            .map(|selector| HeadSelector::Own(selector.as_mut()));
-        let shared = shared.into_iter().flat_map(|(index, scratch)| {
-            scratch.map(move |scratch| HeadSelector::Shared(index, scratch))
-        });
-        own.chain(shared)
-    }
-
-    /// Page decomposition seen by the group's `head`-th query head.
-    pub fn page_table(&self, head: usize) -> KvResidency {
-        match self {
-            SelectorGroup::PerHead(heads) => heads[head].page_table(),
-            SelectorGroup::Shared { index, .. } => index.page_table(),
-        }
-    }
-
-    /// Members of a page of the `head`-th query head's table (see
-    /// [`TokenSelector::page_members`]).
-    pub fn page_members(&self, head: usize, page: usize) -> &[usize] {
-        match self {
-            SelectorGroup::PerHead(heads) => heads[head].page_members(page),
-            SelectorGroup::Shared { index, .. } => index.page_members(page),
-        }
-    }
-
-    /// [`GroupIndex::page_table_version`] of a shared index; the tables of
-    /// a per-head group carry no version.
-    pub(crate) fn page_table_version(&self) -> Option<u64> {
-        match self {
-            SelectorGroup::PerHead(_) => None,
-            SelectorGroup::Shared { index, .. } => index.page_table_version(),
-        }
-    }
-
-    /// The group's heads that own a page table: every head of a per-head
-    /// group, the first alone when all read one shared index. Head `h` of
-    /// the group reads the table of owner [`HeadSelector::table_owner`]`(h)`.
-    pub fn table_owners(&self) -> std::ops::Range<usize> {
-        match self {
-            SelectorGroup::PerHead(heads) => 0..heads.len(),
-            SelectorGroup::Shared { .. } => 0..1,
-        }
-    }
-
-    /// [`GroupIndex::export_prefill_state`] of a shared index; per-head
-    /// groups share nothing across sessions.
-    pub fn export_prefill_state(&self) -> Option<SharedPrefixState> {
-        match self {
-            SelectorGroup::PerHead(_) => None,
-            SelectorGroup::Shared { index, .. } => index.export_prefill_state(),
-        }
-    }
-
-    /// [`GroupIndex::adopt_prefill_state`] of a shared index; per-head
-    /// groups decline.
-    pub fn adopt_prefill_state(&mut self, state: &SharedPrefixState, total_tokens: usize) -> bool {
-        match self {
-            SelectorGroup::PerHead(_) => false,
-            SelectorGroup::Shared { index, .. } => index.adopt_prefill_state(state, total_tokens),
-        }
-    }
-}
-
-/// One query head's handle on its group's selection state for the duration
-/// of a decode step's parallel phase.
-pub enum HeadSelector<'a> {
-    /// The head's own selector.
-    Own(&'a mut dyn TokenSelector),
-    /// The group's shared index plus this head's planning scratch.
-    Shared(&'a dyn GroupIndex, &'a mut Workspace),
-}
-
-impl HeadSelector<'_> {
-    /// Plan the head's token set for one decoding step.
-    pub fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
-        match self {
-            HeadSelector::Own(selector) => selector.plan(request),
-            HeadSelector::Shared(index, scratch) => index.plan(request, scratch),
-        }
-    }
-
-    /// Nominate next-step pages (see [`TokenSelector::prefetch_hint`]).
-    pub fn prefetch_hint(
-        &mut self,
-        request: SelectionRequest<'_>,
-        lookahead_tokens: usize,
-    ) -> Vec<PageRequest> {
-        match self {
-            HeadSelector::Own(selector) => selector.prefetch_hint(request, lookahead_tokens),
-            HeadSelector::Shared(index, scratch) => {
-                index.prefetch_hint(request, lookahead_tokens, scratch)
-            }
-        }
-    }
-
-    /// Members of a page the head's last plan named.
-    pub fn page_members(&self, page: usize) -> &[usize] {
-        match self {
-            HeadSelector::Own(selector) => selector.page_members(page),
-            HeadSelector::Shared(index, _) => index.page_members(page),
-        }
-    }
-
-    /// Which head of the group owns the page table this head — the group's
-    /// `head`-th — plans against (see [`SelectorGroup::table_owners`]).
-    pub fn table_owner(&self, head: usize) -> usize {
-        match self {
-            HeadSelector::Own(_) => head,
-            HeadSelector::Shared(..) => 0,
-        }
-    }
-}
-
-/// Factory creating the selection state of every head of a model.
+/// Factory creating the selection state of every KV head of a model.
 pub trait SelectorFactory: Send + Sync {
     /// Method name, used in experiment output.
     fn name(&self) -> &str;
 
-    /// Create a self-contained selector for one head (what single-head
-    /// harnesses drive, and what [`create_group`](Self::create_group) builds
-    /// per query head by default).
+    /// Create the selector of the GQA group `ctx` describes: KV head
+    /// `ctx.kv_head` of layer `ctx.layer`, read by query heads
+    /// `ctx.head .. ctx.head + ctx.group_size`. A single-head harness asks
+    /// for a group of one ([`HeadContext::mha`]).
     fn create(&self, ctx: HeadContext) -> Box<dyn TokenSelector>;
 
-    /// Create the selection state of one GQA group. `ctx` describes the
-    /// group's first query head (`ctx.head == ctx.kv_head * ctx.group_size`);
-    /// the group covers heads `ctx.head .. ctx.head + ctx.group_size`. The
-    /// default builds one independent selector per query head; policies
-    /// whose state is a function of the keys alone override it to hand the
-    /// group one [`GroupIndex`].
-    fn create_group(&self, ctx: HeadContext) -> SelectorGroup {
-        SelectorGroup::PerHead(
-            (ctx.head..ctx.head + ctx.group_size)
-                .map(|head| self.create(HeadContext { head, ..ctx }))
-                .collect(),
-        )
+    /// Check the factory's configuration, so an engine rejects a policy it
+    /// could not run with [`EngineError::InvalidConfig`] before building any
+    /// selector. The default accepts.
+    ///
+    /// [`EngineError::InvalidConfig`]: crate::serve::EngineError::InvalidConfig
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
     }
 }
 
@@ -644,7 +440,7 @@ impl TokenSelector for FullAttentionSelector {
 
     fn observe(&mut self, _event: ObserveEvent<'_>) {}
 
-    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+    fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
         SelectionPlan::full(request.num_tokens)
     }
 }
@@ -663,7 +459,8 @@ impl SelectorFactory for FullAttentionFactory {
     }
 }
 
-/// Oracle policy: selects the exact top-`B` tokens by true attention weight.
+/// Oracle policy: selects the exact top-`B` tokens by true attention weight
+/// — a function of the KV head's keys, so one instance serves its group.
 ///
 /// Not a practical method (it scores every key, which is what compression is
 /// trying to avoid) but it provides the `I_T^true` reference set used by the
@@ -711,7 +508,7 @@ impl TokenSelector for OracleTopKSelector {
         }
     }
 
-    fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+    fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
         let n = request.num_tokens.min(self.keys.rows());
         if request.budget.covers(n) {
             return SelectionPlan::full(n);
@@ -759,7 +556,10 @@ mod tests {
     #[test]
     fn compressed_residency_exposes_inner_page_requests() {
         let pages = vec![PageRequest::new(3, 3), PageRequest::new(7, 1)];
-        let plan = SelectionPlan::new(vec![0, 1, 5, 9]).with_compressed_pages(pages.clone());
+        let plan = SelectionPlan {
+            residency: KvResidency::Compressed(pages.clone()),
+            ..SelectionPlan::new(vec![0, 1, 5, 9])
+        };
         assert!(matches!(plan.residency, KvResidency::Compressed(_)));
         assert_eq!(plan.residency.page_requests(), Some(pages.as_slice()));
         assert_eq!(KvResidency::Resident.page_requests(), None);
@@ -772,7 +572,7 @@ mod tests {
     #[test]
     fn full_attention_selects_everything() {
         let mut s = FullAttentionSelector;
-        let plan = s.plan(SelectionRequest::new(&[0.0; 4], 10, Budget::new(2)));
+        let plan = s.plan(0, SelectionRequest::new(&[0.0; 4], 10, Budget::new(2)));
         assert_eq!(plan.indices, (0..10).collect::<Vec<_>>());
         assert_eq!(plan.stats, PolicyStats::default());
         assert_eq!(s.name(), "FullKV");
@@ -791,7 +591,7 @@ mod tests {
         .unwrap();
         observe_prompt(&mut s, &keys);
         let q = [1.0, 0.0];
-        let plan = s.plan(SelectionRequest::new(&q, 4, Budget::new(2)));
+        let plan = s.plan(0, SelectionRequest::new(&q, 4, Budget::new(2)));
         assert_eq!(plan.len(), 2);
         assert!(plan.indices.contains(&2)); // score 5
         assert!(plan.indices.contains(&0)); // score 1
@@ -806,11 +606,10 @@ mod tests {
             position: 20,
             key: &[9.0, 9.0, 9.0, 9.0],
         });
-        let plan = s.plan(SelectionRequest::new(
-            &[1.0, 1.0, 1.0, 1.0],
-            21,
-            Budget::new(5),
-        ));
+        let plan = s.plan(
+            0,
+            SelectionRequest::new(&[1.0, 1.0, 1.0, 1.0], 21, Budget::new(5)),
+        );
         assert_eq!(plan.len(), 5);
         assert!(
             plan.indices.contains(&20),
@@ -823,11 +622,10 @@ mod tests {
     fn oracle_with_budget_covering_context_returns_all() {
         let mut s = OracleTopKSelector::new(4);
         observe_prompt(&mut s, &keys_matrix(8, 4));
-        let plan = s.plan(SelectionRequest::new(
-            &[1.0, 0.0, 0.0, 0.0],
-            8,
-            Budget::new(64),
-        ));
+        let plan = s.plan(
+            0,
+            SelectionRequest::new(&[1.0, 0.0, 0.0, 0.0], 8, Budget::new(64)),
+        );
         assert_eq!(plan.indices, (0..8).collect::<Vec<_>>());
         assert_eq!(
             plan.stats.scored_vectors, 0,
@@ -854,8 +652,8 @@ mod tests {
         }
         chunked.observe(ObserveEvent::PrefillDone { total_tokens: 21 });
         let q = [1.0, -0.5, 0.25, 2.0];
-        let a = mono.plan(SelectionRequest::new(&q, 21, Budget::new(5)));
-        let b = chunked.plan(SelectionRequest::new(&q, 21, Budget::new(5)));
+        let a = mono.plan(0, SelectionRequest::new(&q, 21, Budget::new(5)));
+        let b = chunked.plan(0, SelectionRequest::new(&q, 21, Budget::new(5)));
         assert_eq!(a, b, "chunked prefill must reproduce monolithic state");
     }
 
@@ -879,16 +677,14 @@ mod tests {
         // caller, not the selector, owns aggregation.
         let mut s = OracleTopKSelector::new(4);
         observe_prompt(&mut s, &keys_matrix(10, 4));
-        let first = s.plan(SelectionRequest::new(
-            &[1.0, 0.0, 0.0, 0.0],
-            10,
-            Budget::new(3),
-        ));
-        let second = s.plan(SelectionRequest::new(
-            &[1.0, 0.0, 0.0, 0.0],
-            10,
-            Budget::new(3),
-        ));
+        let first = s.plan(
+            0,
+            SelectionRequest::new(&[1.0, 0.0, 0.0, 0.0], 10, Budget::new(3)),
+        );
+        let second = s.plan(
+            0,
+            SelectionRequest::new(&[1.0, 0.0, 0.0, 0.0], 10, Budget::new(3)),
+        );
         assert_eq!(first.stats.scored_vectors, 10);
         assert_eq!(second.stats.scored_vectors, 10);
         let mut total = PolicyStats::default();

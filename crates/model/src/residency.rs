@@ -16,7 +16,7 @@
 
 use crate::config::ModelConfig;
 use crate::latency::{LatencyModel, StepCost, Transfers};
-use crate::policy::{KvResidency, PageRequest, PolicyStats, SelectorGroup};
+use crate::policy::{KvResidency, PageRequest, PolicyStats, TokenSelector};
 use crate::prefetch::PrefetchConfig;
 use clusterkv_faults::{backoff_seconds, FaultInjector, FaultSite, IntegrityStats};
 use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig, PageKey};
@@ -33,11 +33,10 @@ pub(crate) struct Residency {
     /// every step.
     cache: ClusterCache,
     /// The compressed pages recall-compressed plans attend through, indexed
-    /// `[layer][kv_head]` and keyed by the query head owning the page table
-    /// (the group's first when its heads share one index). Empty under a
-    /// lossless config, whose plans attend exact KV.
+    /// `[layer][kv_head]` and keyed by the group's first query head. Empty
+    /// under a lossless config, whose plans attend exact KV.
     pages: Vec<Vec<CompressedStore>>,
-    /// [`SelectorGroup::page_table_version`] each store of `pages` was last
+    /// [`TokenSelector::page_table_version`] each store of `pages` was last
     /// settled at, indexed alike; `None` until then and for tables that
     /// carry no version.
     settled: Vec<Vec<Option<u64>>>,
@@ -152,31 +151,32 @@ impl Residency {
     pub(crate) fn settle(
         &mut self,
         config: &ModelConfig,
-        selectors: &[Vec<SelectorGroup>],
+        selectors: &[Vec<Box<dyn TokenSelector>>],
         kv: &[Vec<KvStore>],
         private_tokens: usize,
     ) {
         let group_size = config.num_heads / config.num_kv_heads;
-        for (layer, groups) in selectors.iter().enumerate().skip(config.dense_layers) {
-            for (kv_head, group) in groups.iter().enumerate() {
+        for (layer, selectors) in selectors.iter().enumerate().skip(config.dense_layers) {
+            for (kv_head, selector) in selectors.iter().enumerate() {
                 let first = kv_head * group_size;
                 if self.cache.enabled() {
-                    for head in 0..group_size {
+                    // The group has one table, warmed into the cache once
+                    // per query head (cache pages are keyed per query head).
+                    let mut table = None;
+                    for head in first..first + group_size {
                         // Once a head's KV is offloaded the decision is
                         // permanent — skip building its page table again
                         // every step.
-                        if self
-                            .cache
-                            .is_offloaded(LayerId(layer), HeadId(first + head))
-                        {
+                        if self.cache.is_offloaded(LayerId(layer), HeadId(head)) {
                             continue;
                         }
                         // Both paged and recall-compressed tables warm the
                         // same way: admission is always exact, demotion to
                         // the compressed tier happens under eviction
                         // pressure.
-                        if let Some(pages) = group.page_table(head).page_requests() {
-                            self.cache.warm(LayerId(layer), HeadId(first + head), pages);
+                        let table = table.get_or_insert_with(|| selector.page_table());
+                        if let Some(pages) = table.page_requests() {
+                            self.cache.warm(LayerId(layer), HeadId(head), pages);
                         }
                     }
                 }
@@ -187,7 +187,7 @@ impl Residency {
                 // decode-clustering period: on the steps between, a table
                 // that reports the version it was settled at has no page to
                 // build.
-                let version = group.page_table_version();
+                let version = selector.page_table_version();
                 let settled = &mut self.settled[layer][kv_head];
                 if version.is_some() && version == *settled {
                     continue;
@@ -196,26 +196,24 @@ impl Residency {
                 // A page is built once per membership: when its cluster is
                 // sealed (prefill, adopted or clustered here; incremental
                 // decode clustering) and again only if it grew since.
-                for owner in group.table_owners() {
-                    let KvResidency::Compressed(table) = group.page_table(owner) else {
-                        continue;
+                let KvResidency::Compressed(table) = selector.page_table() else {
+                    continue;
+                };
+                for page in table {
+                    let key = PageKey {
+                        layer: LayerId(layer),
+                        head: HeadId(first),
+                        page: page.page,
                     };
-                    for page in table {
-                        let key = PageKey {
-                            layer: LayerId(layer),
-                            head: HeadId(first + owner),
-                            page: page.page,
-                        };
-                        if store.get(key).map(|p| p.tokens().len()) != Some(page.tokens) {
-                            let (keys, values) =
-                                (kv[layer][kv_head].keys(), kv[layer][kv_head].values());
-                            store.compress_and_insert(
-                                key,
-                                keys,
-                                values,
-                                group.page_members(owner, page.page),
-                            );
-                        }
+                    if store.get(key).map(|p| p.tokens().len()) != Some(page.tokens) {
+                        let (keys, values) =
+                            (kv[layer][kv_head].keys(), kv[layer][kv_head].values());
+                        store.compress_and_insert(
+                            key,
+                            keys,
+                            values,
+                            selector.page_members(page.page),
+                        );
                     }
                 }
             }
@@ -338,8 +336,7 @@ impl Residency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{GroupIndex, ObserveEvent, SelectionPlan, SelectionRequest};
-    use clusterkv_tensor::kernels::Workspace;
+    use crate::policy::{ObserveEvent, SelectionPlan, SelectionRequest};
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use std::sync::Arc;
 
@@ -352,9 +349,12 @@ mod tests {
         walks: Arc<AtomicUsize>,
     }
 
-    impl GroupIndex for Blocks {
+    impl TokenSelector for Blocks {
+        fn name(&self) -> &str {
+            "Blocks"
+        }
         fn observe(&mut self, _event: ObserveEvent<'_>) {}
-        fn plan(&self, request: SelectionRequest<'_>, _scratch: &mut Workspace) -> SelectionPlan {
+        fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
             SelectionPlan::full(request.num_tokens)
         }
         fn page_table(&self) -> KvResidency {
@@ -388,15 +388,12 @@ mod tests {
         let kv = vec![vec![store]];
         for versioned in [true, false] {
             let walks = Arc::new(AtomicUsize::new(0));
-            let blocks = |tokens: usize, version: u64| {
-                SelectorGroup::shared(
-                    Box::new(Blocks {
-                        positions: (0..tokens).collect(),
-                        version: versioned.then_some(version),
-                        walks: walks.clone(),
-                    }),
-                    2,
-                )
+            let blocks = |tokens: usize, version: u64| -> Box<dyn TokenSelector> {
+                Box::new(Blocks {
+                    positions: (0..tokens).collect(),
+                    version: versioned.then_some(version),
+                    walks: walks.clone(),
+                })
             };
             // No cache to warm: the table is asked for by the page probe
             // alone.
@@ -406,8 +403,8 @@ mod tests {
                 CompressionConfig::int4(),
                 PrefetchConfig::disabled(),
             );
-            let mut settle = |group: SelectorGroup, sealed: usize, walked: usize| {
-                residency.settle(&config, &[vec![group]], &kv, 16);
+            let mut settle = |selector: Box<dyn TokenSelector>, sealed: usize, walked: usize| {
+                residency.settle(&config, &[vec![selector]], &kv, 16);
                 assert_eq!(residency.compressed_pages(0)[0].len(), sealed);
                 assert_eq!(walks.load(Relaxed), walked, "versioned: {versioned}");
             };

@@ -3,25 +3,26 @@
 //!
 //! [`ServeEngine`] owns the model (config, weights, RoPE tables) exactly once
 //! and manages any number of concurrent [`SessionId`]-addressed sequences.
-//! Each session carries its own KV stores, per-KV-head selector groups,
-//! position counter and residency state, so sessions are fully isolated: interleaving
+//! Each session carries its own KV stores, per-KV-head selectors, position
+//! counter and residency state, so sessions are fully isolated: interleaving
 //! their decode steps through [`decode_batch`](ServeEngine::decode_batch)
 //! produces byte-identical token streams to running each sequence alone.
 //!
 //! The per-token transformer math matches the single-sequence flow of the
 //! paper (Fig. 5): full causal attention during prefill, per-head
-//! selection-plan attention during decoding, with the head's selector
+//! selection-plan attention during decoding, with the KV head's selector
 //! observing every produced key.
 //!
 //! Execution is multithreaded (DESIGN.md §4): [`decode_batch`] fans the
 //! batch's distinct sessions across the rayon pool (sessions are fully
 //! isolated, so this is embarrassingly parallel), and within one session the
-//! per-head work — query projection, selection planning, attention — plus
-//! the large row-wise projections run data-parallel. Everything
-//! order-sensitive (cluster-cache LRU accesses, stats accumulation)
-//! happens sequentially in head order after the parallel phase, so token
-//! streams and every per-session statistic are byte-identical at any thread
-//! count (`RAYON_NUM_THREADS`).
+//! per-head attention plus the large row-wise projections run
+//! data-parallel. Everything that reads or writes a selector (query
+//! projection, planning, the lookahead hint) and everything order-sensitive
+//! (cluster-cache LRU accesses, stats accumulation) happens sequentially in
+//! head order around the parallel phase, so token streams and every
+//! per-session statistic are byte-identical at any thread count
+//! (`RAYON_NUM_THREADS`).
 //!
 //! [`decode_batch`]: ServeEngine::decode_batch
 
@@ -29,8 +30,8 @@ use crate::attention::attend_compressed_ws;
 use crate::config::ModelConfig;
 use crate::latency::LatencyModel;
 use crate::policy::{
-    FullAttentionSelector, HeadContext, HeadSelector, KvResidency, ObserveEvent, PageRequest,
-    PolicyStats, SelectionRequest, SelectorFactory, SelectorGroup,
+    FullAttentionSelector, HeadContext, KvResidency, ObserveEvent, PageRequest, PolicyStats,
+    SelectionRequest, SelectorFactory, TokenSelector,
 };
 use crate::prefetch::PrefetchConfig;
 use crate::residency::Residency;
@@ -61,9 +62,9 @@ pub const DEFAULT_MAX_SESSIONS: usize = 256;
 const PROJ_MIN_ROWS_PER_WORKER: usize = 256;
 
 /// Context length from which the per-head attention phase fans out across
-/// workers: below this, one head's work (projection, planning, attending at
-/// most this many tokens) is cheaper than a thread spawn, so heads stay on
-/// one thread. Deterministic in the token position, hence parity-safe.
+/// workers: below this, one head's attention over at most this many tokens
+/// is cheaper than a thread spawn, so heads stay on one thread.
+/// Deterministic in the token position, hence parity-safe.
 const HEAD_PAR_MIN_CONTEXT: usize = 512;
 
 /// Errors produced by the serving engine.
@@ -269,21 +270,19 @@ impl SessionReport {
     }
 }
 
-/// Per-head result of the parallel phase of one token's attention: pure
-/// compute (query projection, selection planning, attention) runs
-/// data-parallel across heads; everything order-sensitive — cluster-cache
-/// accesses (LRU stamps), stats accumulation — is applied from these
-/// outcomes sequentially in head order, which is what keeps N-thread and
-/// 1-thread runs byte-identical.
-struct HeadOutcome {
-    /// Tokens the head attended (the plan plus the forced current
-    /// position).
-    attended: usize,
+/// One head's plan for a decode step, made in head order before attention
+/// fans out across heads: the parallel phase reads `selected` and
+/// `residency`, and everything order-sensitive — cluster-cache accesses
+/// (LRU stamps), stats accumulation — is applied from it afterwards, again
+/// in head order, which is what keeps N-thread and 1-thread runs
+/// byte-identical.
+struct HeadPlan {
+    /// Tokens the head attends: the plan plus the forced current position.
+    selected: Vec<usize>,
     /// Per-call stats reported by the selector.
     stats: PolicyStats,
-    /// Page decomposition of the plan (`None` when the selected KV is
-    /// trivially resident).
-    pages: Option<Vec<PageRequest>>,
+    /// How the selected KV is materialised.
+    residency: KvResidency,
     /// Clusters the selector's lookahead hint nominates for the next step
     /// (DESIGN.md §10). Always empty with prefetch off, so prefetch-off
     /// engines allocate nothing here.
@@ -320,11 +319,11 @@ struct StepPolicy {
 struct SessionState {
     /// KV stores indexed by `[layer][kv_head]`.
     kv: Vec<Vec<KvStore>>,
-    /// Selection state indexed by `[layer][kv_head]`: one group per KV head,
-    /// covering the query heads that attend it (query head `h` is member
-    /// `h % G` of group `h / G`). Key events are delivered once per group;
-    /// dense layers hold [`FullAttentionSelector`]s.
-    selectors: Vec<Vec<SelectorGroup>>,
+    /// Selection state indexed by `[layer][kv_head]`: one selector per KV
+    /// head, planning for the query heads that attend it (query head `h` is
+    /// member `h % G` of selector `h / G`). Key events are delivered once
+    /// per selector; dense layers hold [`FullAttentionSelector`]s.
+    selectors: Vec<Vec<Box<dyn TokenSelector>>>,
     /// Context length so far; doubles as the RoPE position of the next token.
     num_tokens: usize,
     /// Number of decode steps run.
@@ -341,8 +340,8 @@ struct SessionState {
     /// The session's tiered KV hierarchy, the data-movement ledger of the
     /// step in flight and the modeled clock it feeds.
     residency: Residency,
-    /// One kernel workspace per query head (heads run data-parallel, each
-    /// worker owns its scratch). Buffers grow to the steady-state working
+    /// One kernel workspace per query head (heads attend data-parallel,
+    /// each worker owns its scratch). Buffers grow to the steady-state working
     /// set during the first decode steps and are reused afterwards, so the
     /// per-head attention phase performs no heap allocation (DESIGN.md §6).
     workspaces: Vec<Workspace>,
@@ -444,9 +443,9 @@ impl ServeEngineBuilder {
     ///
     /// Residency is tracked per *query* head (heads rank with their own
     /// queries, so they select different pages): under GQA the same
-    /// physical KV may be resident once per query head selecting it, even
-    /// where the group's heads share one index over that KV (DESIGN.md §3
-    /// records the over-count). Size capacities with
+    /// physical KV may be resident once per query head selecting it, though
+    /// the group's heads plan against one selector over that KV (DESIGN.md
+    /// §3 records the over-count). Size capacities with
     /// [`ModelConfig::selected_kv_bytes_per_step`], which counts query
     /// heads, rather than from `kv_bytes_per_token`.
     pub fn kv_cache_capacity(mut self, capacity: Bytes) -> Self {
@@ -521,14 +520,18 @@ impl ServeEngineBuilder {
     ///
     /// Returns [`EngineError::InvalidConfig`] if the configuration fails
     /// [`ModelConfig::validate`], the compressed-tier configuration fails
-    /// [`CompressionConfig::validate`] or the fault plan fails
-    /// [`FaultPlan::validate`].
+    /// [`CompressionConfig::validate`], the fault plan fails
+    /// [`FaultPlan::validate`] or the default policy fails
+    /// [`SelectorFactory::validate`].
     pub fn build(self) -> Result<ServeEngine, EngineError> {
         self.config.validate().map_err(EngineError::InvalidConfig)?;
         self.compression
             .validate()
             .map_err(EngineError::InvalidConfig)?;
         self.faults.validate().map_err(EngineError::InvalidConfig)?;
+        if let Some(policy) = &self.policy {
+            policy.validate().map_err(EngineError::InvalidConfig)?;
+        }
         let weights = ModelWeights::synthetic(&self.config, self.synthetic_seed);
         let rope = Rope::new(self.config.head_dim, 10_000.0);
         let latency = LatencyModel::new(self.config, self.device);
@@ -658,11 +661,14 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
+    /// [`EngineError::InvalidConfig`] when the factory fails
+    /// [`SelectorFactory::validate`];
     /// [`EngineError::SessionLimitReached`] at capacity.
     pub fn create_session_with(
         &mut self,
         factory: &dyn SelectorFactory,
     ) -> Result<SessionId, EngineError> {
+        factory.validate().map_err(EngineError::InvalidConfig)?;
         let selectors = Self::make_selectors(&self.config, factory);
         self.insert_session(selectors)
     }
@@ -670,20 +676,16 @@ impl ServeEngine {
     fn make_selectors(
         config: &ModelConfig,
         factory: &dyn SelectorFactory,
-    ) -> Vec<Vec<SelectorGroup>> {
+    ) -> Vec<Vec<Box<dyn TokenSelector>>> {
         let group_size = config.num_heads / config.num_kv_heads;
         (0..config.num_layers)
             .map(|layer| {
                 (0..config.num_kv_heads)
                     .map(|kv_head| {
                         if layer < config.dense_layers {
-                            SelectorGroup::PerHead(
-                                (0..group_size)
-                                    .map(|_| Box::new(FullAttentionSelector) as _)
-                                    .collect(),
-                            )
+                            Box::new(FullAttentionSelector) as Box<dyn TokenSelector>
                         } else {
-                            factory.create_group(HeadContext {
+                            factory.create(HeadContext {
                                 layer,
                                 head: kv_head * group_size,
                                 head_dim: config.head_dim,
@@ -699,7 +701,7 @@ impl ServeEngine {
 
     fn insert_session(
         &mut self,
-        selectors: Vec<Vec<SelectorGroup>>,
+        selectors: Vec<Vec<Box<dyn TokenSelector>>>,
     ) -> Result<SessionId, EngineError> {
         if self.sessions.len() >= self.max_sessions {
             return Err(EngineError::SessionLimitReached {
@@ -969,10 +971,6 @@ impl ServeEngine {
         Ok(())
     }
 
-    fn kv_head_of(config: &ModelConfig, query_head: usize) -> usize {
-        query_head / (config.num_heads / config.num_kv_heads)
-    }
-
     /// Project a hidden vector through the per-head slice of a projection
     /// matrix `w` (whose rows are output channels) into a reusable buffer —
     /// one blocked matvec over the head's row range.
@@ -1035,69 +1033,32 @@ impl ServeEngine {
                 sess.kv[layer][kv_head].append(&sess.k_scratch, &sess.v_scratch);
             }
 
-            // Attention, phase 1 (parallel across query heads): project the
-            // query, plan the token set, attend. Each head owns its selector
-            // — or, in a group sharing one index over its KV head's keys,
-            // its planning scratch beside an immutable borrow of that index
-            // — plus a persistent kernel workspace and writes its output
-            // straight into its disjoint slice of the layer's concat buffer
-            // — pure, order-free compute with no allocation once the
-            // workspace is warm. Heads fan out only once the context is long
-            // enough for one head's attention to outweigh a spawn
-            // (`min_len = num_heads` forces a single chunk below the
-            // threshold).
-            let head_min_len = if position >= HEAD_PAR_MIN_CONTEXT {
-                1
-            } else {
-                num_heads
-            };
-            let kv_layer = &sess.kv[layer];
-            let compressed_pages = sess.residency.compressed_pages(layer);
-            sess.concat.clear();
-            sess.concat.resize(num_heads * head_dim, 0.0);
-            /// One head's unit of the parallel attention phase: its index,
-            /// selector, persistent workspace and concat-buffer slice.
-            type HeadWork<'a> = (usize, HeadSelector<'a>, &'a mut Workspace, &'a mut [f32]);
-            let work: Vec<HeadWork<'_>> = sess.selectors[layer]
+            // Attention, phase 1 (sequential, in head order): project each
+            // query head's query and, decoding, plan its token set and
+            // nominate next-step pages. A KV head's selector is one object
+            // planning for the heads of its group in turn, reusing its own
+            // scratch, so this phase runs on the session's thread.
+            let group = num_heads / config.num_kv_heads;
+            let plans: Vec<Option<HeadPlan>> = sess
+                .workspaces
                 .iter_mut()
-                .flat_map(SelectorGroup::heads)
-                .zip(sess.workspaces.iter_mut())
-                .zip(sess.concat.chunks_mut(head_dim))
                 .enumerate()
-                .map(|(head, ((selector, ws), slot))| (head, selector, ws, slot))
-                .collect();
-            let head_outcomes: Vec<Option<HeadOutcome>> = work
-                .into_par_iter()
-                .with_min_len(head_min_len)
-                .map(|(head, mut selector, ws, slot)| {
+                .map(|(head, ws)| {
                     Self::project_head_into(&lw.wq, &h, head, head_dim, &mut ws.q);
                     rope.apply(&mut ws.q, position);
-                    let kv_head = Self::kv_head_of(config, head);
-                    let store = &kv_layer[kv_head];
-                    let Some(StepPolicy {
+                    let StepPolicy {
                         budget, prefetch, ..
-                    }) = selection
-                    else {
-                        // Prefill: full causal attention through the
-                        // dedicated no-index-vec path (no `(0..n)` vector).
-                        attend_into(
-                            store.keys(),
-                            store.values(),
-                            None,
-                            &ws.q,
-                            &mut ws.weights,
-                            slot,
-                        );
-                        return None;
-                    };
-                    let request = SelectionRequest::new(&ws.q, store.len(), budget);
-                    let plan = selector.plan(request);
+                    } = selection?;
+                    let selector = &mut sess.selectors[layer][head / group];
+                    let request =
+                        SelectionRequest::new(&ws.q, sess.kv[layer][head / group].len(), budget);
+                    let plan = selector.plan(head % group, request);
                     // The lookahead nomination runs right after the plan,
                     // against the same query: a pure read re-ranking cluster
                     // centroids under a widened budget. Only prefetching
                     // engines pay for it.
                     let hint = if prefetch.enabled() {
-                        selector.prefetch_hint(request, prefetch.lookahead_tokens)
+                        selector.prefetch_hint(head % group, request, prefetch.lookahead_tokens)
                     } else {
                         Vec::new()
                     };
@@ -1109,6 +1070,57 @@ impl ServeEngine {
                     if !selected.contains(&position) {
                         selected.push(position);
                     }
+                    Some(HeadPlan {
+                        selected,
+                        stats: plan.stats,
+                        residency: plan.residency,
+                        hint,
+                    })
+                })
+                .collect();
+
+            // Attention, phase 2 (parallel across query heads): attend. A
+            // head reads only its KV head's store, its plan and the sealed
+            // compressed pages — never a selector — and writes its output
+            // straight into its disjoint slice of the layer's concat buffer
+            // through its persistent kernel workspace: pure, order-free
+            // compute with no allocation once the workspace is warm. Heads
+            // fan out only once the context is long enough for one head's
+            // attention to outweigh a spawn (`min_len = num_heads` forces a
+            // single chunk below the threshold).
+            let head_min_len = if position >= HEAD_PAR_MIN_CONTEXT {
+                1
+            } else {
+                num_heads
+            };
+            let kv_layer = &sess.kv[layer];
+            let compressed_pages = sess.residency.compressed_pages(layer);
+            sess.concat.clear();
+            sess.concat.resize(num_heads * head_dim, 0.0);
+            let work: Vec<_> = sess
+                .workspaces
+                .iter_mut()
+                .zip(sess.concat.chunks_mut(head_dim))
+                .zip(&plans)
+                .enumerate()
+                .collect();
+            work.into_par_iter().with_min_len(head_min_len).for_each(
+                |(head, ((ws, slot), plan))| {
+                    let kv_head = head / group;
+                    let store = &kv_layer[kv_head];
+                    let Some(plan) = plan else {
+                        // Prefill: full causal attention through the
+                        // dedicated no-index-vec path (no `(0..n)` vector).
+                        attend_into(
+                            store.keys(),
+                            store.values(),
+                            None,
+                            &ws.q,
+                            &mut ws.weights,
+                            slot,
+                        );
+                        return;
+                    };
                     match (&plan.residency, compressed_pages.get(kv_head)) {
                         (KvResidency::Compressed(pages), Some(sealed)) => {
                             // Recall-compressed attention (DESIGN.md §9):
@@ -1116,22 +1128,21 @@ impl ServeEngine {
                             // the plan's pages, exact KV elsewhere. The
                             // pages were built when their clusters were
                             // sealed, from (config, membership, stored
-                            // values) alone, so this is order-free across
+                            // values) alone, keyed by the group's first
+                            // query head, so this is order-free across
                             // heads and thread counts.
-                            let group = num_heads / config.num_kv_heads;
-                            let owner = kv_head * group + selector.table_owner(head % group);
                             let page_of = |page: &PageRequest| {
                                 sealed
                                     .get(PageKey {
                                         layer: LayerId(layer),
-                                        head: HeadId(owner),
+                                        head: HeadId(kv_head * group),
                                         page: page.page,
                                     })
                                     .expect("every page of a plan was sealed with its cluster")
                             };
                             attend_compressed_ws(
                                 store,
-                                &selected,
+                                &plan.selected,
                                 pages.iter().map(page_of),
                                 ws,
                                 slot,
@@ -1142,39 +1153,32 @@ impl ServeEngine {
                         _ => attend_into(
                             store.keys(),
                             store.values(),
-                            Some(&selected),
+                            Some(&plan.selected),
                             &ws.q,
                             &mut ws.weights,
                             slot,
                         ),
                     }
-                    let pages = match plan.residency {
-                        KvResidency::Paged(pages) | KvResidency::Compressed(pages) => Some(pages),
-                        KvResidency::Resident => None,
-                    };
-                    Some(HeadOutcome {
-                        attended: selected.len(),
-                        stats: plan.stats,
-                        pages,
-                        hint,
-                    })
-                })
-                .collect();
+                },
+            );
 
-            // Attention, phase 2 (sequential, in head order): cluster-cache
+            // Attention, phase 3 (sequential, in head order): cluster-cache
             // accesses (whose LRU stamps are order-sensitive) and stats
-            // accumulation consume the outcomes exactly as a sequential
-            // engine would (outputs already sit in the concat buffer,
-            // written by the parallel phase).
-            for (head, outcome) in head_outcomes.into_iter().enumerate() {
-                let Some(outcome) = outcome else { continue };
-                sess.stats.merge(&outcome.stats);
+            // accumulation consume the plans exactly as a sequential engine
+            // would (outputs already sit in the concat buffer, written by
+            // the parallel phase).
+            for (head, plan) in plans.into_iter().enumerate() {
+                let Some(plan) = plan else { continue };
+                sess.stats.merge(&plan.stats);
                 if layer >= config.dense_layers {
                     sess.residency
-                        .selected(outcome.stats.scored_vectors, outcome.attended as u64);
+                        .selected(plan.stats.scored_vectors, plan.selected.len() as u64);
                 }
-                sess.residency
-                    .recall(layer, head, outcome.pages, outcome.hint);
+                let pages = match plan.residency {
+                    KvResidency::Paged(pages) | KvResidency::Compressed(pages) => Some(pages),
+                    KvResidency::Resident => None,
+                };
+                sess.residency.recall(layer, head, pages, plan.hint);
             }
 
             // Output projection and residual (row-parallel).
@@ -1201,34 +1205,37 @@ impl ServeEngine {
         Ok(rms_norm(&x, &weights.final_norm, 1e-6))
     }
 
-    /// Fan a key event out across the selector group of every selective
+    /// Fan a key event out across the selector of every selective
     /// `(layer, kv_head)` of a session — once per KV head, however many
-    /// query heads read it. The closure receives the group's layer offset
+    /// query heads read it. The closure receives the selector's layer offset
     /// (0 = first selective layer) and KV-head index, and must be
-    /// order-free: groups are independent, so the fan-out runs
+    /// order-free: selectors are independent, so the fan-out runs
     /// data-parallel (DESIGN.md §4).
-    fn observe_selective<F>(dense_layers: usize, selectors: &mut [Vec<SelectorGroup>], observe: F)
-    where
-        F: Fn(usize, usize, &mut SelectorGroup) + Sync,
+    fn observe_selective<F>(
+        dense_layers: usize,
+        selectors: &mut [Vec<Box<dyn TokenSelector>>],
+        observe: F,
+    ) where
+        F: Fn(usize, usize, &mut dyn TokenSelector) + Sync,
     {
         selectors[dense_layers..]
             .iter_mut()
             .enumerate()
-            .flat_map(|(li, groups)| {
-                groups
+            .flat_map(|(li, layer)| {
+                layer
                     .iter_mut()
                     .enumerate()
-                    .map(move |(kv_head, group)| (li, kv_head, group))
+                    .map(move |(kv_head, selector)| (li, kv_head, selector))
             })
             .collect::<Vec<_>>()
             .into_par_iter()
             .with_min_len(1)
-            .for_each(|(li, kv_head, group)| observe(li, kv_head, group));
+            .for_each(|(li, kv_head, selector)| observe(li, kv_head, selector.as_mut()));
     }
 
     /// Forward one contiguous chunk of a session's prompt with full causal
-    /// attention, letting every selective KV head's selector group observe
-    /// the chunk's keys ([`ObserveEvent::PrefillChunk`]). Returns the final
+    /// attention, letting every selective KV head's selector observe the
+    /// chunk's keys ([`ObserveEvent::PrefillChunk`]). Returns the final
     /// hidden state of the chunk's last token.
     ///
     /// Chunks are resumable: a prompt may arrive over any number of calls
@@ -1382,8 +1389,8 @@ impl ServeEngine {
         for &token in &chunk[fast..] {
             last = Self::forward_token(config, weights, rope, None, sess, token)?;
         }
-        // Notify the selector groups of the chunk's keys, once per KV head.
-        // Groups are independent, making the observes order-free; policies
+        // Notify the selectors of the chunk's keys, once per KV head.
+        // Selectors are independent, making the observes order-free; policies
         // whose prefill pass is global (ClusterKV's clustering, InfiniGen's
         // SVD) buffer here and reconcile on `PrefillDone`.
         let end = sess.num_tokens;
@@ -1397,8 +1404,8 @@ impl ServeEngine {
         Self::observe_selective(
             config.dense_layers,
             &mut sess.selectors,
-            |li, kv_head, group| {
-                group.observe(ObserveEvent::PrefillChunk {
+            |li, kv_head, selector| {
+                selector.observe(ObserveEvent::PrefillChunk {
                     start,
                     keys: &keys_per_layer[li][kv_head],
                 });
@@ -1409,7 +1416,7 @@ impl ServeEngine {
         Ok(last)
     }
 
-    /// Seal a chunked prefill: selector groups reconcile their prompt state
+    /// Seal a chunked prefill: selectors reconcile their prompt state
     /// ([`ObserveEvent::PrefillDone`] — this is where ClusterKV's semantic
     /// clustering runs, Fig. 5 step 1, once per KV head: the heaviest
     /// selection work of a session's lifetime), the prefill KV settles into the tiered memory
@@ -1472,15 +1479,15 @@ impl ServeEngine {
                 .map(|store| (store, node))
         });
         let dense = config.dense_layers;
-        Self::observe_selective(dense, &mut sess.selectors, |li, kv_head, group| {
+        Self::observe_selective(dense, &mut sess.selectors, |li, kv_head, selector| {
             if let Some((store, node)) = adopt_from {
                 if let Some(state) = store.selector_state(node, li + dense, kv_head) {
-                    if group.adopt_prefill_state(state, total_tokens) {
+                    if selector.adopt_prefill_state(state, total_tokens) {
                         return;
                     }
                 }
             }
-            group.observe(ObserveEvent::PrefillDone { total_tokens });
+            selector.observe(ObserveEvent::PrefillDone { total_tokens });
         });
         if let Some(node) = terminal {
             let store = prefix.as_mut().expect("terminal implies a store");
@@ -1488,9 +1495,9 @@ impl ServeEngine {
                 // First session to seal this exact prompt: export each
                 // selective KV head's post-reconcile state so later sessions
                 // skip the clustering work.
-                for (li, groups) in sess.selectors[dense..].iter().enumerate() {
-                    for (kv_head, group) in groups.iter().enumerate() {
-                        if let Some(state) = group.export_prefill_state() {
+                for (li, selectors) in sess.selectors[dense..].iter().enumerate() {
+                    for (kv_head, selector) in selectors.iter().enumerate() {
+                        if let Some(state) = selector.export_prefill_state() {
                             store.cache_selector_state(node, li + dense, kv_head, state);
                         }
                     }
@@ -1589,15 +1596,15 @@ impl ServeEngine {
         sess.residency.begin_step();
         let hidden = Self::forward_token(config, weights, rope, Some(policy), sess, token)?;
 
-        // Notify the selector groups of the key each KV head appended at
+        // Notify the selectors of the key each KV head appended at
         // `position` — parallel across the independent (layer, kv_head)
-        // groups, read straight from the session's stores. Incremental
+        // selectors, read straight from the session's stores. Incremental
         // clustering (ClusterKV's periodic k-means over the decode buffer)
         // runs inside these observes, once per KV head.
         let dense = config.dense_layers;
         let kv = &sess.kv;
-        Self::observe_selective(dense, &mut sess.selectors, |li, kv_head, group| {
-            group.observe(ObserveEvent::Append {
+        Self::observe_selective(dense, &mut sess.selectors, |li, kv_head, selector| {
+            selector.observe(ObserveEvent::Append {
                 position,
                 key: kv[li + dense][kv_head].key(position),
             });
@@ -1830,6 +1837,34 @@ mod tests {
                 Err(EngineError::InvalidConfig(_))
             ));
         }
+        // So is the policy, as the default on the builder and when a
+        // session names it: nothing is built from a factory that rejects
+        // its own configuration (the policy crates' factories are covered
+        // in `tests/serving.rs`).
+        struct Rejecting;
+        impl SelectorFactory for Rejecting {
+            fn name(&self) -> &str {
+                "Rejecting"
+            }
+            fn create(&self, _ctx: HeadContext) -> Box<dyn TokenSelector> {
+                unreachable!("a factory that fails validation builds nothing")
+            }
+            fn validate(&self) -> Result<(), String> {
+                Err("rejected".into())
+            }
+        }
+        assert!(matches!(
+            ServeEngine::builder(ModelConfig::tiny())
+                .policy(Box::new(Rejecting))
+                .build(),
+            Err(EngineError::InvalidConfig(_))
+        ));
+        let mut eng = tiny_serve(8);
+        assert!(matches!(
+            eng.create_session_with(&Rejecting),
+            Err(EngineError::InvalidConfig(_))
+        ));
+        assert_eq!(eng.num_sessions(), 0);
     }
 
     #[test]
@@ -2206,8 +2241,8 @@ mod tests {
         fn observe(&mut self, event: ObserveEvent<'_>) {
             self.inner.observe(event);
         }
-        fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
-            let plan = self.inner.plan(request);
+        fn plan(&mut self, head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
+            let plan = self.inner.plan(head, request);
             if request.budget.covers(request.num_tokens) {
                 return plan;
             }
@@ -2248,7 +2283,7 @@ mod tests {
         }
     }
 
-    /// What the shared test index below saw, across every instance a
+    /// What the counting test selector below saw, across every instance a
     /// factory created.
     #[derive(Default)]
     struct ObserveCounts {
@@ -2258,21 +2293,23 @@ mod tests {
         adopted: std::sync::atomic::AtomicUsize,
     }
 
-    /// Bytes the shared test index charges for its exported state.
+    /// Bytes the counting test selector charges for its exported state.
     const SHARED_STATE_BYTES: u64 = 96;
 
-    /// Test-only group index: the oracle's exact top-k over the KV head's
-    /// keys — a function of the keys alone, so one instance serves a whole
-    /// group exactly as per-head [`OracleTopKSelector`]s would.
-    ///
-    /// [`OracleTopKSelector`]: crate::policy::OracleTopKSelector
+    /// Test-only selector: the oracle's exact top-k over the KV head's keys,
+    /// counting every key event and sharing its (trivial) prefill state
+    /// through the prefix store.
     struct SharedTopK {
         keys: Matrix,
         sealed: bool,
         counts: std::sync::Arc<ObserveCounts>,
     }
 
-    impl crate::policy::GroupIndex for SharedTopK {
+    impl TokenSelector for SharedTopK {
+        fn name(&self) -> &str {
+            "SharedTopK"
+        }
+
         fn observe(&mut self, event: ObserveEvent<'_>) {
             use std::sync::atomic::Ordering::Relaxed;
             match event {
@@ -2294,7 +2331,7 @@ mod tests {
             }
         }
 
-        fn plan(&self, request: SelectionRequest<'_>, _scratch: &mut Workspace) -> SelectionPlan {
+        fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
             let n = request.num_tokens.min(self.keys.rows());
             if request.budget.covers(n) {
                 return SelectionPlan::full(n);
@@ -2337,17 +2374,13 @@ mod tests {
         fn name(&self) -> &str {
             "SharedTopK"
         }
-        fn create(&self, _ctx: HeadContext) -> Box<dyn TokenSelector> {
-            unreachable!("the engine asks for groups")
-        }
-        fn create_group(&self, ctx: HeadContext) -> SelectorGroup {
+        fn create(&self, ctx: HeadContext) -> Box<dyn TokenSelector> {
             assert_eq!(ctx.head, ctx.kv_head * ctx.group_size);
-            let index = SharedTopK {
+            Box::new(SharedTopK {
                 keys: Matrix::zeros(0, ctx.head_dim),
                 sealed: false,
                 counts: self.0.clone(),
-            };
-            SelectorGroup::shared(Box::new(index), ctx.group_size)
+            })
         }
     }
 
@@ -2377,14 +2410,13 @@ mod tests {
             }
             (streams, eng)
         };
-        // Reference: one independent oracle per query head (the default
-        // `create_group`), 4 per layer.
-        let (per_head, _) = run(&OracleTopKFactory);
+        // Reference: the oracle, which shares nothing through the store.
+        let (oracle, _) = run(&OracleTopKFactory);
         let counts = std::sync::Arc::new(ObserveCounts::default());
         let (shared, eng) = run(&SharedTopKFactory(counts.clone()));
-        assert_eq!(shared, per_head, "same keys, same plans, same streams");
+        assert_eq!(shared, oracle, "same keys, same plans, same streams");
 
-        // 2 selective layers × 2 KV heads = 4 indexes per session, each
+        // 2 selective layers × 2 KV heads = 4 selectors per session, each
         // observing once what its 2 query heads attend.
         let groups = 4;
         assert_eq!(counts.chunks.load(Relaxed), 2 * 3 * groups);
@@ -2764,7 +2796,7 @@ mod tests {
             self.positions = (0..n).collect();
         }
 
-        fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+        fn plan(&mut self, _head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
             let b = request.budget.tokens().min(request.num_tokens);
             let indices: Vec<usize> = (request.num_tokens - b..request.num_tokens).collect();
             let pages = (indices[0] / TEST_BLOCK..self.positions.len().div_ceil(TEST_BLOCK))

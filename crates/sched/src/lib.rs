@@ -1316,9 +1316,10 @@ mod tests {
         }
         fn plan(
             &mut self,
+            head: usize,
             request: clusterkv_model::SelectionRequest<'_>,
         ) -> clusterkv_model::SelectionPlan {
-            let plan = self.inner.plan(request);
+            let plan = self.inner.plan(head, request);
             if request.budget.covers(request.num_tokens) {
                 return plan;
             }

@@ -390,48 +390,6 @@ impl Matrix {
             data: self.data[start * self.cols..end * self.cols].to_vec(),
         }
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Per-column maximum over all rows — the page-representation used by the
-    /// Quest baseline ("per-channel maximal keys").
-    ///
-    /// Returns a zero vector when the matrix has no rows.
-    pub fn column_max(&self) -> Vec<f32> {
-        let mut out = vec![f32::NEG_INFINITY; self.cols];
-        if self.rows == 0 {
-            return vec![0.0; self.cols];
-        }
-        for row in self.iter_rows() {
-            for (o, &v) in out.iter_mut().zip(row) {
-                if v > *o {
-                    *o = v;
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-column minimum over all rows (used by Quest's min/max metadata).
-    ///
-    /// Returns a zero vector when the matrix has no rows.
-    pub fn column_min(&self) -> Vec<f32> {
-        let mut out = vec![f32::INFINITY; self.cols];
-        if self.rows == 0 {
-            return vec![0.0; self.cols];
-        }
-        for row in self.iter_rows() {
-            for (o, &v) in out.iter_mut().zip(row) {
-                if v < *o {
-                    *o = v;
-                }
-            }
-        }
-        out
-    }
 }
 
 impl Default for Matrix {
@@ -584,22 +542,6 @@ mod tests {
         assert!(m.push_row(&[5.0]).is_err());
     }
 
-    #[test]
-    fn column_max_and_min() {
-        let m = Matrix::from_rows(vec![vec![1.0, -5.0], vec![3.0, 2.0], vec![-2.0, 0.0]]).unwrap();
-        assert_eq!(m.column_max(), vec![3.0, 2.0]);
-        assert_eq!(m.column_min(), vec![-2.0, -5.0]);
-        let empty = Matrix::zeros(0, 2);
-        assert_eq!(empty.column_max(), vec![0.0, 0.0]);
-        assert_eq!(empty.column_min(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Matrix::from_rows(vec![vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
-    }
-
     proptest! {
         #[test]
         fn matmul_is_associative_with_identity(
@@ -622,22 +564,6 @@ mod tests {
             prop_assume!(data.len() == rows * cols);
             let m = Matrix::from_flat(rows, cols, data).unwrap();
             prop_assert_eq!(m.transpose().transpose(), m);
-        }
-
-        #[test]
-        fn column_max_dominates_all_rows(
-            rows in 1usize..6, cols in 1usize..6,
-            seed in proptest::collection::vec(-5.0f32..5.0, 36),
-        ) {
-            let data: Vec<f32> = seed.into_iter().take(rows * cols).collect();
-            prop_assume!(data.len() == rows * cols);
-            let m = Matrix::from_flat(rows, cols, data).unwrap();
-            let cmax = m.column_max();
-            for row in m.iter_rows() {
-                for (c, v) in row.iter().enumerate() {
-                    prop_assert!(cmax[c] >= *v);
-                }
-            }
         }
     }
 }

@@ -80,12 +80,6 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// GELU activation (tanh approximation).
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + ((0.797_884_6) * (x + 0.044_715 * x * x * x)).tanh())
-}
-
 /// Weighted sum of value vectors: `Σ w_i · v_i`.
 ///
 /// Used to compute the attention output `softmax(qKᵀ/√d)·V` once the weights
@@ -165,11 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn silu_and_gelu_are_monotone_near_zero() {
+    fn silu_is_monotone_near_zero() {
         assert!(silu(1.0) > silu(0.0));
-        assert!(gelu(1.0) > gelu(0.0));
         assert!(silu(0.0).abs() < 1e-6);
-        assert!(gelu(0.0).abs() < 1e-6);
     }
 
     #[test]

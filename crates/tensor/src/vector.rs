@@ -66,12 +66,6 @@ pub fn l2_distance_sq(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// L2 distance between two equal-length slices.
-#[inline]
-pub fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
-    l2_distance_sq(a, b).sqrt()
-}
-
 /// Cosine similarity `⟨a,b⟩ / (|a|·|b|)`.
 ///
 /// Returns `0.0` when either vector has zero norm, which keeps the semantic
@@ -231,25 +225,6 @@ pub fn argsort_descending_into(a: &[f32], idx: &mut Vec<usize>) {
     idx.sort_unstable_by(|&i, &j| cmp_desc_nan_last(a, i, j));
 }
 
-/// Mean of a set of equal-length vectors.
-///
-/// Returns a zero vector of length `dim` when `vectors` is empty.
-pub fn mean_of<'a, I>(vectors: I, dim: usize) -> Vec<f32>
-where
-    I: IntoIterator<Item = &'a [f32]>,
-{
-    let mut acc = vec![0.0f32; dim];
-    let mut count = 0usize;
-    for v in vectors {
-        axpy(&mut acc, 1.0, v);
-        count += 1;
-    }
-    if count > 0 {
-        scale(&mut acc, 1.0 / count as f32);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,20 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_of_empty_is_zero() {
-        let m = mean_of(std::iter::empty::<&[f32]>(), 3);
-        assert_eq!(m, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn mean_of_two_vectors() {
-        let a = vec![1.0f32, 3.0];
-        let b = vec![3.0f32, 5.0];
-        let m = mean_of([a.as_slice(), b.as_slice()], 2);
-        assert_eq!(m, vec![2.0, 4.0]);
-    }
-
-    #[test]
     fn normalize_makes_unit_norm() {
         let mut v = vec![3.0f32, 4.0];
         normalize(&mut v);
@@ -408,11 +369,6 @@ mod tests {
             let n = a.len().min(b.len());
             let s = cosine_similarity(&a[..n], &b[..n]);
             prop_assert!((-1.0 - 1e-4..=1.0 + 1e-4).contains(&s));
-        }
-
-        #[test]
-        fn l2_distance_satisfies_identity(a in proptest::collection::vec(-10.0f32..10.0, 1..32)) {
-            prop_assert!(l2_distance(&a, &a) < 1e-6);
         }
 
         #[test]

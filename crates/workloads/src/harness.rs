@@ -193,7 +193,7 @@ pub(crate) fn drive_episode<L>(
     for step in 0..episode.decode_steps() {
         let query = &episode.queries[step];
         let n = store.len();
-        let plan = selector.plan(SelectionRequest::new(query, n, budget));
+        let plan = selector.plan(0, SelectionRequest::new(query, n, budget));
         stats.merge(&plan.stats);
         per_step_selected.push(plan.indices.len());
 

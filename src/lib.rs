@@ -10,7 +10,7 @@
 //!   selection-plan policy interface.
 //! * [`clusterkv_kvcache`] — the KV substrate, including the tiered
 //!   [`ClusterCache`] memory hierarchy (DESIGN.md §3).
-//! * [`clusterkv_baselines`] — Quest, InfiniGen, H2O, StreamingLLM.
+//! * [`clusterkv_baselines`] — Quest, InfiniGen, H2O.
 //! * [`clusterkv_workloads`] / [`clusterkv_bench`] — synthetic workloads and
 //!   the figure-reproduction harness.
 

@@ -1,21 +1,21 @@
-//! Clustering is per KV head: on grouped-query shapes one semantic index
-//! serves the query heads of its group, while multi-head shapes and every
-//! baseline stay bit-identical to the commit before the index/planner split
-//! (the digests below were printed by that commit running this scenario).
+//! Selection state is per KV head: on grouped-query shapes one selector
+//! serves the query heads of its group and observes each key event once,
+//! while multi-head shapes and every baseline stay bit-identical to the
+//! commit before the index/planner split (the digests below were printed by
+//! that commit running this scenario).
 
 mod common;
 
-use clusterkv::{ClusterIndex, ClusterKvConfig, ClusterKvFactory};
+use clusterkv::{ClusterKvConfig, ClusterKvFactory, ClusterKvSelector};
 use clusterkv_baselines::BaselineKind;
 use clusterkv_faults::{FaultPlan, Fnv64};
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::CompressionConfig;
 use clusterkv_model::policy::{
-    GroupIndex, HeadContext, KvResidency, ObserveEvent, PageRequest, SelectionPlan,
-    SelectionRequest, SelectorFactory, SelectorGroup, SharedPrefixState, TokenSelector,
+    observe_prompt, HeadContext, KvResidency, ObserveEvent, PageRequest, SelectionPlan,
+    SelectionRequest, SelectorFactory, SharedPrefixState, TokenSelector,
 };
 use clusterkv_model::{ModelConfig, PrefetchConfig, ServeEngine, ServeEngineBuilder};
-use clusterkv_tensor::kernels::Workspace;
 use clusterkv_tensor::rng::{derive_seed, gaussian_vec, seeded};
 use clusterkv_tensor::Matrix;
 use common::{thread_env_lock, with_thread_count};
@@ -102,7 +102,7 @@ fn pinned_scenario(model: ModelConfig, factory: &dyn SelectorFactory) -> u64 {
 
 #[test]
 fn mha_clusterkv_is_bit_identical_to_the_parent_commit() {
-    // With one query head per KV head the index of `(layer, kv_head)` is
+    // With one query head per KV head the selector of `(layer, kv_head)` is
     // what the selector of `(layer, head)` was: same seed, same clusters,
     // same plans, same reports.
     let ckv = ClusterKvFactory::new(ckv_config());
@@ -117,34 +117,22 @@ fn mha_clusterkv_is_bit_identical_to_the_parent_commit() {
         ((2, 3), 0x6ab0_6cd9_2416_5b05, 0x9d59_37fe_83ab_ee9c),
     ];
     for ((layer, head), fingerprint, clustering) in pinned {
-        let SelectorGroup::Shared { mut index, .. } =
-            ckv.create_group(HeadContext::mha(layer, head, 8))
-        else {
-            panic!("ClusterKV groups share an index");
-        };
-        index.observe(ObserveEvent::PrefillChunk {
-            start: 0,
-            keys: &keys,
-        });
-        index.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
-        let state = index.export_prefill_state().unwrap();
+        let mut selector = ckv.create(HeadContext::mha(layer, head, 8));
+        observe_prompt(selector.as_mut(), &keys);
+        let state = selector.export_prefill_state().unwrap();
         assert_eq!(state.fingerprint, fingerprint, "head ({layer}, {head})");
 
-        // The documented seed derivation, spelled out: an index built with
+        // The documented seed derivation, spelled out: a selector built with
         // it adopts the factory-built one's state (equal fingerprints) and
         // clusters to the pinned bits itself.
         let seed = derive_seed(ckv_config().seed, (layer as u64) << 16 | head as u64);
-        let mut twin = ClusterIndex::new(ckv_config().with_seed(seed), 8);
+        let mut twin = ClusterKvSelector::new(ckv_config().with_seed(seed), 8);
         assert!(twin.adopt_prefill_state(&state, 60));
-        let mut own = ClusterIndex::new(ckv_config().with_seed(seed), 8);
-        own.observe(ObserveEvent::PrefillChunk {
-            start: 0,
-            keys: &keys,
-        });
-        own.observe(ObserveEvent::PrefillDone { total_tokens: 60 });
-        for index in [&twin, &own] {
+        let mut own = ClusterKvSelector::new(ckv_config().with_seed(seed), 8);
+        observe_prompt(&mut own, &keys);
+        for selector in [&twin, &own] {
             assert_eq!(
-                clustering_digest(index),
+                clustering_digest(selector),
                 clustering,
                 "head ({layer}, {head})"
             );
@@ -152,8 +140,8 @@ fn mha_clusterkv_is_bit_identical_to_the_parent_commit() {
     }
 }
 
-fn clustering_digest(index: &ClusterIndex) -> u64 {
-    let sc = index.clustering();
+fn clustering_digest(selector: &ClusterKvSelector) -> u64 {
+    let sc = selector.clustering();
     let mut h = Fnv64::new();
     h.write_f32s(sc.centroids().as_slice());
     h.write_f32s(sc.centroid_norms());
@@ -167,10 +155,10 @@ fn clustering_digest(index: &ClusterIndex) -> u64 {
 
 #[test]
 fn baselines_are_bit_identical_to_the_parent_commit() {
-    // The default `create_group` hands every query head the selector
-    // `create` always built for it, on grouped-query and multi-head shapes
-    // alike.
-    let pinned: [(BaselineKind, u64, u64); 5] = [
+    // One selector per KV head plans for each query head of its group
+    // exactly as the per-query-head copies did, on grouped-query and
+    // multi-head shapes alike.
+    let pinned: [(BaselineKind, u64, u64); 4] = [
         (
             BaselineKind::Quest,
             0x950c_26f0_aca4_b6d8,
@@ -185,11 +173,6 @@ fn baselines_are_bit_identical_to_the_parent_commit() {
             BaselineKind::H2o,
             0xdb20_71e8_f07a_3fc8,
             0x6d3b_7238_3f1b_6ae8,
-        ),
-        (
-            BaselineKind::StreamingLlm,
-            0xb225_0063_73cb_b728,
-            0x806f_44c0_824e_2de0,
         ),
         (
             BaselineKind::FullKv,
@@ -212,45 +195,83 @@ fn baselines_are_bit_identical_to_the_parent_commit() {
     }
 }
 
-/// How often the indexes a factory built ran their prompt clustering
-/// (`PrefillDone`, where the k-means runs) or adopted another session's,
-/// and which pages had their membership read — what the engine does exactly
-/// when it quantizes a page.
+/// A key event as a selector saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Chunk { start: usize },
+    Done { total_tokens: usize },
+    Append { position: usize },
+}
+
+/// What the selectors a factory built saw, and which pages had their
+/// membership read — what the engine does exactly when it quantizes a page.
 #[derive(Default)]
 struct SealCounts {
-    clustered: AtomicUsize,
+    /// `(layer, kv_head)` of every selector built, in creation order.
+    created: Mutex<Vec<(usize, usize)>>,
+    /// Every key event delivered, tagged with the creation index of the
+    /// selector that received it.
+    seen: Mutex<Vec<(usize, Seen)>>,
+    /// Prefill states adopted from the prefix store instead of a
+    /// `PrefillDone` pass.
     adopted: AtomicUsize,
     /// `(layer, kv_head, page)` of every `page_members` call, in call order.
     members_read: Mutex<Vec<(usize, usize, usize)>>,
-    /// Pages of the last table each `(layer, kv_head)` index reported.
+    /// Pages of the last table each `(layer, kv_head)` selector reported.
     table_len: Mutex<BTreeMap<(usize, usize), usize>>,
 }
 
-/// A [`ClusterIndex`] behind a counter.
-struct CountedIndex {
-    inner: Box<dyn GroupIndex>,
+impl SealCounts {
+    /// `PrefillDone` passes run — where ClusterKV's k-means runs.
+    fn clustered(&self) -> usize {
+        let seen = self.seen.lock().unwrap();
+        let done = |(_, event): &&(usize, Seen)| matches!(event, Seen::Done { .. });
+        seen.iter().filter(done).count()
+    }
+
+    /// The events the `id`-th selector built received, in order.
+    fn seen_by(&self, id: usize) -> Vec<Seen> {
+        let seen = self.seen.lock().unwrap();
+        seen.iter()
+            .filter(|&&(by, _)| by == id)
+            .map(|&(_, event)| event)
+            .collect()
+    }
+}
+
+/// Any policy's selector behind a counter.
+struct CountedSelector {
+    inner: Box<dyn TokenSelector>,
     counts: Arc<SealCounts>,
-    /// The `(layer, kv_head)` the index serves.
+    /// Creation index among the factory's selectors.
+    id: usize,
+    /// The `(layer, kv_head)` the selector serves.
     at: (usize, usize),
 }
 
-impl GroupIndex for CountedIndex {
+impl TokenSelector for CountedSelector {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
     fn observe(&mut self, event: ObserveEvent<'_>) {
-        if matches!(event, ObserveEvent::PrefillDone { .. }) {
-            self.counts.clustered.fetch_add(1, Ordering::Relaxed);
-        }
+        let seen = match event {
+            ObserveEvent::PrefillChunk { start, .. } => Seen::Chunk { start },
+            ObserveEvent::PrefillDone { total_tokens } => Seen::Done { total_tokens },
+            ObserveEvent::Append { position, .. } => Seen::Append { position },
+        };
+        self.counts.seen.lock().unwrap().push((self.id, seen));
         self.inner.observe(event);
     }
-    fn plan(&self, request: SelectionRequest<'_>, scratch: &mut Workspace) -> SelectionPlan {
-        self.inner.plan(request, scratch)
+    fn plan(&mut self, head: usize, request: SelectionRequest<'_>) -> SelectionPlan {
+        self.inner.plan(head, request)
     }
     fn prefetch_hint(
-        &self,
+        &mut self,
+        head: usize,
         request: SelectionRequest<'_>,
         lookahead_tokens: usize,
-        scratch: &mut Workspace,
     ) -> Vec<PageRequest> {
-        self.inner.prefetch_hint(request, lookahead_tokens, scratch)
+        self.inner.prefetch_hint(head, request, lookahead_tokens)
     }
     fn page_table(&self) -> KvResidency {
         let table = self.inner.page_table();
@@ -267,7 +288,7 @@ impl GroupIndex for CountedIndex {
             .push((layer, kv_head, page));
         self.inner.page_members(page)
     }
-    // The engine skips settled tables exactly as it does for the index
+    // The engine skips settled tables exactly as it does for the selector
     // behind the counter, so the seal counts below hold with the skip on.
     fn page_table_version(&self) -> Option<u64> {
         self.inner.page_table_version()
@@ -284,9 +305,19 @@ impl GroupIndex for CountedIndex {
     }
 }
 
+/// Wraps any factory so every selector it builds is a [`CountedSelector`].
 struct CountedFactory {
-    inner: ClusterKvFactory,
+    inner: Box<dyn SelectorFactory>,
     counts: Arc<SealCounts>,
+}
+
+impl CountedFactory {
+    fn new(inner: Box<dyn SelectorFactory>) -> Self {
+        Self {
+            inner,
+            counts: Arc::default(),
+        }
+    }
 }
 
 impl SelectorFactory for CountedFactory {
@@ -294,21 +325,68 @@ impl SelectorFactory for CountedFactory {
         self.inner.name()
     }
     fn create(&self, ctx: HeadContext) -> Box<dyn TokenSelector> {
-        self.inner.create(ctx)
+        assert_eq!(ctx.head, ctx.kv_head * ctx.group_size);
+        let mut created = self.counts.created.lock().unwrap();
+        created.push((ctx.layer, ctx.kv_head));
+        Box::new(CountedSelector {
+            inner: self.inner.create(ctx),
+            counts: self.counts.clone(),
+            id: created.len() - 1,
+            at: (ctx.layer, ctx.kv_head),
+        })
     }
-    fn create_group(&self, ctx: HeadContext) -> SelectorGroup {
-        let SelectorGroup::Shared { index, scratch } = self.inner.create_group(ctx) else {
-            panic!("ClusterKV groups share an index");
-        };
-        assert_eq!(scratch.len(), ctx.group_size, "one planner per query head");
-        let counts = self.counts.clone();
-        SelectorGroup::Shared {
-            index: Box::new(CountedIndex {
-                inner: index,
-                counts,
-                at: (ctx.layer, ctx.kv_head),
-            }),
-            scratch,
+    fn validate(&self) -> Result<(), String> {
+        self.inner.validate()
+    }
+}
+
+#[test]
+fn every_policy_observes_each_key_event_once_per_kv_head() {
+    // One selector per selective (layer, KV head), whatever the policy:
+    // it receives every prompt chunk, the seal and every decode key
+    // exactly once, however many query heads plan against it.
+    let prompt = prompt(64);
+    let expected: Vec<Seen> = (0..64)
+        .step_by(16)
+        .map(|start| Seen::Chunk { start })
+        .chain([Seen::Done { total_tokens: 64 }])
+        .chain((64..64 + DECODE_STEPS).map(|position| Seen::Append { position }))
+        .collect();
+    for (heads, kv_heads) in [(4, 1), (8, 2)] {
+        let model = model(heads, kv_heads);
+        let selective: Vec<(usize, usize)> = (model.dense_layers..model.num_layers)
+            .flat_map(|layer| (0..kv_heads).map(move |kv_head| (layer, kv_head)))
+            .collect();
+        let policies: [Box<dyn SelectorFactory>; 5] = [
+            Box::new(ClusterKvFactory::new(ckv_config())),
+            BaselineKind::Quest.factory(),
+            BaselineKind::InfiniGen.factory(),
+            BaselineKind::H2o.factory(),
+            BaselineKind::FullKv.factory(),
+        ];
+        for policy in policies {
+            let name = policy.name().to_string();
+            let factory = CountedFactory::new(policy);
+            let mut engine = engine(model).build().unwrap();
+            let id = engine.create_session_with(&factory).unwrap();
+            for piece in prompt.chunks(16) {
+                engine.prefill_chunk(id, piece).unwrap();
+            }
+            engine.finish_prefill(id).unwrap();
+            for _ in 0..DECODE_STEPS {
+                engine.decode_batch(&[id]).unwrap();
+            }
+            let counts = &factory.counts;
+            let mut created = counts.created.lock().unwrap().clone();
+            created.sort_unstable();
+            assert_eq!(created, selective, "{name} {heads}:{kv_heads}");
+            for selector in 0..selective.len() {
+                assert_eq!(
+                    counts.seen_by(selector),
+                    expected,
+                    "{name} {heads}:{kv_heads}, selector {selector}"
+                );
+            }
         }
     }
 }
@@ -317,12 +395,9 @@ impl SelectorFactory for CountedFactory {
 fn a_sealed_prompt_clusters_once_per_selective_kv_head() {
     for (heads, kv_heads) in [(4, 1), (8, 2)] {
         let model = model(heads, kv_heads);
-        let kv_indexes = (model.num_layers - model.dense_layers) * kv_heads;
-        let counts = Arc::new(SealCounts::default());
-        let factory = CountedFactory {
-            inner: ClusterKvFactory::new(ckv_config()),
-            counts: counts.clone(),
-        };
+        let kv_selectors = (model.num_layers - model.dense_layers) * kv_heads;
+        let factory = CountedFactory::new(Box::new(ClusterKvFactory::new(ckv_config())));
+        let counts = &factory.counts;
         let mut engine = engine(model).prefix_store(Bytes(1 << 20)).build().unwrap();
         let prompt = prompt(64);
         let mut streams = Vec::new();
@@ -335,13 +410,13 @@ fn a_sealed_prompt_clusters_once_per_selective_kv_head() {
             // The first session runs one k-means per KV head — not per query
             // head; the second adopts those and runs none.
             assert_eq!(
-                counts.clustered.load(Ordering::Relaxed),
-                kv_indexes,
+                counts.clustered(),
+                kv_selectors,
                 "{heads}:{kv_heads}, session {session}"
             );
             assert_eq!(
                 counts.adopted.load(Ordering::Relaxed),
-                session * kv_indexes,
+                session * kv_selectors,
                 "{heads}:{kv_heads}, session {session}"
             );
             let stream: Vec<usize> = (0..DECODE_STEPS)
@@ -368,7 +443,7 @@ fn a_sealed_cluster_is_quantised_once_per_selective_kv_head() {
     // prefix store, or added the cluster while decoding.
     for (heads, kv_heads) in [(4, 1), (8, 2)] {
         let model = model(heads, kv_heads);
-        let kv_indexes = (model.num_layers - model.dense_layers) * kv_heads;
+        let kv_selectors = (model.num_layers - model.dense_layers) * kv_heads;
         let int8 = CompressionConfig::int8();
         let mut engine = engine(model)
             .compression(int8)
@@ -377,22 +452,21 @@ fn a_sealed_cluster_is_quantised_once_per_selective_kv_head() {
             .unwrap();
         let prompt = prompt(64);
         for session in 0..2 {
-            let counts = Arc::new(SealCounts::default());
-            let factory = CountedFactory {
-                inner: ClusterKvFactory::new(ckv_config().with_compression(int8)),
-                counts: counts.clone(),
-            };
+            let factory = CountedFactory::new(Box::new(ClusterKvFactory::new(
+                ckv_config().with_compression(int8),
+            )));
+            let counts = &factory.counts;
             let id = engine.create_session_with(&factory).unwrap();
             engine.prefill(id, &prompt).unwrap();
             assert_eq!(
                 counts.adopted.load(Ordering::Relaxed),
-                session * kv_indexes,
+                session * kv_selectors,
                 "{heads}:{kv_heads}: the second session adopts"
             );
             let sealed_pages = |when: &str| {
                 let mut read = counts.members_read.lock().unwrap().clone();
                 let tables = counts.table_len.lock().unwrap().clone();
-                assert_eq!(tables.len(), kv_indexes, "{heads}:{kv_heads}, {when}");
+                assert_eq!(tables.len(), kv_selectors, "{heads}:{kv_heads}, {when}");
                 let expected: Vec<(usize, usize, usize)> = tables
                     .iter()
                     .flat_map(|(&(layer, kv_head), &pages)| {
@@ -408,14 +482,14 @@ fn a_sealed_cluster_is_quantised_once_per_selective_kv_head() {
                 read.len()
             };
             let at_seal = sealed_pages("prompt sealed");
-            assert!(at_seal >= kv_indexes * ckv_config().min_clusters.max(1));
+            assert!(at_seal >= kv_selectors * ckv_config().min_clusters.max(1));
             for _ in 0..DECODE_STEPS {
                 engine.decode_batch(&[id]).unwrap();
             }
             // 20 steps at a period of 8: two incremental clusterings per
-            // index, each adding `decode_new_clusters` pages.
+            // selector, each adding `decode_new_clusters` pages.
             let grown = sealed_pages("after decoding");
-            assert_eq!(grown, at_seal + kv_indexes * 2 * 2);
+            assert_eq!(grown, at_seal + kv_selectors * 2 * 2);
             engine.release(id).unwrap();
         }
     }
@@ -431,7 +505,7 @@ fn gqa_streams_and_reports_hold_across_stores_chunkings_threads_prefetch_and_fau
     let model = model(4, 2);
     // Long enough that the per-head attention phase fans out across
     // workers (it does from 512 tokens of context), so the group's heads
-    // really read their shared index concurrently.
+    // really attend concurrently, each from the plan its selector made.
     let long = prompt(560);
     let short = prompt(64);
     let lossless = ClusterKvFactory::new(ckv_config());

@@ -23,8 +23,8 @@ const NUM_SESSIONS: usize = 4;
 
 /// Every suite below runs on both: the multi-head `tiny` model (each query
 /// head its own KV head) and a grouped-query one — 4 query heads over 2 KV
-/// heads, so ClusterKV plans two heads against each shared index while the
-/// baselines keep one selector per query head.
+/// heads, so every policy's selector of a KV head plans for two query
+/// heads.
 fn shapes() -> [ModelConfig; 2] {
     let gqa = ModelConfig {
         num_heads: 4,
@@ -219,6 +219,45 @@ fn releasing_a_session_does_not_disturb_the_others() {
                 "session {s} diverged after a release"
             );
         }
+    }
+}
+
+#[test]
+fn policy_configs_are_validated_before_any_session_is_built() {
+    // Each of these would divide by a zero cluster size at the first
+    // prefill or trip an `assert!` while its selectors are built, so the
+    // engine rejects it with `InvalidConfig` up front, as the builder's
+    // default and when a session names it.
+    use clusterkv_baselines::{H2oFactory, InfiniGenFactory};
+    use clusterkv_model::EngineError;
+    let invalid: [Box<dyn SelectorFactory>; 4] = [
+        Box::new(ClusterKvFactory::new(
+            ClusterKvConfig::default().with_tokens_per_cluster(0),
+        )),
+        Box::new(QuestFactory::new(0)),
+        Box::new(H2oFactory::new(1.5)),
+        Box::new(InfiniGenFactory::new(0.0)),
+    ];
+    for factory in invalid {
+        let name = factory.name().to_string();
+        let mut engine = ServeEngine::builder(ModelConfig::tiny()).build().unwrap();
+        assert!(
+            matches!(
+                engine.create_session_with(factory.as_ref()),
+                Err(EngineError::InvalidConfig(_))
+            ),
+            "{name}: explicit policy"
+        );
+        assert_eq!(engine.num_sessions(), 0, "{name}");
+        assert!(
+            matches!(
+                ServeEngine::builder(ModelConfig::tiny())
+                    .policy(factory)
+                    .build(),
+                Err(EngineError::InvalidConfig(_))
+            ),
+            "{name}: default policy"
+        );
     }
 }
 

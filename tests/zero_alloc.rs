@@ -2,11 +2,11 @@
 //! (DESIGN.md §6): once a [`Workspace`] is warm, the attention + selection
 //! hot-loop kernels — scoring, ranking, the cluster fill, the lookahead
 //! nomination, gather-attend, norm maintenance — perform **zero** heap
-//! allocations per decode step, a ClusterKV plan — a lone selector's or any
-//! query head's against its group's shared index — allocates exactly the
-//! two buffers its `SelectionPlan` hands to the engine (token positions,
-//! pages), whatever the budget, the cluster count or the compression
-//! config, a k-means fit allocates only the `Clustering` it returns, a
+//! allocations per decode step, a ClusterKV plan — for a lone head or for
+//! any query head of a group planning in its KV head's one scratch —
+//! allocates exactly the two buffers its `SelectionPlan` hands to the engine
+//! (token positions, pages), whatever the budget, the cluster count or the
+//! compression config, a k-means fit allocates only the `Clustering` it returns, a
 //! compressed-recall attend reads its pages' integer codes without
 //! allocating, and so does a cluster-cache access on its miss path —
 //! recall, demotion, eviction — once every page of the session is known;
@@ -66,7 +66,7 @@ fn allocations() -> usize {
 #[test]
 fn warm_kernel_hot_loop_performs_zero_allocations() {
     use clusterkv_kvcache::KvStore;
-    use clusterkv_model::attention::{attend_selected_ws, full_attention_weights_ws};
+    use clusterkv_model::attention::attend_selected_ws;
     use clusterkv_tensor::kernels::{
         attention_weights_into, gather_matvec_t_into, matvec_t_into, norm_sq, row_norms_sq_into,
     };
@@ -92,7 +92,6 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
     gather_matvec_t_into(&keys, &selected, &query, &mut ws.scores);
     attention_weights_into(&keys, Some(&selected), &query, &mut ws.weights);
     attend_selected_ws(&store, &query, &selected, &mut ws);
-    full_attention_weights_ws(&store, &query, &mut ws);
     row_norms_sq_into(&keys, &mut ws.row_norms);
 
     // ---- steady state: the decode-step kernel sequence, repeated -----
@@ -106,8 +105,6 @@ fn warm_kernel_hot_loop_performs_zero_allocations() {
         // weighted sum into the workspace.
         attend_selected_ws(&store, &query, &selected, &mut ws);
         sink += ws.out[0] + ws.scores[ws.idx[0]];
-        // Trace-style exact weights via the no-index-vec full path.
-        full_attention_weights_ws(&store, &query, &mut ws);
         // Norm-cache maintenance (the Gram-trick ingredients).
         ws.row_norms.clear();
         sink += norm_sq(&query);
@@ -198,10 +195,10 @@ fn selection_allocates_only_the_plan() {
 
                 // The selector's own workspace is warm after one plan.
                 let request = |q| SelectionRequest::new(q, n + pending, budget);
-                selector.plan(request(&queries[0]));
+                selector.plan(0, request(&queries[0]));
                 let before = allocations();
                 for q in &queries {
-                    assert_eq!(selector.plan(request(q)).len(), budget.tokens());
+                    assert_eq!(selector.plan(0, request(q)).len(), budget.tokens());
                 }
                 plan_allocations.push(allocations() - before);
             }
@@ -213,31 +210,26 @@ fn selection_allocates_only_the_plan() {
         "a warm plan allocates its index vector and its page list, nothing else"
     );
 
-    // The same per query head when four of them plan against the one index
-    // of their KV head: each warms its own scratch, none copies the index.
+    // The same per query head when four of them plan in turn with the one
+    // selector of their KV head: the group's one scratch, warm after the
+    // first head's plan, serves the others without growing.
     let factory = ClusterKvFactory::new(ClusterKvConfig {
         max_kmeans_iters: 2,
         ..ClusterKvConfig::default()
     });
-    let mut group = factory.create_group(HeadContext {
+    let mut group = factory.create(HeadContext {
         layer: 1,
         head: 0,
         head_dim: dim,
         kv_head: 0,
         group_size: 4,
     });
-    group.observe(ObserveEvent::PrefillChunk {
-        start: 0,
-        keys: &keys,
-    });
-    group.observe(ObserveEvent::PrefillDone { total_tokens: n });
+    observe_prompt(group.as_mut(), &keys);
     let request = |q| SelectionRequest::new(q, n, Budget::new(256));
-    for mut head in group.heads() {
-        head.plan(request(&queries[0]));
-    }
+    group.plan(0, request(&queries[0]));
     let before = allocations();
-    for (mut head, q) in group.heads().zip(&queries) {
-        assert_eq!(head.plan(request(q)).len(), 256);
+    for (head, q) in queries[..4].iter().enumerate() {
+        assert_eq!(group.plan(head, request(q)).len(), 256);
     }
     assert_eq!(allocations() - before, 2 * 4, "two buffers per query head");
 }
