@@ -1,6 +1,5 @@
-// Must-flag fixture: reading wall clocks outside crates/bench and the
-// criterion shim. Expected: four no-wall-clock findings (two on the import,
-// two in the body).
+// Must-flag fixture: reading wall clocks outside crates/bench. Expected: four
+// no-wall-clock findings (two on the import, two in the body).
 
 use std::time::{Instant, SystemTime};
 

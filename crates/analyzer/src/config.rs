@@ -28,7 +28,7 @@ pub const FLOAT_ORDER_BLESSED: &[&str] = &["crates/tensor/src/vector.rs"];
 
 /// Path prefixes allowed to read wall clocks (`Instant`, `SystemTime`).
 /// Everything else models time as `clusterkv_sched::Seconds`.
-pub const WALL_CLOCK_ALLOWED: &[&str] = &["crates/bench/", "crates/shims/criterion/"];
+pub const WALL_CLOCK_ALLOWED: &[&str] = &["crates/bench/"];
 
 /// Files allowed to contain `unsafe` at all. Each block still needs a
 /// `// SAFETY:` comment immediately above it; files not listed here get a
@@ -98,7 +98,7 @@ mod tests {
         assert!(p.is_float_order_blessed("crates/tensor/src/vector.rs"));
         assert!(!p.is_float_order_blessed("crates/tensor/src/svd.rs"));
         assert!(p.is_wall_clock_allowed("crates/bench/src/bin/exp_scaling.rs"));
-        assert!(p.is_wall_clock_allowed("crates/shims/criterion/src/lib.rs"));
+        assert!(!p.is_wall_clock_allowed("crates/shims/rayon/src/lib.rs"));
         assert!(!p.is_wall_clock_allowed("crates/sched/src/lib.rs"));
         assert!(p.is_unsafe_allowlisted("tests/zero_alloc.rs"));
         assert!(!p.is_unsafe_allowlisted("crates/tensor/src/kernels.rs"));

@@ -38,7 +38,7 @@ use crate::lexer::{lex, Token, TokenKind};
 pub const FLOAT_TOTAL_ORDER: &str = "float-total-order";
 /// Rule: no HashMap/HashSet in deterministic production code.
 pub const NO_HASHMAP_ITERATION_ORDER: &str = "no-hashmap-iteration-order";
-/// Rule: wall clocks only in benches and the criterion shim.
+/// Rule: wall clocks only in the bench crate.
 pub const NO_WALL_CLOCK: &str = "no-wall-clock";
 /// Rule: no allocation in `analyzer: hot-path` regions.
 pub const NO_ALLOC_IN_KERNELS: &str = "no-alloc-in-kernels";
@@ -68,8 +68,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: NO_WALL_CLOCK,
-        summary: "Instant/SystemTime only under crates/bench and crates/shims/criterion; \
-                  modeled time goes through Seconds",
+        summary: "Instant/SystemTime only under crates/bench; modeled time goes through Seconds",
     },
     RuleInfo {
         name: NO_ALLOC_IN_KERNELS,
@@ -454,8 +453,8 @@ fn rule_no_wall_clock(
                 NO_WALL_CLOCK,
                 rel_path,
                 t,
-                "wall clocks are allowed only under crates/bench and \
-                 crates/shims/criterion; modeled time goes through `Seconds`",
+                "wall clocks are allowed only under crates/bench; \
+                 modeled time goes through `Seconds`",
             ));
         }
     }
@@ -682,7 +681,6 @@ mod tests {
     fn wall_clock_in_bench_is_allowed() {
         let src = "fn t() { let _ = std::time::Instant::now(); }\n";
         assert!(run("crates/bench/src/bin/exp.rs", src).is_empty());
-        assert!(run("crates/shims/criterion/src/lib.rs", src).is_empty());
     }
 
     #[test]

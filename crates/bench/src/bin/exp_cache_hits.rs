@@ -20,7 +20,7 @@
 //! (`--json` prints the machine-readable summary, histogram included).
 
 use clusterkv::{ClusterCache, ClusterCacheConfig, ClusterKvConfig, ClusterKvFactory};
-use clusterkv_bench::clusterkv_cost;
+use clusterkv_bench::{clusterkv_cost, Json, Report};
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::DeviceModel;
 use clusterkv_metrics::{fmt, Table};
@@ -50,7 +50,7 @@ fn r_equivalent_capacity(r: usize, config: &ClusterKvConfig, head_dim: usize) ->
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let out = Report::from_args();
     let episode = Episode::generate(
         EpisodeConfig::default()
             .with_context_len(CONTEXT_LEN)
@@ -68,9 +68,7 @@ fn main() {
         clusterkv_cost(model.config(), BUDGET, transferred_per_step)
     };
 
-    if !json {
-        println!("# Cluster-cache effectiveness (§V-C)\n");
-    }
+    out.say("# Cluster-cache effectiveness (§V-C)\n");
     let no_cache = run_with_capacity(ClusterKvConfig::default(), &episode, Bytes(0));
     let no_cache_run = model.run(
         CONTEXT_LEN,
@@ -109,14 +107,12 @@ fn main() {
             format!("{}x", fmt(gain, 2)),
         ]);
     }
-    if !json {
-        println!("{}", table.render());
-        println!(
-            "Paper reference: hit rates of 63% (R=1) and 74% (R=2); throughput gains of 2.3x and 3x \
-             over loading directly from CPU memory.\n"
-        );
-        println!("# Hit rate vs GPU cache capacity\n");
-    }
+    out.say(table.render());
+    out.say(
+        "Paper reference: hit rates of 63% (R=1) and 74% (R=2); throughput gains of 2.3x and 3x \
+         over loading directly from CPU memory.\n",
+    );
+    out.say("# Hit rate vs GPU cache capacity\n");
 
     let full_kv = Bytes(4 * head_dim as u64 * (CONTEXT_LEN + DECODE_STEPS) as u64);
     let mut table = Table::new(vec![
@@ -155,21 +151,17 @@ fn main() {
             result.stats.transfer.bytes_to_device.to_string(),
         ]);
     }
-    if !json {
-        println!("{}", table.render());
-    }
+    out.say(table.render());
     assert!(monotone, "hit rate must be non-decreasing in capacity");
     assert!(
         (previous - 1.0).abs() < 1e-12,
         "capacity >= full KV must never recall (hit rate {previous})"
     );
-    if !json {
-        println!(
-            "Hit rate is monotonically non-decreasing in capacity and reaches 100% once the cache \
-             holds the full KV.\n"
-        );
-        println!("# Cluster reuse-distance histogram\n");
-    }
+    out.say(
+        "Hit rate is monotonically non-decreasing in capacity and reaches 100% once the cache \
+         holds the full KV.\n",
+    );
+    out.say("# Cluster reuse-distance histogram\n");
 
     // The stack distance of an access is a property of the request stream
     // alone, so any capacity's run measures the same histogram; take it from
@@ -211,18 +203,16 @@ fn main() {
         last = f;
         prediction.push((d, f));
     }
-    if !json {
-        println!("{}", table.render());
-        let line: Vec<String> = prediction
-            .iter()
-            .map(|(d, f)| format!("{d} clusters -> {:.1}%", f * 100.0))
-            .collect();
-        println!(
-            "Predicted LRU hit rate from the histogram alone: {}.\n",
-            line.join(", ")
-        );
-        println!("# Ablation — incremental clustering period m (C+ = 4)\n");
-    }
+    out.say(table.render());
+    let line: Vec<String> = prediction
+        .iter()
+        .map(|(d, f)| format!("{d} clusters -> {:.1}%", f * 100.0))
+        .collect();
+    out.say(format_args!(
+        "Predicted LRU hit rate from the histogram alone: {}.\n",
+        line.join(", ")
+    ));
+    out.say("# Ablation — incremental clustering period m (C+ = 4)\n");
 
     // A longer decode so the smaller periods actually trigger incremental
     // clustering runs (320 steps = 4 runs at m = 80, none at m = 640).
@@ -255,71 +245,80 @@ fn main() {
             format!("{:.1}%", result.stats.cache.hit_rate() * 100.0),
         ]);
     }
-    if !json {
-        println!("{}", table.render());
-    }
+    out.say(table.render());
 
-    if json {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"exp_cache_hits\",\n");
-        out.push_str("  \"workload\": {\n");
-        out.push_str(&format!("    \"context_len\": {CONTEXT_LEN},\n"));
-        out.push_str(&format!("    \"decode_steps\": {DECODE_STEPS},\n"));
-        out.push_str(&format!("    \"budget\": {BUDGET}\n"));
-        out.push_str("  },\n");
-        out.push_str("  \"recency_windows\": [\n");
-        for (i, (r, hit, recalled, gain)) in window_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"r\": {r}, \"hit_rate\": {hit:.6}, \"recalled_tokens_per_step\": \
-                 {recalled:.3}, \"throughput_gain\": {gain:.4}}}{}\n",
-                if i + 1 == window_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"capacity_sweep\": [\n");
-        for (i, (label, bytes, hit, recalled)) in sweep_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"capacity_fraction\": \"{label}\", \"capacity_bytes\": {bytes}, \
-                 \"hit_rate\": {hit:.6}, \"bytes_recalled\": {recalled}}}{}\n",
-                if i + 1 == sweep_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"reuse_distance\": {\n");
-        out.push_str(&format!(
-            "    \"buckets\": [{}],\n",
-            reuse
-                .buckets
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("    \"cold\": {},\n", reuse.cold));
-        out.push_str(&format!("    \"total\": {},\n", reuse.total()));
-        out.push_str("    \"predicted_lru_hit_rate\": {\n");
-        for (i, (d, f)) in prediction.iter().enumerate() {
-            out.push_str(&format!(
-                "      \"{d}\": {f:.6}{}\n",
-                if i + 1 == prediction.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("    }\n");
-        out.push_str("  },\n");
-        out.push_str("  \"m_ablation\": [\n");
-        for (i, (m, hit)) in ablation_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"m\": {m}, \"hit_rate\": {hit:.6}}}{}\n",
-                if i + 1 == ablation_rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        print!("{out}");
-    }
+    out.emit(Json::obj([
+        ("bench", "exp_cache_hits".into()),
+        (
+            "workload",
+            Json::obj([
+                ("context_len", CONTEXT_LEN.into()),
+                ("decode_steps", DECODE_STEPS.into()),
+                ("budget", BUDGET.into()),
+            ]),
+        ),
+        (
+            "recency_windows",
+            Json::Arr(
+                window_rows
+                    .iter()
+                    .map(|&(r, hit, recalled, gain)| {
+                        Json::row([
+                            ("r", r.into()),
+                            ("hit_rate", Json::Fixed(hit, 6)),
+                            ("recalled_tokens_per_step", Json::Fixed(recalled, 3)),
+                            ("throughput_gain", Json::Fixed(gain, 4)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "capacity_sweep",
+            Json::Arr(
+                sweep_rows
+                    .iter()
+                    .map(|&(label, bytes, hit, recalled)| {
+                        Json::row([
+                            ("capacity_fraction", label.into()),
+                            ("capacity_bytes", bytes.into()),
+                            ("hit_rate", Json::Fixed(hit, 6)),
+                            ("bytes_recalled", recalled.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "reuse_distance",
+            Json::obj([
+                (
+                    "buckets",
+                    Json::Arr(reuse.buckets.iter().map(|&b| b.into()).collect()),
+                ),
+                ("cold", reuse.cold.into()),
+                ("total", reuse.total().into()),
+                (
+                    "predicted_lru_hit_rate",
+                    Json::Obj(
+                        prediction
+                            .iter()
+                            .map(|&(d, f)| (d.to_string(), Json::Fixed(f, 6)))
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "m_ablation",
+            Json::Arr(
+                ablation_rows
+                    .iter()
+                    .map(|&(m, hit)| {
+                        Json::row([("m", m.into()), ("hit_rate", Json::Fixed(hit, 6))])
+                    })
+                    .collect(),
+            ),
+        ),
+    ]));
 }

@@ -30,7 +30,9 @@
 use std::collections::BTreeMap;
 
 use clusterkv::ClusterKvFactory;
-use clusterkv_bench::{serving_clusterkv_config, serving_model_config, smoke, with_threads};
+use clusterkv_bench::{
+    serving_clusterkv_config, serving_model_config, smoke, with_threads, Json, Report,
+};
 use clusterkv_faults::FaultPlan;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_metrics::{fmt, Table};
@@ -126,27 +128,23 @@ fn completed_streams(report: &ServingReport) -> BTreeMap<u64, Vec<usize>> {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let out = Report::from_args();
     let cfg = model_config();
     let rates: [f64; 4] = [0.0, 0.05, 0.1, 0.2];
 
-    if !json {
-        println!(
-            "# Serving under injected faults — fault rate x recovery policy (DESIGN.md §11)\n"
-        );
-        println!(
-            "model: {} layers x {} heads; {} requests, uniform fault plan \
-             (transfer = rate, corruption = rate/2, crash = rate/8, pressure = rate){}\n",
-            cfg.num_layers,
-            cfg.num_heads,
-            num_requests(),
-            if smoke(SMOKE_VAR) {
-                " (smoke scale)"
-            } else {
-                ""
-            },
-        );
-    }
+    out.say("# Serving under injected faults — fault rate x recovery policy (DESIGN.md §11)\n");
+    out.say(format_args!(
+        "model: {} layers x {} heads; {} requests, uniform fault plan \
+         (transfer = rate, corruption = rate/2, crash = rate/8, pressure = rate){}\n",
+        cfg.num_layers,
+        cfg.num_heads,
+        num_requests(),
+        if smoke(SMOKE_VAR) {
+            " (smoke scale)"
+        } else {
+            ""
+        },
+    ));
 
     // The fault-free reference: every request completes, and its streams
     // are the parity baseline for every faulty cell.
@@ -262,89 +260,98 @@ fn main() {
         "repeated faulty runs must produce bit-identical reports"
     );
 
-    if !json {
-        let mut table = Table::new(vec![
-            "Rate",
-            "Policy",
-            "Completed",
-            "Tok/s",
-            "Retries/req",
-            "Corrupt inj/det/rep",
-            "Xfer retries",
-            "Backoff (µs)",
-        ]);
-        for (rate, policy, report) in &rows {
-            let integrity = report.integrity();
-            table.row(vec![
-                fmt(*rate, 2),
-                policy.to_string(),
-                format!("{:.1}%", report.completed_fraction() * 100.0),
-                fmt(report.throughput(), 0),
-                fmt(report.retry_rate(), 2),
-                format!(
-                    "{}/{}/{}",
-                    integrity.corruptions_injected,
-                    integrity.corruptions_detected,
-                    integrity.corruptions_repaired
-                ),
-                integrity.transfer_retries.to_string(),
-                fmt(integrity.backoff_seconds * 1e6, 1),
-            ]);
-        }
-        println!("{}", table.render());
-        println!(
-            "Parity: every completed stream in every cell (and a multi-threaded probe) \
-             is byte-identical to the fault-free run."
-        );
-        println!(
-            "Integrity: {} injected corruptions, all detected and repaired — zero silent.",
-            faultiest.integrity().corruptions_injected
-        );
-        println!("Determinism: the faultiest cell repeated bit for bit.");
-    }
-
-    if json {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"exp_faults\",\n");
-        out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
-        out.push_str(&format!(
-            "  \"threads\": {},\n",
-            rayon::current_num_threads()
-        ));
-        out.push_str("  \"workload\": {\n");
-        out.push_str(&format!("    \"requests\": {},\n", num_requests()));
-        out.push_str(&format!("    \"budget\": {BUDGET}\n"));
-        out.push_str("  },\n");
-        out.push_str("  \"stream_parity\": true,\n");
-        out.push_str("  \"monotone_goodput\": true,\n");
-        out.push_str("  \"silent_corruptions\": 0,\n");
-        out.push_str("  \"sweep\": [\n");
-        for (i, (rate, policy, report)) in rows.iter().enumerate() {
-            let integrity = report.integrity();
-            out.push_str(&format!(
-                "    {{\"fault_rate\": {rate}, \"policy\": \"{policy}\", \
-                 \"completed_fraction\": {:.6}, \"goodput_tok_s\": {:.3}, \
-                 \"retry_rate\": {:.6}, \"cancelled_fraction\": {:.6}, \
-                 \"corruptions_injected\": {}, \"corruptions_detected\": {}, \
-                 \"corruptions_repaired\": {}, \"transfer_retries\": {}, \
-                 \"retried_bytes\": {}, \"backoff_seconds\": {:.9}}}{}\n",
-                report.completed_fraction(),
-                report.throughput(),
-                report.retry_rate(),
-                report.cancelled_fraction(),
+    let mut table = Table::new(vec![
+        "Rate",
+        "Policy",
+        "Completed",
+        "Tok/s",
+        "Retries/req",
+        "Corrupt inj/det/rep",
+        "Xfer retries",
+        "Backoff (µs)",
+    ]);
+    for (rate, policy, report) in &rows {
+        let integrity = report.integrity();
+        table.row(vec![
+            fmt(*rate, 2),
+            policy.to_string(),
+            format!("{:.1}%", report.completed_fraction() * 100.0),
+            fmt(report.throughput(), 0),
+            fmt(report.retry_rate(), 2),
+            format!(
+                "{}/{}/{}",
                 integrity.corruptions_injected,
                 integrity.corruptions_detected,
-                integrity.corruptions_repaired,
-                integrity.transfer_retries,
-                integrity.retried_bytes,
-                integrity.backoff_seconds,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"deterministic\": true\n");
-        out.push_str("}\n");
-        print!("{out}");
+                integrity.corruptions_repaired
+            ),
+            integrity.transfer_retries.to_string(),
+            fmt(integrity.backoff_seconds * 1e6, 1),
+        ]);
     }
+    out.say(table.render());
+    out.say(
+        "Parity: every completed stream in every cell (and a multi-threaded probe) \
+         is byte-identical to the fault-free run.",
+    );
+    out.say(format_args!(
+        "Integrity: {} injected corruptions, all detected and repaired — zero silent.",
+        faultiest.integrity().corruptions_injected
+    ));
+    out.say("Determinism: the faultiest cell repeated bit for bit.");
+
+    out.emit(Json::obj([
+        ("bench", "exp_faults".into()),
+        ("smoke", smoke(SMOKE_VAR).into()),
+        ("threads", rayon::current_num_threads().into()),
+        (
+            "workload",
+            Json::obj([
+                ("requests", num_requests().into()),
+                ("budget", BUDGET.into()),
+            ]),
+        ),
+        ("stream_parity", true.into()),
+        ("monotone_goodput", true.into()),
+        ("silent_corruptions", 0usize.into()),
+        (
+            "sweep",
+            Json::Arr(
+                rows.iter()
+                    .map(|(rate, policy, report)| {
+                        let integrity = report.integrity();
+                        Json::row([
+                            ("fault_rate", Json::Num(*rate)),
+                            ("policy", (*policy).into()),
+                            (
+                                "completed_fraction",
+                                Json::Fixed(report.completed_fraction(), 6),
+                            ),
+                            ("goodput_tok_s", Json::Fixed(report.throughput(), 3)),
+                            ("retry_rate", Json::Fixed(report.retry_rate(), 6)),
+                            (
+                                "cancelled_fraction",
+                                Json::Fixed(report.cancelled_fraction(), 6),
+                            ),
+                            (
+                                "corruptions_injected",
+                                integrity.corruptions_injected.into(),
+                            ),
+                            (
+                                "corruptions_detected",
+                                integrity.corruptions_detected.into(),
+                            ),
+                            (
+                                "corruptions_repaired",
+                                integrity.corruptions_repaired.into(),
+                            ),
+                            ("transfer_retries", integrity.transfer_retries.into()),
+                            ("retried_bytes", integrity.retried_bytes.into()),
+                            ("backoff_seconds", Json::Fixed(integrity.backoff_seconds, 9)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("deterministic", true.into()),
+    ]));
 }

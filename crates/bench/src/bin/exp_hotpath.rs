@@ -46,7 +46,7 @@ use clusterkv::{
     assign_labels, assign_labels_reference, select_clusters, select_clusters_ws, ClusterKvConfig,
     DistanceMetric, SemanticClustering,
 };
-use clusterkv_bench::smoke;
+use clusterkv_bench::{smoke, Json, Report};
 use clusterkv_kvcache::compressed::{
     compress_page, reconstruct_page_rows_reference, CompressedPage, CompressionConfig,
 };
@@ -346,39 +346,8 @@ fn bench_compressed_recall_cold(trials: usize) -> Section {
     }
 }
 
-fn emit_json(sections: &[Section], tokens_per_sec: f64, scale: (usize, usize, usize)) {
-    let (trials, reps, steps) = scale;
-    let mut out = String::from("{\"bench\":\"exp_hotpath\"");
-    out.push_str(&format!(
-        ",\"n\":{N},\"dim\":{DIM},\"smoke\":{}",
-        smoke(SMOKE_VAR)
-    ));
-    out.push_str(&format!(",\"threads\":{}", rayon::current_num_threads()));
-    out.push_str(&format!(
-        ",\"scale\":{{\"trials\":{trials},\"reps\":{reps},\"decode_steps\":{steps}}}"
-    ));
-    out.push_str(&format!(",\"decode_tokens_per_sec\":{:.1}", tokens_per_sec));
-    out.push_str(",\"sections\":{");
-    for (i, s) in sections.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"blocked_us\":{:.2},\"reference_us\":{:.2},\"speedup\":{:.3},\"gated\":{},\"floor\":{}}}",
-            s.name,
-            s.blocked_us,
-            s.reference_us,
-            s.speedup(),
-            s.floor.is_some(),
-            s.floor.map_or("null".to_string(), |f| format!("{f:.1}"))
-        ));
-    }
-    out.push_str("}}");
-    println!("{out}");
-}
-
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let out = Report::from_args();
     let (trials, reps, steps) = if smoke(SMOKE_VAR) {
         (2, 3, 8)
     } else {
@@ -392,35 +361,70 @@ fn main() {
     let recall_cold = bench_compressed_recall_cold(trials);
     let sections = [scoring, assignment, decode, recall, recall_cold];
 
-    if json {
-        emit_json(&sections, tokens_per_sec, (trials, reps, steps));
-    } else {
-        println!("# Hot-path kernels — blocked vs reference at n = {N}, d = {DIM}\n");
-        let mut table = Table::new(vec![
-            "Kernel",
-            "Blocked (us)",
-            "Reference (us)",
-            "Speedup",
-            "Gate",
+    out.emit(
+        Json::obj([
+            ("bench", "exp_hotpath".into()),
+            ("n", N.into()),
+            ("dim", DIM.into()),
+            ("smoke", smoke(SMOKE_VAR).into()),
+            ("threads", rayon::current_num_threads().into()),
+            (
+                "scale",
+                Json::obj([
+                    ("trials", trials.into()),
+                    ("reps", reps.into()),
+                    ("decode_steps", steps.into()),
+                ]),
+            ),
+            ("decode_tokens_per_sec", Json::Fixed(tokens_per_sec, 1)),
+            (
+                "sections",
+                Json::Obj(
+                    sections
+                        .iter()
+                        .map(|s| {
+                            let section = Json::obj([
+                                ("blocked_us", Json::Fixed(s.blocked_us, 2)),
+                                ("reference_us", Json::Fixed(s.reference_us, 2)),
+                                ("speedup", Json::Fixed(s.speedup(), 3)),
+                                ("gated", s.floor.is_some().into()),
+                                ("floor", s.floor.map_or(Json::Null, |f| Json::Fixed(f, 1))),
+                            ]);
+                            (s.name.to_string(), section)
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+        .compact(),
+    );
+    out.say(format_args!(
+        "# Hot-path kernels — blocked vs reference at n = {N}, d = {DIM}\n"
+    ));
+    let mut table = Table::new(vec![
+        "Kernel",
+        "Blocked (us)",
+        "Reference (us)",
+        "Speedup",
+        "Gate",
+    ]);
+    for s in &sections {
+        table.row(vec![
+            s.name.to_string(),
+            fmt(s.blocked_us, 1),
+            fmt(s.reference_us, 1),
+            format!("{}x", fmt(s.speedup(), 2)),
+            s.floor
+                .map_or("-".to_string(), |floor| format!(">= {floor}x")),
         ]);
-        for s in &sections {
-            table.row(vec![
-                s.name.to_string(),
-                fmt(s.blocked_us, 1),
-                fmt(s.reference_us, 1),
-                format!("{}x", fmt(s.speedup(), 2)),
-                s.floor
-                    .map_or("-".to_string(), |floor| format!(">= {floor}x")),
-            ]);
-        }
-        println!("{}", table.render());
-        println!(
-            "Long-context decode step (selection + attend, budget 1024): \
-             {} tokens/sec fused vs {} tokens/sec reference.",
-            fmt(tokens_per_sec, 0),
-            fmt(1e6 / sections[2].reference_us, 0),
-        );
     }
+    out.say(table.render());
+    out.say(format_args!(
+        "Long-context decode step (selection + attend, budget 1024): \
+         {} tokens/sec fused vs {} tokens/sec reference.",
+        fmt(tokens_per_sec, 0),
+        fmt(1e6 / sections[2].reference_us, 0),
+    ));
 
     // The perf floor: blocked kernels must beat the scalar references by
     // >= 2x, and reading sealed codes must beat redoing the round trip by
@@ -438,7 +442,5 @@ fn main() {
             );
         }
     }
-    if !json {
-        println!("\nGate passed: every gated row is at or above its floor.");
-    }
+    out.say("\nGate passed: every gated row is at or above its floor.");
 }

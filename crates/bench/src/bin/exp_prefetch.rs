@@ -24,7 +24,9 @@
 //! machine-readable summary).
 
 use clusterkv::ClusterKvFactory;
-use clusterkv_bench::{serving_clusterkv_config, serving_model_config, smoke, with_threads};
+use clusterkv_bench::{
+    serving_clusterkv_config, serving_model_config, smoke, with_threads, Json, Report,
+};
 use clusterkv_kvcache::stats::{CacheStats, PrefetchStats, TransferStats};
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::DeviceModel;
@@ -99,6 +101,12 @@ struct RunOutcome {
     wasted_bytes: u64,
 }
 
+impl RunOutcome {
+    fn hit_rate(&self) -> f64 {
+        self.cache.hits as f64 / (self.cache.hits + self.cache.misses).max(1) as f64
+    }
+}
+
 /// Serve `SESSIONS` deterministic prompts on a fresh engine: prefill, then
 /// `decode_steps()` fused batch steps across all sessions.
 fn run(capacity: Bytes, prefetch: PrefetchConfig) -> RunOutcome {
@@ -171,7 +179,7 @@ fn predictors() -> [(&'static str, PrefetchConfig); 2] {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let out = Report::from_args();
     let cfg = model_config();
     // Capacities in units of one step's selected KV (budget plus one
     // trimmed cluster of slack): 1/4 and 1/2 thrash hard (the speedup
@@ -186,30 +194,28 @@ fn main() {
         ("8", Bytes(8 * unit)),
     ];
 
-    if !json {
-        println!("# Speculative cluster prefetch under the overlap clock (DESIGN.md §10)\n");
-        println!(
-            "model: {} layers x {} heads; {} sessions x {} prompt tokens, {} decode steps, \
-             budget {}{}\n",
-            cfg.num_layers,
-            cfg.num_heads,
-            SESSIONS,
-            context_len(),
-            decode_steps(),
-            BUDGET,
-            if smoke(SMOKE_VAR) {
-                " (smoke scale)"
-            } else {
-                ""
-            },
-        );
-    }
+    out.say("# Speculative cluster prefetch under the overlap clock (DESIGN.md §10)\n");
+    out.say(format_args!(
+        "model: {} layers x {} heads; {} sessions x {} prompt tokens, {} decode steps, \
+         budget {}{}\n",
+        cfg.num_layers,
+        cfg.num_heads,
+        SESSIONS,
+        context_len(),
+        decode_steps(),
+        BUDGET,
+        if smoke(SMOKE_VAR) {
+            " (smoke scale)"
+        } else {
+            ""
+        },
+    ));
 
     // ---- Gate (a): byte-identical streams and cache accounting with
     // prefetch off and on, across thread counts. Reference: prefetch off on
     // one thread.
     let reference = with_threads(1, || run(capacities[1].1, PrefetchConfig::disabled()));
-    let mut parity_cells = 0;
+    let mut parity_cells = 0usize;
     for (name, prefetch) in predictors() {
         for &threads in &[1usize, 2, 8] {
             let outcome = with_threads(threads, || run(capacities[1].1, prefetch));
@@ -225,13 +231,10 @@ fn main() {
             parity_cells += 1;
         }
     }
-    if !json {
-        println!(
-            "Parity: {} cells (prefetch off / on x threads [1, 2, 8]) all byte-identical \
-             to the prefetch-off single-thread run.\n",
-            parity_cells
-        );
-    }
+    out.say(format_args!(
+        "Parity: {parity_cells} cells (prefetch off / on x threads [1, 2, 8]) all \
+         byte-identical to the prefetch-off single-thread run.\n"
+    ));
 
     // ---- Sweep: capacity x predictor.
     let mut rows: Vec<(String, String, RunOutcome)> = Vec::new();
@@ -275,40 +278,37 @@ fn main() {
         );
     }
 
-    if !json {
-        let mut table = Table::new(vec![
-            "Capacity (steps)",
-            "Predictor",
-            "TBT (µs)",
-            "Hit rate",
-            "Accuracy",
-            "Hidden transfer",
-            "Wasted",
+    let mut table = Table::new(vec![
+        "Capacity (steps)",
+        "Predictor",
+        "TBT (µs)",
+        "Hit rate",
+        "Accuracy",
+        "Hidden transfer",
+        "Wasted",
+    ]);
+    for (cap, pred, o) in &rows {
+        table.row(vec![
+            cap.clone(),
+            pred.clone(),
+            fmt(o.tbt * 1e6, 2),
+            format!("{:.1}%", o.hit_rate() * 100.0),
+            format!("{:.1}%", o.accuracy * 100.0),
+            format!("{:.1}%", o.hidden_fraction * 100.0),
+            Bytes(o.wasted_bytes).to_string(),
         ]);
-        for (cap, pred, o) in &rows {
-            let hit_rate = o.cache.hits as f64 / (o.cache.hits + o.cache.misses).max(1) as f64;
-            table.row(vec![
-                cap.clone(),
-                pred.clone(),
-                fmt(o.tbt * 1e6, 2),
-                format!("{:.1}%", hit_rate * 100.0),
-                format!("{:.1}%", o.accuracy * 100.0),
-                format!("{:.1}%", o.hidden_fraction * 100.0),
-                Bytes(o.wasted_bytes).to_string(),
-            ]);
-        }
-        println!("{}", table.render());
-        let tight = row("1/4", "reuse+lookahead");
-        let base = row("1/4", "none");
-        println!(
-            "Tightest capacity: reuse+lookahead cuts mean TBT {} -> {} \
-             ({:.1}% of staged bytes used, {:.1}% of transfer time hidden).\n",
-            fmt(base.tbt * 1e6, 2),
-            fmt(tight.tbt * 1e6, 2),
-            tight.accuracy * 100.0,
-            tight.hidden_fraction * 100.0,
-        );
     }
+    out.say(table.render());
+    let tight = row("1/4", "reuse+lookahead");
+    let base = row("1/4", "none");
+    out.say(format_args!(
+        "Tightest capacity: reuse+lookahead cuts mean TBT {} -> {} \
+         ({:.1}% of staged bytes used, {:.1}% of transfer time hidden).\n",
+        fmt(base.tbt * 1e6, 2),
+        fmt(tight.tbt * 1e6, 2),
+        tight.accuracy * 100.0,
+        tight.hidden_fraction * 100.0,
+    ));
 
     // ---- Gate (c): bit-identical repeat of the reuse+lookahead run at the
     // tightest capacity.
@@ -321,50 +321,45 @@ fn main() {
         &again,
         "repeated reuse+lookahead runs must be bit-identical"
     );
-    if !json {
-        println!(
-            "Determinism: repeated reuse+lookahead run reproduced every stream, clock bit \
-             and prefetch counter."
-        );
-    }
+    out.say(
+        "Determinism: repeated reuse+lookahead run reproduced every stream, clock bit \
+         and prefetch counter.",
+    );
 
-    if json {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"exp_prefetch\",\n");
-        out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
-        out.push_str(&format!(
-            "  \"threads\": {},\n",
-            rayon::current_num_threads()
-        ));
-        out.push_str("  \"workload\": {\n");
-        out.push_str(&format!("    \"sessions\": {SESSIONS},\n"));
-        out.push_str(&format!("    \"context_len\": {},\n", context_len()));
-        out.push_str(&format!("    \"decode_steps\": {},\n", decode_steps()));
-        out.push_str(&format!("    \"budget\": {BUDGET}\n"));
-        out.push_str("  },\n");
-        out.push_str(&format!("  \"parity_cells\": {parity_cells},\n"));
-        out.push_str("  \"sweep\": [\n");
-        for (i, (cap, pred, o)) in rows.iter().enumerate() {
-            let hit_rate = o.cache.hits as f64 / (o.cache.hits + o.cache.misses).max(1) as f64;
-            out.push_str(&format!(
-                "    {{\"capacity_steps\": \"{cap}\", \"predictor\": \"{pred}\", \
-                 \"tbt_us\": {:.6}, \"hit_rate\": {:.6}, \"accuracy\": {:.6}, \
-                 \"hidden_fraction\": {:.6}, \"staged_bytes\": {}, \"used_bytes\": {}, \
-                 \"wasted_bytes\": {}}}{}\n",
-                o.tbt * 1e6,
-                hit_rate,
-                o.accuracy,
-                o.hidden_fraction,
-                o.prefetch.staged_bytes.get(),
-                o.prefetch.used_bytes.get(),
-                o.wasted_bytes,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"deterministic\": true\n");
-        out.push_str("}\n");
-        print!("{out}");
-    }
+    out.emit(Json::obj([
+        ("bench", "exp_prefetch".into()),
+        ("smoke", smoke(SMOKE_VAR).into()),
+        ("threads", rayon::current_num_threads().into()),
+        (
+            "workload",
+            Json::obj([
+                ("sessions", SESSIONS.into()),
+                ("context_len", context_len().into()),
+                ("decode_steps", decode_steps().into()),
+                ("budget", BUDGET.into()),
+            ]),
+        ),
+        ("parity_cells", parity_cells.into()),
+        (
+            "sweep",
+            Json::Arr(
+                rows.iter()
+                    .map(|(cap, pred, o)| {
+                        Json::row([
+                            ("capacity_steps", cap.as_str().into()),
+                            ("predictor", pred.as_str().into()),
+                            ("tbt_us", Json::Fixed(o.tbt * 1e6, 6)),
+                            ("hit_rate", Json::Fixed(o.hit_rate(), 6)),
+                            ("accuracy", Json::Fixed(o.accuracy, 6)),
+                            ("hidden_fraction", Json::Fixed(o.hidden_fraction, 6)),
+                            ("staged_bytes", o.prefetch.staged_bytes.get().into()),
+                            ("used_bytes", o.prefetch.used_bytes.get().into()),
+                            ("wasted_bytes", o.wasted_bytes.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("deterministic", true.into()),
+    ]));
 }

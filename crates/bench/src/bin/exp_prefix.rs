@@ -30,7 +30,9 @@
 //! machine-readable summary).
 
 use clusterkv::ClusterKvFactory;
-use clusterkv_bench::{serving_clusterkv_config, serving_model_config, smoke, with_threads};
+use clusterkv_bench::{
+    serving_clusterkv_config, serving_model_config, smoke, with_threads, Json, Report,
+};
 use clusterkv_kvcache::prefix::PrefixStoreStats;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_metrics::{fmt, LatencySummary, Table};
@@ -209,96 +211,27 @@ fn modeled_prefill_time(report: &ServingReport, lm: &clusterkv_model::LatencyMod
         .sum()
 }
 
-struct JsonSummary {
-    parity_cells: usize,
-    prefill_cold_ms: f64,
-    prefill_shared_ms: f64,
-    prefill_speedup: f64,
-    ttft_cold_ms: f64,
-    ttft_shared_ms: f64,
-    ttft_speedup: f64,
-    computed_cold: usize,
-    computed_shared: usize,
-    capacity: Vec<(usize, usize)>,
-    shared_bytes: u64,
-    store_nodes: usize,
-}
-
-fn emit_json(s: Scale, j: &JsonSummary) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"exp_prefix\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
-    out.push_str(&format!(
-        "  \"threads\": {},\n",
-        rayon::current_num_threads()
-    ));
-    out.push_str("  \"workload\": {\n");
-    out.push_str(&format!("    \"requests\": {},\n", s.requests));
-    out.push_str(&format!("    \"prompt_len\": {},\n", s.prompt_len));
-    out.push_str(&format!("    \"templates\": {},\n", s.templates));
-    out.push_str(&format!("    \"shared_len\": {},\n", s.shared_len));
-    out.push_str(&format!("    \"output_len\": {},\n", s.output_len));
-    out.push_str(&format!("    \"decode_steps\": {}\n", s.decode_steps));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"parity_cells\": {},\n", j.parity_cells));
-    out.push_str(&format!(
-        "  \"prefill_cold_ms\": {:.6},\n",
-        j.prefill_cold_ms
-    ));
-    out.push_str(&format!(
-        "  \"prefill_shared_ms\": {:.6},\n",
-        j.prefill_shared_ms
-    ));
-    out.push_str(&format!(
-        "  \"prefill_speedup\": {:.4},\n",
-        j.prefill_speedup
-    ));
-    out.push_str(&format!("  \"ttft_cold_ms\": {:.6},\n", j.ttft_cold_ms));
-    out.push_str(&format!("  \"ttft_shared_ms\": {:.6},\n", j.ttft_shared_ms));
-    out.push_str(&format!("  \"ttft_speedup\": {:.4},\n", j.ttft_speedup));
-    out.push_str(&format!(
-        "  \"computed_prompt_tokens\": {{\"cold\": {}, \"shared\": {}}},\n",
-        j.computed_cold, j.computed_shared
-    ));
-    out.push_str("  \"admission_peak_running\": {");
-    for (i, (shared_len, peak)) in j.capacity.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{shared_len}\": {peak}"));
-    }
-    out.push_str("},\n");
-    out.push_str(&format!("  \"store_shared_bytes\": {},\n", j.shared_bytes));
-    out.push_str(&format!("  \"store_nodes\": {},\n", j.store_nodes));
-    out.push_str("  \"deterministic\": true\n");
-    out.push_str("}\n");
-    print!("{out}");
-}
-
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let out = Report::from_args();
     let s = scale();
     let bytes_per_token = model_config().kv_bytes_per_token();
 
-    if !json {
-        println!("# Cross-session KV prefix sharing — parity, speedup, admission capacity\n");
-        println!(
-            "model: {} layers x {} heads; {} requests x {} prompt tokens, \
-             {} templates x {} shared tokens{}\n",
-            model_config().num_layers,
-            model_config().num_heads,
-            s.requests,
-            s.prompt_len,
-            s.templates,
-            s.shared_len,
-            if smoke(SMOKE_VAR) {
-                " (smoke scale)"
-            } else {
-                ""
-            },
-        );
-    }
+    out.say("# Cross-session KV prefix sharing — parity, speedup, admission capacity\n");
+    out.say(format_args!(
+        "model: {} layers x {} heads; {} requests x {} prompt tokens, \
+         {} templates x {} shared tokens{}\n",
+        model_config().num_layers,
+        model_config().num_heads,
+        s.requests,
+        s.prompt_len,
+        s.templates,
+        s.shared_len,
+        if smoke(SMOKE_VAR) {
+            " (smoke scale)"
+        } else {
+            ""
+        },
+    ));
 
     // ---- Gate (a): byte-identical streams, store on/off, at every
     // chunking and thread count swept. Reference: store off, monolithic
@@ -306,7 +239,7 @@ fn main() {
     let (reference, _) = with_threads(1, || run_parity(false, 0, s.decode_steps));
     let chunkings = [0usize, 7, 16];
     let threads = [1usize, 2, 8];
-    let mut parity_cells = 0;
+    let mut parity_cells = 0usize;
     for &store in &[false, true] {
         for &chunk in &chunkings {
             for &t in &threads {
@@ -325,13 +258,10 @@ fn main() {
             }
         }
     }
-    if !json {
-        println!(
-            "Parity: {} cells (store on/off x chunkings {:?} x threads {:?}) \
-             all byte-identical to the cold monolithic single-thread run.\n",
-            parity_cells, chunkings, threads
-        );
-    }
+    out.say(format_args!(
+        "Parity: {parity_cells} cells (store on/off x chunkings {chunkings:?} x threads \
+         {threads:?}) all byte-identical to the cold monolithic single-thread run.\n"
+    ));
 
     // ---- Gate (b): prefill compute and modeled TTFT on the 90 %-shared
     // workload, store on vs off over the identical trace.
@@ -376,39 +306,37 @@ fn main() {
     );
     let stats = shared_stats.expect("store-enabled run has stats");
     assert!(stats.hit_tokens > 0, "templated trace must hit the store");
-    if !json {
-        let mut table = Table::new(vec![
-            "Run",
-            "Computed prompt tok",
-            "TTFT mean (ms)",
-            "TTFT p95 (ms)",
-            "E2E p95 (ms)",
+    let mut table = Table::new(vec![
+        "Run",
+        "Computed prompt tok",
+        "TTFT mean (ms)",
+        "TTFT p95 (ms)",
+        "E2E p95 (ms)",
+    ]);
+    for (name, report, computed) in [
+        ("cold", &cold_report, computed_cold),
+        ("shared", &shared_report, computed_shared),
+    ] {
+        let ttft = LatencySummary::from_values(&report.ttfts());
+        let e2e = LatencySummary::from_values(&report.e2es());
+        table.row(vec![
+            name.to_string(),
+            format!("{computed}"),
+            fmt(ttft.mean * 1e3, 2),
+            fmt(ttft.p95 * 1e3, 2),
+            fmt(e2e.p95 * 1e3, 2),
         ]);
-        for (name, report, computed) in [
-            ("cold", &cold_report, computed_cold),
-            ("shared", &shared_report, computed_shared),
-        ] {
-            let ttft = LatencySummary::from_values(&report.ttfts());
-            let e2e = LatencySummary::from_values(&report.e2es());
-            table.row(vec![
-                name.to_string(),
-                format!("{computed}"),
-                fmt(ttft.mean * 1e3, 2),
-                fmt(ttft.p95 * 1e3, 2),
-                fmt(e2e.p95 * 1e3, 2),
-            ]);
-        }
-        println!("{}", table.render());
-        println!(
-            "Speedup: {prefill_speedup:.2}x modeled prefill latency, \
-             {speedup:.2}x mean TTFT; computed prompt tokens \
-             {computed_shared}/{computed_cold} ({:.0}%); store holds {} \
-             nodes / {} shared bytes.\n",
-            100.0 * computed_shared as f64 / computed_cold as f64,
-            stats.nodes,
-            stats.shared_bytes.get()
-        );
     }
+    out.say(table.render());
+    out.say(format_args!(
+        "Speedup: {prefill_speedup:.2}x modeled prefill latency, \
+         {speedup:.2}x mean TTFT; computed prompt tokens \
+         {computed_shared}/{computed_cold} ({:.0}%); store holds {} \
+         nodes / {} shared bytes.\n",
+        100.0 * computed_shared as f64 / computed_cold as f64,
+        stats.nodes,
+        stats.shared_bytes.get()
+    ));
 
     // ---- Gate (c): admission capacity grows with the shared fraction
     // under a KV budget sized for exactly two cold requests.
@@ -427,23 +355,21 @@ fn main() {
         peaks.windows(2).all(|w| w[0].1 < w[1].1),
         "peak concurrency must grow strictly with the shared fraction: {peaks:?}"
     );
-    if !json {
-        let mut table = Table::new(vec!["Shared tokens", "Shared fraction", "Peak running"]);
-        for &(shared_len, peak) in &peaks {
-            table.row(vec![
-                format!("{shared_len}"),
-                fmt(shared_len as f64 / s.prompt_len as f64, 2),
-                format!("{peak}"),
-            ]);
-        }
-        println!("{}", table.render());
-        println!(
-            "Admission: KV budget fits 2 cold requests; concurrency grows \
-             {} -> {} as the shared fraction rises.\n",
-            peaks.first().unwrap().1,
-            peaks.last().unwrap().1
-        );
+    let mut table = Table::new(vec!["Shared tokens", "Shared fraction", "Peak running"]);
+    for &(shared_len, peak) in &peaks {
+        table.row(vec![
+            format!("{shared_len}"),
+            fmt(shared_len as f64 / s.prompt_len as f64, 2),
+            format!("{peak}"),
+        ]);
     }
+    out.say(table.render());
+    out.say(format_args!(
+        "Admission: KV budget fits 2 cold requests; concurrency grows \
+         {} -> {} as the shared fraction rises.\n",
+        peaks.first().unwrap().1,
+        peaks.last().unwrap().1
+    ));
 
     // ---- Gate (d): bit-identical repeat of the store-enabled run.
     let (repeat_report, _, repeat_stats) = serve(true, s.shared_len, None, 5_000.0, s);
@@ -456,31 +382,52 @@ fn main() {
         repeat_stats.expect("repeat run has stats"),
         "repeated store-enabled runs must produce bit-identical store stats"
     );
-    if !json {
-        println!(
-            "Determinism: repeated shared run reproduced {} generated \
-             tokens and makespan {} bit for bit.",
-            repeat_report.total_generated, repeat_report.makespan
-        );
-    }
+    out.say(format_args!(
+        "Determinism: repeated shared run reproduced {} generated \
+         tokens and makespan {} bit for bit.",
+        repeat_report.total_generated, repeat_report.makespan
+    ));
 
-    if json {
-        emit_json(
-            s,
-            &JsonSummary {
-                parity_cells,
-                prefill_cold_ms: prefill_cold * 1e3,
-                prefill_shared_ms: prefill_shared * 1e3,
-                prefill_speedup,
-                ttft_cold_ms: ttft_cold.mean * 1e3,
-                ttft_shared_ms: ttft_shared.mean * 1e3,
-                ttft_speedup: speedup,
-                computed_cold,
-                computed_shared,
-                capacity: peaks,
-                shared_bytes: stats.shared_bytes.get(),
-                store_nodes: stats.nodes,
-            },
-        );
-    }
+    out.emit(Json::obj([
+        ("bench", "exp_prefix".into()),
+        ("smoke", smoke(SMOKE_VAR).into()),
+        ("threads", rayon::current_num_threads().into()),
+        (
+            "workload",
+            Json::obj([
+                ("requests", s.requests.into()),
+                ("prompt_len", s.prompt_len.into()),
+                ("templates", s.templates.into()),
+                ("shared_len", s.shared_len.into()),
+                ("output_len", s.output_len.into()),
+                ("decode_steps", s.decode_steps.into()),
+            ]),
+        ),
+        ("parity_cells", parity_cells.into()),
+        ("prefill_cold_ms", Json::Fixed(prefill_cold * 1e3, 6)),
+        ("prefill_shared_ms", Json::Fixed(prefill_shared * 1e3, 6)),
+        ("prefill_speedup", Json::Fixed(prefill_speedup, 4)),
+        ("ttft_cold_ms", Json::Fixed(ttft_cold.mean * 1e3, 6)),
+        ("ttft_shared_ms", Json::Fixed(ttft_shared.mean * 1e3, 6)),
+        ("ttft_speedup", Json::Fixed(speedup, 4)),
+        (
+            "computed_prompt_tokens",
+            Json::row([
+                ("cold", computed_cold.into()),
+                ("shared", computed_shared.into()),
+            ]),
+        ),
+        (
+            "admission_peak_running",
+            Json::Row(
+                peaks
+                    .iter()
+                    .map(|&(shared_len, peak)| (shared_len.to_string(), peak.into()))
+                    .collect(),
+            ),
+        ),
+        ("store_shared_bytes", stats.shared_bytes.get().into()),
+        ("store_nodes", stats.nodes.into()),
+        ("deterministic", true.into()),
+    ]));
 }

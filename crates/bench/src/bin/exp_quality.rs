@@ -25,13 +25,15 @@
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory};
 use clusterkv_baselines::BaselineKind;
-use clusterkv_bench::smoke;
+use clusterkv_bench::{smoke, Json, Report};
 use clusterkv_kvcache::compressed::CompressionConfig;
 use clusterkv_kvcache::types::Budget;
 use clusterkv_metrics::{fmt, Table};
 use clusterkv_model::policy::{HeadContext, SelectorFactory};
 use clusterkv_workloads::quality::{run_episode_quality, QualityLane, QualityResult};
-use clusterkv_workloads::{run_episode, Episode, EpisodeConfig, LongBenchDataset};
+use clusterkv_workloads::{
+    run_episode, Episode, EpisodeConfig, LongBenchDataset, LongBenchProfile,
+};
 
 const SEED: u64 = 0xE15;
 /// Gate: ClusterKV's int4+merge lane must shrink cold KV by at least this
@@ -128,73 +130,28 @@ struct MethodFrontier {
     points: Vec<(String, QualityResult)>,
 }
 
-fn emit_json(frontiers: &[MethodFrontier], parity_methods: usize) {
-    let profile = LongBenchDataset::TwoWikiMqa.profile();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"exp_quality\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke(SMOKE_VAR)));
-    out.push_str(&format!("  \"budget\": {},\n", budget()));
-    out.push_str(&format!(
-        "  \"lossless_parity_methods\": {parity_methods},\n"
-    ));
-    out.push_str("  \"frontier\": {\n");
-    for (mi, f) in frontiers.iter().enumerate() {
-        out.push_str(&format!("    \"{}\": [\n", f.method));
-        for (i, (label, q)) in f.points.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"config\": \"{}\", \"compression_ratio\": {:.4}, \
-                 \"compressed_bytes\": {}, \"exact_bytes\": {}, \
-                 \"merged_pairs\": {}, \"mean_recall\": {:.6}, \
-                 \"reconstruction_error\": {:.6}, \"perplexity\": {:.6}, \
-                 \"longbench_score\": {:.4}}}{}",
-                label,
-                q.compression_ratio(),
-                q.compressed_bytes,
-                q.exact_bytes,
-                q.merged_pairs,
-                q.result.mean_recall(),
-                q.mean_reconstruction_error(),
-                q.perplexity(),
-                q.score(&profile),
-                if i + 1 < f.points.len() { "," } else { "" }
-            ));
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "    ]{}\n",
-            if mi + 1 < frontiers.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    print!("{out}");
-}
-
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let out = Report::from_args();
     let episode = episode();
     let methods = ["ClusterKV", "Quest", "H2O"];
     let rungs = ladder();
 
-    if !json {
-        println!("# Quality vs memory of the compressed KV tier (DESIGN.md §9)\n");
-        println!(
-            "episode: {} context tokens, {} decode steps, budget {}{}\n",
-            episode.config.context_len,
-            episode.config.decode_steps,
-            budget(),
-            if smoke(SMOKE_VAR) {
-                " (smoke scale)"
-            } else {
-                ""
-            }
-        );
-    }
+    out.say("# Quality vs memory of the compressed KV tier (DESIGN.md §9)\n");
+    out.say(format_args!(
+        "episode: {} context tokens, {} decode steps, budget {}{}\n",
+        episode.config.context_len,
+        episode.config.decode_steps,
+        budget(),
+        if smoke(SMOKE_VAR) {
+            " (smoke scale)"
+        } else {
+            ""
+        }
+    ));
 
     // ---- Gate (a): lossless parity — the quality lane under the lossless
     // config reproduces the plain harness bit for bit, for every method.
-    let mut parity_methods = 0;
+    let mut parity_methods = 0usize;
     for method in methods {
         let f = factory(method, CompressionConfig::lossless());
         let mut plain = f.create(ctx(&episode));
@@ -222,13 +179,11 @@ fn main() {
         );
         parity_methods += 1;
     }
-    if !json {
-        println!(
-            "Lossless parity: {parity_methods} methods bit-identical to the \
-             plain harness (recall, error, selection), compressed bytes \
-             equal exact bytes, zero reconstruction error.\n"
-        );
-    }
+    out.say(format_args!(
+        "Lossless parity: {parity_methods} methods bit-identical to the \
+         plain harness (recall, error, selection), compressed bytes \
+         equal exact bytes, zero reconstruction error.\n"
+    ));
 
     // ---- Frontier: every method across the ladder.
     let frontiers: Vec<MethodFrontier> = methods
@@ -296,40 +251,75 @@ fn main() {
         "semantic clusters must yield SLERP merges"
     );
 
-    if !json {
-        let profile = LongBenchDataset::TwoWikiMqa.profile();
-        for f in &frontiers {
-            let mut table = Table::new(vec![
-                "Config",
-                "Ratio",
-                "Recall",
-                "Recon err",
-                "Perplexity",
-                "2WikiMQA",
+    let profile = LongBenchDataset::TwoWikiMqa.profile();
+    for f in &frontiers {
+        let mut table = Table::new(vec![
+            "Config",
+            "Ratio",
+            "Recall",
+            "Recon err",
+            "Perplexity",
+            "2WikiMQA",
+        ]);
+        for (label, q) in &f.points {
+            table.row(vec![
+                label.clone(),
+                fmt(q.compression_ratio(), 2),
+                fmt(q.result.mean_recall(), 3),
+                fmt(q.mean_reconstruction_error(), 4),
+                fmt(q.perplexity(), 3),
+                fmt(q.score(&profile), 2),
             ]);
-            for (label, q) in &f.points {
-                table.row(vec![
-                    label.clone(),
-                    fmt(q.compression_ratio(), 2),
-                    fmt(q.result.mean_recall(), 3),
-                    fmt(q.mean_reconstruction_error(), 4),
-                    fmt(q.perplexity(), 3),
-                    fmt(q.score(&profile), 2),
-                ]);
-            }
-            println!("## {}\n{}", f.method, table.render());
         }
-        println!(
-            "Frontier gates: monotone along the ladder for all {} methods; \
-             ClusterKV int4+merge reaches {:.2}x at perplexity delta \
-             {:.3} (ceiling {PPL_DELTA_CEILING}).",
-            frontiers.len(),
-            best.compression_ratio(),
-            ppl_delta
-        );
+        out.say(format_args!("## {}\n{}", f.method, table.render()));
     }
+    out.say(format_args!(
+        "Frontier gates: monotone along the ladder for all {} methods; \
+         ClusterKV int4+merge reaches {:.2}x at perplexity delta \
+         {:.3} (ceiling {PPL_DELTA_CEILING}).",
+        frontiers.len(),
+        best.compression_ratio(),
+        ppl_delta
+    ));
 
-    if json {
-        emit_json(&frontiers, parity_methods);
-    }
+    out.emit(Json::obj([
+        ("bench", "exp_quality".into()),
+        ("smoke", smoke(SMOKE_VAR).into()),
+        ("budget", budget().into()),
+        ("lossless_parity_methods", parity_methods.into()),
+        (
+            "frontier",
+            Json::Obj(
+                frontiers
+                    .iter()
+                    .map(|f| (f.method.to_string(), frontier_json(f, &profile)))
+                    .collect(),
+            ),
+        ),
+    ]));
+}
+
+/// One method's ladder as `BENCH_quality.json` rows, in ladder order.
+fn frontier_json(f: &MethodFrontier, profile: &LongBenchProfile) -> Json {
+    Json::Arr(
+        f.points
+            .iter()
+            .map(|(label, q)| {
+                Json::row([
+                    ("config", label.as_str().into()),
+                    ("compression_ratio", Json::Fixed(q.compression_ratio(), 4)),
+                    ("compressed_bytes", q.compressed_bytes.into()),
+                    ("exact_bytes", q.exact_bytes.into()),
+                    ("merged_pairs", q.merged_pairs.into()),
+                    ("mean_recall", Json::Fixed(q.result.mean_recall(), 6)),
+                    (
+                        "reconstruction_error",
+                        Json::Fixed(q.mean_reconstruction_error(), 6),
+                    ),
+                    ("perplexity", Json::Fixed(q.perplexity(), 6)),
+                    ("longbench_score", Json::Fixed(q.score(profile), 4)),
+                ])
+            })
+            .collect(),
+    )
 }

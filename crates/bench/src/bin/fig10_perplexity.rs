@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release -p clusterkv-bench --bin fig10_perplexity`
 
-use clusterkv_bench::{evaluate, Method};
-use clusterkv_metrics::{fmt, Series, Table};
+use clusterkv_bench::{evaluate, series, Method};
+use clusterkv_metrics::{fmt, Table};
 use clusterkv_workloads::{perplexity_proxy, Episode, EpisodeConfig};
 
 const BUDGET: usize = 1024;
@@ -21,10 +21,7 @@ fn main() {
         "ClusterKV",
         "Full KV",
     ]);
-    let mut series: Vec<Series> = Method::all()
-        .iter()
-        .map(|m| Series::new(m.name()))
-        .collect();
+    let mut points: Vec<Vec<(f64, f64)>> = vec![Vec::new(); Method::all().len()];
 
     for &len in &INPUT_LENGTHS {
         let episode = Episode::generate(
@@ -39,7 +36,7 @@ fn main() {
             let result = evaluate(*method, &episode, BUDGET);
             let ppl = perplexity_proxy(&result);
             cells.push(fmt(ppl, 2));
-            series[i].push(len as f64, ppl);
+            points[i].push((len as f64, ppl));
         }
         // Reorder cells to the table's column order (Quest, InfiniGen,
         // ClusterKV, Full KV) — Method::all() already matches it.
@@ -47,8 +44,8 @@ fn main() {
     }
     println!("{}", table.render());
 
-    for s in &series {
-        println!("series {}", s.to_json());
+    for (method, points) in Method::all().iter().zip(&points) {
+        println!("series {}", series(method.name(), points).compact());
     }
     println!(
         "\nPaper reference: Full KV ~10-11 across lengths; ClusterKV deviates by up to 0.5, \

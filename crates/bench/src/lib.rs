@@ -3,10 +3,14 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (each binary's module docs name its experiment). This library provides
 //! what they share: the method enumeration, the per-episode evaluation
-//! loop, the bench-scale serving shapes and the ClusterKV step cost of the
-//! latency figures.
+//! loop, the bench-scale serving shapes, the ClusterKV step cost of the
+//! latency figures and the [`report`] layer every binary prints through.
 
 #![warn(missing_docs)]
+
+pub mod report;
+
+pub use report::{Json, Report};
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory, DistanceMetric};
 use clusterkv_baselines::{InfiniGenFactory, QuestFactory};
@@ -15,10 +19,9 @@ use clusterkv_model::latency::{StepCost, Transfers};
 use clusterkv_model::policy::{FullAttentionFactory, HeadContext, SelectorFactory};
 use clusterkv_model::ModelConfig;
 use clusterkv_workloads::{run_budget_sweep, run_episode, Episode, EpisodeResult};
-use serde::{Deserialize, Serialize};
 
 /// The methods compared in the paper's accuracy figures (Fig. 9, 10, 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Quest page-granular recall.
     Quest,
@@ -181,6 +184,24 @@ pub fn clusterkv_cost(
     }
 }
 
+/// One line of a figure as JSON — `{"label":…,"points":[[x,y],…]}`, the
+/// shape `serde_json` gives a labelled list of points — for plotting outside
+/// Rust.
+pub fn series(label: &str, points: &[(f64, f64)]) -> Json {
+    Json::obj([
+        ("label", label.into()),
+        (
+            "points",
+            Json::Arr(
+                points
+                    .iter()
+                    .map(|&(x, y)| Json::Arr(vec![Json::Num(x), Json::Num(y)]))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +227,33 @@ mod tests {
         }
         assert_eq!(Method::compressed().len(), 3);
         assert_eq!(Method::ClusterKv.to_string(), "ClusterKV");
+    }
+
+    #[test]
+    fn series_round_trips_through_json() {
+        let json = series("ClusterKV", &[(256.0, 46.7), (512.0, 48.0)]).compact();
+        assert_eq!(
+            json,
+            r#"{"label":"ClusterKV","points":[[256,46.7],[512,48]]}"#
+        );
+    }
+
+    #[test]
+    fn empty_series_and_escaped_labels_round_trip() {
+        let empty = series("quote \" backslash \\ newline \n", &[]);
+        assert_eq!(
+            empty.compact(),
+            r#"{"label":"quote \" backslash \\ newline \n","points":[]}"#
+        );
+    }
+
+    #[test]
+    fn non_finite_points_round_trip_as_null() {
+        let json = series("degenerate", &[(f64::NAN, 1.0), (2.0, f64::INFINITY)]).compact();
+        assert_eq!(
+            json,
+            r#"{"label":"degenerate","points":[[null,1],[2,null]]}"#
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Aggregation and report formatting for the experiment harness.
+//! Summary statistics and markdown tables for the experiment harness.
 //!
-//! Every benchmark binary in `clusterkv-bench` prints the rows/series the
-//! corresponding paper table or figure reports. This crate provides the small
-//! shared pieces: summary statistics, a markdown table builder and a named
-//! data series that serialises to JSON for plotting.
+//! Every benchmark binary in `clusterkv-bench` prints the rows the
+//! corresponding paper table or figure reports; the scheduler exports its
+//! per-request measurements as [`RequestRow`]s. JSON output is the bench
+//! crate's `report` layer.
 
 #![warn(missing_docs)]
 
@@ -16,17 +16,6 @@ pub fn mean(values: &[f64]) -> f64 {
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
-}
-
-/// Nearest-rank percentile (`p` in `[0, 100]`); `0.0` for an empty slice.
-/// NaN values sort last (total order), so degenerate inputs cannot panic.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    percentile_of_sorted(&sorted, p)
 }
 
 /// Nearest-rank percentile of an already ascending-sorted slice.
@@ -118,70 +107,6 @@ pub fn request_table(rows: &[RequestRow]) -> Table {
     t
 }
 
-/// A named series of `(x, y)` points — one line in a figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Series {
-    /// Legend label (method name).
-    pub label: String,
-    /// X/Y points in plotting order.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// Create an empty series.
-    pub fn new(label: impl Into<String>) -> Self {
-        Self {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
-
-    /// Serialise to a compact JSON string (for plotting outside Rust).
-    ///
-    /// The format matches what `serde_json` would produce for this struct:
-    /// `{"label":"...","points":[[x,y],...]}`. JSON is emitted by hand so the
-    /// crate works without registry access (see `crates/shims/README.md`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"label\":\"");
-        for ch in self.label.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push_str("\",\"points\":[");
-        for (i, (x, y)) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", fmt_json_f64(*x), fmt_json_f64(*y)));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Render an `f64` so it round-trips through [`str::parse`] (shortest
-/// representation; JSON has no non-finite literals, which the series never
-/// contains in practice — non-finite values are emitted as `null`).
-fn fmt_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Markdown table builder used by the experiment binaries to print rows the
 /// same way the paper's tables lay them out.
 ///
@@ -217,16 +142,6 @@ impl Table {
         let mut cells = cells;
         cells.resize(self.headers.len(), String::new());
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render as GitHub-flavoured markdown.
@@ -265,45 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn series_round_trips_through_json() {
-        let mut s = Series::new("ClusterKV");
-        s.push(256.0, 46.7);
-        s.push(512.0, 48.0);
-        let json = s.to_json();
-        assert_eq!(
-            json,
-            r#"{"label":"ClusterKV","points":[[256,46.7],[512,48]]}"#
-        );
-    }
-
-    #[test]
-    fn empty_series_and_escaped_labels_round_trip() {
-        let empty = Series::new("quote \" backslash \\ newline \n");
-        assert_eq!(
-            empty.to_json(),
-            r#"{"label":"quote \" backslash \\ newline \n","points":[]}"#
-        );
-    }
-
-    #[test]
-    fn non_finite_points_round_trip_as_null() {
-        let mut s = Series::new("degenerate");
-        s.push(f64::NAN, 1.0);
-        s.push(2.0, f64::INFINITY);
-        let json = s.to_json();
-        assert_eq!(
-            json,
-            r#"{"label":"degenerate","points":[[null,1],[2,null]]}"#
-        );
-    }
-
-    #[test]
     fn table_renders_markdown() {
         let mut t = Table::new(vec!["a", "b"]);
-        assert!(t.is_empty());
         t.row(vec!["1".into()]);
         t.row(vec!["2".into(), "3".into(), "4".into()]);
-        assert_eq!(t.len(), 2);
         let md = t.render();
         assert!(md.starts_with("| a | b |"));
         assert!(md.contains("| 1 |  |"));
@@ -319,14 +199,12 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank_on_known_values() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 50.0), 50.0);
-        assert_eq!(percentile(&v, 95.0), 95.0);
-        assert_eq!(percentile(&v, 99.0), 99.0);
-        assert_eq!(percentile(&v, 100.0), 100.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+        let v: Vec<f64> = (1..=100).rev().map(|i| i as f64).collect();
+        let s = LatencySummary::from_values(&v);
+        assert_eq!((s.p50, s.p95, s.p99), (50.0, 95.0, 99.0));
+        assert_eq!(percentile_of_sorted(&[1.0, 2.0], 100.0), 2.0);
+        assert_eq!(percentile_of_sorted(&[1.0, 2.0], 0.0), 1.0);
+        assert_eq!(LatencySummary::from_values(&[7.0]).p99, 7.0);
     }
 
     #[test]
@@ -372,8 +250,8 @@ mod tests {
         fn percentile_is_within_min_max(v in proptest::collection::vec(-100.0f64..100.0, 1..50)) {
             let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
-                let x = percentile(&v, p);
+            let s = LatencySummary::from_values(&v);
+            for x in [s.p50, s.p95, s.p99] {
                 prop_assert!(x >= lo && x <= hi);
             }
         }
