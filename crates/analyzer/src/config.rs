@@ -97,7 +97,7 @@ mod tests {
         let p = Policy::repo();
         assert!(p.is_float_order_blessed("crates/tensor/src/vector.rs"));
         assert!(!p.is_float_order_blessed("crates/tensor/src/svd.rs"));
-        assert!(p.is_wall_clock_allowed("crates/bench/src/bin/exp_scaling.rs"));
+        assert!(p.is_wall_clock_allowed("crates/bench/src/bin/exp_hotpath.rs"));
         assert!(!p.is_wall_clock_allowed("crates/shims/rayon/src/lib.rs"));
         assert!(!p.is_wall_clock_allowed("crates/sched/src/lib.rs"));
         assert!(p.is_unsafe_allowlisted("tests/zero_alloc.rs"));

@@ -376,7 +376,7 @@ mod tests {
         let plan = h.plan(0, SelectionRequest::new(&[0.1; 8], 64, Budget::new(16)));
         assert_eq!(plan.residency, KvResidency::Resident);
         assert_eq!(h.page_table(), KvResidency::Resident);
-        assert_eq!(plan.stats.transfer.transfers, 0);
+        assert_eq!(plan.stats.cache.bytes_recalled.get(), 0);
     }
 
     #[test]

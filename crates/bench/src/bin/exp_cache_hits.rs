@@ -64,7 +64,7 @@ fn main() {
     // Per-step recall cost measured on the episode, fed into the analytical
     // decode model (real recall traffic, not an assumed uniform rate).
     let cost_of = |result: &EpisodeResult| {
-        let transferred_per_step = result.stats.transfer.tokens_moved as f64 / DECODE_STEPS as f64;
+        let transferred_per_step = result.stats.cache.misses as f64 / DECODE_STEPS as f64;
         clusterkv_cost(model.config(), BUDGET, transferred_per_step)
     };
 
@@ -97,7 +97,7 @@ fn main() {
             Some((CONTEXT_LEN / 80, 10)),
             cost_of(&result),
         );
-        let recalled = result.stats.transfer.tokens_moved as f64 / DECODE_STEPS as f64;
+        let recalled = result.stats.cache.misses as f64 / DECODE_STEPS as f64;
         let gain = cached_run.decode_throughput / no_cache_run.decode_throughput;
         window_rows.push((r, result.stats.cache.hit_rate(), recalled, gain));
         table.row(vec![
@@ -142,13 +142,13 @@ fn main() {
             label,
             capacity.get(),
             hit,
-            result.stats.transfer.bytes_to_device.get(),
+            result.stats.cache.bytes_recalled.get(),
         ));
         table.row(vec![
             label.to_string(),
             capacity.to_string(),
             format!("{:.1}%", hit * 100.0),
-            result.stats.transfer.bytes_to_device.to_string(),
+            result.stats.cache.bytes_recalled.to_string(),
         ]);
     }
     out.say(table.render());

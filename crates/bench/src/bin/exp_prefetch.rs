@@ -27,7 +27,7 @@ use clusterkv::ClusterKvFactory;
 use clusterkv_bench::{
     serving_clusterkv_config, serving_model_config, smoke, with_threads, Json, Report,
 };
-use clusterkv_kvcache::stats::{CacheStats, PrefetchStats, TransferStats};
+use clusterkv_kvcache::stats::{CacheStats, PrefetchStats};
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::DeviceModel;
 use clusterkv_metrics::{fmt, Table};
@@ -93,7 +93,6 @@ struct RunOutcome {
     streams: Vec<Vec<usize>>,
     modeled_bits: Vec<u64>,
     cache: CacheStats,
-    transfers: TransferStats,
     tbt: f64,
     prefetch: PrefetchStats,
     accuracy: f64,
@@ -136,11 +135,10 @@ fn run(capacity: Bytes, prefetch: PrefetchConfig) -> RunOutcome {
     let hidden: f64 = reports.iter().map(|r| r.hidden_transfer_time.get()).sum();
     let transfer: f64 = reports.iter().map(|r| r.transfer_time.get()).sum();
     let mut prefetch_stats = PrefetchStats::new();
-    let (mut cache, mut transfers) = (CacheStats::new(), TransferStats::new());
+    let mut cache = CacheStats::new();
     for r in &reports {
         prefetch_stats.merge(&r.prefetch);
         cache.merge(&r.stats.cache);
-        transfers.merge(&r.stats.transfer);
     }
     RunOutcome {
         streams,
@@ -149,7 +147,6 @@ fn run(capacity: Bytes, prefetch: PrefetchConfig) -> RunOutcome {
             .map(|r| r.modeled_decode_time.get().to_bits())
             .collect(),
         cache,
-        transfers,
         tbt: total_decode / (SESSIONS * decode_steps()) as f64,
         accuracy: prefetch_stats.accuracy(),
         hidden_fraction: if transfer == 0.0 {
@@ -224,8 +221,7 @@ fn main() {
                 "token streams diverged (predictor={name}, threads={threads})"
             );
             assert_eq!(
-                (outcome.cache, outcome.transfers),
-                (reference.cache, reference.transfers),
+                outcome.cache, reference.cache,
                 "cache accounting diverged (predictor={name}, threads={threads})"
             );
             parity_cells += 1;

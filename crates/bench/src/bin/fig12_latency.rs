@@ -41,7 +41,7 @@ fn measured_recall(episode: &Episode, budget: usize) -> (f64, f64) {
     let result = run_episode_cached(episode, selector.as_mut(), Budget::new(budget), &mut cache);
     (
         result.stats.cache.hit_rate(),
-        result.stats.transfer.tokens_moved as f64 / MEASURE_STEPS as f64,
+        result.stats.cache.misses as f64 / MEASURE_STEPS as f64,
     )
 }
 

@@ -63,9 +63,9 @@ impl DistanceMetric {
 
     /// Index of the closest centroid to `v`, or `None` when `centroids` is
     /// empty. Ties break toward the lower index. NaN distances are never
-    /// selected — the same contract as
-    /// [`argmin`](clusterkv_tensor::vector::argmin) — so `None` is also
-    /// returned when every candidate's distance is NaN.
+    /// selected — the contract [`argmax`](clusterkv_tensor::vector::argmax)
+    /// keeps for the largest value — so `None` is also returned when every
+    /// candidate's distance is NaN.
     pub fn nearest<'a, I>(self, v: &[f32], centroids: I) -> Option<usize>
     where
         I: IntoIterator<Item = &'a [f32]>,
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn nearest_skips_nan_distances() {
-        // Mirrors the argmax/argmin NaN tests: a NaN distance must never win.
+        // Mirrors the argmax NaN test: a NaN distance must never win.
         // Under L2, a centroid containing NaN yields a NaN distance.
         let good = vec![5.0f32, 0.0];
         let poisoned = vec![f32::NAN, 0.0];

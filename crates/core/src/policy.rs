@@ -515,7 +515,7 @@ mod tests {
         let warm = cache.access(LayerId(0), HeadId(0), pages);
         assert_eq!(warm.missed_tokens, 0, "no new misses expected");
         assert!(warm.hit_tokens > 0);
-        assert_eq!(cache.transfers().tokens_moved, cold.missed_tokens);
+        assert_eq!(cache.stats().misses, cold.missed_tokens);
     }
 
     #[test]

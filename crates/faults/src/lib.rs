@@ -108,10 +108,6 @@ impl Default for Fnv64 {
 pub enum FaultSite {
     /// Demand recall of paged-out KV during a decode step.
     DemandRecall,
-    /// Speculative staging transfer (prefetch path).
-    Staging,
-    /// Promotion of a compressed page back to the exact tier.
-    CompressedPromotion,
     /// Adoption of shared prefix pages / selector state from the store.
     PrefixAdoption,
     /// Whole-session fault: the scheduler must checkpoint-release and retry.
@@ -125,8 +121,6 @@ impl FaultSite {
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::DemandRecall => "demand-recall",
-            FaultSite::Staging => "staging",
-            FaultSite::CompressedPromotion => "compressed-promotion",
             FaultSite::PrefixAdoption => "prefix-adoption",
             FaultSite::SessionCrash => "session-crash",
             FaultSite::Pressure => "pressure",
@@ -137,8 +131,6 @@ impl FaultSite {
     fn salt(self) -> u64 {
         match self {
             FaultSite::DemandRecall => 0x9e37_79b9_7f4a_7c15,
-            FaultSite::Staging => 0xbf58_476d_1ce4_e5b9,
-            FaultSite::CompressedPromotion => 0x94d0_49bb_1331_11eb,
             FaultSite::PrefixAdoption => 0xd6e8_feb8_6659_fd93,
             FaultSite::SessionCrash => 0xa076_1d64_95b5_d3db,
             FaultSite::Pressure => 0xe703_7ed1_a0b4_28db,
@@ -534,7 +526,7 @@ mod tests {
         assert!(!inj.enabled());
         for step in 0..200 {
             assert_eq!(inj.transfer_attempts(FaultSite::DemandRecall, step), 1);
-            assert!(!inj.should_corrupt(FaultSite::Staging, step));
+            assert!(!inj.should_corrupt(FaultSite::PrefixAdoption, step));
             assert!(!inj.should_crash(7, step));
             assert_eq!(inj.pressure_factor(step), 1.0);
         }
@@ -591,7 +583,7 @@ mod tests {
         let mut differs = false;
         for step in 0..100 {
             if inj.should_corrupt(FaultSite::DemandRecall, step)
-                != inj.should_corrupt(FaultSite::Staging, step)
+                != inj.should_corrupt(FaultSite::PrefixAdoption, step)
             {
                 differs = true;
                 break;

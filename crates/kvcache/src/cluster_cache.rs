@@ -1,5 +1,5 @@
-//! Tiered cluster-granularity KV cache: a capacity-bounded GPU resident set
-//! over a CPU backing store (DESIGN.md §3).
+//! Cluster-granularity KV cache: a capacity-bounded GPU resident set whose
+//! misses are recalled from the full KV cache in CPU memory (DESIGN.md §3).
 //!
 //! After prefill the full KV cache lives in CPU DRAM; the GPU keeps
 //! centroids, metadata and a bounded *selected-KV cache* holding the KV of
@@ -22,8 +22,8 @@
 //! disabled).
 
 use crate::compressed::CompressionConfig;
-use crate::stats::{CacheStats, CompressionStats, PrefetchStats, TransferStats};
-use crate::tier::{MemoryTier, TierKind};
+use crate::stats::{CacheStats, CompressionStats, PrefetchStats};
+use crate::tier::MemoryTier;
 use crate::types::{Bytes, HeadId, LayerId};
 use clusterkv_faults::{Fnv64, IntegrityStats};
 use serde::{Deserialize, Serialize};
@@ -119,10 +119,6 @@ impl ClusterCacheConfig {
 /// Outcome of one per-head cache access (one decode step of one head).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepOutcome {
-    /// Pages served entirely from the GPU resident set.
-    pub hit_pages: usize,
-    /// Pages that were fully or partially recalled from CPU memory.
-    pub missed_pages: usize,
     /// Tokens served from the GPU resident set.
     pub hit_tokens: u64,
     /// Tokens recalled from CPU memory over PCIe.
@@ -131,20 +127,14 @@ pub struct StepOutcome {
     /// is quantized, cold pages travel at the integer width, so this is
     /// smaller than `missed_tokens · bytes_per_token`.
     pub bytes_recalled: Bytes,
-    /// Of the hit pages, how many were served from the compressed tier.
-    pub compressed_pages: usize,
     /// Of the hit tokens, how many came from compressed pages (no PCIe, but
     /// a dequantize on access).
     pub compressed_tokens: u64,
-    /// Of the missed pages, how many were promoted from the staging buffer
-    /// (their bytes already moved by an overlapped staged transfer). Still
-    /// counted in `missed_pages`/`missed_tokens`/`bytes_recalled` — staging
-    /// changes *when* bytes move, never the hit/miss accounting.
-    pub staged_pages: usize,
-    /// Tokens of the missed pages that were promoted from staging.
-    pub staged_tokens: u64,
-    /// Bytes of `bytes_recalled` that the staged transfer already moved (the
-    /// overlap clock subtracts these from the demand-transfer term).
+    /// Bytes of `bytes_recalled` that a staged transfer already moved: the
+    /// missed pages promoted from the staging buffer. They still count as
+    /// misses — staging changes *when* bytes move, never the hit/miss
+    /// accounting — but the overlap clock subtracts these from the
+    /// demand-transfer term.
     pub staged_bytes: Bytes,
 }
 
@@ -193,8 +183,8 @@ struct StagedPage {
     bytes: Bytes,
 }
 
-/// Capacity-bounded GPU resident set with deterministic LRU eviction over a
-/// CPU backing store.
+/// Capacity-bounded GPU resident set with deterministic LRU eviction; every
+/// page it does not hold is recalled from CPU memory.
 ///
 /// # Examples
 ///
@@ -216,10 +206,6 @@ pub struct ClusterCache {
     bytes_per_token: Bytes,
     compression: CompressionConfig,
     gpu: MemoryTier,
-    cpu: MemoryTier,
-    /// Bytes of `cpu` charged for the full KV cache
-    /// ([`set_backing`](Self::set_backing)).
-    backing: Bytes,
     /// Every page ever seen (admitted, accessed or declined), with its slab
     /// slot while it is resident. Entries are never removed: warm admission
     /// only applies to pages the cache has never seen, so a page evicted
@@ -239,7 +225,6 @@ pub struct ClusterCache {
     /// permanent and later warm calls can skip their table scan entirely.
     offloaded: BTreeSet<(LayerId, HeadId)>,
     stats: CacheStats,
-    transfers: TransferStats,
     compression_stats: CompressionStats,
     /// Capacity of the speculative staging buffer (DESIGN.md §10). Tracked
     /// separately from the resident tier: staged bytes never count against
@@ -257,28 +242,12 @@ pub struct ClusterCache {
 }
 
 impl ClusterCache {
-    /// Create a cache with the given sizing over a default host-DRAM backing
-    /// tier.
+    /// Create a cache with the given sizing.
     pub fn new(config: ClusterCacheConfig) -> Self {
-        let mut cache = Self::with_tiers(
-            MemoryTier::new(TierKind::Gpu, config.gpu_capacity),
-            MemoryTier::host_dram(),
-            config.bytes_per_token,
-        );
-        cache.compression = config.compression;
-        cache.staging_capacity = config.staging_capacity;
-        cache
-    }
-
-    /// Create a cache over explicit GPU/CPU tiers (e.g. a small DRAM tier to
-    /// exercise backing-store overflow). Compression defaults to lossless.
-    pub fn with_tiers(gpu: MemoryTier, cpu: MemoryTier, bytes_per_token: Bytes) -> Self {
         Self {
-            bytes_per_token,
-            compression: CompressionConfig::lossless(),
-            gpu,
-            cpu,
-            backing: Bytes(0),
+            bytes_per_token: config.bytes_per_token,
+            compression: config.compression,
+            gpu: MemoryTier::new(config.gpu_capacity),
             pages: BTreeMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -286,9 +255,8 @@ impl ClusterCache {
             tails: [NIL; 2],
             offloaded: BTreeSet::new(),
             stats: CacheStats::new(),
-            transfers: TransferStats::new(),
             compression_stats: CompressionStats::new(),
-            staging_capacity: Bytes(0),
+            staging_capacity: config.staging_capacity,
             staging_used: Bytes(0),
             staged: BTreeMap::new(),
             staging_lru: BTreeMap::new(),
@@ -340,19 +308,10 @@ impl ClusterCache {
         self.offloaded.contains(&(layer, head))
     }
 
-    /// The CPU tier (backing store).
-    pub fn cpu(&self) -> &MemoryTier {
-        &self.cpu
-    }
-
-    /// Token-level hit/miss statistics accumulated over every access.
+    /// Token-level hit/miss statistics and the bytes the misses recalled,
+    /// accumulated over every access.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Host-to-device transfer accounting accumulated over every access.
-    pub fn transfers(&self) -> TransferStats {
-        self.transfers
     }
 
     /// Compressed-tier configuration.
@@ -392,26 +351,6 @@ impl ClusterCache {
         self.prefetch_stats
     }
 
-    /// Record the size of the full KV cache held in the CPU backing store
-    /// (grows as the context grows; replaces the previous size).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocationError`](crate::tier::AllocationError) if the full
-    /// KV no longer fits in host DRAM; the previous size stays charged.
-    // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
-    pub fn set_backing(&mut self, total_kv: Bytes) -> Result<(), crate::tier::AllocationError> {
-        self.cpu.release(self.backing, false);
-        if let Err(err) = self.cpu.charge(total_kv, false) {
-            self.cpu
-                .charge(self.backing, false)
-                .expect("the bytes just released fit again");
-            return Err(err);
-        }
-        self.backing = total_kv;
-        Ok(())
-    }
-
     fn page_bytes(&self, tokens: usize) -> Bytes {
         Bytes(self.bytes_per_token.get() * tokens as u64)
     }
@@ -431,7 +370,7 @@ impl ClusterCache {
     }
 
     /// Bytes one recalled token moves over PCIe. With a quantized compressed
-    /// tier the CPU backing store holds cold pages at the integer width, so
+    /// tier CPU memory holds cold pages at the integer width, so
     /// recalls travel compressed (§9); lossless mode moves exact f16 bytes.
     fn recall_bytes(&self, tokens: usize) -> Bytes {
         if self.compression.is_lossless() {
@@ -535,7 +474,7 @@ impl ClusterCache {
 
     /// Make room for `size` in two passes over the LRU order: first demote
     /// exact victims to the compressed tier (Resident → Compressed), and
-    /// only if that is not enough drop victims to the backing store outright
+    /// only if that is not enough drop victims to CPU memory outright
     /// (Compressed → Paged). Returns whether `size` fits afterwards. Never
     /// touches anything when `size` exceeds the total capacity. The demotion
     /// pass walks the chain of exact pages only — the already-demoted ones
@@ -797,12 +736,10 @@ impl ClusterCache {
             });
             match resident {
                 Some((slot, tokens, compressed)) if tokens >= req.tokens => {
-                    out.hit_pages += 1;
                     out.hit_tokens += req.tokens as u64;
                     if compressed {
                         // Served from the compressed tier: on-GPU (no PCIe),
                         // dequantized on access, and it stays compressed.
-                        out.compressed_pages += 1;
                         out.compressed_tokens += req.tokens as u64;
                     }
                     self.touch(slot);
@@ -814,9 +751,7 @@ impl ClusterCache {
                     let grown = req.tokens - tokens;
                     if compressed {
                         out.compressed_tokens += tokens as u64;
-                        out.compressed_pages += 1;
                     }
-                    out.missed_pages += 1;
                     out.hit_tokens += tokens as u64;
                     out.missed_tokens += grown as u64;
                     out.bytes_recalled += self.recall_bytes(grown);
@@ -824,7 +759,6 @@ impl ClusterCache {
                     self.admit(key, req.tokens);
                 }
                 None => {
-                    out.missed_pages += 1;
                     out.missed_tokens += req.tokens as u64;
                     out.bytes_recalled += self.recall_bytes(req.tokens);
                     if let Some(staged) = self.unstage(key) {
@@ -840,8 +774,6 @@ impl ClusterCache {
                                 self.prefetch_stats
                                     .record_wasted(Bytes(staged.bytes.get() - used.get()));
                             }
-                            out.staged_pages += 1;
-                            out.staged_tokens += req.tokens as u64;
                             out.staged_bytes += used;
                         } else {
                             // Stale: the staged copy is smaller than the
@@ -855,12 +787,10 @@ impl ClusterCache {
             }
         }
         self.stats.record_hits(out.hit_tokens);
-        self.stats.record_misses(out.missed_tokens);
+        self.stats
+            .record_misses(out.missed_tokens, out.bytes_recalled);
         self.compression_stats
             .record_compressed_hits(out.compressed_tokens);
-        if out.missed_tokens > 0 {
-            self.transfers.record(out.missed_tokens, out.bytes_recalled);
-        }
         out
     }
 
@@ -872,7 +802,7 @@ impl ClusterCache {
 
     /// Flip the integrity tag of one deterministically chosen resident page
     /// (the `pick % resident_pages`-th in key order), modeling in-memory
-    /// corruption. The backing store stays pristine, so attended values are
+    /// corruption. CPU memory stays pristine, so attended values are
     /// unaffected — a later [`scrub`](Self::scrub) detects the damage and
     /// charges the repair traffic. Returns whether a page was corrupted
     /// (`false` when nothing is resident).
@@ -891,7 +821,7 @@ impl ClusterCache {
 
     // analyzer: recovery-path
     /// Verify every resident page's integrity tag and repair mismatches by
-    /// re-fetching the page from the backing store (re-seal the tag, charge
+    /// re-fetching the page from CPU memory (re-seal the tag, charge
     /// the page's recall bytes). Detection is guaranteed: the corruption
     /// mask is non-zero, so a damaged tag never matches the recomputed one.
     /// Returns the bytes re-fetched by repairs.
@@ -981,16 +911,13 @@ mod tests {
     fn cold_accesses_miss_then_hit() {
         let mut c = cache_for(32);
         let cold = c.access(L, H, &reqs(&[(0, 4), (1, 4)]));
-        assert_eq!(cold.missed_pages, 2);
         assert_eq!(cold.missed_tokens, 8);
         assert_eq!(cold.bytes_recalled, Bytes(32));
         let warm = c.access(L, H, &reqs(&[(0, 4), (1, 4)]));
-        assert_eq!(warm.hit_pages, 2);
         assert_eq!(warm.hit_tokens, 8);
         assert_eq!(warm.missed_tokens, 0);
         assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(c.transfers().transfers, 1, "one recall op per miss step");
-        assert_eq!(c.transfers().bytes_to_device, Bytes(32));
+        assert_eq!(c.stats().bytes_recalled, Bytes(32));
     }
 
     #[test]
@@ -1107,7 +1034,7 @@ mod tests {
         let out = c.access(L, H, &reqs(&[(0, 8), (1, 8)]));
         assert_eq!(out.hit_tokens, 16);
         assert_eq!(out.missed_tokens, 0);
-        assert_eq!(c.transfers().transfers, 0);
+        assert_eq!(c.stats().bytes_recalled, Bytes(0));
         assert!((c.stats().hit_rate() - 1.0).abs() < 1e-9);
     }
 
@@ -1130,7 +1057,7 @@ mod tests {
         let run = || {
             let mut c = cache_for(16);
             let outs: Vec<StepOutcome> = pattern.iter().map(|p| c.access(L, H, p)).collect();
-            (outs, c.stats(), c.transfers())
+            (outs, c.stats())
         };
         assert_eq!(run(), run());
     }
@@ -1160,30 +1087,6 @@ mod tests {
             );
         }
         assert_eq!(rates[0], 0.0);
-    }
-
-    #[test]
-    fn backing_store_tracks_full_kv_and_overflows() {
-        let mut c = ClusterCache::with_tiers(
-            MemoryTier::new(TierKind::Gpu, Bytes(64)),
-            MemoryTier::new(TierKind::Cpu, Bytes(100)),
-            Bytes(4),
-        );
-        c.set_backing(Bytes(40)).unwrap();
-        c.set_backing(Bytes(90)).unwrap();
-        assert_eq!(c.cpu().used(), Bytes(90));
-        // A size that does not fit reports what the backing could grow to
-        // (its current bytes are reusable) and changes nothing.
-        let err = c.set_backing(Bytes(120)).unwrap_err();
-        assert_eq!(err.tier, TierKind::Cpu);
-        assert_eq!(err.available, Bytes(100));
-        assert_eq!(c.cpu().used(), Bytes(90));
-        // Each call replaces the previous size, so shrinking a nearly full
-        // tier and growing it back to capacity both fit.
-        c.set_backing(Bytes(50)).unwrap();
-        assert_eq!(c.cpu().used(), Bytes(50));
-        c.set_backing(Bytes(100)).unwrap();
-        assert_eq!(c.cpu().used(), Bytes(100));
     }
 
     #[test]
@@ -1244,7 +1147,6 @@ mod tests {
         // Accessing the demoted page is a compressed hit: on GPU, no PCIe.
         let out = c.access(L, H, &reqs(&[(0, 4)]));
         assert_eq!(out.hit_tokens, 4);
-        assert_eq!(out.compressed_pages, 1);
         assert_eq!(out.compressed_tokens, 4);
         assert_eq!(out.missed_tokens, 0);
         assert_eq!(out.bytes_recalled, Bytes(0));
@@ -1362,11 +1264,8 @@ mod tests {
         assert_eq!(p.bytes_recalled, s.bytes_recalled);
         assert_eq!(p.hit_tokens, s.hit_tokens);
         assert_eq!(plain.stats(), staged.stats());
-        assert_eq!(plain.transfers(), staged.transfers());
-        assert_eq!(s.staged_pages, 1);
-        assert_eq!(s.staged_tokens, 4);
         assert_eq!(s.staged_bytes, Bytes(16));
-        assert_eq!(p.staged_pages, 0);
+        assert_eq!(p.staged_bytes, Bytes(0));
         // The promotion consumed the staged copy.
         assert_eq!(staged.staged_pages(), 0);
         assert_eq!(staged.staged_bytes(), Bytes(0));
@@ -1408,7 +1307,7 @@ mod tests {
         // The evicted nomination recalls on demand like any miss.
         let out = c.access(L, H, &reqs(&[(0, 4)]));
         assert_eq!(out.missed_tokens, 4);
-        assert_eq!(out.staged_pages, 0);
+        assert_eq!(out.staged_bytes, Bytes(0));
     }
 
     #[test]
@@ -1426,7 +1325,6 @@ mod tests {
         // The staged 2-token copy cannot serve a 4-token demand: full
         // demand recall, staged bytes all wasted.
         assert_eq!(out.missed_tokens, 4);
-        assert_eq!(out.staged_pages, 0);
         assert_eq!(out.staged_bytes, Bytes(0));
         assert_eq!(c.prefetch_stats().used_pages, 0);
         assert_eq!(c.prefetch_stats().wasted_bytes, Bytes(8));
@@ -1442,7 +1340,6 @@ mod tests {
         assert_eq!(c.staged_bytes(), Bytes(16));
         assert_eq!(c.prefetch_stats().wasted_bytes, Bytes(8), "old copy");
         let out = c.access(L, H, &reqs(&[(0, 4)]));
-        assert_eq!(out.staged_pages, 1);
         assert_eq!(out.staged_bytes, Bytes(16));
     }
 
@@ -1473,7 +1370,6 @@ mod tests {
         c.stage(L, H, &reqs(&[(0, 4)]));
         let out = c.access(L, H, &reqs(&[(0, 3)]));
         assert_eq!(out.missed_tokens, 3);
-        assert_eq!(out.staged_pages, 1);
         assert_eq!(out.staged_bytes, Bytes(12));
         assert_eq!(c.prefetch_stats().used_bytes, Bytes(12));
         assert_eq!(c.prefetch_stats().wasted_bytes, Bytes(4), "excess tokens");
@@ -1530,7 +1426,7 @@ mod tests {
 
     #[test]
     fn corruption_does_not_change_hit_miss_accounting() {
-        // The backing store is ground truth: a corrupted resident page still
+        // CPU memory is ground truth: a corrupted resident page still
         // hits (the scrub repairs the tag out of band), so what attends is
         // untouched — corruption only adds repair traffic.
         let mut c = cache_for(16);
@@ -1599,7 +1495,6 @@ mod tests {
         /// `(key, tokens, bytes)`, least recently staged first.
         staged: Vec<(PageKey, usize, u64)>,
         stats: CacheStats,
-        transfers: TransferStats,
         compression_stats: CompressionStats,
         prefetch_stats: PrefetchStats,
     }
@@ -1616,7 +1511,6 @@ mod tests {
                 staging_capacity: config.staging_capacity.get(),
                 staged: Vec::new(),
                 stats: CacheStats::new(),
-                transfers: TransferStats::new(),
                 compression_stats: CompressionStats::new(),
                 prefetch_stats: PrefetchStats::new(),
             }
@@ -1794,10 +1688,8 @@ mod tests {
                 self.known.insert(key);
                 match self.find(key) {
                     Some(at) if self.resident[at].1 >= req.tokens => {
-                        out.hit_pages += 1;
                         out.hit_tokens += req.tokens as u64;
                         if self.resident[at].2 {
-                            out.compressed_pages += 1;
                             out.compressed_tokens += req.tokens as u64;
                         }
                         let page = self.resident.remove(at);
@@ -1807,16 +1699,13 @@ mod tests {
                         let (_, tokens, compressed) = self.resident.remove(at);
                         if compressed {
                             out.compressed_tokens += tokens as u64;
-                            out.compressed_pages += 1;
                         }
-                        out.missed_pages += 1;
                         out.hit_tokens += tokens as u64;
                         out.missed_tokens += (req.tokens - tokens) as u64;
                         out.bytes_recalled += Bytes(self.recall(req.tokens - tokens));
                         self.admit(key, req.tokens);
                     }
                     None => {
-                        out.missed_pages += 1;
                         out.missed_tokens += req.tokens as u64;
                         out.bytes_recalled += Bytes(self.recall(req.tokens));
                         if let Some((tokens, bytes)) = self.unstage(key) {
@@ -1826,8 +1715,6 @@ mod tests {
                                 if bytes > used {
                                     self.prefetch_stats.record_wasted(Bytes(bytes - used));
                                 }
-                                out.staged_pages += 1;
-                                out.staged_tokens += req.tokens as u64;
                                 out.staged_bytes += Bytes(used);
                             } else {
                                 self.prefetch_stats.record_wasted(Bytes(bytes));
@@ -1838,12 +1725,10 @@ mod tests {
                 }
             }
             self.stats.record_hits(out.hit_tokens);
-            self.stats.record_misses(out.missed_tokens);
+            self.stats
+                .record_misses(out.missed_tokens, out.bytes_recalled);
             self.compression_stats
                 .record_compressed_hits(out.compressed_tokens);
-            if out.missed_tokens > 0 {
-                self.transfers.record(out.missed_tokens, out.bytes_recalled);
-            }
             out
         }
 
@@ -1981,7 +1866,6 @@ mod tests {
                     prop_assert_eq!(lru_order(&a), lru_order(&b));
                     prop_assert_eq!(a.resident_bytes(), b.resident_bytes());
                     prop_assert_eq!(a.stats(), b.stats());
-                    prop_assert_eq!(a.transfers(), b.transfers());
                 }
                 // Prefetch byte accounting closes: everything staged is
                 // eventually used, wasted, or still sitting in the buffer.
@@ -2037,7 +1921,6 @@ mod tests {
                     prop_assert_eq!(lru_order(&real), model.resident.clone());
                     prop_assert_eq!(real.resident_bytes(), Bytes(model.used()));
                     prop_assert_eq!(real.stats(), model.stats);
-                    prop_assert_eq!(real.transfers(), model.transfers);
                     prop_assert_eq!(real.compression_stats(), model.compression_stats);
                     let staged: Vec<(PageKey, usize, u64)> = real
                         .staging_lru

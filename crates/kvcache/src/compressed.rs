@@ -782,14 +782,12 @@ pub fn compress_page(
     page
 }
 
-/// Store of compressed cluster pages with aggregate byte accounting. Keys
-/// are [`PageKey`]s, so residency and compression describe the same pages.
+/// Store of compressed cluster pages. Keys are [`PageKey`]s, so residency
+/// and compression describe the same pages.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CompressedStore {
     config: CompressionConfig,
     pages: BTreeMap<PageKey, CompressedPage>,
-    compressed_bytes: Bytes,
-    exact_bytes: Bytes,
 }
 
 impl CompressedStore {
@@ -798,8 +796,6 @@ impl CompressedStore {
         Self {
             config,
             pages: BTreeMap::new(),
-            compressed_bytes: Bytes(0),
-            exact_bytes: Bytes(0),
         }
     }
 
@@ -818,11 +814,8 @@ impl CompressedStore {
         self.pages.is_empty()
     }
 
-    /// Insert (or replace) a page, keeping the aggregate byte totals exact.
+    /// Insert (or replace) a page.
     pub fn insert(&mut self, key: PageKey, page: CompressedPage) {
-        self.remove(key);
-        self.compressed_bytes += page.compressed_bytes;
-        self.exact_bytes += page.exact_bytes;
         self.pages.insert(key, page);
     }
 
@@ -876,39 +869,6 @@ impl CompressedStore {
         let page = self.pages.get_mut(&key)?;
         *page = compress_page(keys, values, &page.tokens, self.config);
         Some(page.exact_bytes)
-    }
-
-    /// Remove a page, updating the totals.
-    pub fn remove(&mut self, key: PageKey) -> Option<CompressedPage> {
-        let page = self.pages.remove(&key)?;
-        self.compressed_bytes = Bytes(self.compressed_bytes.get() - page.compressed_bytes.get());
-        self.exact_bytes = Bytes(self.exact_bytes.get() - page.exact_bytes.get());
-        Some(page)
-    }
-
-    /// Total compressed footprint across pages.
-    pub fn compressed_bytes(&self) -> Bytes {
-        self.compressed_bytes
-    }
-
-    /// Total exact (f16) footprint the same pages would occupy.
-    pub fn exact_bytes(&self) -> Bytes {
-        self.exact_bytes
-    }
-
-    /// Aggregate compression ratio `exact / compressed`; `0.0` when the
-    /// store is empty.
-    pub fn ratio(&self) -> f64 {
-        if self.compressed_bytes.get() == 0 {
-            0.0
-        } else {
-            self.exact_bytes.get() as f64 / self.compressed_bytes.get() as f64
-        }
-    }
-
-    /// Total merged pairs across pages.
-    pub fn merged_pairs(&self) -> usize {
-        self.pages.values().map(|p| p.merged_pairs).sum()
     }
 }
 
@@ -1195,31 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn store_totals_track_insert_replace_remove() {
-        let (k, v) = random_kv(24, 8, 4);
-        let mut store = CompressedStore::new(CompressionConfig::int8());
-        store.compress_and_insert(key(0), &k, &v, &[0, 1, 2, 3]);
-        store.compress_and_insert(key(1), &k, &v, &[4, 5, 6, 7, 8, 9]);
-        let total = store.compressed_bytes();
-        assert_eq!(store.len(), 2);
-        assert!(store.ratio() > 1.0);
-        // Replacing a page with a larger one adjusts, not double-counts.
-        store.compress_and_insert(key(0), &k, &v, &[0, 1, 2, 3, 10, 11]);
-        assert!(store.compressed_bytes().get() > total.get());
-        let expected: u64 = [key(0), key(1)]
-            .iter()
-            .map(|&kk| store.get(kk).unwrap().compressed_bytes().get())
-            .sum();
-        assert_eq!(store.compressed_bytes().get(), expected);
-        store.remove(key(0)).unwrap();
-        store.remove(key(1)).unwrap();
-        assert!(store.is_empty());
-        assert_eq!(store.compressed_bytes(), Bytes(0));
-        assert_eq!(store.exact_bytes(), Bytes(0));
-        assert_eq!(store.ratio(), 0.0, "empty store must not divide by zero");
-    }
-
-    #[test]
     fn config_validation_and_fingerprints() {
         assert!(CompressionConfig::lossless().validate().is_ok());
         assert!(CompressionConfig::default()
@@ -1338,7 +1273,7 @@ mod tests {
             assert!(store.corrupt(key(0), payload_bits));
             assert_eq!(store.verify(key(0)), Some(false));
             store.repair(key(0), &k, &v).unwrap();
-            assert_eq!(store.compressed_bytes(), pristine.compressed_bytes());
+            assert_eq!(store.get(key(0)).unwrap(), &pristine);
         }
         // An empty exact page holds nothing a flip could damage.
         let mut store = CompressedStore::new(CompressionConfig::lossless());

@@ -12,8 +12,8 @@
 //! * [`device`] — an analytical [`DeviceModel`] (bandwidths + overheads)
 //!   used to estimate prefill/decoding latency and host-to-device transfer
 //!   cost; this is the substitute for the paper's NVIDIA Ada 6000 testbed.
-//! * [`tier`] — a two-tier memory simulator (GPU HBM + CPU DRAM) counting
-//!   charged bytes against capacity.
+//! * [`tier`] — the GPU memory simulator counting charged bytes against
+//!   capacity.
 //! * [`cluster_cache`] — [`ClusterCache`], the session-level tiered KV
 //!   hierarchy: a capacity-bounded GPU resident set of KV pages with
 //!   deterministic LRU demotion (Resident → Compressed → Paged) over a CPU
@@ -24,7 +24,7 @@
 //! * [`prefix`] — the workspace-global [`PrefixStore`]: a radix tree of
 //!   refcounted, immutable shared KV prefix pages (plus cached selector
 //!   state) enabling cross-session prefix reuse (DESIGN.md §8).
-//! * [`stats`] — transfer / cache-hit counters used by the experiments.
+//! * [`stats`] — cache-hit / recalled-byte counters used by the experiments.
 
 #![warn(missing_docs)]
 
@@ -45,7 +45,7 @@ pub use device::DeviceModel;
 pub use prefix::{
     MatchSegment, PrefixStore, PrefixStoreConfig, PrefixStoreStats, SharedKvPage, SharedPrefixState,
 };
-pub use stats::{CacheStats, CompressionStats, PrefetchStats, TransferStats};
+pub use stats::{CacheStats, CompressionStats, PrefetchStats};
 pub use store::KvStore;
-pub use tier::{MemoryTier, TierKind};
+pub use tier::MemoryTier;
 pub use types::{Budget, HeadId, LayerId, TokenId};

@@ -1,45 +1,10 @@
-//! Counters for transfers and cache behaviour.
+//! Counters for cache behaviour and the bytes its misses recall.
 //!
 //! The experiments of §V-C (cache hit rates, throughput improvement from the
 //! cluster-granularity cache) are driven by these counters.
 
 use crate::types::Bytes;
 use serde::{Deserialize, Serialize};
-
-/// Host-to-device transfer accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransferStats {
-    /// Number of separate transfer operations issued.
-    pub transfers: u64,
-    /// Total bytes moved from CPU to GPU memory.
-    pub bytes_to_device: Bytes,
-    /// Number of tokens whose KV was moved.
-    pub tokens_moved: u64,
-}
-
-impl TransferStats {
-    /// New, zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a transfer of `tokens` tokens totalling `bytes`.
-    pub fn record(&mut self, tokens: u64, bytes: Bytes) {
-        if bytes.get() == 0 && tokens == 0 {
-            return;
-        }
-        self.transfers += 1;
-        self.bytes_to_device += bytes;
-        self.tokens_moved += tokens;
-    }
-
-    /// Merge another set of statistics into this one.
-    pub fn merge(&mut self, other: &TransferStats) {
-        self.transfers += other.transfers;
-        self.bytes_to_device += other.bytes_to_device;
-        self.tokens_moved += other.tokens_moved;
-    }
-}
 
 /// Hit/miss accounting for the selected-KV cache (§IV-D).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,6 +13,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that required a fetch from CPU memory.
     pub misses: u64,
+    /// Bytes the misses moved from CPU to GPU memory (at the recall width,
+    /// so a quantized compressed tier moves fewer than
+    /// `misses · bytes_per_token`).
+    pub bytes_recalled: Bytes,
 }
 
 impl CacheStats {
@@ -61,9 +30,10 @@ impl CacheStats {
         self.hits += n;
     }
 
-    /// Record `n` misses.
-    pub fn record_misses(&mut self, n: u64) {
+    /// Record `n` misses whose recall moved `bytes`.
+    pub fn record_misses(&mut self, n: u64, bytes: Bytes) {
         self.misses += n;
+        self.bytes_recalled += bytes;
     }
 
     /// Total lookups.
@@ -84,6 +54,7 @@ impl CacheStats {
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
+        self.bytes_recalled += other.bytes_recalled;
     }
 }
 
@@ -142,9 +113,9 @@ impl CompressionStats {
 ///
 /// Staging never changes hit/miss accounting — a staged-and-used page still
 /// counts as a miss in [`CacheStats`] and its bytes still land in
-/// [`TransferStats`] — it only changes *when* the bytes move, which the
-/// overlap clock prices separately. These counters measure how well the
-/// predictor spent the staging budget.
+/// [`CacheStats::bytes_recalled`] — it only changes *when* the bytes move,
+/// which the overlap clock prices separately. These counters measure how
+/// well the predictor spent the staging budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrefetchStats {
     /// Pages staged ahead of demand.
@@ -246,31 +217,23 @@ mod tests {
 
     #[test]
     fn transfer_stats_accumulate() {
-        let mut s = TransferStats::new();
-        s.record(10, Bytes(100));
-        s.record(5, Bytes(50));
-        assert_eq!(s.transfers, 2);
-        assert_eq!(s.bytes_to_device, Bytes(150));
-        assert_eq!(s.tokens_moved, 15);
-    }
-
-    #[test]
-    fn empty_transfer_is_not_counted() {
-        let mut s = TransferStats::new();
-        s.record(0, Bytes(0));
-        assert_eq!(s.transfers, 0);
+        let mut s = CacheStats::new();
+        s.record_misses(10, Bytes(100));
+        s.record_misses(5, Bytes(50));
+        assert_eq!(s.bytes_recalled, Bytes(150));
+        assert_eq!(s.misses, 15);
     }
 
     #[test]
     fn transfer_merge_adds_fields() {
-        let mut a = TransferStats::new();
-        a.record(1, Bytes(10));
-        let mut b = TransferStats::new();
-        b.record(2, Bytes(20));
+        let mut a = CacheStats::new();
+        a.record_misses(1, Bytes(10));
+        let mut b = CacheStats::new();
+        b.record_misses(2, Bytes(20));
         a.merge(&b);
-        assert_eq!(a.transfers, 2);
-        assert_eq!(a.bytes_to_device, Bytes(30));
-        assert_eq!(a.tokens_moved, 3);
+        assert_eq!(a.misses, 3);
+        assert_eq!(a.bytes_recalled, Bytes(30));
+        assert_eq!(a.hits, 0, "merging recalls must not invent hits");
     }
 
     #[test]
@@ -284,7 +247,7 @@ mod tests {
     fn hit_rate_is_ratio_of_hits() {
         let mut s = CacheStats::new();
         s.record_hits(63);
-        s.record_misses(37);
+        s.record_misses(37, Bytes(370));
         assert!((s.hit_rate() - 0.63).abs() < 1e-9);
         assert_eq!(s.total(), 100);
         assert!(s.to_string().contains("63"));
@@ -347,11 +310,13 @@ mod tests {
     fn cache_merge_adds_fields() {
         let mut a = CacheStats::new();
         a.record_hits(2);
-        a.record_misses(1);
+        a.record_misses(1, Bytes(10));
         let mut b = CacheStats::new();
         b.record_hits(3);
+        b.record_misses(2, Bytes(20));
         a.merge(&b);
         assert_eq!(a.hits, 5);
-        assert_eq!(a.misses, 1);
+        assert_eq!(a.misses, 3);
+        assert_eq!(a.bytes_recalled, Bytes(30));
     }
 }

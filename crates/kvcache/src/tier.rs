@@ -1,38 +1,18 @@
-//! Two-tier memory residency simulation (GPU HBM vs CPU DRAM).
+//! GPU memory residency simulation.
 //!
 //! The paper offloads the full KV cache to CPU memory after prefill and only
 //! keeps centroids, metadata and the selected-KV cache in GPU memory
-//! (Fig. 5). [`MemoryTier`] counts the bytes charged to each memory and
-//! rejects charges beyond capacity, so experiments can verify that the
-//! ClusterKV configuration actually fits the GPU budget while the full-KV
-//! configuration may not.
+//! (Fig. 5). [`MemoryTier`] counts the bytes charged to the GPU's
+//! selected-KV cache and rejects charges beyond capacity. Host DRAM is not
+//! modeled as a tier: what a session keeps there is reported on its own
+//! (`SessionReport::private_kv_bytes`).
 
 use crate::types::Bytes;
 use serde::{Deserialize, Serialize};
 
-/// Which physical memory a tier models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TierKind {
-    /// GPU high-bandwidth memory.
-    Gpu,
-    /// Host DRAM reachable over PCIe.
-    Cpu,
-}
-
-impl std::fmt::Display for TierKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TierKind::Gpu => write!(f, "GPU"),
-            TierKind::Cpu => write!(f, "CPU"),
-        }
-    }
-}
-
 /// Error returned when an allocation does not fit in a tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocationError {
-    /// The tier that rejected the allocation.
-    pub tier: TierKind,
     /// Bytes requested.
     pub requested: Bytes,
     /// Bytes still available.
@@ -43,8 +23,8 @@ impl std::fmt::Display for AllocationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} tier cannot allocate {} ({} available)",
-            self.tier, self.requested, self.available
+            "GPU tier cannot allocate {} ({} available)",
+            self.requested, self.available
         )
     }
 }
@@ -58,10 +38,10 @@ impl std::error::Error for AllocationError {}
 /// # Examples
 ///
 /// ```
-/// use clusterkv_kvcache::{MemoryTier, TierKind};
+/// use clusterkv_kvcache::MemoryTier;
 /// use clusterkv_kvcache::types::Bytes;
 ///
-/// let mut gpu = MemoryTier::new(TierKind::Gpu, Bytes(48 * (1 << 30)));
+/// let mut gpu = MemoryTier::new(Bytes(48 * (1 << 30)));
 /// gpu.charge(Bytes(1 << 20), false).unwrap();
 /// assert!(gpu.used().get() > 0);
 /// gpu.release(Bytes(1 << 20), false);
@@ -69,7 +49,6 @@ impl std::error::Error for AllocationError {}
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemoryTier {
-    kind: TierKind,
     capacity: Bytes,
     /// Running sum of everything charged, so `used()`/`fits()` are O(1) —
     /// the cluster cache calls them on every page admission and eviction.
@@ -79,19 +58,13 @@ pub struct MemoryTier {
 }
 
 impl MemoryTier {
-    /// Create a tier of the given kind and capacity.
-    pub fn new(kind: TierKind, capacity: Bytes) -> Self {
+    /// Create a tier of the given capacity.
+    pub fn new(capacity: Bytes) -> Self {
         Self {
-            kind,
             capacity,
             used: Bytes(0),
             compressed_used: Bytes(0),
         }
-    }
-
-    /// A 256 GiB host DRAM tier.
-    pub fn host_dram() -> Self {
-        Self::new(TierKind::Cpu, Bytes(256 * (1 << 30)))
     }
 
     /// Total capacity.
@@ -123,7 +96,6 @@ impl MemoryTier {
     pub fn charge(&mut self, size: Bytes, compressed: bool) -> Result<(), AllocationError> {
         if !self.fits(size) {
             return Err(AllocationError {
-                tier: self.kind,
                 requested: size,
                 available: self.available(),
             });
@@ -171,10 +143,9 @@ mod tests {
 
     #[test]
     fn over_allocation_is_rejected() {
-        let mut t = MemoryTier::new(TierKind::Gpu, Bytes(100));
+        let mut t = MemoryTier::new(Bytes(100));
         t.charge(Bytes(80), false).unwrap();
         let err = t.charge(Bytes(30), false).unwrap_err();
-        assert_eq!(err.tier, TierKind::Gpu);
         assert_eq!(err.available, Bytes(20));
         assert!(err.to_string().contains("GPU"));
         // A refused charge must not change accounting.
@@ -183,7 +154,7 @@ mod tests {
 
     #[test]
     fn fits_checks_remaining_space() {
-        let mut t = MemoryTier::new(TierKind::Gpu, Bytes(10));
+        let mut t = MemoryTier::new(Bytes(10));
         assert!(t.fits(Bytes(10)));
         t.charge(Bytes(6), false).unwrap();
         assert!(t.fits(Bytes(4)));
@@ -192,7 +163,7 @@ mod tests {
 
     #[test]
     fn compressed_pool_tracks_moves_between_representations() {
-        let mut t = MemoryTier::new(TierKind::Gpu, Bytes(100));
+        let mut t = MemoryTier::new(Bytes(100));
         t.charge(Bytes(40), false).unwrap();
         assert_eq!(t.used(), Bytes(40));
         assert_eq!(t.compressed_bytes(), Bytes(0));
@@ -214,7 +185,7 @@ mod tests {
 
     #[test]
     fn compressed_allocation_respects_capacity() {
-        let mut t = MemoryTier::new(TierKind::Gpu, Bytes(10));
+        let mut t = MemoryTier::new(Bytes(10));
         t.charge(Bytes(8), false).unwrap();
         let err = t.charge(Bytes(4), true).unwrap_err();
         assert_eq!(err.available, Bytes(2));
@@ -226,14 +197,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "released more")]
     fn releasing_more_than_was_charged_is_a_bug() {
-        let mut t = MemoryTier::new(TierKind::Gpu, Bytes(10));
+        let mut t = MemoryTier::new(Bytes(10));
         t.charge(Bytes(4), false).unwrap();
         t.release(Bytes(4), true);
-    }
-
-    #[test]
-    fn presets_have_expected_capacity() {
-        assert_eq!(MemoryTier::host_dram().capacity(), Bytes(256 * (1 << 30)));
     }
 
     mod properties {
@@ -250,7 +216,7 @@ mod tests {
                 ops in proptest::collection::vec(0u64..256, 0..48),
                 capacity in 1u64..128,
             ) {
-                let mut tier = MemoryTier::new(TierKind::Gpu, Bytes(capacity));
+                let mut tier = MemoryTier::new(Bytes(capacity));
                 // Charged pages as (size, is_compressed), released LIFO.
                 let mut pages: Vec<(u64, bool)> = Vec::new();
                 for op in ops {
@@ -297,7 +263,7 @@ mod tests {
 
             #[test]
             fn fits_agrees_with_allocate(extra in 0u64..100, preallocated in 0u64..80) {
-                let mut tier = MemoryTier::new(TierKind::Cpu, Bytes(100));
+                let mut tier = MemoryTier::new(Bytes(100));
                 tier.charge(Bytes(preallocated), false).unwrap();
                 let fits = tier.fits(Bytes(extra));
                 let outcome = tier.charge(Bytes(extra), false);

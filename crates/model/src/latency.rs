@@ -532,7 +532,7 @@ mod tests {
             let access = cache.access(LayerId(layer), HeadId(0), &[PageRequest::new(0, tokens)]);
             step.recall(&access);
         }
-        assert_eq!(cache.transfers().bytes_to_device, Bytes(15680));
+        assert_eq!(cache.stats().bytes_recalled, Bytes(15680));
         assert_eq!(step.demand_bytes(), Bytes(15680));
         assert_eq!(
             Transfers::demand_per_kv_head(&cfg, 245.0 / 30.0).demand,
@@ -572,7 +572,7 @@ mod tests {
                 promoted += access.staged_bytes.get();
                 step.recall(&access);
             }
-            prop_assert_eq!(cache.transfers().bytes_to_device, Bytes(recalled));
+            prop_assert_eq!(cache.stats().bytes_recalled, Bytes(recalled));
             prop_assert_eq!(step.demand_bytes(), Bytes(recalled - promoted));
             let m = LatencyModel::new(cfg, DeviceModel::ada6000());
             let bd = m.decode_step_breakdown(64, &StepCost::of_step(&cfg, 0, 0, step));

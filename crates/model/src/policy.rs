@@ -23,7 +23,7 @@
 //! are values flowing through the decode loop — selectors do not accumulate
 //! hidden counters the engine must scrape afterwards.
 
-use clusterkv_kvcache::stats::{CacheStats, TransferStats};
+use clusterkv_kvcache::stats::CacheStats;
 use clusterkv_kvcache::types::Budget;
 use clusterkv_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -73,11 +73,9 @@ pub struct PolicyStats {
     /// selection (centroids for ClusterKV, page representations for Quest,
     /// all partial keys for InfiniGen, all keys for exact top-k).
     pub scored_vectors: u64,
-    /// Host-to-device traffic caused by recalling KV: the session cluster
-    /// cache's own counter, copied in by the cache's owner when it reports.
-    pub transfer: TransferStats,
-    /// Token hit/miss counts of the session's cluster cache, filled the same
-    /// way.
+    /// Token hit/miss counts of the session's cluster cache and the bytes
+    /// its misses recalled over PCIe: the cache's own `stats()`, copied in
+    /// by the cache's owner when it reports.
     pub cache: CacheStats,
 }
 
@@ -85,7 +83,6 @@ impl PolicyStats {
     /// Merge another accounting record into this one.
     pub fn merge(&mut self, other: &PolicyStats) {
         self.scored_vectors += other.scored_vectors;
-        self.transfer.merge(&other.transfer);
         self.cache.merge(&other.cache);
     }
 }

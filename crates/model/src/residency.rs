@@ -26,8 +26,8 @@ use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
 use clusterkv_kvcache::types::{Bytes, HeadId, LayerId};
 use clusterkv_kvcache::KvStore;
 
-/// One session's GPU-resident selected-KV pages over its CPU backing store,
-/// plus everything the engine derives from their movement.
+/// One session's GPU-resident selected-KV pages, plus everything the engine
+/// derives from their movement.
 pub(crate) struct Residency {
     /// Capacity 0 models pure offload: every selected page is recalled at
     /// every step.
@@ -143,17 +143,14 @@ impl Residency {
 
     /// Admit pages whose KV was just produced on the GPU (prefill
     /// clustering, incremental decode clustering) while capacity allows,
-    /// quantize those a recall-compressed plan may name, and grow the CPU
-    /// backing store to the session's `private_tokens` — shared-prefix
-    /// positions live in the prefix store and are charged there once. Call
-    /// after every key event the selectors observed: the plans of the next
-    /// step attend the pages as they stand here.
+    /// and quantize those a recall-compressed plan may name. Call after
+    /// every key event the selectors observed: the plans of the next step
+    /// attend the pages as they stand here.
     pub(crate) fn settle(
         &mut self,
         config: &ModelConfig,
         selectors: &[Vec<Box<dyn TokenSelector>>],
         kv: &[Vec<KvStore>],
-        private_tokens: usize,
     ) {
         let group_size = config.num_heads / config.num_kv_heads;
         for (layer, selectors) in selectors.iter().enumerate().skip(config.dense_layers) {
@@ -218,9 +215,6 @@ impl Residency {
                 }
             }
         }
-        self.cache
-            .set_backing(Bytes(private_tokens as u64 * config.kv_bytes_per_token()))
-            .expect("host DRAM exhausted by simulated KV");
     }
 
     /// Close a decode step that left `context_len` tokens behind: stage
@@ -273,11 +267,10 @@ impl Residency {
         self.transfer_time += breakdown.staged + breakdown.demand;
     }
 
-    /// `stats` with its residency half filled from the cache's own hit/miss
-    /// and transfer counters.
+    /// `stats` with its residency half filled from the cache's own hit,
+    /// miss and recalled-byte counters.
     pub(crate) fn counted(&self, mut stats: PolicyStats) -> PolicyStats {
         stats.cache = self.cache.stats();
-        stats.transfer = self.cache.transfers();
         stats
     }
 
@@ -404,7 +397,7 @@ mod tests {
                 PrefetchConfig::disabled(),
             );
             let mut settle = |selector: Box<dyn TokenSelector>, sealed: usize, walked: usize| {
-                residency.settle(&config, &[vec![selector]], &kv, 16);
+                residency.settle(&config, &[vec![selector]], &kv);
                 assert_eq!(residency.compressed_pages(0)[0].len(), sealed);
                 assert_eq!(walks.load(Relaxed), walked, "versioned: {versioned}");
             };

@@ -230,7 +230,7 @@ impl SessionReport {
 
     /// Bytes recalled from CPU memory over PCIe across the whole session.
     pub fn bytes_recalled(&self) -> Bytes {
-        self.stats.transfer.bytes_to_device
+        self.stats.cache.bytes_recalled
     }
 
     /// Fraction of the session's final context served from shared prefix
@@ -1506,12 +1506,7 @@ impl ServeEngine {
         }
         // The prefill KV was produced on the GPU: pages stay resident while
         // cache capacity allows, the rest is offloaded to the backing store.
-        sess.residency.settle(
-            config,
-            &sess.selectors,
-            &sess.kv,
-            sess.num_tokens - sess.matched_prefix_tokens,
-        );
+        sess.residency.settle(config, &sess.selectors, &sess.kv);
         sess.phase = SessionPhase::Ready;
         Ok(())
     }
@@ -1615,12 +1610,7 @@ impl ServeEngine {
         // (plan seed, site, session id, position), so the schedule is
         // bit-identical across runs, chunkings and thread counts
         // (DESIGN.md §11).
-        sess.residency.settle(
-            config,
-            &sess.selectors,
-            &sess.kv,
-            sess.num_tokens - sess.matched_prefix_tokens,
-        );
+        sess.residency.settle(config, &sess.selectors, &sess.kv);
         sess.residency.finish_step(
             latency,
             policy.faults,
@@ -2466,19 +2456,6 @@ mod tests {
     }
 
     #[test]
-    fn backing_store_tracks_the_full_kv_size() {
-        let mut eng = clusterkv_like_engine(Bytes(1 << 16));
-        let s = eng.create_session().unwrap();
-        let prompt: Vec<usize> = (0..24).map(|i| (i * 3) % 128).collect();
-        eng.prefill(s, &prompt).unwrap();
-        eng.decode_batch(&[s, s]).unwrap();
-        let cache = eng.sessions[&s.0].residency.cache();
-        let expected = 26 * eng.config().kv_bytes_per_token();
-        assert_eq!(cache.cpu().used(), Bytes(expected));
-        assert!(cache.resident_bytes() <= cache.capacity());
-    }
-
-    #[test]
     fn resident_policies_keep_the_cache_empty() {
         let mut eng = ServeEngine::builder(ModelConfig::tiny())
             .synthetic_weights(7)
@@ -2927,8 +2904,7 @@ mod tests {
         let (on_stream, on) = run(PrefetchConfig::lookahead(Bytes(1 << 20)));
 
         assert_eq!(on_stream, off_stream, "prefetch must not change tokens");
-        assert_eq!(on.stats.cache, off.stats.cache, "hit rates differ");
-        assert_eq!(on.stats.transfer, off.stats.transfer, "transfers differ");
+        assert_eq!(on.stats.cache, off.stats.cache, "hit rates or bytes differ");
 
         // Re-nominating this step's pages on a slowly drifting top-k set
         // stages pages the next step actually demands: the staging buffer
@@ -3267,9 +3243,9 @@ mod tests {
     #[test]
     fn reports_carry_the_caches_counters_and_steps_price_its_bytes() {
         // One owner of data movement: whatever the tier, prefetcher or
-        // fault plan, a report's hit/miss and transfer stats are the session
-        // cache's own counters, and the demand bytes the steps priced add up
-        // to what it recalled minus what staging had already moved.
+        // fault plan, a report's hit/miss and recalled-byte stats are the
+        // session cache's own counters, and the demand bytes the steps priced
+        // add up to what it recalled minus what staging had already moved.
         let prompt: Vec<usize> = (0..40).map(|i| (i * 7 + 5) % 128).collect();
         let engines = [
             ("lossless", clusterkv_like_engine(Bytes(512))),
@@ -3295,15 +3271,14 @@ mod tests {
             }
             assert_eq!(retried > 0, name == "faults", "{name}");
             let cache = eng.sessions[&s.0].residency.cache();
-            let (counted, moved) = (cache.stats(), cache.transfers());
+            let counted = cache.stats();
             let promoted = cache.prefetch_stats().used_bytes.get();
-            assert!(moved.bytes_to_device.get() > 0, "{name}: nothing missed");
+            assert!(counted.bytes_recalled.get() > 0, "{name}: nothing missed");
             assert_eq!(promoted > 0, name == "lookahead", "{name}");
             let live = eng.session_stats(s).unwrap();
-            assert_eq!((live.cache, live.transfer), (counted, moved), "{name}");
+            assert_eq!(live.cache, counted, "{name}");
             let report = eng.release(s).unwrap();
             assert_eq!(report.stats.cache, counted, "{name}");
-            assert_eq!(report.stats.transfer, moved, "{name}");
             assert_eq!(
                 priced,
                 report.bytes_recalled().get() - promoted,

@@ -142,22 +142,6 @@ pub fn argmax(a: &[f32]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum element. Returns `None` for an empty slice; NaN
-/// entries are never selected over non-NaN entries.
-pub fn argmin(a: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if v >= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Total descending order over the indices of `a`: larger values first, NaN
 /// values (of either sign) ranked strictly last, ties broken by the lower
 /// index. Being total (unlike `partial_cmp` with a NaN-to-`Equal` fallback,
@@ -258,19 +242,16 @@ mod tests {
     }
 
     #[test]
-    fn argmax_and_argmin_basic() {
+    fn argmax_basic() {
         let v = [3.0, -1.0, 7.0, 2.0];
         assert_eq!(argmax(&v), Some(2));
-        assert_eq!(argmin(&v), Some(1));
         assert_eq!(argmax(&[] as &[f32]), None);
-        assert_eq!(argmin(&[] as &[f32]), None);
     }
 
     #[test]
     fn argmax_skips_nan() {
         let v = [1.0, f32::NAN, 0.5];
         assert_eq!(argmax(&v), Some(0));
-        assert_eq!(argmin(&v), Some(2));
     }
 
     #[test]

@@ -81,10 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  cluster-cache hit rate  : {:.1}%",
         report.cache_hit_rate() * 100.0
     );
-    println!(
-        "  tokens fetched from CPU : {}",
-        report.stats.transfer.tokens_moved
-    );
+    println!("  tokens fetched from CPU : {}", report.stats.cache.misses);
     println!("  bytes recalled via PCIe : {}", report.bytes_recalled());
     println!("  modeled decode latency  : {}", report.modeled_decode_time);
     Ok(())

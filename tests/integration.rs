@@ -219,7 +219,7 @@ fn cache_hit_rate_is_monotone_in_capacity_and_saturates_at_full_kv() {
         1.0,
         "capacity >= full KV must never recall"
     );
-    assert_eq!(saturated.transfer.bytes_to_device.get(), 0);
+    assert_eq!(saturated.cache.bytes_recalled.get(), 0);
 }
 
 #[test]
