@@ -24,8 +24,7 @@
 //! machine-readable summary).
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory};
-use clusterkv_baselines::BaselineKind;
-use clusterkv_bench::{smoke, Json, Report};
+use clusterkv_bench::{smoke, Json, Method, Report};
 use clusterkv_kvcache::compressed::CompressionConfig;
 use clusterkv_kvcache::types::Budget;
 use clusterkv_metrics::{fmt, Table};
@@ -96,16 +95,14 @@ fn ladder() -> Vec<(String, CompressionConfig)> {
 /// config in its own policy config (so its plans page by cluster and are
 /// marked recall-compressed); the baselines are compression-oblivious — the
 /// quality lane compresses their selections in positional blocks.
-fn factory(method: &str, compression: CompressionConfig) -> Box<dyn SelectorFactory> {
+fn factory(method: Method, compression: CompressionConfig) -> Box<dyn SelectorFactory> {
     match method {
-        "ClusterKV" => Box::new(ClusterKvFactory::new(
+        Method::ClusterKv => Box::new(ClusterKvFactory::new(
             ClusterKvConfig::default()
                 .with_tokens_per_cluster(16)
                 .with_compression(compression),
         )),
-        "Quest" => BaselineKind::Quest.factory(),
-        "H2O" => BaselineKind::H2o.factory(),
-        other => panic!("unknown method {other}"),
+        baseline => baseline.factory(),
     }
 }
 
@@ -113,7 +110,7 @@ fn ctx(episode: &Episode) -> HeadContext {
     HeadContext::mha(2, 0, episode.config.head_dim)
 }
 
-fn run_lane(method: &str, episode: &Episode, compression: CompressionConfig) -> QualityResult {
+fn run_lane(method: Method, episode: &Episode, compression: CompressionConfig) -> QualityResult {
     let factory = factory(method, compression);
     let mut selector = factory.create(ctx(episode));
     run_episode_quality(
@@ -125,7 +122,7 @@ fn run_lane(method: &str, episode: &Episode, compression: CompressionConfig) -> 
 }
 
 struct MethodFrontier {
-    method: &'static str,
+    method: Method,
     /// One point per ladder rung, in ladder order.
     points: Vec<(String, QualityResult)>,
 }
@@ -133,7 +130,7 @@ struct MethodFrontier {
 fn main() {
     let out = Report::from_args();
     let episode = episode();
-    let methods = ["ClusterKV", "Quest", "H2O"];
+    let methods = [Method::ClusterKv, Method::Quest, Method::H2o];
     let rungs = ladder();
 
     out.say("# Quality vs memory of the compressed KV tier (DESIGN.md §9)\n");

@@ -13,14 +13,15 @@ pub mod report;
 pub use report::{Json, Report};
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory, DistanceMetric};
-use clusterkv_baselines::{InfiniGenFactory, QuestFactory};
+use clusterkv_baselines::{H2oFactory, InfiniGenFactory, QuestFactory};
 use clusterkv_kvcache::types::Budget;
 use clusterkv_model::latency::{StepCost, Transfers};
 use clusterkv_model::policy::{FullAttentionFactory, HeadContext, SelectorFactory};
 use clusterkv_model::ModelConfig;
 use clusterkv_workloads::{run_budget_sweep, run_episode, Episode, EpisodeResult};
 
-/// The methods compared in the paper's accuracy figures (Fig. 9, 10, 11).
+/// The methods the experiments compare: the four of the paper's accuracy
+/// figures (Fig. 9, 10, 11) plus H2O, the non-recallable baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Quest page-granular recall.
@@ -31,10 +32,13 @@ pub enum Method {
     ClusterKv,
     /// Exact attention over the full KV cache.
     FullKv,
+    /// H2O heavy-hitter eviction (non-recallable).
+    H2o,
 }
 
 impl Method {
-    /// The four methods in the order the paper's legends use.
+    /// The paper's four methods in the order its legends use (H2O is not
+    /// among them).
     pub fn all() -> [Method; 4] {
         [
             Method::Quest,
@@ -56,16 +60,19 @@ impl Method {
             Method::InfiniGen => "InfiniGen",
             Method::ClusterKv => "ClusterKV",
             Method::FullKv => "Full KV",
+            Method::H2o => "H2O",
         }
     }
 
-    /// Build the selector factory for this method.
+    /// Build the selector factory for this method with its default
+    /// configuration.
     pub fn factory(self) -> Box<dyn SelectorFactory> {
         match self {
             Method::Quest => Box::new(QuestFactory::default()),
             Method::InfiniGen => Box::new(InfiniGenFactory::default()),
             Method::ClusterKv => Box::new(ClusterKvFactory::default()),
             Method::FullKv => Box::new(FullAttentionFactory),
+            Method::H2o => Box::new(H2oFactory::default()),
         }
     }
 }
@@ -205,6 +212,9 @@ pub fn series(label: &str, points: &[(f64, f64)]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clusterkv_model::policy::{observe_prompt, ObserveEvent, SelectionRequest};
+    use clusterkv_tensor::rng::{gaussian_vec, seeded};
+    use clusterkv_tensor::Matrix;
     use clusterkv_workloads::EpisodeConfig;
 
     fn tiny_episode() -> Episode {
@@ -227,6 +237,55 @@ mod tests {
         }
         assert_eq!(Method::compressed().len(), 3);
         assert_eq!(Method::ClusterKv.to_string(), "ClusterKV");
+    }
+
+    #[test]
+    fn every_baseline_produces_a_working_selector() {
+        let ctx = HeadContext::mha(2, 1, 16);
+        let mut rng = seeded(1);
+        let keys = Matrix::from_rows(
+            (0..64)
+                .map(|_| gaussian_vec(&mut rng, 16, 0.0, 1.0))
+                .collect(),
+        )
+        .unwrap();
+        let q = gaussian_vec(&mut rng, 16, 0.0, 1.0);
+        for method in [
+            Method::Quest,
+            Method::InfiniGen,
+            Method::H2o,
+            Method::FullKv,
+        ] {
+            let factory = method.factory();
+            let mut sel = factory.create(ctx);
+            observe_prompt(sel.as_mut(), &keys);
+            let key = gaussian_vec(&mut rng, 16, 0.0, 1.0);
+            sel.observe(ObserveEvent::Append {
+                position: 64,
+                key: &key,
+            });
+            let plan = sel.plan(0, SelectionRequest::new(&q, 65, Budget::new(16)));
+            let out = &plan.indices;
+            assert!(!out.is_empty(), "{method} selected nothing");
+            assert!(
+                out.iter().all(|&t| t < 65),
+                "{method} selected out of range"
+            );
+            if method != Method::FullKv {
+                assert!(
+                    out.len() <= 16,
+                    "{method} exceeded the budget: {}",
+                    out.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn display_matches_paper_names() {
+        let names: Vec<String> = Method::all().iter().map(Method::to_string).collect();
+        assert_eq!(names, ["Quest", "InfiniGen", "ClusterKV", "Full KV"]);
+        assert_eq!(Method::H2o.to_string(), "H2O");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! centroids, metadata and a bounded *selected-KV cache* holding the KV of
 //! recently selected clusters (Fig. 5). [`ClusterCache`] models that
 //! hierarchy for one session: pages (clusters for ClusterKV, positional
-//! pages for Quest, single tokens for InfiniGen) are admitted into a GPU
-//! [`MemoryTier`] with deterministic LRU eviction, and every access reports
+//! pages for Quest, single tokens for InfiniGen) are charged against the
+//! GPU capacity with deterministic LRU eviction, and every access reports
 //! which pages hit the resident set and which had to be recalled over PCIe.
 //!
 //! With a lossy [`CompressionConfig`] the residency lattice has three
@@ -23,7 +23,6 @@
 
 use crate::compressed::CompressionConfig;
 use crate::stats::{CacheStats, CompressionStats, PrefetchStats};
-use crate::tier::MemoryTier;
 use crate::types::{Bytes, HeadId, LayerId};
 use clusterkv_faults::{Fnv64, IntegrityStats};
 use serde::{Deserialize, Serialize};
@@ -205,7 +204,11 @@ struct StagedPage {
 pub struct ClusterCache {
     bytes_per_token: Bytes,
     compression: CompressionConfig,
-    gpu: MemoryTier,
+    /// GPU capacity of the resident set.
+    capacity: Bytes,
+    /// Bytes charged for the resident pages, each at its size in its state
+    /// (exact or compressed); never above `capacity`.
+    used: Bytes,
     /// Every page ever seen (admitted, accessed or declined), with its slab
     /// slot while it is resident. Entries are never removed: warm admission
     /// only applies to pages the cache has never seen, so a page evicted
@@ -227,8 +230,8 @@ pub struct ClusterCache {
     stats: CacheStats,
     compression_stats: CompressionStats,
     /// Capacity of the speculative staging buffer (DESIGN.md §10). Tracked
-    /// separately from the resident tier: staged bytes never count against
-    /// `gpu`, and staging evicts only other staged pages — never a resident
+    /// separately from the resident set: staged bytes never count against
+    /// `used`, and staging evicts only other staged pages — never a resident
     /// one.
     staging_capacity: Bytes,
     staging_used: Bytes,
@@ -247,7 +250,8 @@ impl ClusterCache {
         Self {
             bytes_per_token: config.bytes_per_token,
             compression: config.compression,
-            gpu: MemoryTier::new(config.gpu_capacity),
+            capacity: config.gpu_capacity,
+            used: Bytes(0),
             pages: BTreeMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -268,17 +272,17 @@ impl ClusterCache {
 
     /// Whether the cache can hold anything at all (`gpu_capacity > 0`).
     pub fn enabled(&self) -> bool {
-        self.gpu.capacity().get() > 0
+        self.capacity.get() > 0
     }
 
     /// GPU capacity of the resident set.
     pub fn capacity(&self) -> Bytes {
-        self.gpu.capacity()
+        self.capacity
     }
 
     /// Bytes currently resident on the GPU.
     pub fn resident_bytes(&self) -> Bytes {
-        self.gpu.used()
+        self.used
     }
 
     /// Number of pages currently resident on the GPU.
@@ -360,7 +364,7 @@ impl ClusterCache {
         self.compression.page_bytes(tokens, self.bytes_per_token)
     }
 
-    /// Bytes the GPU tier is charged for a resident page in its state.
+    /// Bytes the resident set is charged for a page in its state.
     fn charged_bytes(&self, page: &ResidentPage) -> Bytes {
         if page.compressed {
             self.compressed_page_bytes(page.tokens)
@@ -380,6 +384,24 @@ impl ClusterCache {
         } else {
             self.compressed_page_bytes(tokens)
         }
+    }
+
+    /// Whether `size` more bytes fit in the resident set.
+    fn fits(&self, size: Bytes) -> bool {
+        self.used.get() + size.get() <= self.capacity.get()
+    }
+
+    /// Charge `size` bytes to the resident set. Every caller has made room
+    /// first, so a charge beyond capacity is a bookkeeping bug.
+    fn charge(&mut self, size: Bytes) {
+        assert!(self.fits(size), "resident set charged beyond capacity");
+        self.used += size;
+    }
+
+    /// Give back `size` bytes [`charge`](Self::charge)d earlier.
+    fn release(&mut self, size: Bytes) {
+        assert!(size.get() <= self.used.get(), "released more than charged");
+        self.used = Bytes(self.used.get() - size.get());
     }
 
     /// Take `slot` out of `chain`.
@@ -427,7 +449,7 @@ impl ClusterCache {
         if !compressed {
             self.unlink(Chain::Exact, slot);
         }
-        self.gpu.release(size, compressed);
+        self.release(size);
         self.pages.insert(key, None);
         self.free.push(slot);
     }
@@ -462,13 +484,11 @@ impl ClusterCache {
         }
         let exact = self.page_bytes(page.tokens);
         let compressed = self.compressed_page_bytes(page.tokens);
-        self.gpu.release(exact, false);
-        self.gpu
-            .charge(compressed, true)
-            .expect("demotion shrinks the page");
+        self.release(exact);
+        self.charge(compressed);
         self.slab[slot as usize].compressed = true;
         self.unlink(Chain::Exact, slot);
-        self.compression_stats.record_demotion(exact, compressed);
+        self.compression_stats.record_demotion();
         true
     }
 
@@ -482,19 +502,19 @@ impl ClusterCache {
     /// there this is the original evict-outright behaviour.
     // analyzer: hot-path — zero-allocation contract (tests/zero_alloc.rs)
     fn evict_until_fits(&mut self, size: Bytes) -> bool {
-        if size.get() > self.gpu.capacity().get() {
+        if size.get() > self.capacity.get() {
             return false;
         }
         if !self.compression.is_lossless() {
             let mut slot = self.heads[Chain::Exact as usize];
-            while slot != NIL && !self.gpu.fits(size) {
+            while slot != NIL && !self.fits(size) {
                 // A page too small to shrink stays on the chain.
                 let next = self.slab[slot as usize].links[Chain::Exact as usize].next;
                 self.demote_page(slot);
                 slot = next;
             }
         }
-        while !self.gpu.fits(size) {
+        while !self.fits(size) {
             match self.heads[Chain::All as usize] {
                 NIL => return false,
                 victim => self.drop_page(victim),
@@ -511,7 +531,7 @@ impl ClusterCache {
         if !self.evict_until_fits(size) {
             return;
         }
-        self.gpu.charge(size, false).expect("eviction made room");
+        self.charge(size);
         let page = ResidentPage {
             key,
             tokens,
@@ -544,10 +564,8 @@ impl ClusterCache {
     fn grow(&mut self, slot: u32, tokens: usize) {
         let page = &self.slab[slot as usize];
         let (key, was_compressed, old) = (page.key, page.compressed, self.charged_bytes(page));
-        self.gpu.release(old, was_compressed);
-        self.gpu
-            .charge(self.page_bytes(tokens), false)
-            .expect("total growth checked");
+        self.release(old);
+        self.charge(self.page_bytes(tokens));
         let page = &mut self.slab[slot as usize];
         page.tokens = tokens;
         page.compressed = false;
@@ -605,7 +623,7 @@ impl ClusterCache {
                 None => needed += self.page_bytes(req.tokens),
             }
         }
-        if !self.gpu.fits(needed) {
+        if !self.fits(needed) {
             // Capacity is fixed and the head's table only grows: once it
             // stops fitting it never fits again.
             self.offloaded.insert((layer, head));
@@ -1116,7 +1134,6 @@ mod tests {
         c.access(L, H, &reqs(&[(2, 4)]));
         assert_eq!(c.compressed_pages(), 0);
         assert_eq!(c.compression_stats().demotions, 0);
-        assert_eq!(c.gpu.compressed_bytes(), Bytes(0));
     }
 
     #[test]
@@ -1142,8 +1159,7 @@ mod tests {
         assert_eq!(c.resident_pages(), 3);
         assert_eq!(c.compressed_pages(), 2);
         assert_eq!(c.compression_stats().demotions, 2);
-        assert_eq!(c.gpu.compressed_bytes(), Bytes(144));
-        assert!((c.compression_stats().ratio() - 256.0 / 144.0).abs() < 1e-9);
+        assert_eq!(c.resident_bytes(), Bytes(144 + 128));
         // Accessing the demoted page is a compressed hit: on GPU, no PCIe.
         let out = c.access(L, H, &reqs(&[(0, 4)]));
         assert_eq!(out.hit_tokens, 4);
@@ -1558,8 +1574,7 @@ mod tests {
                 return false;
             }
             self.resident[at].2 = true;
-            self.compression_stats
-                .record_demotion(Bytes(self.exact(tokens)), Bytes(self.compressed(tokens)));
+            self.compression_stats.record_demotion();
             true
         }
 
@@ -1751,29 +1766,21 @@ mod tests {
 
         /// Replay random access/warm traffic against a small quantized cache
         /// and check the three-state lattice invariants after every op:
-        /// bytes exact per state, capacity never leaked, and the compressed
-        /// pool consistent between the resident map and the GPU tier.
+        /// bytes exact per state and capacity never leaked.
         fn check_byte_exactness(c: &ClusterCache) {
             let order = lru_order(c);
             let mut expected_used = 0u64;
-            let mut expected_compressed = 0u64;
             for &(key, tokens, compressed) in &order {
                 assert!(c.contains(key), "the LRU chain holds resident pages only");
                 let size = if compressed {
-                    expected_compressed += c.compressed_page_bytes(tokens).get();
                     c.compressed_page_bytes(tokens)
                 } else {
                     c.page_bytes(tokens)
                 };
                 expected_used += size.get();
             }
-            assert_eq!(c.gpu.used(), Bytes(expected_used), "byte exactness");
-            assert_eq!(
-                c.gpu.compressed_bytes(),
-                Bytes(expected_compressed),
-                "compressed-pool exactness"
-            );
-            assert!(c.gpu.used().get() <= c.gpu.capacity().get());
+            assert_eq!(c.resident_bytes(), Bytes(expected_used), "byte exactness");
+            assert!(c.resident_bytes().get() <= c.capacity().get());
             assert_eq!(order.len(), c.resident_pages(), "LRU tracks every page");
             assert_eq!(order.len(), c.resident_slots().count());
             // The exact chain is the LRU chain minus the demoted pages.
@@ -1813,7 +1820,6 @@ mod tests {
                     check_byte_exactness(&c);
                 }
                 // The stats side stays consistent too.
-                prop_assert!(c.compression_stats().ratio() >= 0.0);
                 prop_assert!(
                     c.compressed_pages() == lru_order(&c).iter().filter(|p| p.2).count()
                 );
@@ -1945,18 +1951,18 @@ mod tests {
                 // must never demote and must move exact bytes.
                 let mut c = cache_with(capacity_tokens, CompressionConfig::lossless());
                 let mut total_miss_bytes = 0u64;
-                let mut total_miss_tokens = 0u64;
+                let mut total_missed = 0u64;
                 for op in ops {
                     let page = (op & 7) as usize;
                     let tokens = ((op >> 3) & 7) as usize + 1;
                     let out = c.access(L, H, &reqs(&[(page, tokens)]));
                     total_miss_bytes += out.bytes_recalled.get();
-                    total_miss_tokens += out.missed_tokens;
+                    total_missed += out.missed_tokens;
                     prop_assert_eq!(out.compressed_tokens, 0);
                     check_byte_exactness(&c);
                 }
                 prop_assert_eq!(c.compression_stats().demotions, 0);
-                prop_assert_eq!(total_miss_bytes, total_miss_tokens * 32);
+                prop_assert_eq!(total_miss_bytes, total_missed * 32);
             }
 
             #[test]

@@ -25,7 +25,6 @@
 //! `0`, quantization off) a page is an exact copy and compressed bytes equal
 //! exact bytes — the property every parity suite leans on.
 
-use crate::cluster_cache::PageKey;
 use crate::types::Bytes;
 use clusterkv_faults::Fnv64;
 use clusterkv_tensor::Matrix;
@@ -782,12 +781,13 @@ pub fn compress_page(
     page
 }
 
-/// Store of compressed cluster pages. Keys are [`PageKey`]s, so residency
-/// and compression describe the same pages.
+/// Store of one `(layer, kv_head)`'s compressed cluster pages, keyed by the
+/// policy's page id (the cluster id for ClusterKV), so residency and
+/// compression describe the same pages.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CompressedStore {
     config: CompressionConfig,
-    pages: BTreeMap<PageKey, CompressedPage>,
+    pages: BTreeMap<usize, CompressedPage>,
 }
 
 impl CompressedStore {
@@ -815,25 +815,25 @@ impl CompressedStore {
     }
 
     /// Insert (or replace) a page.
-    pub fn insert(&mut self, key: PageKey, page: CompressedPage) {
-        self.pages.insert(key, page);
+    pub fn insert(&mut self, id: usize, page: CompressedPage) {
+        self.pages.insert(id, page);
     }
 
-    /// Compress `members` of `keys`/`values` and insert under `key`.
+    /// Compress `members` of `keys`/`values` and insert under `id`.
     pub fn compress_and_insert(
         &mut self,
-        key: PageKey,
+        id: usize,
         keys: &Matrix,
         values: &Matrix,
         members: &[usize],
     ) {
         let page = compress_page(keys, values, members, self.config);
-        self.insert(key, page);
+        self.insert(id, page);
     }
 
     /// Look up a page.
-    pub fn get(&self, key: PageKey) -> Option<&CompressedPage> {
-        self.pages.get(&key)
+    pub fn get(&self, id: usize) -> Option<&CompressedPage> {
+        self.pages.get(&id)
     }
 
     /// Flip one bit of a page's payload — bit `bit` modulo the payload's
@@ -843,8 +843,8 @@ impl CompressedStore {
     /// [`verify`](Self::verify) fails until [`repair`](Self::repair).
     /// Returns whether a bit was flipped (`false`: no such page, or nothing
     /// in it to damage).
-    pub fn corrupt(&mut self, key: PageKey, bit: u64) -> bool {
-        match self.pages.get_mut(&key) {
+    pub fn corrupt(&mut self, id: usize, bit: u64) -> bool {
+        match self.pages.get_mut(&id) {
             Some(page) if page.payload_bits() > 0 => {
                 page.flip_bit(bit % page.payload_bits());
                 true
@@ -855,8 +855,8 @@ impl CompressedStore {
 
     /// Verify a page's checksum: `None` if absent, otherwise whether the
     /// sealed checksum matches the payload.
-    pub fn verify(&self, key: PageKey) -> Option<bool> {
-        self.pages.get(&key).map(CompressedPage::verify)
+    pub fn verify(&self, id: usize) -> Option<bool> {
+        self.pages.get(&id).map(CompressedPage::verify)
     }
 
     // analyzer: recovery-path
@@ -865,8 +865,8 @@ impl CompressedStore {
     /// `keys`/`values` quantize to the same bytes, so the page comes back
     /// byte-identical to the one first stored. Returns the exact bytes such
     /// a re-fetch moves, or `None` if the page does not exist.
-    pub fn repair(&mut self, key: PageKey, keys: &Matrix, values: &Matrix) -> Option<Bytes> {
-        let page = self.pages.get_mut(&key)?;
+    pub fn repair(&mut self, id: usize, keys: &Matrix, values: &Matrix) -> Option<Bytes> {
+        let page = self.pages.get_mut(&id)?;
         *page = compress_page(keys, values, &page.tokens, self.config);
         Some(page.exact_bytes)
     }
@@ -875,16 +875,7 @@ impl CompressedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{HeadId, LayerId};
     use clusterkv_tensor::rng::{gaussian_vec, seeded};
-
-    fn key(page: usize) -> PageKey {
-        PageKey {
-            layer: LayerId(0),
-            head: HeadId(0),
-            page,
-        }
-    }
 
     fn random_kv(n: usize, dim: usize, seed: u64) -> (Matrix, Matrix) {
         let mut rng = seeded(seed);
@@ -1217,18 +1208,18 @@ mod tests {
     fn store_corrupt_verify_repair_round_trip() {
         let (k, v) = random_kv(8, 4, 22);
         let mut store = CompressedStore::new(CompressionConfig::lossless());
-        store.compress_and_insert(key(3), &k, &v, &[1, 2, 3]);
-        assert_eq!(store.verify(key(3)), Some(true));
-        assert!(store.corrupt(key(3), 77));
-        assert_eq!(store.verify(key(3)), Some(false));
-        let moved = store.repair(key(3), &k, &v);
+        store.compress_and_insert(3, &k, &v, &[1, 2, 3]);
+        assert_eq!(store.verify(3), Some(true));
+        assert!(store.corrupt(3, 77));
+        assert_eq!(store.verify(3), Some(false));
+        let moved = store.repair(3, &k, &v);
         // Repair re-fetches the exact layout: 2 tensors · 3 tokens · 4 dims.
         assert_eq!(moved, Some(Bytes::of_f16(2 * 3 * 4)));
-        assert_eq!(store.verify(key(3)), Some(true));
+        assert_eq!(store.verify(3), Some(true));
         // Absent pages report absence, not failure.
-        assert!(!store.corrupt(key(9), 0));
-        assert_eq!(store.verify(key(9)), None);
-        assert_eq!(store.repair(key(9), &k, &v), None);
+        assert!(!store.corrupt(9, 0));
+        assert_eq!(store.verify(9), None);
+        assert_eq!(store.repair(9, &k, &v), None);
     }
 
     #[test]
@@ -1237,8 +1228,8 @@ mod tests {
         let members = [0, 3, 4, 7, 8, 9, 11];
         for config in LADDER {
             let mut store = CompressedStore::new(config);
-            store.compress_and_insert(key(0), &k, &v, &members);
-            let pristine = store.get(key(0)).unwrap().clone();
+            store.compress_and_insert(0, &k, &v, &members);
+            let pristine = store.get(0).unwrap().clone();
             let payload_bits = pristine.payload_bits();
             assert!(payload_bits > 0);
             if let Payload::Codes { keys, values, .. } = &pristine.payload {
@@ -1250,36 +1241,36 @@ mod tests {
                 );
             }
             for bit in 0..payload_bits {
-                assert!(store.corrupt(key(0), bit));
-                let damaged = store.get(key(0)).unwrap();
+                assert!(store.corrupt(0, bit));
+                let damaged = store.get(0).unwrap();
                 assert_eq!(
                     damaged.checksum(),
                     pristine.checksum(),
                     "the seal is not touched"
                 );
-                assert_eq!(store.verify(key(0)), Some(false), "{config}: bit {bit}");
+                assert_eq!(store.verify(0), Some(false), "{config}: bit {bit}");
                 assert_eq!(
-                    store.repair(key(0), &k, &v),
+                    store.repair(0, &k, &v),
                     Some(pristine.exact_bytes()),
                     "{config}: bit {bit}"
                 );
                 // `==` on f32 rows cannot tell the zeros apart; the checksum
                 // reads bit patterns.
-                let repaired = store.get(key(0)).unwrap();
+                let repaired = store.get(0).unwrap();
                 assert_eq!(repaired, &pristine, "{config}: bit {bit}");
                 assert!(repaired.verify(), "{config}: bit {bit}");
             }
             // The bit index wraps around the payload.
-            assert!(store.corrupt(key(0), payload_bits));
-            assert_eq!(store.verify(key(0)), Some(false));
-            store.repair(key(0), &k, &v).unwrap();
-            assert_eq!(store.get(key(0)).unwrap(), &pristine);
+            assert!(store.corrupt(0, payload_bits));
+            assert_eq!(store.verify(0), Some(false));
+            store.repair(0, &k, &v).unwrap();
+            assert_eq!(store.get(0).unwrap(), &pristine);
         }
         // An empty exact page holds nothing a flip could damage.
         let mut store = CompressedStore::new(CompressionConfig::lossless());
-        store.compress_and_insert(key(1), &k, &v, &[]);
-        assert!(!store.corrupt(key(1), 5));
-        assert_eq!(store.verify(key(1)), Some(true));
+        store.compress_and_insert(1, &k, &v, &[]);
+        assert!(!store.corrupt(1, 5));
+        assert_eq!(store.verify(1), Some(true));
     }
 
     mod properties {

@@ -12,12 +12,11 @@
 //! * [`device`] — an analytical [`DeviceModel`] (bandwidths + overheads)
 //!   used to estimate prefill/decoding latency and host-to-device transfer
 //!   cost; this is the substitute for the paper's NVIDIA Ada 6000 testbed.
-//! * [`tier`] — the GPU memory simulator counting charged bytes against
-//!   capacity.
 //! * [`cluster_cache`] — [`ClusterCache`], the session-level tiered KV
-//!   hierarchy: a capacity-bounded GPU resident set of KV pages with
-//!   deterministic LRU demotion (Resident → Compressed → Paged) over a CPU
-//!   backing store (DESIGN.md §3, §9).
+//!   hierarchy: a capacity-bounded GPU resident set of KV pages (two byte
+//!   counters, capacity and charged bytes) with deterministic LRU demotion
+//!   (Resident → Compressed → Paged) over a CPU backing store (DESIGN.md
+//!   §3, §9).
 //! * [`compressed`] — the compressed KV tier: SLERP cluster merging with
 //!   outlier retention masks plus int8/int4 cold pages with per-cluster
 //!   scales (DESIGN.md §9).
@@ -34,7 +33,6 @@ pub mod device;
 pub mod prefix;
 pub mod stats;
 pub mod store;
-pub mod tier;
 pub mod types;
 
 pub use cluster_cache::{ClusterCache, ClusterCacheConfig, PageKey, PageRequest, StepOutcome};
@@ -47,5 +45,4 @@ pub use prefix::{
 };
 pub use stats::{CacheStats, CompressionStats, PrefetchStats};
 pub use store::KvStore;
-pub use tier::MemoryTier;
 pub use types::{Budget, HeadId, LayerId, TokenId};

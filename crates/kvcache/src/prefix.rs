@@ -191,21 +191,41 @@ pub struct MatchSegment {
     pub rows: (usize, usize),
 }
 
+/// One step of a radix descent (see `PrefixStore::descend`).
+struct Descent {
+    child: usize,
+    /// Leading tokens of the child's span that the walked tokens match.
+    matched: usize,
+    span_len: usize,
+}
+
+impl Descent {
+    /// Whether the walked tokens cover the child's whole span.
+    fn whole(&self) -> bool {
+        self.matched == self.span_len
+    }
+}
+
+/// A sealed page of `rows` of the given keys, values and norm cache.
+fn sealed_rows(
+    keys: &Matrix,
+    values: &Matrix,
+    key_norms: &[f32],
+    rows: std::ops::Range<usize>,
+) -> SharedKvPage {
+    SharedKvPage::sealed(
+        keys.slice_rows(rows.start, rows.end),
+        values.slice_rows(rows.start, rows.end),
+        key_norms[rows].to_vec(),
+    )
+}
+
 /// Counters describing the store's effectiveness and current footprint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixStoreStats {
-    /// Number of `match_from` walks.
-    pub lookups: u64,
-    /// Prompt positions served from shared pages across all lookups.
+    /// Prompt positions served from shared pages across all `match_from`
+    /// walks.
     pub hit_tokens: u64,
-    /// Prompt positions a lookup could not cover.
-    pub miss_tokens: u64,
-    /// Nodes created by `insert`.
-    pub inserted_nodes: u64,
-    /// Nodes split by `insert`.
-    pub splits: u64,
-    /// Nodes evicted under the byte cap.
-    pub evicted_nodes: u64,
     /// Current number of live nodes (excluding the root).
     pub nodes: usize,
     /// Current shared bytes (pages + cached selector states).
@@ -264,7 +284,8 @@ pub struct PrefixStore {
     free: Vec<usize>,
     bytes: Bytes,
     clock: u64,
-    stats: PrefixStoreStats,
+    /// Prompt positions `match_from` served from shared pages.
+    hit_tokens: u64,
 }
 
 impl PrefixStore {
@@ -293,7 +314,7 @@ impl PrefixStore {
             free: Vec::new(),
             bytes: Bytes(0),
             clock: 0,
-            stats: PrefixStoreStats::default(),
+            hit_tokens: 0,
         }
     }
 
@@ -309,10 +330,11 @@ impl PrefixStore {
 
     /// Snapshot of the store's counters.
     pub fn stats(&self) -> PrefixStoreStats {
-        let mut s = self.stats;
-        s.nodes = self.nodes.iter().flatten().count() - 1;
-        s.shared_bytes = self.bytes;
-        s
+        PrefixStoreStats {
+            hit_tokens: self.hit_tokens,
+            nodes: self.nodes.iter().flatten().count() - 1,
+            shared_bytes: self.bytes,
+        }
     }
 
     fn node(&self, id: usize) -> &Node {
@@ -415,69 +437,63 @@ impl PrefixStore {
     pub fn peek_match(&self, tokens: &[usize]) -> usize {
         let mut cur = ROOT;
         let mut pos = 0;
-        while pos < tokens.len() {
-            let Some(&child) = self.node(cur).children.get(&tokens[pos]) else {
-                break;
-            };
-            let span = &self.node(child).tokens;
-            if tokens.len() - pos >= span.len() && tokens[pos..pos + span.len()] == span[..] {
-                pos += span.len();
-                cur = child;
-            } else {
+        while let Some(step) = self.descend(cur, tokens, pos) {
+            if !step.whole() {
                 break;
             }
+            pos += step.matched;
+            cur = step.child;
         }
         pos
     }
 
+    /// One step of a radix descent: the child of `cur` whose span starts
+    /// with `tokens[pos]`, and how many of its span's tokens `tokens[pos..]`
+    /// matches (at least one). `None` at the end of `tokens` or when no
+    /// child continues it.
+    fn descend(&self, cur: usize, tokens: &[usize], pos: usize) -> Option<Descent> {
+        let child = *self.node(cur).children.get(tokens.get(pos)?)?;
+        let span = &self.node(child).tokens;
+        let matched = span
+            .iter()
+            .zip(&tokens[pos..])
+            .take_while(|(a, b)| a == b)
+            .count();
+        Some(Descent {
+            child,
+            matched,
+            span_len: span.len(),
+        })
+    }
+
     /// Token-granular longest-match walk over `tokens`, returning the total
     /// matched length and the shared-row segments covering positions
-    /// `[already, matched)`. Touches LRU stamps along the path and records
-    /// hit/miss counters.
+    /// `[already, matched)`. Touches LRU stamps along the path and counts
+    /// the newly matched positions as hit tokens.
     ///
     /// `already` is the number of leading positions the caller has previously
     /// consumed (their segments are not re-reported). If the tree shrank in
     /// the meantime the walk may match fewer than `already` tokens; the
     /// result is then simply empty.
     pub fn match_from(&mut self, already: usize, tokens: &[usize]) -> (usize, Vec<MatchSegment>) {
-        self.stats.lookups += 1;
         let mut segments = Vec::new();
         let mut cur = ROOT;
         let mut pos = 0;
-        while pos < tokens.len() {
-            let Some(&child) = self.node(cur).children.get(&tokens[pos]) else {
-                break;
-            };
-            let span_len = self.node(child).span_len();
-            let take = span_len.min(tokens.len() - pos);
-            let matched_in_child = {
-                let span = &self.node(child).tokens;
-                let mut k = 0;
-                while k < take && span[k] == tokens[pos + k] {
-                    k += 1;
-                }
-                k
-            };
-            if matched_in_child > 0 {
-                self.touch(child);
-                let abs_lo = pos;
-                let abs_hi = pos + matched_in_child;
-                if abs_hi > already {
-                    let local_lo = already.saturating_sub(abs_lo).min(matched_in_child);
-                    segments.push(MatchSegment {
-                        node: child,
-                        rows: (local_lo, matched_in_child),
-                    });
-                }
+        while let Some(step) = self.descend(cur, tokens, pos) {
+            self.touch(step.child);
+            if pos + step.matched > already {
+                segments.push(MatchSegment {
+                    node: step.child,
+                    rows: (already.saturating_sub(pos), step.matched),
+                });
             }
-            pos += matched_in_child;
-            if matched_in_child < span_len {
+            pos += step.matched;
+            if !step.whole() {
                 break;
             }
-            cur = child;
+            cur = step.child;
         }
-        self.stats.hit_tokens += pos.saturating_sub(already) as u64;
-        self.stats.miss_tokens += (tokens.len() - pos) as u64;
+        self.hit_tokens += pos.saturating_sub(already) as u64;
         (pos, segments)
     }
 
@@ -507,22 +523,12 @@ impl PrefixStore {
             if pos == tokens.len() {
                 break cur;
             }
-            let next = self.node(cur).children.get(&tokens[pos]).copied();
-            let Some(child) = next else {
-                let leaf = self.new_leaf(cur, pos, &tokens[pos..], kv);
-                break leaf;
+            let Some(step) = self.descend(cur, tokens, pos) else {
+                break self.new_leaf(cur, pos, &tokens[pos..], kv);
             };
-            let k = {
-                let span = &self.node(child).tokens;
-                let take = span.len().min(tokens.len() - pos);
-                let mut k = 0;
-                while k < take && span[k] == tokens[pos + k] {
-                    k += 1;
-                }
-                k
-            };
+            let (child, k) = (step.child, step.matched);
             self.touch(child);
-            if k == self.node(child).span_len() {
+            if step.whole() {
                 self.node_mut(child).refcount += 1;
                 pos += k;
                 cur = child;
@@ -567,10 +573,11 @@ impl PrefixStore {
                     store.len() >= pos + span.len(),
                     "session store shorter than the prompt being inserted"
                 );
-                pages.push(SharedKvPage::sealed(
-                    store.keys().slice_rows(pos, pos + span.len()),
-                    store.values().slice_rows(pos, pos + span.len()),
-                    store.key_norms()[pos..pos + span.len()].to_vec(),
+                pages.push(sealed_rows(
+                    store.keys(),
+                    store.values(),
+                    store.key_norms(),
+                    pos..pos + span.len(),
                 ));
             }
         }
@@ -589,7 +596,6 @@ impl PrefixStore {
         self.bytes += node.page_bytes();
         let id = self.alloc(node);
         self.node_mut(parent).children.insert(span[0], id);
-        self.stats.inserted_nodes += 1;
         id
     }
 
@@ -605,33 +611,18 @@ impl PrefixStore {
         let suffix_start = node.start + k;
         let parent_refcount = node.refcount;
         let parent_stamp = node.stamp;
-        let suffix_pages: Vec<SharedKvPage> = node
-            .pages
-            .iter()
-            .map(|p| {
-                SharedKvPage::sealed(
-                    p.keys.slice_rows(k, len),
-                    p.values.slice_rows(k, len),
-                    p.key_norms[k..].to_vec(),
-                )
-            })
-            .collect();
+        let slice_pages = |rows: std::ops::Range<usize>| -> Vec<SharedKvPage> {
+            node.pages
+                .iter()
+                .map(|p| sealed_rows(&p.keys, &p.values, &p.key_norms, rows.clone()))
+                .collect()
+        };
+        let (prefix_pages, suffix_pages) = (slice_pages(0..k), slice_pages(k..len));
         let node = self.node_mut(id);
         let moved_children = std::mem::take(&mut node.children);
         let moved_states = std::mem::take(&mut node.states);
         node.tokens.truncate(k);
-        let trimmed: Vec<SharedKvPage> = node
-            .pages
-            .iter()
-            .map(|p| {
-                SharedKvPage::sealed(
-                    p.keys.slice_rows(0, k),
-                    p.values.slice_rows(0, k),
-                    p.key_norms[..k].to_vec(),
-                )
-            })
-            .collect();
-        node.pages = trimmed;
+        node.pages = prefix_pages;
         let suffix = Node {
             tokens: suffix_tokens,
             start: suffix_start,
@@ -648,7 +639,6 @@ impl PrefixStore {
             self.node_mut(child).parent = suffix_id;
         }
         self.node_mut(id).children.insert(first, suffix_id);
-        self.stats.splits += 1;
         id
     }
 
@@ -671,20 +661,14 @@ impl PrefixStore {
     pub fn pin_prompt(&mut self, tokens: &[usize]) -> usize {
         let mut cur = ROOT;
         let mut pos = 0;
-        while pos < tokens.len() {
-            let next = self.node(cur).children.get(&tokens[pos]).copied();
-            let Some(child) = next else {
-                break;
-            };
-            let span = &self.node(child).tokens;
-            if tokens.len() - pos >= span.len() && tokens[pos..pos + span.len()] == span[..] {
-                pos += span.len();
-                self.node_mut(child).refcount += 1;
-                self.touch(child);
-                cur = child;
-            } else {
+        while let Some(step) = self.descend(cur, tokens, pos) {
+            if !step.whole() {
                 break;
             }
+            pos += step.matched;
+            self.node_mut(step.child).refcount += 1;
+            self.touch(step.child);
+            cur = step.child;
         }
         pos
     }
@@ -705,22 +689,15 @@ impl PrefixStore {
         let mut cur = ROOT;
         let mut pos = 0;
         while pos < tokens.len() {
-            let child = *self
-                .node(cur)
-                .children
-                .get(&tokens[pos])
+            let step = self
+                .descend(cur, tokens, pos)
                 .expect("unpin walk must follow a pinned path");
-            let span_len = self.node(child).span_len();
-            assert!(
-                tokens.len() - pos >= span_len
-                    && self.node(child).tokens[..] == tokens[pos..pos + span_len],
-                "unpin prefix must end at a node boundary"
-            );
-            let rc = &mut self.node_mut(child).refcount;
+            assert!(step.whole(), "unpin prefix must end at a node boundary");
+            let rc = &mut self.node_mut(step.child).refcount;
             assert!(*rc > 0, "refcount underflow");
             *rc -= 1;
-            pos += span_len;
-            cur = child;
+            pos += step.matched;
+            cur = step.child;
         }
         self.enforce_capacity();
     }
@@ -787,7 +764,6 @@ impl PrefixStore {
         let parent = node.parent;
         self.node_mut(parent).children.remove(&node.tokens[0]);
         self.free.push(id);
-        self.stats.evicted_nodes += 1;
     }
 
     /// Recompute total bytes from scratch (test/diagnostic aid; the
@@ -856,8 +832,8 @@ mod tests {
         assert_eq!(matched, 0);
         assert!(segs.is_empty());
         let s = store.stats();
-        assert_eq!(s.lookups, 1);
-        assert_eq!(s.miss_tokens, 3);
+        assert_eq!(s.hit_tokens, 0);
+        assert_eq!(s.nodes, 0);
     }
 
     #[test]
@@ -883,7 +859,7 @@ mod tests {
         let b = [1, 2, 3, 9, 9];
         store.insert(&a, &kv_for(&a));
         store.insert(&b, &kv_for(&b));
-        assert_eq!(store.stats().splits, 1);
+        assert_eq!(store.stats().nodes, 3, "[1, 2, 3] split off");
         assert_eq!(store.peek_match(&a), 5);
         assert_eq!(store.peek_match(&b), 5);
         assert_eq!(store.peek_match(&[1, 2, 3]), 3);
@@ -909,7 +885,7 @@ mod tests {
         store.insert(&long, &kv_for(&long));
         let short = [1, 2, 3];
         let terminal = store.insert(&short, &kv_for(&short));
-        assert_eq!(store.stats().splits, 1);
+        assert_eq!(store.stats().nodes, 2, "split at the short prompt's end");
         // Pinning the short prompt now covers it fully.
         assert_eq!(store.pin_prompt(&short), 3);
         store.unpin_prompt(&short);
@@ -972,7 +948,7 @@ mod tests {
         assert_eq!(store.peek_match(&a), 2);
         assert_eq!(store.peek_match(&b), 0);
         assert_eq!(store.peek_match(&c), 2);
-        assert_eq!(store.stats().evicted_nodes, 1);
+        assert_eq!(store.stats().nodes, 2, "b alone was evicted");
     }
 
     #[test]
@@ -1139,7 +1115,7 @@ mod tests {
         let mut other = prompt[..cut].to_vec();
         other.extend([9, 9, 9]);
         store.insert(&other, &kv_for(&other));
-        assert_eq!(store.stats().splits, 1);
+        assert_eq!(store.stats().nodes, 3, "one split, one new leaf");
         let (matched, segments) = store.match_from(0, &prompt);
         assert_eq!(matched, prompt.len());
         assert_eq!(segments.len(), 2, "prefix half, then suffix half");

@@ -65,11 +65,6 @@ pub struct CompressionStats {
     pub demotions: u64,
     /// Tokens served from the compressed GPU tier (no PCIe, dequantize only).
     pub compressed_hits: u64,
-    /// Exact (f16) bytes the demoted pages occupied before compression,
-    /// cumulative over demotions.
-    pub exact_bytes: Bytes,
-    /// Bytes the same pages occupy compressed, cumulative over demotions.
-    pub compressed_bytes: Bytes,
 }
 
 impl CompressionStats {
@@ -78,11 +73,9 @@ impl CompressionStats {
         Self::default()
     }
 
-    /// Record one page demotion: `exact` bytes shrank to `compressed`.
-    pub fn record_demotion(&mut self, exact: Bytes, compressed: Bytes) {
+    /// Record one page demotion.
+    pub fn record_demotion(&mut self) {
         self.demotions += 1;
-        self.exact_bytes += exact;
-        self.compressed_bytes += compressed;
     }
 
     /// Record `n` tokens served from the compressed tier.
@@ -90,22 +83,10 @@ impl CompressionStats {
         self.compressed_hits += n;
     }
 
-    /// Compression ratio `exact / compressed` over all demoted pages; `0.0`
-    /// when nothing was ever demoted (never NaN).
-    pub fn ratio(&self) -> f64 {
-        if self.compressed_bytes.get() == 0 {
-            0.0
-        } else {
-            self.exact_bytes.get() as f64 / self.compressed_bytes.get() as f64
-        }
-    }
-
     /// Merge another set of statistics into this one.
     pub fn merge(&mut self, other: &CompressionStats) {
         self.demotions += other.demotions;
         self.compressed_hits += other.compressed_hits;
-        self.exact_bytes += other.exact_bytes;
-        self.compressed_bytes += other.compressed_bytes;
     }
 }
 
@@ -174,43 +155,6 @@ impl PrefetchStats {
     }
 }
 
-impl std::fmt::Display for PrefetchStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "staged={} used={} accuracy={:.1}% wasted={}",
-            self.staged_pages,
-            self.used_pages,
-            self.accuracy() * 100.0,
-            self.wasted_bytes
-        )
-    }
-}
-
-impl std::fmt::Display for CompressionStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "demotions={} compressed_hits={} ratio={:.2}x",
-            self.demotions,
-            self.compressed_hits,
-            self.ratio()
-        )
-    }
-}
-
-impl std::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hits={} misses={} hit_rate={:.1}%",
-            self.hits,
-            self.misses,
-            self.hit_rate() * 100.0
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,33 +194,19 @@ mod tests {
         s.record_misses(37, Bytes(370));
         assert!((s.hit_rate() - 0.63).abs() < 1e-9);
         assert_eq!(s.total(), 100);
-        assert!(s.to_string().contains("63"));
-    }
-
-    #[test]
-    fn compression_ratio_guards_zero_bytes() {
-        let s = CompressionStats::new();
-        assert_eq!(s.ratio(), 0.0, "no demotions must not divide by zero");
-        let mut s = CompressionStats::new();
-        s.record_demotion(Bytes(0), Bytes(0));
-        assert_eq!(s.ratio(), 0.0, "degenerate zero-byte demotion stays 0.0");
-        assert!(s.ratio().is_finite());
     }
 
     #[test]
     fn compression_stats_accumulate_and_merge() {
         let mut a = CompressionStats::new();
-        a.record_demotion(Bytes(64), Bytes(16));
+        a.record_demotion();
         a.record_compressed_hits(10);
         let mut b = CompressionStats::new();
-        b.record_demotion(Bytes(32), Bytes(16));
+        b.record_demotion();
+        b.record_compressed_hits(5);
         a.merge(&b);
         assert_eq!(a.demotions, 2);
-        assert_eq!(a.compressed_hits, 10);
-        assert_eq!(a.exact_bytes, Bytes(96));
-        assert_eq!(a.compressed_bytes, Bytes(32));
-        assert!((a.ratio() - 3.0).abs() < 1e-12);
-        assert!(a.to_string().contains("3.00x"));
+        assert_eq!(a.compressed_hits, 15);
     }
 
     #[test]
@@ -303,7 +233,6 @@ mod tests {
         assert_eq!(a.used_bytes, Bytes(96));
         assert_eq!(a.wasted_bytes, Bytes(64));
         assert!((a.accuracy() - 2.0 / 3.0).abs() < 1e-12);
-        assert!(a.to_string().contains("staged=3"));
     }
 
     #[test]

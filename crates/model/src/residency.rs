@@ -19,7 +19,7 @@ use crate::latency::{LatencyModel, StepCost, Transfers};
 use crate::policy::{KvResidency, PageRequest, PolicyStats, TokenSelector};
 use crate::prefetch::PrefetchConfig;
 use clusterkv_faults::{backoff_seconds, FaultInjector, FaultSite, IntegrityStats};
-use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig, PageKey};
+use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
 use clusterkv_kvcache::compressed::{CompressedStore, CompressionConfig};
 use clusterkv_kvcache::device::Seconds;
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
@@ -33,8 +33,8 @@ pub(crate) struct Residency {
     /// every step.
     cache: ClusterCache,
     /// The compressed pages recall-compressed plans attend through, indexed
-    /// `[layer][kv_head]` and keyed by the group's first query head. Empty
-    /// under a lossless config, whose plans attend exact KV.
+    /// `[layer][kv_head]` and keyed by cluster id. Empty under a lossless
+    /// config, whose plans attend exact KV.
     pages: Vec<Vec<CompressedStore>>,
     /// [`TokenSelector::page_table_version`] each store of `pages` was last
     /// settled at, indexed alike; `None` until then and for tables that
@@ -197,16 +197,11 @@ impl Residency {
                     continue;
                 };
                 for page in table {
-                    let key = PageKey {
-                        layer: LayerId(layer),
-                        head: HeadId(first),
-                        page: page.page,
-                    };
-                    if store.get(key).map(|p| p.tokens().len()) != Some(page.tokens) {
+                    if store.get(page.page).map(|p| p.tokens().len()) != Some(page.tokens) {
                         let (keys, values) =
                             (kv[layer][kv_head].keys(), kv[layer][kv_head].values());
                         store.compress_and_insert(
-                            key,
+                            page.page,
                             keys,
                             values,
                             selector.page_members(page.page),

@@ -38,12 +38,11 @@ use crate::residency::Residency;
 use crate::rope::Rope;
 use crate::weights::ModelWeights;
 use clusterkv_faults::{FaultInjector, FaultPlan, FaultSite, IntegrityStats};
-use clusterkv_kvcache::cluster_cache::PageKey;
 use clusterkv_kvcache::compressed::CompressionConfig;
 use clusterkv_kvcache::device::{DeviceModel, Seconds};
 use clusterkv_kvcache::prefix::{PrefixStore, PrefixStoreConfig, PrefixStoreStats, SharedKvPage};
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
-use clusterkv_kvcache::types::{Budget, Bytes, HeadId, LayerId};
+use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::KvStore;
 use clusterkv_tensor::kernels::{attend_into, matvec_rows_into, Workspace};
 use clusterkv_tensor::ops::{rms_norm, silu};
@@ -109,6 +108,13 @@ pub enum EngineError {
     /// `create_session` was called on an engine built without a default
     /// policy (use `create_session_with` or configure one on the builder).
     MissingPolicy,
+    /// A `(layer, kv_head)` pair outside the model's shape.
+    HeadOutOfRange {
+        /// The requested layer.
+        layer: usize,
+        /// The requested KV head.
+        kv_head: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -134,6 +140,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::MissingPolicy => {
                 write!(f, "no default selection policy configured for this engine")
+            }
+            EngineError::HeadOutOfRange { layer, kv_head } => {
+                write!(f, "no KV head {kv_head} in layer {layer}")
             }
         }
     }
@@ -190,18 +199,14 @@ pub struct SessionReport {
     pub modeled_decode_time: Seconds,
     /// Prompt positions whose KV was served from the cross-session
     /// [`PrefixStore`] instead of being recomputed (0 without a store, or
-    /// for the first session to see a prompt).
+    /// for the first session to see a prompt). Their KV bytes are charged
+    /// to the store, the other `context_len - shared_prefix_tokens`
+    /// positions' to the session, each at
+    /// [`ModelConfig::kv_bytes_per_token`].
     pub shared_prefix_tokens: usize,
-    /// KV bytes of the shared prefix positions — charged to the store, not
-    /// to this session.
-    pub shared_kv_bytes: Bytes,
-    /// KV bytes the session was charged for (novel prompt suffix plus every
-    /// generated token).
-    pub private_kv_bytes: Bytes,
     /// Compressed-tier accounting of the session's cluster cache: page
-    /// demotions, tokens served from the compressed GPU tier, and the
-    /// exact-vs-compressed byte totals (all zero under a lossless
-    /// configuration).
+    /// demotions and tokens served from the compressed GPU tier (both zero
+    /// under a lossless configuration).
     pub compression: CompressionStats,
     /// Speculative-prefetch accounting of the session's cluster cache:
     /// staged / used / wasted bytes of the staging buffer (all zero with
@@ -211,8 +216,7 @@ pub struct SessionReport {
     /// step, `min(gpu, staged)`. Zero with prefetch disabled.
     pub hidden_transfer_time: Seconds,
     /// Total modeled PCIe time of the session's decode steps (staged +
-    /// demand transfers), the denominator of
-    /// [`hidden_transfer_fraction`](Self::hidden_transfer_fraction).
+    /// demand transfers).
     pub transfer_time: Seconds,
     /// Fault-injection and integrity accounting for the session: checksum
     /// verifications, corruptions injected / detected / repaired, and the
@@ -231,42 +235,6 @@ impl SessionReport {
     /// Bytes recalled from CPU memory over PCIe across the whole session.
     pub fn bytes_recalled(&self) -> Bytes {
         self.stats.cache.bytes_recalled
-    }
-
-    /// Fraction of the session's final context served from shared prefix
-    /// pages, in `[0, 1]` (`0.0` for an empty session — never NaN).
-    pub fn shared_fraction(&self) -> f64 {
-        if self.context_len == 0 {
-            0.0
-        } else {
-            self.shared_prefix_tokens as f64 / self.context_len as f64
-        }
-    }
-
-    /// Compression ratio `exact / compressed` over every page the session's
-    /// cache demoted to the compressed tier; `0.0` when nothing was demoted
-    /// (lossless configs, zero-token sessions — never NaN).
-    pub fn compression_ratio(&self) -> f64 {
-        self.compression.ratio()
-    }
-
-    /// Fraction of staged prefetch bytes a demand access later consumed, in
-    /// `[0, 1]` (`0.0` when nothing was staged — prefetch-off engines,
-    /// empty sessions — never NaN).
-    pub fn prefetch_accuracy(&self) -> f64 {
-        self.prefetch.accuracy()
-    }
-
-    /// Fraction of the session's modeled PCIe time that the overlap clock
-    /// hid behind compute, in `[0, 1]` (`0.0` when the session moved no
-    /// bytes — never NaN).
-    pub fn hidden_transfer_fraction(&self) -> f64 {
-        let total = self.transfer_time.get();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.hidden_transfer_time.get() / total
-        }
     }
 }
 
@@ -764,7 +732,6 @@ impl ServeEngine {
                 store.unpin_prompt(&sess.pinned_prompt);
             }
         }
-        let kv_bytes = |tokens: usize| Bytes(tokens as u64 * self.config.kv_bytes_per_token());
         let (hidden_transfer_time, transfer_time) = sess.residency.transfer_times();
         Ok(SessionReport {
             id,
@@ -773,8 +740,6 @@ impl ServeEngine {
             stats: sess.residency.counted(sess.stats),
             modeled_decode_time: sess.residency.modeled_decode(),
             shared_prefix_tokens: sess.matched_prefix_tokens,
-            shared_kv_bytes: kv_bytes(sess.matched_prefix_tokens),
-            private_kv_bytes: kv_bytes(sess.num_tokens - sess.matched_prefix_tokens),
             compression: sess.residency.compression_stats(),
             prefetch: sess.residency.prefetch_stats(),
             hidden_transfer_time,
@@ -939,14 +904,20 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
+    /// [`EngineError::UnknownSession`] if the id is not resident;
+    /// [`EngineError::HeadOutOfRange`] if the model has no such layer or
+    /// KV head.
     pub fn kv_store(
         &self,
         id: SessionId,
         layer: usize,
         kv_head: usize,
     ) -> Result<&KvStore, EngineError> {
-        Ok(&self.session(id)?.kv[layer][kv_head])
+        self.session(id)?
+            .kv
+            .get(layer)
+            .and_then(|heads| heads.get(kv_head))
+            .ok_or(EngineError::HeadOutOfRange { layer, kv_head })
     }
 
     /// Override the token fed to the session's next decode step (for
@@ -1128,16 +1099,11 @@ impl ServeEngine {
                             // the plan's pages, exact KV elsewhere. The
                             // pages were built when their clusters were
                             // sealed, from (config, membership, stored
-                            // values) alone, keyed by the group's first
-                            // query head, so this is order-free across
+                            // values) alone, so this is order-free across
                             // heads and thread counts.
                             let page_of = |page: &PageRequest| {
                                 sealed
-                                    .get(PageKey {
-                                        layer: LayerId(layer),
-                                        head: HeadId(kv_head * group),
-                                        page: page.page,
-                                    })
+                                    .get(page.page)
                                     .expect("every page of a plan was sealed with its cluster")
                             };
                             attend_compressed_ws(
@@ -2074,6 +2040,26 @@ mod tests {
     }
 
     #[test]
+    fn kv_store_rejects_heads_outside_the_model() {
+        let mut eng = tiny_serve(64);
+        let s = eng.create_session().unwrap();
+        eng.prefill(s, &[1, 2, 3]).unwrap();
+        let (layers, kv_heads) = (eng.config().num_layers, eng.config().num_kv_heads);
+        assert_eq!(eng.kv_store(s, layers - 1, kv_heads - 1).unwrap().len(), 3);
+        for (layer, kv_head) in [(layers, 0), (0, kv_heads), (usize::MAX, usize::MAX)] {
+            let err = eng.kv_store(s, layer, kv_head).unwrap_err();
+            assert_eq!(err, EngineError::HeadOutOfRange { layer, kv_head });
+            assert!(err.to_string().contains(&format!("KV head {kv_head}")));
+        }
+        // An unknown session is still reported as such.
+        eng.release(s).unwrap();
+        assert_eq!(
+            eng.kv_store(s, layers, 0).unwrap_err(),
+            EngineError::UnknownSession(s)
+        );
+    }
+
+    #[test]
     fn set_next_input_rejects_out_of_vocab_tokens() {
         let mut eng = tiny_serve(64);
         let s = eng.create_session().unwrap();
@@ -2657,7 +2643,6 @@ mod tests {
     #[test]
     fn prefix_session_reports_split_shared_and_private_bytes() {
         let prompt: Vec<usize> = (0..20).map(|i| (i * 11 + 5) % 128).collect();
-        let per_token = ModelConfig::tiny().kv_bytes_per_token();
         let mut eng = tiny_serve_with_prefix(8);
         let a = eng.create_session().unwrap();
         eng.prefill(a, &prompt).unwrap();
@@ -2667,20 +2652,13 @@ mod tests {
             eng.decode_batch(&[a, b]).unwrap();
         }
         let ra = eng.release(a).unwrap();
+        // Shared positions are charged to the store, the rest of the
+        // context to the session.
         assert_eq!(ra.shared_prefix_tokens, 0, "first session computed cold");
-        assert_eq!(ra.shared_kv_bytes, Bytes(0));
-        assert_eq!(
-            ra.private_kv_bytes,
-            Bytes(ra.context_len as u64 * per_token)
-        );
+        assert_eq!(ra.context_len, prompt.len() + 4);
         let rb = eng.release(b).unwrap();
         assert_eq!(rb.shared_prefix_tokens, prompt.len());
-        assert_eq!(rb.shared_kv_bytes, Bytes(prompt.len() as u64 * per_token));
-        assert_eq!(
-            rb.private_kv_bytes,
-            Bytes((rb.context_len - prompt.len()) as u64 * per_token)
-        );
-        assert!(rb.shared_fraction() > 0.0 && rb.shared_fraction() < 1.0);
+        assert_eq!(rb.context_len - rb.shared_prefix_tokens, 4, "private part");
         // Both sessions released and unpinned: the donated pages stay under
         // the LRU cap, refcount-free, ready for the next session.
         let stats = eng.prefix_store_stats().unwrap();
@@ -2727,8 +2705,6 @@ mod tests {
         assert_eq!(eng.session_prefix_tokens(s).unwrap(), (0, 0));
         let r = eng.release(s).unwrap();
         assert_eq!(r.shared_prefix_tokens, 0);
-        assert_eq!(r.shared_kv_bytes, Bytes(0));
-        assert_eq!(r.shared_fraction(), 0.0);
     }
 
     /// Page size of the block-paged test policy below.
@@ -2851,7 +2827,6 @@ mod tests {
         // A lossless cache never demotes, so the compressed tier stays idle
         // on both paths.
         assert_eq!(comp_report.compression, CompressionStats::default());
-        assert_eq!(comp_report.compression_ratio(), 0.0);
         assert_eq!(exact_report.compression, CompressionStats::default());
     }
 
@@ -2859,7 +2834,7 @@ mod tests {
     fn compressed_tier_decodes_end_to_end_under_memory_pressure() {
         // Small cache + int8 tier: evictions demote pages to the compressed
         // tier, compressed recalls flow through `attend_compressed`, and the
-        // report carries the byte accounting.
+        // report counts the demotions.
         let prompt: Vec<usize> = (0..40).map(|i| (i * 7 + 5) % 128).collect();
         let mut eng = block_paged_engine(true, CompressionConfig::int8(), Bytes(600));
         let s = eng.create_session().unwrap();
@@ -2873,12 +2848,6 @@ mod tests {
             "capacity pressure must demote pages: {:?}",
             report.compression
         );
-        assert!(
-            report.compression_ratio() > 1.0,
-            "int8 demotions shrink bytes: {}",
-            report.compression_ratio()
-        );
-        assert!(!report.compression_ratio().is_nan());
         assert!(report.generated_tokens == 10);
         assert!(report.modeled_decode_time > Seconds(0.0));
     }
@@ -2911,35 +2880,28 @@ mod tests {
         // sees real promotions.
         assert!(on.prefetch.staged_pages > 0, "nothing was staged");
         assert!(on.prefetch.used_pages > 0, "nothing was promoted");
-        let accuracy = on.prefetch_accuracy();
+        let accuracy = on.prefetch.accuracy();
         assert!(accuracy > 0.0 && accuracy <= 1.0, "accuracy {accuracy}");
         // Off-engine prefetch accounting stays all-zero.
         assert_eq!(off.prefetch, PrefetchStats::new());
-        assert_eq!(off.prefetch_accuracy(), 0.0);
-        assert_eq!(off.hidden_transfer_fraction(), 0.0);
         assert_eq!(off.hidden_transfer_time, Seconds::zero());
         // The overlap clock hides staged transfer behind compute; demand
         // promoted out of the staging buffer can only shrink the step, so
         // the demand-side transfer total never grows.
-        let hidden = on.hidden_transfer_fraction();
-        assert!(hidden > 0.0 && hidden <= 1.0, "hidden fraction {hidden}");
         assert!(on.hidden_transfer_time.get() > 0.0);
         assert!(on.transfer_time >= on.hidden_transfer_time);
     }
 
     #[test]
     fn session_report_prefetch_ratios_are_zero_not_nan_for_empty_sessions() {
-        // Satellite guard (PR 8 convention): zero staged bytes and zero
-        // transfer time must report 0.0 ratios, never NaN — both for a
-        // session released untouched and for a prefetch-enabled engine
-        // whose sessions never staged.
+        // Zero staged bytes must report a 0.0 prefetch accuracy, never NaN,
+        // and no transfer time — both for a session released untouched and
+        // for a prefetch-enabled engine whose sessions never staged.
         let mut eng = prefetch_engine(Bytes(512), PrefetchConfig::lookahead(Bytes(1 << 16)));
         let s = eng.create_session().unwrap();
         let r = eng.release(s).unwrap();
-        assert_eq!(r.prefetch_accuracy(), 0.0);
-        assert_eq!(r.hidden_transfer_fraction(), 0.0);
-        assert!(!r.prefetch_accuracy().is_nan());
-        assert!(!r.hidden_transfer_fraction().is_nan());
+        assert_eq!(r.prefetch.accuracy(), 0.0);
+        assert_eq!(r.transfer_time, Seconds::zero());
         // A full-attention session decodes without ever staging: same guard.
         let mut full = ServeEngine::builder(ModelConfig::tiny())
             .synthetic_weights(7)
@@ -2951,27 +2913,23 @@ mod tests {
         let s = full.create_session().unwrap();
         full.generate(s, &[1, 2, 3], 2).unwrap();
         let r = full.release(s).unwrap();
-        assert_eq!(r.prefetch_accuracy(), 0.0);
-        assert_eq!(r.hidden_transfer_fraction(), 0.0);
+        assert_eq!(r.prefetch.accuracy(), 0.0);
+        assert_eq!(r.hidden_transfer_time, Seconds::zero());
     }
 
     #[test]
     fn session_report_ratios_are_zero_not_nan_for_empty_sessions() {
         // Satellite guard: a session released before any token is forwarded
-        // has zero tokens, zero cache traffic and zero compressed bytes —
-        // every ratio accessor must report 0.0, never NaN.
+        // has zero tokens, zero cache traffic and zero demotions — the hit
+        // rate must report 0.0, never NaN.
         let mut eng = tiny_serve(8);
         let s = eng.create_session().unwrap();
         let r = eng.release(s).unwrap();
         assert_eq!(r.context_len, 0);
         assert_eq!(r.cache_hit_rate(), 0.0);
-        assert_eq!(r.shared_fraction(), 0.0);
-        assert_eq!(r.compression_ratio(), 0.0);
-        assert!(!r.cache_hit_rate().is_nan());
-        assert!(!r.shared_fraction().is_nan());
-        assert!(!r.compression_ratio().is_nan());
+        assert_eq!(r.compression, CompressionStats::default());
         // A resident-policy session that did run also keeps the paging
-        // ratios at 0.0 (it never touched the cache or the tier).
+        // counters at zero (it never touched the cache or the tier).
         let mut full = ServeEngine::builder(ModelConfig::tiny())
             .synthetic_weights(7)
             .budget(Budget::new(8))
@@ -2982,8 +2940,8 @@ mod tests {
         full.generate(s, &[1, 2, 3], 2).unwrap();
         let r = full.release(s).unwrap();
         assert_eq!(r.cache_hit_rate(), 0.0);
-        assert_eq!(r.compression_ratio(), 0.0);
-        assert!(r.shared_fraction() == 0.0 && !r.shared_fraction().is_nan());
+        assert_eq!(r.compression, CompressionStats::default());
+        assert_eq!(r.shared_prefix_tokens, 0);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! that commit running this scenario). A digest hashes each
 //! `SessionReport`'s `Debug` text, so a change to the report's layout
 //! re-takes them: folding the transfer counters into
-//! `CacheStats::bytes_recalled` did, after every stream and every report
-//! value was checked equal to the one before.
+//! `CacheStats::bytes_recalled` did, and so did dropping the unread report
+//! fields (the shared/private byte split and the compressed-tier byte
+//! totals) — each after every stream and every remaining report value was
+//! checked equal to the one before.
 
 mod common;
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory, ClusterKvSelector};
-use clusterkv_baselines::BaselineKind;
+use clusterkv_bench::Method;
 use clusterkv_faults::{FaultPlan, Fnv64};
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_kvcache::CompressionConfig;
@@ -110,7 +112,7 @@ fn mha_clusterkv_is_bit_identical_to_the_parent_commit() {
     // what the selector of `(layer, head)` was: same seed, same clusters,
     // same plans, same reports.
     let ckv = ClusterKvFactory::new(ckv_config());
-    assert_eq!(pinned_scenario(model(2, 2), &ckv), 0xcc1a_ffb5_a94d_2c58);
+    assert_eq!(pinned_scenario(model(2, 2), &ckv), 0x9aba_2e88_8e38_cb02);
 
     // Fingerprint and clustering bits of single heads, as the parent's
     // per-head selectors exported them.
@@ -162,39 +164,27 @@ fn baselines_are_bit_identical_to_the_parent_commit() {
     // One selector per KV head plans for each query head of its group
     // exactly as the per-query-head copies did, on grouped-query and
     // multi-head shapes alike.
-    let pinned: [(BaselineKind, u64, u64); 4] = [
+    let pinned: [(Method, u64, u64); 4] = [
+        (Method::Quest, 0x9d2c_23f9_776d_655c, 0x9c77_9fbe_c2e7_b4d2),
         (
-            BaselineKind::Quest,
-            0x95de_4be8_3fbf_1224,
-            0x0cec_6888_b22a_4ff0,
+            Method::InfiniGen,
+            0x9532_1580_8d5d_1448,
+            0xc7f9_644d_a45b_d466,
         ),
-        (
-            BaselineKind::InfiniGen,
-            0xda0b_ff29_b0de_e988,
-            0xa1fa_b291_67b3_30cc,
-        ),
-        (
-            BaselineKind::H2o,
-            0x792b_79c4_49f9_6332,
-            0x0a44_9ec5_0ae8_718e,
-        ),
-        (
-            BaselineKind::FullKv,
-            0x87b8_3293_9338_588e,
-            0x930c_65aa_4d04_dbd0,
-        ),
+        (Method::H2o, 0xd524_cbb1_d108_8e0c, 0x2fd2_6f4c_e850_5dc8),
+        (Method::FullKv, 0x74c6_20a1_2389_e180, 0x8f5e_eb96_9572_50d2),
     ];
-    for (kind, gqa, mha) in pinned {
-        let factory = kind.factory();
+    for (method, gqa, mha) in pinned {
+        let factory = method.factory();
         assert_eq!(
             pinned_scenario(model(4, 2), factory.as_ref()),
             gqa,
-            "{kind} 4:2"
+            "{method} 4:2"
         );
         assert_eq!(
             pinned_scenario(model(2, 2), factory.as_ref()),
             mha,
-            "{kind} 2:2"
+            "{method} 2:2"
         );
     }
 }
@@ -363,10 +353,10 @@ fn every_policy_observes_each_key_event_once_per_kv_head() {
             .collect();
         let policies: [Box<dyn SelectorFactory>; 5] = [
             Box::new(ClusterKvFactory::new(ckv_config())),
-            BaselineKind::Quest.factory(),
-            BaselineKind::InfiniGen.factory(),
-            BaselineKind::H2o.factory(),
-            BaselineKind::FullKv.factory(),
+            Method::Quest.factory(),
+            Method::InfiniGen.factory(),
+            Method::H2o.factory(),
+            Method::FullKv.factory(),
         ];
         for policy in policies {
             let name = policy.name().to_string();
