@@ -89,8 +89,8 @@ impl PolicyStats {
 
 /// A key-production event observed by a selector.
 ///
-/// Folds the former `on_prefill` / `on_append` callbacks into one explicit
-/// event stream: the engine (or harness) feeds every selector the same
+/// One explicit event stream, so the engine and the single-head harness
+/// drive a selector identically: each feeds every selector the same
 /// sequence of events its KV head produces.
 ///
 /// Prompt keys arrive as a contiguous run of
@@ -425,8 +425,8 @@ pub trait SelectorFactory: Send + Sync {
 
 /// The trivial policy: attend to every previous token (no compression).
 ///
-/// This is the "Full KV" configuration of the paper and also what the engine
-/// uses for the first `dense_layers` layers of every method.
+/// This is the "Full KV" configuration of the paper. The engine's first
+/// `dense_layers` layers attend the same way without holding a selector.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FullAttentionSelector;
 

@@ -153,7 +153,8 @@ impl Residency {
         kv: &[Vec<KvStore>],
     ) {
         let group_size = config.num_heads / config.num_kv_heads;
-        for (layer, selectors) in selectors.iter().enumerate().skip(config.dense_layers) {
+        // A dense layer has no selectors, hence no pages.
+        for (layer, selectors) in selectors.iter().enumerate() {
             for (kv_head, selector) in selectors.iter().enumerate() {
                 let first = kv_head * group_size;
                 if self.cache.enabled() {

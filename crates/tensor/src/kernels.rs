@@ -401,9 +401,8 @@ pub fn attend_into(
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the straight-line scalar implementations the blocked
-// kernels replaced. Kept (not cfg(test)-gated) so property tests and the
-// `exp_hotpath` / criterion benches can compare against them on identical
-// data.
+// kernels replaced. Kept (not cfg(test)-gated) so property tests and
+// `exp_hotpath` can compare against them on identical data.
 // ---------------------------------------------------------------------------
 
 /// Scalar reference for [`matvec_t_into`]: one [`dot`](crate::vector::dot)
